@@ -354,17 +354,23 @@ def cmd_schatten(exp: Experiment, args) -> int:
         return 1
     ps = exp.config.get("schatten_p", [1.0, 2.0])
     quad = exp.quad(exp.k_sweep[0])
+    preds = [asymptotics.schatten_prediction(exp.sub, exp.amplitude, p, quad,
+                                             cls=exp.classification)
+             for p in ps]
+    # one assembly per k, one operator held at a time; rows stay p-major
+    per_p = [[] for _ in ps]
+    for k in exp.k_sweep:
+        op, _ = exp.operator(k)
+        S = scale_to_S(op, exp.dp)
+        prov = exp.provenance(k, op.trunc)
+        for out, p in zip(per_p, ps):
+            out.append((exp.scaled_norm(k) * schatten_sum(S, p), prov))
+        del op, S
     rows, verdicts = [], []
-    for p in ps:
-        pred = asymptotics.schatten_prediction(exp.sub, exp.amplitude, p,
-                                               quad, cls=exp.classification)
-        last = None
-        for k in exp.k_sweep:
-            op, _ = exp.operator(k)
-            S = scale_to_S(op, exp.dp)
-            last = exp.scaled_norm(k) * schatten_sum(S, p)
-            rows.append({"p": p, "scaled_schatten": last, "prediction": pred,
-                         **exp.provenance(k, op.trunc)})
+    for p, pred, out in zip(ps, preds, per_p):
+        rows.extend({"p": p, "scaled_schatten": val, "prediction": pred,
+                     **prov} for val, prov in out)
+        last = out[-1][0]
         verdicts.append({"check_id": f"schatten:p={p:g}", "observed": last,
                          "predicted": pred, "tolerance": 0.02 * pred,
                          "pass": abs(last - pred) <= 0.02 * pred})

@@ -4,6 +4,17 @@ The space consists of functions f(z) e^{-k|z|^2/2} with f a polynomial of
 total degree at most M on C^N.  The monomial basis is orthogonal for the
 L^2(C^N, dL) inner product; everything here is evaluated through
 log-magnitude + phase so that large k and large degrees never overflow.
+
+Both the weight and the norm split over coordinates,
+||z^n e^{-k|z|^2/2}|| = prod_j sqrt(pi n_j! / k^{n_j + 1}), so a normalized
+basis function is a product of one-variable factors,
+u_n(z) = prod_j phi_{n_j}(z_j) with
+phi_m(zeta) = (sqrt(k) zeta)^m e^{-k|zeta|^2/2} sqrt(k / (pi m!)).
+`eval_basis_matrix` builds, per coordinate, one table of phi_0..phi_M at
+the points, in log form; |phi_m| <= sqrt(k / pi), so nothing overflows.
+It then gathers the products: a basis value costs N-1 gathers and
+multiplies instead of one complex exponential.  The split is exact,
+since log_norms is itself a sum over coordinates.
 """
 
 from __future__ import annotations
@@ -80,13 +91,18 @@ class FockTruncation:
         return np.array(self.basis, dtype=np.int64)
 
     @cached_property
+    def _half_lgamma(self) -> np.ndarray:
+        """lgamma(m + 1) / 2 for m = 0..M."""
+        return 0.5 * np.array([math.lgamma(m + 1.0)
+                               for m in range(self.max_degree + 1)])
+
+    @cached_property
     def log_norms(self) -> np.ndarray:
         """log of ||z^n e^{-k|z|^2/2}|| for every basis element."""
-        E = self.exponent_matrix
-        N = self.ambient_dim
-        lg = np.vectorize(math.lgamma)(E + 1.0).sum(axis=1)
-        total = E.sum(axis=1)
-        return 0.5 * (N * math.log(math.pi) + lg - (total + N) * math.log(self.k))
+        m = np.arange(self.max_degree + 1)
+        per_coord = (self._half_lgamma
+                     + 0.5 * (math.log(math.pi) - (m + 1) * math.log(self.k)))
+        return per_coord[self.exponent_matrix].sum(axis=1)
 
 
 def log_basis_norm(trunc: FockTruncation, n) -> float:
@@ -112,27 +128,44 @@ def _as_points(z, ambient_dim: int) -> np.ndarray:
     return pts
 
 
+def _coordinate_tables(trunc: FockTruncation, pts: np.ndarray) -> list:
+    """One (M+1, m) complex table of phi_0..phi_M per coordinate of pts."""
+    k = trunc.k
+    degrees = np.arange(trunc.max_degree + 1, dtype=float)
+    # log|phi_n| = n log(sqrt(k)|zeta|) - k|zeta|^2/2 - lgamma(n+1)/2
+    #              + log(k/pi)/2
+    offset = 0.5 * math.log(k / math.pi) - trunc._half_lgamma
+    tables = []
+    for zeta in pts.T:
+        rho = math.sqrt(k) * np.abs(zeta)
+        zero = rho == 0
+        table = np.empty((degrees.size, zeta.size), dtype=complex)
+        np.multiply.outer(degrees, np.log(np.where(zero, 1.0, rho)),
+                          out=table.real)
+        table.real += offset[:, None]
+        table.real -= 0.5 * rho * rho
+        np.multiply.outer(degrees, np.angle(zeta), out=table.imag)
+        np.exp(table, out=table)
+        table[1:, zero] = 0.0  # zeta^n vanishes at zeta = 0 for n > 0
+        tables.append(table)
+    return tables
+
+
 def eval_basis_matrix(trunc: FockTruncation, points) -> np.ndarray:
     """Values of all normalized basis elements at points.
 
-    points: (m, N) complex.  Returns (m, dim) complex.  Computed as
-    exp(sum n_j log|z_j| - k|z|^2/2 - log_norm) times the monomial phase.
+    points: (m, N) complex.  Returns (m, dim) complex, the products
+    prod_j phi_{n_j}(z_j) of per-coordinate tables (see the module notes).
+    The array is in Fortran order: the values of one basis function at
+    all points are contiguous.
     """
     pts = _as_points(points, trunc.ambient_dim)
-    E = trunc.exponent_matrix  # (dim, N)
-    zero = pts == 0
-    logabs = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1.0, pts))))
-    phase = np.where(zero, 0.0, np.angle(pts))
-    r2 = np.abs(pts) ** 2
-    logmag = logabs @ E.T.astype(float)
-    logmag -= 0.5 * trunc.k * r2.sum(axis=1)[:, None]
-    logmag -= trunc.log_norms[None, :]
-    vals = np.exp(logmag + 1j * (phase @ E.T.astype(float)))
-    if zero.any():
-        # monomials with positive exponent on a vanishing coordinate are zero
-        kill = (zero.astype(np.int64) @ (E.T > 0).astype(np.int64)) > 0
-        vals[kill] = 0.0
-    return vals
+    tables = _coordinate_tables(trunc, pts)
+    E = trunc.exponent_matrix
+    vals = tables[0] if len(tables) == 1 else tables[0][E[:, 0]]
+    for j in range(1, len(tables)):
+        vals *= tables[j][E[:, j]]
+    return vals.T
 
 
 def eval_basis(trunc: FockTruncation, n, z) -> complex:

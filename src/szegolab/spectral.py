@@ -130,12 +130,16 @@ def weyl_count(spec: SpectralSummary, interval) -> int:
 
 
 def schatten_sum(op: HermitianOperator, p: float) -> float:
-    """Sum of singular values to the p-th power, via eigensolve of S*S."""
+    """Sum of singular values to the p-th power.
+
+    The singular values come from an SVD of the matrix itself; the
+    eigenvalues of S^H S would square the condition number and lose the
+    small singular values that dominate sums with p < 2.
+    """
     if p <= 0:
         raise ValueError("p must be positive")
-    gram = op.matrix.conj().T @ op.matrix
-    sv2 = _clamped(np.linalg.eigvalsh(gram))
-    return float(np.sum(sv2 ** (0.5 * p)))
+    sv = np.linalg.svd(op.matrix, compute_uv=False)
+    return float(np.sum(sv ** p))
 
 
 def entropy(spec: SpectralSummary) -> float:

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +24,7 @@ from szegolab.assembly import (
     scale_to_S,
     write_matrix,
 )
-from szegolab.fock import FockTruncation
+from szegolab.fock import FockTruncation, eval_basis_matrix
 
 
 def circle_setup(k, r=1.0, M=None, order=None):
@@ -216,3 +220,102 @@ def test_matrix_export_roundtrip(tmp_path):
     matrix, k, N, M = read_matrix(path)
     assert (k, N, M) == (6.0, 1, trunc.max_degree)
     assert np.array_equal(matrix, op.matrix)
+
+
+def gemm_reference(trunc, quad, a):
+    """sum over nodes of w a conj(u(z))^T u(z), as one dense product."""
+    T = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for block in quad.blocks:
+        av = a(block.nodes) if callable(a) else (1.0 if a is None else a)
+        B = eval_basis_matrix(trunc, block.points)
+        T += (B.conj() * (block.weights * av)[:, None]).T @ B
+    return T
+
+
+def two_chart_circle():
+    """Unit circle covered twice, the two charts weighted cos^2 and sin^2."""
+    (chart,) = mfd.circle(1.0).charts
+    shift = 0.3
+
+    def gamma(t):
+        return chart.gamma(t + shift)
+
+    def jac(t):
+        return chart.jacobian(t + shift)
+
+    first = dataclasses.replace(
+        chart, pou_weight=lambda t: np.cos(t[:, 0]) ** 2)
+    second = dataclasses.replace(
+        chart, gamma=gamma, jacobian=jac,
+        pou_weight=lambda t: np.sin(t[:, 0] + shift) ** 2)
+    return mfd.ChartedSubmanifold(ambient_dim=1, charts=(first, second),
+                                  label="circle, two charts")
+
+
+def reference_cases():
+    k, M = 20.0, 80
+    circle = mfd.circle(1.0)
+    circle_quad = mfd.quadrature(circle, 2 * M + 9)
+    sphere = mfd.sphere3(1.0)
+    twice = two_chart_circle()
+    return {
+        "signed_cos": (FockTruncation(1, k, M), circle, circle_quad,
+                       lambda t: np.cos(t[:, 0])),
+        "negative_scalar": (FockTruncation(1, k, M), circle, circle_quad,
+                            -1.5),
+        "sphere3": (FockTruncation(2, 4.0, 20), sphere,
+                    mfd.quadrature(sphere, [11, 21, 21]),
+                    lambda t: 1.0 + 0.5 * np.cos(t[:, 1])),
+        "two_charts": (FockTruncation(1, k, M), twice,
+                       mfd.quadrature(twice, 2 * M + 9),
+                       lambda t: 0.3 + np.cos(t[:, 0])),
+        "complex": (FockTruncation(1, k, M), circle, circle_quad,
+                    lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0]))),
+    }
+
+
+@pytest.mark.parametrize("case", ["signed_cos", "negative_scalar", "sphere3",
+                                  "two_charts", "complex"])
+def test_rank_k_assembly_matches_gemm_reference(case):
+    trunc, sub, quad, a = reference_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        op = assemble_T(trunc, sub, a, quad)
+    expect = gemm_reference(trunc, quad, a)
+    scale = np.abs(expect).max()
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * scale
+    assert op.hermitian == (case != "complex")
+    if op.hermitian:
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        assert np.all(np.diag(op.matrix).imag == 0)
+    else:
+        assert np.abs(op.matrix - op.matrix.conj().T).max() > 1e-3 * scale
+
+
+def test_two_chart_quadrature_covers_circle_once():
+    quad = mfd.quadrature(two_chart_circle(), 64)
+    assert len(quad.blocks) == 2
+    assert quad.total_mass == pytest.approx(2 * math.pi, rel=1e-12)
+
+
+def test_circle_k400_has_no_subnormals_and_tiny_flush_bound():
+    k = 400.0
+    sub, trunc, quad = circle_setup(k)
+    op = assemble_T(trunc, sub, None, quad)
+    parts = op.matrix.view(np.float64)
+    tiny = np.finfo(np.float64).tiny
+    assert not np.any((np.abs(parts) < tiny) & (parts != 0))
+    # the largest diagonal entry is a lower bound of lambda_max
+    lam = np.abs(np.diag(op.matrix)).max()
+    assert 0 < op.flush_bound <= 1e-60 * lam
+    S = scale_to_S(op, 1)
+    assert S.flush_bound == pytest.approx(S.scale_factor * op.flush_bound)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg takes longer to import than the package itself; assembly
+    # loads its BLAS wrappers on first use
+    code = ("import sys, szegolab; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -124,3 +124,44 @@ def test_eval_basis_matrix_zero_coordinate_masking():
     assert vals[idx] == 0
     idx2 = trunc.index_of((0, 1))
     assert vals[idx2] != 0
+
+
+def log_magnitude_formula(trunc, pts):
+    """exp(sum n_j log|z_j| - k|z|^2/2 - log norm + i sum n_j arg z_j)."""
+    k, N = trunc.k, trunc.ambient_dim
+    E = np.array(trunc.basis, dtype=float)
+    zero = pts == 0
+    logabs = np.log(np.abs(np.where(zero, 1.0, pts)))
+    lg = np.array([sum(math.lgamma(nj + 1) for nj in n) for n in trunc.basis])
+    log_norm = 0.5 * (N * math.log(math.pi) + lg - (E.sum(axis=1) + N)
+                      * math.log(k))
+    logmag = logabs @ E.T - 0.5 * k * np.sum(np.abs(pts) ** 2, axis=1)[:, None]
+    vals = np.exp(logmag - log_norm + 1j * (np.angle(pts) @ E.T))
+    vals[(zero.astype(int) @ (E.T > 0).astype(int)) > 0] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("N,k,M,spread", [
+    (1, 3.0, 20, 1.5), (2, 5.0, 16, 1.0), (3, 2.0, 9, 1.0),
+    (1, 400.0, 1600, 0.1),
+])
+def test_factorized_basis_matches_log_magnitude_formula(N, k, M, spread):
+    trunc = FockTruncation(N, k, M)
+    rng = np.random.default_rng(N + M)
+    # radii around sqrt(M / (k N)), where the top degrees peak
+    radius = math.sqrt(M / (k * N)) * (1.0 + spread
+                                       * rng.uniform(-1, 1, (60, N)))
+    pts = radius * np.exp(1j * rng.uniform(0, 2 * math.pi, (60, N)))
+    pts[:6, 0] = 0.0
+    if N > 1:
+        pts[3:9, -1] = 0.0
+    vals = eval_basis_matrix(trunc, pts)
+    expect = log_magnitude_formula(trunc, pts)
+    assert vals.shape == (60, trunc.dim)
+    assert np.all(np.isfinite(vals))
+    normal = np.abs(expect) > 1e-250
+    assert normal.sum() > 0.2 * normal.size
+    rel = np.abs(vals - expect)[normal] / np.abs(expect)[normal]
+    assert rel.max() <= 1e-10
+    assert np.abs(vals[~normal]).max(initial=0.0) <= 1e-240
+    assert np.array_equal(vals[expect == 0], expect[expect == 0])

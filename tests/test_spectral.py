@@ -97,6 +97,23 @@ def test_schatten_sums():
     assert schatten_sum(shear, 2) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_schatten_sum_non_normal_known_singular_values(p):
+    # A = U diag(s) V^H with unrelated unitaries is far from normal; s spans
+    # eight decades, where the Gram route S^H S loses the small values
+    rng = np.random.default_rng(5)
+    n = 12
+    s = np.logspace(0, -8, n)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    A = (U * s) @ V.conj().T
+    assert np.abs(A @ A.conj().T - A.conj().T @ A).max() > 0.1
+    op = make_op(A, hermitian=False)
+    assert schatten_sum(op, p) == pytest.approx(np.sum(s ** p), rel=1e-12)
+
+
 def test_entropy_rank_one_and_uniform():
     assert entropy(summary_from([1.0, 0.0, 0.0])) == pytest.approx(0.0)
     n = 8
