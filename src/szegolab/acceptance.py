@@ -229,13 +229,14 @@ def check_schatten(lab: Lab):
     detail = {}
     ok = True
     pred_quad = lab.circle_quad(25.0)
-    for p in (1.0, 2.0):
+    ps = (1.0, 2.0)
+    # one SVD per operator serves every p
+    sums = [schatten_sum(scale_to_S(lab.circle_op(k, "complex"), 1), ps)
+            for k in CIRCLE_SWEEP]
+    for i, p in enumerate(ps):
         pred = asymptotics.schatten_prediction(lab.circle, _amp_complex, p,
                                                pred_quad)
-        vals = []
-        for k in CIRCLE_SWEEP:
-            S = scale_to_S(lab.circle_op(k, "complex"), 1)
-            vals.append(_scaled(k) * schatten_sum(S, p))
+        vals = [_scaled(k) * s[i] for k, s in zip(CIRCLE_SWEEP, sums)]
         rel = abs(vals[-1] - pred) / pred
         detail[f"p={p:g}"] = {"final_rel": rel, "prediction": pred}
         ok = ok and rel <= 0.02

@@ -22,8 +22,7 @@ from .manifold import (
     Quadrature,
     classify,
     d_prime,
-    delta_n,
-    frame_at,
+    delta_n_at,
 )
 from .spectral import TestFunction
 
@@ -158,8 +157,7 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
         prod = np.ones(block.size, dtype=complex)
         for a in amplitudes:
             prod = prod * _amp_values(a, block)
-        deltas = np.array([delta_n(frame_at(block.chart, t), n)
-                           for t in block.nodes])
+        deltas = delta_n_at(block.chart, block.nodes, n)
         total += float(np.sum(block.weights * (prod / deltas)).real)
     prefactor = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
         * (k / (2.0 * math.pi)) ** (0.5 * d)

@@ -268,13 +268,15 @@ def cmd_geometry(exp: Experiment, args) -> int:
 def cmd_spectrum(exp: Experiment, args) -> int:
     def one(k):
         op, _ = exp.operator(k)
-        spec = eigensolve(op) if op.hermitian else None
-        eigs = spec.eigenvalues if spec else np.sort(
-            np.abs(np.linalg.eigvals(op.matrix)))[::-1]
+        # a non-Hermitian operator reports its singular values instead
+        if op.hermitian:
+            column, values = "eigenvalue", eigensolve(op).eigenvalues
+        else:
+            column, values = "singular_value", spectral.singular_values(op)
         prov = exp.provenance(k, op.trunc)
-        return [{"index": i, "eigenvalue": float(v),
+        return [{"index": i, column: float(v),
                  "normalization": op.normalization, **prov}
-                for i, v in enumerate(eigs)]
+                for i, v in enumerate(values)]
 
     rows = [row for chunk in exp.sweep(one) for row in chunk]
     write_rows(rows, args, "spectrum")
@@ -357,14 +359,15 @@ def cmd_schatten(exp: Experiment, args) -> int:
     preds = [asymptotics.schatten_prediction(exp.sub, exp.amplitude, p, quad,
                                              cls=exp.classification)
              for p in ps]
-    # one assembly per k, one operator held at a time; rows stay p-major
+    # one assembly and one SVD per k, one operator held at a time; rows
+    # stay p-major
     per_p = [[] for _ in ps]
     for k in exp.k_sweep:
         op, _ = exp.operator(k)
         S = scale_to_S(op, exp.dp)
         prov = exp.provenance(k, op.trunc)
-        for out, p in zip(per_p, ps):
-            out.append((exp.scaled_norm(k) * schatten_sum(S, p), prov))
+        for out, total in zip(per_p, schatten_sum(S, ps)):
+            out.append((exp.scaled_norm(k) * total, prov))
         del op, S
     rows, verdicts = [], []
     for p, pred, out in zip(ps, preds, per_p):

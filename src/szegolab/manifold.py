@@ -29,6 +29,7 @@ __all__ = [
     "classify",
     "d_prime",
     "delta_n",
+    "delta_n_at",
     "quadrature",
     "real_to_complex",
     "circle",
@@ -139,47 +140,75 @@ def frame_at(chart: Chart, t) -> GeometryFrame:
     return _frame_from_jacobian(J)
 
 
-def _frame_from_jacobian(J: np.ndarray) -> GeometryFrame:
-    cols = J[0::2, :] + 1j * J[1::2, :]  # (N, d) complex tangent columns
-    G = J.T @ J
+def _geometry(J: np.ndarray):
+    """First-order data of stacked jacobians J, (m, 2N, d).
+
+    Returns G, H, W (each (m, d, d)), lam (m, d), is_lambda (m, d) and the
+    volume densities (m,).  lam holds the square roots of the eigenvalues
+    of -A^2, A = G^{-1/2} H G^{-1/2}, ascending; each +-i lambda pair of W
+    shows twice, and is_lambda marks one entry of each pair.
+    """
+    cols = J[:, 0::2, :] + 1j * J[:, 1::2, :]  # (m, N, d) complex tangents
+    G = np.swapaxes(J, 1, 2) @ J
     # H_ij = omega(col_i, col_j) = Im(col_i . conj(col_j))
-    H = -(cols.conj().T @ cols).imag
-    if np.linalg.cond(G) > 1e12:
+    H = -(np.swapaxes(cols.conj(), 1, 2) @ cols).imag
+    gl, gv = np.linalg.eigh(G)
+    if not np.all(gl[:, -1] <= 1e12 * gl[:, 0]):
         raise SingularMetricError("induced metric is numerically singular")
     W = np.linalg.solve(G, H)
     # lambda_ell^2 are the (doubled) eigenvalues of the symmetric PSD matrix
     # G^{-1/2} H G^{-1} H^T G^{-1/2}; this avoids a nonsymmetric eigensolve.
-    gl, gv = np.linalg.eigh(G)
-    G_mhalf = gv @ np.diag(gl ** -0.5) @ gv.T
+    G_mhalf = (gv * gl[:, None, :] ** -0.5) @ np.swapaxes(gv, 1, 2)
     A = G_mhalf @ H @ G_mhalf  # skew and similar to W
-    S = A @ A.T  # = -A^2, eigenvalues lambda^2 doubled plus zeros
-    lam2 = np.linalg.eigvalsh(S)
+    lam2 = np.linalg.eigvalsh(A @ np.swapaxes(A, 1, 2))  # -A^2, ascending
     # threshold on lambda^2 relative to the spectral scale: eigvalsh noise is
     # O(eps * scale) and would exceed LAMBDA_TOL after the square root
-    scale = max(float(lam2.max(initial=0.0)), 1.0)
-    keep = (lam2 > max(LAMBDA_TOL ** 2, 1e-13 * scale))
-    lam = np.sqrt(np.clip(lam2, 0.0, None))
-    pos = np.sort(lam[keep])
-    if pos.size % 2 != 0:
+    scale = np.maximum(lam2[:, -1], 1.0)
+    keep = lam2 > np.maximum(LAMBDA_TOL ** 2, 1e-13 * scale)[:, None]
+    count = keep.sum(axis=1)
+    if np.any(count % 2 != 0):
         raise ClassificationError("W spectrum failed to pair into +-i lambda")
-    lambdas = tuple(float(x) for x in pos[0::2])
-    vol = math.sqrt(max(float(np.prod(gl)), 0.0))
+    # the kept entries are the top `count`; pairs sit side by side
+    slot = np.arange(lam2.shape[1]) - (lam2.shape[1] - count)[:, None]
+    is_lambda = keep & (slot % 2 == 0)
+    lam = np.sqrt(np.clip(lam2, 0.0, None))
+    vol = np.sqrt(np.maximum(np.prod(gl, axis=1), 0.0))
+    return G, H, W, lam, is_lambda, vol
+
+
+def _frame_from_jacobian(J: np.ndarray) -> GeometryFrame:
+    G, H, W, lam, is_lambda, vol = (x[0] for x in _geometry(J[None]))
+    lambdas = tuple(float(x) for x in lam[is_lambda])
     return GeometryFrame(G=G, H=H, W=W, lambdas=lambdas,
-                         half_rank=len(lambdas), vol_density=vol)
+                         half_rank=len(lambdas), vol_density=float(vol))
+
+
+def _delta_values(lam: np.ndarray, is_lambda: np.ndarray, d: int,
+                  n: int) -> np.ndarray:
+    """Delta_n per row of lam, over the entries that is_lambda marks."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = is_lambda.sum(axis=1)
+    flat = lam < 1e-12
+    safe = np.where(flat, 1.0, lam)
+    factor = np.where(flat, float(n),
+                      ((1.0 + safe) ** n - (1.0 - safe) ** n) / (2.0 * safe))
+    return float(n) ** (0.5 * d - r) * np.prod(np.where(is_lambda, factor, 1.0),
+                                               axis=1)
 
 
 def delta_n(frame: GeometryFrame, n: int) -> float:
     """Hessian factor n^{d/2-r} prod [(1+l)^n - (1-l)^n]/(2l) over lambdas."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d, r = frame.dim, frame.half_rank
-    value = float(n) ** (0.5 * d - r)
-    for lam in frame.lambdas:
-        if lam < 1e-12:
-            value *= n
-        else:
-            value *= ((1.0 + lam) ** n - (1.0 - lam) ** n) / (2.0 * lam)
-    return value
+    lam = np.array(frame.lambdas, dtype=float).reshape(1, -1)
+    return float(_delta_values(lam, np.ones(lam.shape, bool), frame.dim, n)[0])
+
+
+def delta_n_at(chart: Chart, nodes, n: int) -> np.ndarray:
+    """delta_n at every parameter point of nodes (m, d), in one stacked pass."""
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    *_, lam, is_lambda, _ = _geometry(np.asarray(chart.jacobian(nodes),
+                                                 dtype=float))
+    return _delta_values(lam, is_lambda, chart.dim, n)
 
 
 # --- classification ----------------------------------------------------------
@@ -265,6 +294,9 @@ class QuadratureBlock:
     nodes: np.ndarray        # (m, d)
     weights: np.ndarray      # (m,) includes pou * sqrt(det G) * cell volume
     points: np.ndarray       # (m, N) complex ambient points
+    # nodes per axis of a tensor grid whose nodes run in C order (last axis
+    # fastest); None when the nodes form no such grid
+    shape: Optional[tuple[int, ...]] = None
 
     @property
     def size(self) -> int:
@@ -337,7 +369,8 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
         weights = cell * chart.pou(nodes) * np.sqrt(detG)
         points = real_to_complex(chart.gamma(nodes))
         blocks.append(QuadratureBlock(chart=chart, nodes=nodes,
-                                      weights=weights, points=points))
+                                      weights=weights, points=points,
+                                      shape=tuple(per_axis)))
     total = sum(b.size for b in blocks)
     if total == 0:
         raise ValueError("empty quadrature")

@@ -22,6 +22,7 @@ __all__ = [
     "eigensolve",
     "trace_phi",
     "weyl_count",
+    "singular_values",
     "schatten_sum",
     "entropy",
     "trace_distance",
@@ -102,10 +103,17 @@ def _clamped(eigs: np.ndarray) -> np.ndarray:
 
 
 def eigensolve(op: HermitianOperator) -> SpectralSummary:
-    """Full descending spectrum of a Hermitian operator matrix."""
+    """Full descending spectrum of a Hermitian operator matrix.
+
+    An exactly diagonal matrix, which sector assembly gives for invariant
+    amplitudes, is its own spectrum and skips the eigensolver.
+    """
     if not op.hermitian:
         raise ValueError("eigensolve requires the Hermitian flag")
-    eigs = np.linalg.eigvalsh(op.matrix)[::-1].copy()
+    diag = np.diagonal(op.matrix).real
+    diagonal = np.count_nonzero(op.matrix) == np.count_nonzero(diag)
+    eigs = (np.sort(diag) if diagonal
+            else np.linalg.eigvalsh(op.matrix))[::-1].copy()
     return SpectralSummary(eigenvalues=eigs, k=op.trunc.k,
                            ambient_dim=op.trunc.ambient_dim,
                            manifold_dim=op.manifold_dim, d_prime=op.d_prime,
@@ -129,17 +137,28 @@ def weyl_count(spec: SpectralSummary, interval) -> int:
     return int(np.count_nonzero((eigs >= lo) & (eigs <= hi)))
 
 
-def schatten_sum(op: HermitianOperator, p: float) -> float:
+def singular_values(op: HermitianOperator) -> np.ndarray:
+    """Descending singular values, from an SVD of the matrix itself.
+
+    The eigenvalues of S^H S would square the condition number and lose
+    the small singular values that dominate Schatten sums with p < 2.
+    """
+    return np.linalg.svd(op.matrix, compute_uv=False)
+
+
+def schatten_sum(op: HermitianOperator, p):
     """Sum of singular values to the p-th power.
 
-    The singular values come from an SVD of the matrix itself; the
-    eigenvalues of S^H S would square the condition number and lose the
-    small singular values that dominate sums with p < 2.
+    p may be a number, giving a float, or a sequence, giving one sum per
+    entry from a single SVD.
     """
-    if p <= 0:
+    scalar = np.ndim(p) == 0
+    ps = [p] if scalar else list(p)
+    if any(q <= 0 for q in ps):
         raise ValueError("p must be positive")
-    sv = np.linalg.svd(op.matrix, compute_uv=False)
-    return float(np.sum(sv ** p))
+    sv = singular_values(op)
+    sums = [float(np.sum(sv ** q)) for q in ps]
+    return sums[0] if scalar else sums
 
 
 def entropy(spec: SpectralSummary) -> float:

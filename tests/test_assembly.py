@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import szegolab.assembly as asm
 import szegolab.manifold as mfd
 from szegolab.assembly import (
     CostLimitError,
@@ -25,6 +26,7 @@ from szegolab.assembly import (
     write_matrix,
 )
 from szegolab.fock import FockTruncation, eval_basis_matrix
+from szegolab.spectral import eigensolve
 
 
 def circle_setup(k, r=1.0, M=None, order=None):
@@ -252,13 +254,45 @@ def two_chart_circle():
                                   label="circle, two charts")
 
 
+TWO_PI = 2.0 * math.pi
+
+
+def dsl_torus(coords=("cos(t1)", "sin(t1)", "0.7*cos(t2)", "0.7*sin(t2)")):
+    return mfd.custom_chart(2, 2, list(coords), [True, True],
+                            [[0.0, TWO_PI], [0.0, TWO_PI]], label="torus")
+
+
+def wobbly_circle():
+    """Periodic DSL chart of the curve |z| = 1 + 0.1 cos t: no rotation."""
+    return mfd.custom_chart(1, 1, ["(1 + 0.1*cos(t1))*cos(t1)",
+                                   "(1 + 0.1*cos(t1))*sin(t1)"],
+                            [True], [[0.0, TWO_PI]], label="wobbly")
+
+
 def reference_cases():
     k, M = 20.0, 80
     circle = mfd.circle(1.0)
     circle_quad = mfd.quadrature(circle, 2 * M + 9)
     sphere = mfd.sphere3(1.0)
     twice = two_chart_circle()
+    flat = mfd.torus_product([1.0, 0.7], ambient_dim=3)
+    torus_amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] - 2.0 * t[:, 1])
+    sphere_amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 1]) + 0.2 * np.sin(t[:, 2])
     return {
+        "torus_zero_coordinate": (FockTruncation(3, 3.0, 12), flat,
+                                  mfd.quadrature(flat, 24), torus_amp),
+        "dsl_torus": (FockTruncation(2, 4.0, 16), dsl_torus(),
+                      mfd.quadrature(dsl_torus(), 16), torus_amp),
+        "dsl_wobbly_dense": (FockTruncation(1, k, M), wobbly_circle(),
+                             mfd.quadrature(wobbly_circle(), 2 * M + 9),
+                             lambda t: 1.0 + np.cos(t[:, 0])),
+        # 48 rotation nodes per radial node take the dense path, 144 the
+        # sector sum
+        "sphere3_dense_grid": (FockTruncation(2, 4.0, 20), sphere,
+                               mfd.quadrature(sphere, [30, 6, 8]), sphere_amp),
+        "sphere3_sector_grid": (FockTruncation(2, 4.0, 20), sphere,
+                                mfd.quadrature(sphere, [12, 12, 12]),
+                                sphere_amp),
         "signed_cos": (FockTruncation(1, k, M), circle, circle_quad,
                        lambda t: np.cos(t[:, 0])),
         "negative_scalar": (FockTruncation(1, k, M), circle, circle_quad,
@@ -275,7 +309,10 @@ def reference_cases():
 
 
 @pytest.mark.parametrize("case", ["signed_cos", "negative_scalar", "sphere3",
-                                  "two_charts", "complex"])
+                                  "two_charts", "complex",
+                                  "torus_zero_coordinate", "dsl_torus",
+                                  "dsl_wobbly_dense", "sphere3_dense_grid",
+                                  "sphere3_sector_grid"])
 def test_rank_k_assembly_matches_gemm_reference(case):
     trunc, sub, quad, a = reference_cases()[case]
     with warnings.catch_warnings():
@@ -319,3 +356,107 @@ def test_import_leaves_scipy_linalg_unloaded():
             "sys.exit('scipy.linalg' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize("case, sector", [
+    ("signed_cos", True), ("two_charts", True), ("torus_zero_coordinate", True),
+    ("dsl_torus", True), ("dsl_wobbly_dense", False),
+    ("sphere3_dense_grid", False), ("sphere3_sector_grid", True)])
+def test_rotation_detection_picks_the_path(case, sector):
+    _, _, quad, _ = reference_cases()[case]
+    assert (asm._sector_axes(quad.blocks[0]) is not None) == sector
+
+
+def test_rotation_charges_read_from_points():
+    axes, charges = asm._sector_axes(mfd.quadrature(dsl_torus(), 16).blocks[0])
+    assert axes == (0, 1)
+    assert charges.tolist() == [[1, 0], [0, 1]]
+    # z1 = e^{-2i t1} turns twice per lap, backwards: charge -2 mod 16
+    chart = dsl_torus(("cos(2*t1)", "-sin(2*t1)", "0.7*cos(t2)", "0.7*sin(t2)"))
+    axes, charges = asm._sector_axes(mfd.quadrature(chart, 16).blocks[0])
+    assert charges.tolist() == [[14, 0], [0, 1]]
+    # the unrotated third coordinate of a torus in C^3 carries charge 0
+    flat = mfd.quadrature(mfd.torus_product([1.0, 0.7], ambient_dim=3), 8)
+    assert asm._sector_axes(flat.blocks[0])[1].tolist() == [[1, 0], [0, 1],
+                                                              [0, 0]]
+    assert asm._sector_axes(
+        mfd.quadrature(wobbly_circle(), 64).blocks[0]) is None
+    assert asm._sector_axes(
+        mfd.quadrature(mfd.parabola_patch(), 8).blocks[0]) is None
+
+
+@pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")
+def test_dsl_torus_matches_builtin_torus():
+    trunc = FockTruncation(2, 4.0, 16)
+    amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] - 2.0 * t[:, 1])
+    custom = assemble_T(trunc, dsl_torus(), amp,
+                        mfd.quadrature(dsl_torus(), 16))
+    builtin = mfd.torus_product([1.0, 0.7])
+    expect = assemble_T(trunc, builtin, amp, mfd.quadrature(builtin, 16))
+    scale = np.abs(expect.matrix).max()
+    assert np.abs(custom.matrix - expect.matrix).max() <= 1e-13 * scale
+
+
+def off_diagonal_count(matrix):
+    return np.count_nonzero(matrix) - np.count_nonzero(np.diag(matrix))
+
+
+def test_invariant_operators_are_exactly_diagonal():
+    k = 400.0
+    sub, trunc, quad = circle_setup(k)
+    op = assemble_T(trunc, sub, None, quad)
+    assert off_diagonal_count(op.matrix) == 0
+    # the zeroed coefficients were FFT rounding: their bound is tiny
+    lam = np.abs(np.diag(op.matrix)).max()
+    assert 0 < op.offblock_bound <= 1e-12 * lam
+    sphere = mfd.sphere3(1.0)
+    M = 44
+    sop = assemble_T(FockTruncation(2, 10.0, M), sphere, None,
+                     mfd.quadrature(sphere, [M // 2 + 1, M + 1, M + 1]))
+    assert off_diagonal_count(sop.matrix) == 0
+    assert sop.offblock_bound <= 1e-12 * np.abs(np.diag(sop.matrix)).max()
+
+
+def test_non_invariant_amplitude_keeps_every_coefficient():
+    trunc, sub, quad, a = reference_cases()["signed_cos"]
+    op = assemble_T(trunc, sub, a, quad)
+    assert op.offblock_bound == 0
+    assert off_diagonal_count(op.matrix) == trunc.dim * (trunc.dim - 1)
+
+
+def test_charge_collisions_give_exact_blocks():
+    # 24 nodes per circle and degrees up to 48: charges n mod 24 collide
+    sub = mfd.torus_product([1.0, 0.7])
+    trunc = FockTruncation(2, 8.0, 48)
+    op = assemble_T(trunc, sub, None, mfd.quadrature(sub, 24))
+    charge = trunc.exponent_matrix % 24
+    same = np.all(charge[:, None, :] == charge[None, :, :], axis=2)
+    assert not np.any(op.matrix[~same])
+    assert off_diagonal_count(op.matrix) > 0
+    expect = gemm_reference(trunc, mfd.quadrature(sub, 24), None)
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
+def test_circle_k400_spectrum_matches_poisson_closed_form():
+    k = 400.0
+    sub, trunc, quad = circle_setup(k)
+    eigs = eigensolve(assemble_T(trunc, sub, None, quad)).eigenvalues
+    expect = np.sort(poisson_lambdas(k, trunc.max_degree))[::-1]
+    top = expect >= 1e-10 * expect[0]
+    assert np.abs(eigs[top] / expect[top] - 1.0).max() <= 1e-11
+
+
+def test_pair_trace_matches_direct_difference_sum():
+    sub = mfd.parabola_patch()
+    quad = mfd.quadrature(sub, 12)
+    a = lambda t: 1.0 + 0.5 * t[:, 0]
+    b = lambda t: np.exp(1j * t[:, 1])
+    k = 30.0
+    (blk,) = quad.blocks
+    diff = blk.points[:, None, :] - blk.points[None, :, :]
+    kernel = np.exp(-k * np.sum(np.abs(diff) ** 2, axis=2))
+    wa, wb = blk.weights * a(blk.nodes), blk.weights * b(blk.nodes)
+    expect = (k / math.pi) ** 4 * (wa @ kernel @ wb)
+    value = pair_trace_integral(sub, a, b, quad, k)
+    assert abs(value - expect) <= 1e-13 * abs(expect)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import poisson
 
@@ -45,6 +46,25 @@ def test_spectrum_matches_poisson(tmp_path):
     for got, want in zip(eigs[:10], expect[:10]):
         assert got == pytest.approx(want, rel=1e-8)
     assert rows[0]["M"] == 40
+
+
+def test_spectrum_of_complex_amplitude_lists_singular_values(tmp_path):
+    config = {**CIRCLE, "amplitude": ["1 + cos(t1)", "0.5*sin(t1)"]}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = cli.main(["--config", cfg, "--out", str(out), "--format", "json",
+                     "spectrum"])
+    assert code == 0
+    rows = json.loads((out / "spectrum.json").read_text())
+    assert all("eigenvalue" not in r for r in rows)
+    values = [r["singular_value"] for r in rows]
+    exp = cli.Experiment(config, cli.build_parser().parse_args(
+        ["--config", cfg, "spectrum"]))
+    op, _ = exp.operator(10.0)
+    assert not op.hermitian
+    assert values == pytest.approx(
+        list(np.linalg.svd(op.matrix, compute_uv=False)), rel=1e-12)
+    assert values == sorted(values, reverse=True)
 
 
 @pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")

@@ -77,6 +77,37 @@ def test_delta_identity_binomial_sum():
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_stacked_delta_n_matches_per_node_frames():
+    sub = mfd.parabola_patch()
+    (block,) = mfd.quadrature(sub, 16).blocks
+    chart = block.chart
+    for n in (2, 3, 5):
+        stacked = mfd.delta_n_at(chart, block.nodes, n)
+        loop = np.array([mfd.delta_n(mfd.frame_at(chart, t), n)
+                         for t in block.nodes])
+        assert np.abs(stacked - loop).max() <= 1e-13 * np.abs(loop).max()
+        # lambda^2 = 1 / (1 + x1^2) on the parabola
+        lam2 = 1.0 / (1.0 + block.nodes[:, 0] ** 2)
+        series = sum(math.comb(n, 2 * j + 1) * lam2 ** j
+                     for j in range(n // 2 + 1))
+        assert np.abs(stacked / series - 1.0).max() <= 1e-13
+    # ranks that differ by manifold: circle r = 0, plane r = 2
+    circle = mfd.circle(1.0).charts[0]
+    assert mfd.delta_n_at(circle, [[0.1], [2.0]], 2) == pytest.approx(
+        [math.sqrt(2)] * 2)
+    plane = mfd.plane_patch([[-1, 1]] * 4).charts[0]
+    assert mfd.delta_n_at(plane, np.zeros((3, 4)), 3) == pytest.approx(
+        [16.0] * 3)
+
+
+def test_quadrature_records_grid_shape():
+    quad = mfd.quadrature(mfd.sphere3(1.0), [3, 4, 5])
+    (block,) = quad.blocks
+    assert block.shape == (3, 4, 5)
+    grid = block.nodes.reshape(3, 4, 5, 3)
+    assert np.all(grid[:, 1:, :, 1] > grid[:, :-1, :, 1])  # C order
+
+
 def test_isotropic_has_zero_H():
     sub = mfd.torus_product([1.0, 0.5, 0.8])
     for t in [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0)]:

@@ -13,6 +13,7 @@ from szegolab.spectral import (
     power_function,
     rate_regression,
     schatten_sum,
+    singular_values,
     trace_distance,
     trace_phi,
     trapezoid_function,
@@ -112,6 +113,34 @@ def test_schatten_sum_non_normal_known_singular_values(p):
     assert np.abs(A @ A.conj().T - A.conj().T @ A).max() > 0.1
     op = make_op(A, hermitian=False)
     assert schatten_sum(op, p) == pytest.approx(np.sum(s ** p), rel=1e-12)
+
+
+def test_schatten_sum_sequence_of_p_matches_scalar_calls():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    op = make_op(A, hermitian=False)
+    ps = [0.5, 1.0, 2.0]
+    sums = schatten_sum(op, ps)
+    assert sums == [schatten_sum(op, p) for p in ps]
+    assert isinstance(schatten_sum(op, 1.0), float)
+    assert singular_values(op) == pytest.approx(
+        np.linalg.svd(A, compute_uv=False), rel=1e-14)
+    with pytest.raises(ValueError):
+        schatten_sum(op, [1.0, 0.0])
+
+
+def test_eigensolve_of_diagonal_matrix_equals_eigvalsh():
+    rng = np.random.default_rng(4)
+    diag = rng.normal(size=40) * np.logspace(0, -200, 40)
+    diag[::7] = 0.0
+    op = make_op(np.diag(diag))
+    expect = np.linalg.eigvalsh(op.matrix)[::-1]
+    assert np.array_equal(eigensolve(op).eigenvalues, expect)
+    # one off-diagonal entry sends it to the eigensolver
+    tilted = np.diag(diag).astype(complex)
+    tilted[0, 1] = tilted[1, 0] = 1e-3
+    assert eigensolve(make_op(tilted)).eigenvalues == pytest.approx(
+        np.linalg.eigvalsh(tilted)[::-1], abs=1e-15)
 
 
 def test_entropy_rank_one_and_uniform():
