@@ -3,7 +3,8 @@
 Each check assembles operators, computes the matching closed-form
 prediction, and returns a verdict dict {check_id, observed, predicted,
 tolerance, pass, detail}.  A Lab instance caches assembled operators and
-spectra so overlapping checks share work.
+spectra so overlapping checks share work; `cli` uses the same verdicts,
+tolerances and memo.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ from . import asymptotics, hessian, spectral, states
 from .assembly import (
     HermitianOperator,
     assemble_T,
+    exact_trace,
     pair_trace_integral,
+    s_factor,
     scale_to_S,
 )
+from .asymptotics import szego_scaling
 from .fock import FockTruncation
 from .manifold import (
     circle,
@@ -33,7 +37,7 @@ from .manifold import (
 )
 from .spectral import eigensolve, entropy_function, schatten_sum, weyl_count
 
-__all__ = ["Lab", "run_all", "CHECKS"]
+__all__ = ["Lab", "run_all", "CHECKS", "verdict"]
 
 CIRCLE_SWEEP = (25.0, 50.0, 100.0, 200.0)
 # eigenvalue counts are integers, so the count error carries quantization
@@ -42,8 +46,19 @@ CIRCLE_SWEEP = (25.0, 50.0, 100.0, 200.0)
 WEYL_SWEEP = (60.0, 100.0, 160.0, 400.0)
 SPHERE_SWEEP = (4.0, 6.0, 8.0, 10.0)
 
+# tolerances of the checks both front ends run
+SZEGO_TOL = 0.02  # relative to the Szego functional
+WEYL_TOL = 0.05  # relative to the Weyl prediction
+SCHATTEN_TOL = 0.02  # relative to the Schatten prediction
+ENTROPY_TOL = 1e-2  # absolute gap of the shifted entropy
+HESSIAN_TOL = 1e-8  # relative determinant errors
 
-def _verdict(check_id, observed, predicted, tolerance, passed, detail=None):
+
+def verdict(check_id, observed, predicted, tolerance, passed=None,
+            detail=None) -> dict:
+    """Verdict dict; passed defaults to |observed - predicted| <= tolerance."""
+    if passed is None:
+        passed = abs(observed - predicted) <= tolerance
     out = {
         "check_id": check_id,
         "observed": float(observed),
@@ -63,7 +78,7 @@ def _poisson_lambdas(k: float, M: int) -> np.ndarray:
 
 
 class Lab:
-    """Shared operator/spectrum cache for the acceptance checks."""
+    """Memo shared by the checks: operators, spectra and quadratures."""
 
     def __init__(self):
         self._cache = {}
@@ -116,16 +131,6 @@ def _amp_complex(t):
 _CIRCLE_AMPS = {"one_plus_cos": _amp_cos, "complex": _amp_complex}
 
 
-def _s_factor(k: float) -> float:
-    """Circle scaling T -> S: 2^{-1/2} (pi/k)^{1/2} (N=1, d=d'=1)."""
-    return 2.0 ** -0.5 * math.sqrt(math.pi / k)
-
-
-def _scaled(k: float) -> float:
-    """Szego normalization 2^{d'/2} (pi/k)^{d/2} on the circle."""
-    return math.sqrt(2.0 * math.pi / k)
-
-
 def check_circle_spectrum(lab: Lab):
     """1: assembled circle eigenvalues match the closed-form spectrum."""
     worst = 0.0
@@ -136,13 +141,11 @@ def check_circle_spectrum(lab: Lab):
         mask = predicted >= 1e-10 * predicted[0]
         rel = np.abs(observed[mask] - predicted[mask]) / predicted[mask]
         worst = max(worst, float(rel.max()))
-    return _verdict("circle_spectrum_oracle", worst, 0.0, 1e-6, worst <= 1e-6)
+    return verdict("circle_spectrum_oracle", worst, 0.0, 1e-6)
 
 
 def check_trace_identity(lab: Lab):
     """2: Tr T = (k/pi)^N integral a dsigma on circle, torus, sphere."""
-    from .assembly import exact_trace
-
     gaps = {}
     _, _, gaps["circle"] = exact_trace(lab.circle_op(20.0))
     torus = torus_product([1.0, 0.7])
@@ -154,7 +157,7 @@ def check_trace_identity(lab: Lab):
     _, _, gaps["sphere3"] = exact_trace(lab.sphere_op(6.0))
     ok = gaps["circle"] <= 1e-8 and gaps["torus"] <= 1e-6 and gaps["sphere3"] <= 1e-6
     worst = max(gaps.values())
-    return _verdict("trace_identity", worst, 0.0, 1e-6, ok, detail=gaps)
+    return verdict("trace_identity", worst, 0.0, 1e-6, ok, detail=gaps)
 
 
 def check_pair_trace(lab: Lab):
@@ -166,8 +169,8 @@ def check_pair_trace(lab: Lab):
     predicted = pair_trace_integral(lab.circle, None, _amp_cos,
                                     lab.circle_quad(k), k)
     rel = abs(observed - predicted) / abs(predicted)
-    return _verdict("pair_trace", observed, predicted, 1e-6, rel <= 1e-6,
-                    detail={"relative_gap": rel})
+    return verdict("pair_trace", observed, predicted, 1e-6, rel <= 1e-6,
+                   detail={"relative_gap": rel})
 
 
 def check_moment_asymptotics(lab: Lab):
@@ -177,14 +180,14 @@ def check_moment_asymptotics(lab: Lab):
     for n in (2, 3, 4):
         vals = []
         for k in CIRCLE_SWEEP:
-            mu = _s_factor(k) * lab.circle_eigs(k)
-            vals.append(_scaled(k) * float(np.sum(mu ** n)))
+            mu = s_factor(k, 1, 1, 1) * lab.circle_eigs(k)
+            vals.append(szego_scaling(k, 1, 1) * float(np.sum(mu ** n)))
         target = 2.0 * math.pi / math.sqrt(n)
         fit = spectral.rate_regression(CIRCLE_SWEEP, vals, target)
         slopes[f"n={n}"] = fit.slope
         ok = ok and abs(fit.slope - (-1.0)) <= 0.25
-    return _verdict("moment_asymptotics", min(slopes.values()), -1.0, 0.25,
-                    ok, detail=slopes)
+    return verdict("moment_asymptotics", min(slopes.values()), -1.0, 0.25,
+                   ok, detail=slopes)
 
 
 def check_szego_entropy_function(lab: Lab):
@@ -194,15 +197,14 @@ def check_szego_entropy_function(lab: Lab):
                                         lab.circle_quad(25.0))
     errors = []
     for k in CIRCLE_SWEEP:
-        mu = _s_factor(k) * lab.circle_eigs(k)
-        mu = mu[mu > 0]
-        val = _scaled(k) * float(np.sum(mu * np.log(mu)))
+        mu = s_factor(k, 1, 1, 1) * lab.circle_eigs(k)
+        val = szego_scaling(k, 1, 1) * float(np.sum(phi(mu)))
         errors.append(abs(val - pred.value))
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     final_rel = errors[-1] / abs(pred.value)
-    return _verdict("szego_slogs", final_rel, 0.0, 0.02,
-                    decreasing and final_rel <= 0.02,
-                    detail={"errors": errors, "functional": pred.value})
+    return verdict("szego_slogs", final_rel, 0.0, SZEGO_TOL,
+                   decreasing and final_rel <= SZEGO_TOL,
+                   detail={"errors": errors, "functional": pred.value})
 
 
 def check_weyl_counts(lab: Lab):
@@ -211,17 +213,14 @@ def check_weyl_counts(lab: Lab):
     pred = asymptotics.weyl_prediction(2.0 * math.pi, 1, interval)
     errors = []
     for k in WEYL_SWEEP:
-        mu = _s_factor(k) * lab.circle_eigs(k)
-        spec = spectral.SpectralSummary(eigenvalues=mu, k=k, ambient_dim=1,
-                                        manifold_dim=1, d_prime=1,
-                                        normalization="scaled_S")
-        count = weyl_count(spec, interval)
-        errors.append(abs(_scaled(k) * count - pred))
+        mu = s_factor(k, 1, 1, 1) * lab.circle_eigs(k)
+        count = weyl_count(spectral.SpectralSummary(mu, k, 1), interval)
+        errors.append(abs(szego_scaling(k, 1, 1) * count - pred))
     decreasing = all(b <= a for a, b in zip(errors, errors[1:]))
     final_rel = errors[-1] / pred
-    return _verdict("weyl_counts", final_rel, 0.0, 0.05,
-                    decreasing and final_rel <= 0.05,
-                    detail={"errors": errors, "prediction": pred})
+    return verdict("weyl_counts", final_rel, 0.0, WEYL_TOL,
+                   decreasing and final_rel <= WEYL_TOL,
+                   detail={"errors": errors, "prediction": pred})
 
 
 def check_schatten(lab: Lab):
@@ -236,20 +235,21 @@ def check_schatten(lab: Lab):
     for i, p in enumerate(ps):
         pred = asymptotics.schatten_prediction(lab.circle, _amp_complex, p,
                                                pred_quad)
-        vals = [_scaled(k) * s[i] for k, s in zip(CIRCLE_SWEEP, sums)]
+        vals = [szego_scaling(k, 1, 1) * s[i]
+                for k, s in zip(CIRCLE_SWEEP, sums)]
         rel = abs(vals[-1] - pred) / pred
         detail[f"p={p:g}"] = {"final_rel": rel, "prediction": pred}
-        ok = ok and rel <= 0.02
+        ok = ok and rel <= SCHATTEN_TOL
     worst = max(v["final_rel"] for v in detail.values())
-    return _verdict("schatten", worst, 0.0, 0.02, ok, detail=detail)
+    return verdict("schatten", worst, 0.0, SCHATTEN_TOL, ok, detail=detail)
 
 
 def check_entropy(lab: Lab):
     """8: density-matrix entropy limit with the Poisson cross-check."""
     sub = lab.circle
     quad = lab.circle_quad(25.0)
-    pred, C_d = asymptotics.entropy_prediction(
-        sub, lambda t: np.full(t.shape[0], 1.0 / (2.0 * math.pi)), quad)
+    pred, C_d = asymptotics.entropy_prediction(sub, 1.0 / (2.0 * math.pi),
+                                               quad)
     gaps = []
     cross_ok = True
     for k in CIRCLE_SWEEP:
@@ -262,10 +262,10 @@ def check_entropy(lab: Lab):
         cross_ok = cross_ok and abs(H - H_poisson) <= 1e-8
         gaps.append(abs(H + math.log(C_d * k ** -0.5) - pred))
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-    return _verdict("entropy_limit", gaps[-1], 0.0, 1e-2,
-                    cross_ok and decreasing and gaps[-1] <= 1e-2,
-                    detail={"gaps": gaps, "prediction": pred,
-                            "poisson_cross_check": cross_ok})
+    return verdict("entropy_limit", gaps[-1], 0.0, ENTROPY_TOL,
+                   cross_ok and decreasing and gaps[-1] <= ENTROPY_TOL,
+                   detail={"gaps": gaps, "prediction": pred,
+                           "poisson_cross_check": cross_ok})
 
 
 def check_norm_scaling(lab: Lab):
@@ -279,7 +279,7 @@ def check_norm_scaling(lab: Lab):
     detail["sphere3"] = slope_s
     ok = abs(slope_c - 0.5) <= 0.05 and abs(slope_s - 0.5) <= 0.05
     worst = max(abs(slope_c - 0.5), abs(slope_s - 0.5))
-    return _verdict("norm_scaling", worst, 0.0, 0.05, ok, detail=detail)
+    return verdict("norm_scaling", worst, 0.0, 0.05, ok, detail=detail)
 
 
 def check_hessian_oracle(lab: Lab):
@@ -307,9 +307,9 @@ def check_hessian_oracle(lab: Lab):
                          for j in range(n // 2 + 1))
             if abs(delta_n(frame, n) - series) > 1e-10 * series:
                 parabola_ok = False
-    return _verdict("hessian_oracle", worst, 0.0, 1e-8,
-                    worst <= 1e-8 and parabola_ok,
-                    detail={"parabola_delta_ok": parabola_ok})
+    return verdict("hessian_oracle", worst, 0.0, HESSIAN_TOL,
+                   worst <= HESSIAN_TOL and parabola_ok,
+                   detail={"parabola_delta_ok": parabola_ok})
 
 
 def check_mellin_identity(lab: Lab):
@@ -322,7 +322,7 @@ def check_mellin_identity(lab: Lab):
                 value = asymptotics.mellin_log(phi, alpha, t)
                 exact = t ** p / p ** alpha
                 worst = max(worst, abs(value - exact) / exact)
-    return _verdict("mellin_identity", worst, 0.0, 1e-8, worst <= 1e-8)
+    return verdict("mellin_identity", worst, 0.0, 1e-8)
 
 
 def check_bohr_sommerfeld(lab: Lab):
@@ -341,8 +341,8 @@ def check_bohr_sommerfeld(lab: Lab):
         ok = ok and (1.0 - 5.0 / k) <= ratio <= 1.0 + 1e-10
         ok = ok and q <= lam_max * (1.0 + 1e-10)
     final = detail[f"k={CIRCLE_SWEEP[-1]:g}"]["ratio"]
-    return _verdict("bohr_sommerfeld_bound", final, 1.0,
-                    5.0 / CIRCLE_SWEEP[-1], ok, detail=detail)
+    return verdict("bohr_sommerfeld_bound", final, 1.0,
+                   5.0 / CIRCLE_SWEEP[-1], ok, detail=detail)
 
 
 def _parabola_bump(t):
@@ -369,9 +369,9 @@ def check_parabola_moments(lab: Lab):
             sub, [_parabola_bump, _parabola_bump], 2, quad, k)
         rels.append(abs(observed - predicted) / abs(predicted))
     decreasing = all(b < a for a, b in zip(rels, rels[1:]))
-    return _verdict("parabola_moments", rels[-1], 0.0, 0.05,
-                    decreasing and rels[-1] <= 0.05,
-                    detail={"relative_errors": rels})
+    return verdict("parabola_moments", rels[-1], 0.0, 0.05,
+                   decreasing and rels[-1] <= 0.05,
+                   detail={"relative_errors": rels})
 
 
 CHECKS = [
@@ -394,7 +394,4 @@ CHECKS = [
 def run_all(lab: Lab = None, checks=None) -> list[dict]:
     """Run the full verification suite; returns one verdict per check."""
     lab = lab or Lab()
-    out = []
-    for fn in checks or CHECKS:
-        out.append(fn(lab))
-    return out
+    return [fn(lab) for fn in checks or CHECKS]

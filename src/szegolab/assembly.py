@@ -86,13 +86,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fock import FockTruncation, eval_basis_matrix
-from .manifold import ChartedSubmanifold, Quadrature, QuadratureBlock
+from .manifold import (ChartedSubmanifold, Quadrature, QuadratureBlock,
+                       amp_values)
 
 __all__ = [
     "HermitianOperator",
     "TruncationWarning",
     "CostLimitError",
     "assemble_T",
+    "s_factor",
     "scale_to_S",
     "covariant_symbol",
     "exact_trace",
@@ -142,14 +144,6 @@ class HermitianOperator:
     def trace(self) -> complex:
         t = complex(np.trace(self.matrix))
         return t.real if self.hermitian else t
-
-
-def _amp_values(a, block: QuadratureBlock) -> np.ndarray:
-    if a is None:
-        return np.ones(block.size)
-    if np.isscalar(a):
-        return np.full(block.size, a)
-    return np.asarray(a(block.nodes))
 
 
 def _node_chunks(size: int, dim: int):
@@ -309,7 +303,7 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     from scipy.linalg.blas import zgemm, zherk
 
     dim = trunc.dim
-    weighted = [block.weights * _amp_values(a, block) for block in quad.blocks]
+    weighted = [block.weights * amp_values(a, block) for block in quad.blocks]
     mass = complex(sum(np.sum(wa) for wa in weighted))
     is_real = not any(np.iscomplexobj(wa) and np.abs(wa.imag).max() > 0
                       for wa in weighted)
@@ -384,14 +378,19 @@ def _warn_if_truncated(op: HermitianOperator) -> None:
             TruncationWarning, stacklevel=3)
 
 
+def s_factor(k: float, N: int, d: int, d_prime: int) -> float:
+    """Factor 2^{-d'/2} (pi/k)^{N - d/2} taking T to S."""
+    return 2.0 ** (-0.5 * d_prime) * (math.pi / k) ** (N - 0.5 * d)
+
+
 def scale_to_S(op: HermitianOperator, d_prime: int) -> HermitianOperator:
-    """S = 2^{-d'/2} (pi/k)^{N - d/2} T."""
+    """S = s_factor * T."""
     if op.normalization != "raw_T":
         raise ValueError("operator is already scaled")
     if op.manifold_dim is None:
         raise ValueError("operator lacks the manifold dimension tag")
-    k, N, d = op.trunc.k, op.trunc.ambient_dim, op.manifold_dim
-    factor = 2.0 ** (-0.5 * d_prime) * (math.pi / k) ** (N - 0.5 * d)
+    factor = s_factor(op.trunc.k, op.trunc.ambient_dim, op.manifold_dim,
+                      d_prime)
     return replace(op, matrix=factor * op.matrix, normalization="scaled_S",
                    scale_factor=factor, d_prime=d_prime,
                    flush_bound=factor * op.flush_bound,
@@ -405,7 +404,7 @@ def covariant_symbol(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     zv = np.asarray(z, dtype=complex).reshape(1, -1)
     total = 0.0
     for block in quad.blocks:
-        av = _amp_values(a, block)
+        av = amp_values(a, block)
         d2 = np.sum(np.abs(block.points - zv) ** 2, axis=1)
         total += float(np.sum(block.weights * av * np.exp(-k * d2)))
     return (k / math.pi) ** N * total
@@ -447,8 +446,8 @@ def pair_trace_integral(sub: ChartedSubmanifold, a, b, quad: Quadrature,
     """(k/pi)^{2N} double integral of e^{-k|z-w|^2} a(z) b(w) dsigma^2."""
     N = sub.ambient_dim
     x = _real_coords(quad.blocks)
-    wa = np.concatenate([blk.weights * _amp_values(a, blk) for blk in quad.blocks])
-    wb = np.concatenate([blk.weights * _amp_values(b, blk) for blk in quad.blocks])
+    wa = np.concatenate([blk.weights * amp_values(a, blk) for blk in quad.blocks])
+    wb = np.concatenate([blk.weights * amp_values(b, blk) for blk in quad.blocks])
     total = 0.0 + 0.0j
     for lo, hi in _node_chunks(x.shape[0], x.shape[0]):
         K = _sq_dists(x[lo:hi], x)
@@ -482,7 +481,7 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
     d2 = _sq_dists(x, x)
     om = np.imag(pts @ pts.conj().T)  # omega(w_u, w_v) = Im(w_u . conj(w_v))
     kernel = np.exp(-0.5 * k * d2 + 1j * k * om)
-    avals = [np.concatenate([_amp_values(a, blk) for blk in quad.blocks])
+    avals = [np.concatenate([amp_values(a, blk) for blk in quad.blocks])
              for a in amplitudes]
     chain = np.eye(m, dtype=complex)
     for av in avals:
@@ -545,7 +544,7 @@ def mixed_trace_polynomial_H(trunc: FockTruncation, sub: ChartedSubmanifold, a,
 
     integral = 0.0 + 0.0j
     for block in quad.blocks:
-        integral += np.sum(block.weights * _amp_values(a, block) * H_at(block))
+        integral += np.sum(block.weights * amp_values(a, block) * H_at(block))
     predicted = (k / math.pi) ** N * integral
     gap = abs(observed - predicted) / max(abs(predicted), 1e-300)
     return observed, predicted, gap

@@ -20,6 +20,7 @@ from .manifold import (
     ChartedSubmanifold,
     Classification,
     Quadrature,
+    amp_values,
     classify,
     d_prime,
     delta_n_at,
@@ -28,6 +29,7 @@ from .spectral import TestFunction
 
 __all__ = [
     "SzegoPrediction",
+    "szego_scaling",
     "mellin_log",
     "szego_functional",
     "limiting_density",
@@ -46,17 +48,10 @@ class SzegoPrediction:
     d_prime: int
     manifold_dim: int
 
-    def scaling(self, k: float) -> float:
-        """Factor 2^{d'/2} (pi/k)^{d/2} applied to Tr phi(S) before the limit."""
-        return 2.0 ** (0.5 * self.d_prime) * (math.pi / k) ** (0.5 * self.manifold_dim)
 
-
-def _amp_values(a, block) -> np.ndarray:
-    if a is None:
-        return np.ones(block.size)
-    if np.isscalar(a):
-        return np.full(block.size, a)
-    return np.asarray(a(block.nodes))
+def szego_scaling(k: float, d: int, dp: int) -> float:
+    """Factor 2^{d'/2} (pi/k)^{d/2} applied to Tr phi(S) before the limit."""
+    return 2.0 ** (0.5 * dp) * (math.pi / k) ** (0.5 * d)
 
 
 def mellin_log(phi: TestFunction, alpha: float, t):
@@ -85,24 +80,24 @@ def mellin_log(phi: TestFunction, alpha: float, t):
     return float(out[0]) if np.isscalar(t) else out
 
 
-def _require_iso_or_co(sub: ChartedSubmanifold,
-                       cls: Optional[Classification]) -> Classification:
+def _szego_dim(sub: ChartedSubmanifold, cls: Optional[Classification]
+               ) -> tuple[Classification, int]:
+    """(classification, d') of an isotropic or coisotropic manifold."""
     cls = cls or classify(sub)
     if cls.tag not in ("isotropic", "lagrangian", "coisotropic"):
         raise ValueError(f"Szego-type predictions need isotropic or coisotropic "
                          f"geometry, got {cls.tag}")
-    return cls
+    return cls, d_prime(cls)
 
 
 def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
                      quad: Quadrature,
                      cls: Optional[Classification] = None) -> SzegoPrediction:
     """F(phi) = integral over Gamma of O_{-d'/2}(phi)(a(w)) dsigma."""
-    cls = _require_iso_or_co(sub, cls)
-    dp = d_prime(cls)
+    _, dp = _szego_dim(sub, cls)
     total = 0.0
     for block in quad.blocks:
-        av = _amp_values(a, block)
+        av = amp_values(a, block)
         total += float(np.sum(block.weights * mellin_log(phi, 0.5 * dp, av)))
     return SzegoPrediction(value=total, d_prime=dp, manifold_dim=sub.dim)
 
@@ -112,14 +107,13 @@ def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
     """Density D_a(s) = (1/(Gamma(d'/2) s)) int_{a >= s} log(a/s)^{d'/2-1} dsigma."""
     if s <= 0:
         raise ValueError("s must be positive")
-    cls = _require_iso_or_co(sub, cls)
-    dp = d_prime(cls)
+    _, dp = _szego_dim(sub, cls)
     if dp <= 0:
         raise ValueError("the limiting density needs d' > 0")
     expo = 0.5 * dp - 1.0
     total = 0.0
     for block in quad.blocks:
-        av = _amp_values(a, block)
+        av = amp_values(a, block)
         mask = av >= s - 1e-12
         if not np.any(mask):
             continue
@@ -156,7 +150,7 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
     for block in quad.blocks:
         prod = np.ones(block.size, dtype=complex)
         for a in amplitudes:
-            prod = prod * _amp_values(a, block)
+            prod = prod * amp_values(a, block)
         deltas = delta_n_at(block.chart, block.nodes, n)
         total += float(np.sum(block.weights * (prod / deltas)).real)
     prefactor = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
@@ -169,11 +163,10 @@ def schatten_prediction(sub: ChartedSubmanifold, a, p: float, quad: Quadrature,
     """Limit of the scaled Schatten sum: int |a|^p / p^{d'/2} dsigma."""
     if p <= 0:
         raise ValueError("p must be positive")
-    cls = _require_iso_or_co(sub, cls)
-    dp = d_prime(cls)
+    _, dp = _szego_dim(sub, cls)
     total = 0.0
     for block in quad.blocks:
-        av = np.abs(_amp_values(a, block))
+        av = np.abs(amp_values(a, block))
         total += float(np.sum(block.weights * av ** p))
     return total / p ** (0.5 * dp)
 
@@ -186,13 +179,12 @@ def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
     The amplitude must be a probability density on Gamma.  The value is
     -F(s log s) with F the Szego functional.
     """
-    cls = _require_iso_or_co(sub, cls)
-    dp = d_prime(cls)
+    cls, dp = _szego_dim(sub, cls)
     if dp <= 0:
         raise ValueError("the entropy limit needs d' > 0")
     mass = 0.0
     for block in quad.blocks:
-        av = _amp_values(a, block)
+        av = amp_values(a, block)
         if np.any(av < -1e-12):
             raise ValueError("amplitude must be non-negative")
         mass += float(np.sum(block.weights * av))

@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +25,11 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from . import acceptance, asymptotics, hessian, spectral, states
-from .assembly import assemble_T, exact_trace, scale_to_S
+from .acceptance import verdict
+from .assembly import assemble_T, scale_to_S
 from .fock import FockTruncation
 from .manifold import (
+    amp_values,
     amplitude_from_dsl,
     classify,
     d_prime,
@@ -37,14 +37,6 @@ from .manifold import (
     default_periodic_nodes,
     manifold_from_spec,
     quadrature,
-)
-from .spectral import (
-    eigensolve,
-    entropy_function,
-    power_function,
-    schatten_sum,
-    trapezoid_function,
-    weyl_count,
 )
 
 MANIFOLD_SCHEMA = {
@@ -120,37 +112,36 @@ def load_config(path: str) -> dict:
 def parse_test_function(name: str) -> spectral.TestFunction:
     """Named test functions: power:n, entropy, trapezoid:l1,l2,m1,m2."""
     if name == "entropy":
-        return entropy_function()
+        return spectral.entropy_function()
     if name.startswith("power:"):
-        return power_function(float(name.split(":", 1)[1]))
+        return spectral.power_function(float(name.split(":", 1)[1]))
     if name.startswith("trapezoid:"):
         parts = [float(x) for x in name.split(":", 1)[1].split(",")]
         if len(parts) != 4:
             raise SchemaError("trapezoid needs four breakpoints")
-        return trapezoid_function(*parts)
+        return spectral.trapezoid_function(*parts)
     raise SchemaError(f"unknown test function {name!r}")
 
 
 def _max_workers() -> int:
-    env = os.environ.get("SZEGO_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """Workers of `Experiment.sweep`, which runs the k values in order."""
+    return 1
 
 
 class Experiment:
-    """Config plus CLI overrides, resolved into assembly inputs."""
+    """Config plus CLI overrides, resolved into assembly inputs.
+
+    Quadratures are memoised by order; operators are built per k, not kept.
+    """
 
     def __init__(self, config: dict, args):
         self.config = config
         self.sub = manifold_from_spec(config["manifold"])
-        if args.k:
-            self.k_sweep = [float(k) for k in str(args.k).split(",")]
-        else:
-            self.k_sweep = [float(k) for k in config.get("k_sweep", [50.0])]
+        ks = (str(args.k).split(",") if args.k
+              else config.get("k_sweep", [50.0]))
+        self.k_sweep = [float(k) for k in ks]
         self.max_degree = args.max_degree or config.get("max_degree")
         self.quad_order = args.quad_order or config.get("quad_order")
-        self.seed = args.seed if args.seed is not None else config.get("seed", 0)
         amp = config.get("amplitude")
         if amp is None:
             self.amplitude = None
@@ -165,22 +156,29 @@ class Experiment:
             self.dp = d_prime(self.classification)
         except ValueError:
             self.dp = None
+        self.lab = acceptance.Lab()
 
-    def quad(self, k: float):
-        if self.quad_order is not None:
-            return quadrature(self.sub, self.quad_order)
-        coarse = quadrature(self.sub, 8)
-        order = default_periodic_nodes(k, coarse.max_radius())
-        return quadrature(self.sub, order)
-
-    def trunc(self, k: float, quad) -> FockTruncation:
-        M = self.max_degree or default_max_degree(k, quad)
-        return FockTruncation(self.sub.ambient_dim, k, M)
+    def quad(self, k: float, order=None):
+        """Quadrature for k, built once per order."""
+        if order is None:
+            # the default order depends on the radius of a coarse grid
+            order = self.quad_order or default_periodic_nodes(
+                k, self.quad(k, 8).max_radius())
+        return self.lab._get(("quad", *np.ravel(order).tolist()),
+                             lambda: quadrature(self.sub, order))
 
     def operator(self, k: float):
         quad = self.quad(k)
-        trunc = self.trunc(k, quad)
+        M = self.max_degree or default_max_degree(k, quad)
+        trunc = FockTruncation(self.sub.ambient_dim, k, M)
         return assemble_T(trunc, self.sub, self.amplitude, quad), quad
+
+    def scaled(self, k: float):
+        """S at k, its Szego normalization and its row provenance."""
+        op, _ = self.operator(k)
+        return (scale_to_S(op, self.dp),
+                asymptotics.szego_scaling(k, self.sub.dim, self.dp),
+                self.provenance(k, op.trunc))
 
     def provenance(self, k: float, trunc) -> dict:
         return {"k": k, "N": self.sub.ambient_dim, "d": self.sub.dim,
@@ -189,13 +187,9 @@ class Experiment:
                 "quad_order": self.quad_order if self.quad_order is not None
                 else "auto"}
 
-    def scaled_norm(self, k: float) -> float:
-        """Szego normalization 2^{d'/2} (pi/k)^{d/2}."""
-        return 2.0 ** (0.5 * self.dp) * (math.pi / k) ** (0.5 * self.sub.dim)
-
     def sweep(self, fn):
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            return list(pool.map(fn, self.k_sweep))
+        """fn(k) for each k of the sweep, in order."""
+        return [fn(k) for k in self.k_sweep]
 
 
 # --- output ------------------------------------------------------------------
@@ -227,8 +221,6 @@ def _emit(text: str, args, filename: str) -> None:
 
 
 def write_verdicts(verdicts: list[dict], args, name: str) -> int:
-    for v in verdicts:
-        v["pass"] = bool(v["pass"])
     _emit(json.dumps(verdicts, indent=2, default=float) + "\n", args,
           name + "_verdicts.json")
     return 0 if all(v["pass"] for v in verdicts) else 1
@@ -270,7 +262,7 @@ def cmd_spectrum(exp: Experiment, args) -> int:
         op, _ = exp.operator(k)
         # a non-Hermitian operator reports its singular values instead
         if op.hermitian:
-            column, values = "eigenvalue", eigensolve(op).eigenvalues
+            column, values = "eigenvalue", spectral.eigensolve(op).eigenvalues
         else:
             column, values = "singular_value", spectral.singular_values(op)
         prov = exp.provenance(k, op.trunc)
@@ -283,139 +275,102 @@ def cmd_spectrum(exp: Experiment, args) -> int:
     return 0
 
 
-def _scaled_trace_rows(exp: Experiment, phi) -> tuple[list[dict], list[float]]:
-    rows, values = [], []
-    for k in exp.k_sweep:
-        op, _ = exp.operator(k)
-        S = scale_to_S(op, exp.dp)
-        spec = eigensolve(S)
-        val = exp.scaled_norm(k) * spectral.trace_phi(spec, phi)
-        values.append(val)
-        rows.append({"scaled_trace": val, "phi": phi.name,
-                     **exp.provenance(k, op.trunc)})
-    return rows, values
-
-
 def cmd_szego(exp: Experiment, args) -> int:
-    if exp.dp is None:
-        print("szego requires an isotropic or coisotropic manifold",
-              file=sys.stderr)
-        return 1
     phi = parse_test_function(
         args.phi or exp.config.get("test_function", "power:2"))
-    quad = exp.quad(exp.k_sweep[0])
-    pred = asymptotics.szego_functional(exp.sub, exp.amplitude, phi, quad,
-                                        cls=exp.classification)
-    rows, values = _scaled_trace_rows(exp, phi)
-    for row, val in zip(rows, values):
-        row["prediction"] = pred.value
-        row["abs_error"] = abs(val - pred.value)
+    pred = asymptotics.szego_functional(
+        exp.sub, exp.amplitude, phi, exp.quad(exp.k_sweep[0]),
+        cls=exp.classification).value
+
+    def one(k):
+        S, norm, prov = exp.scaled(k)
+        val = norm * spectral.trace_phi(spectral.eigensolve(S), phi)
+        return {"scaled_trace": val, "phi": phi.name, **prov,
+                "prediction": pred, "abs_error": abs(val - pred)}
+
+    rows = exp.sweep(one)
     write_rows(rows, args, "szego")
-    verdicts = [{
-        "check_id": f"szego:{phi.name}",
-        "observed": values[-1], "predicted": pred.value,
-        "tolerance": 0.02 * max(abs(pred.value), 1e-300),
-        "pass": abs(values[-1] - pred.value)
-                <= 0.02 * max(abs(pred.value), 1e-300),
-    }]
-    if len(exp.k_sweep) >= 4:
-        fit = spectral.rate_regression(exp.k_sweep, values, pred.value)
-        verdicts[0]["rate_slope"] = fit.slope
-    return write_verdicts(verdicts, args, "szego")
+    values = [row["scaled_trace"] for row in rows]
+    out = verdict(f"szego:{phi.name}", values[-1], pred,
+                  acceptance.SZEGO_TOL * max(abs(pred), 1e-300))
+    if len(values) >= 4:
+        out["rate_slope"] = spectral.rate_regression(exp.k_sweep, values,
+                                                     pred).slope
+    return write_verdicts([out], args, "szego")
 
 
 def cmd_weyl(exp: Experiment, args) -> int:
-    if exp.dp is None:
-        print("weyl requires an isotropic or coisotropic manifold",
+    if not all(np.all(amp_values(exp.amplitude, block) == 1.0)
+               for k in exp.k_sweep for block in exp.quad(k).blocks):
+        print("weyl predicts counts for the unit amplitude only",
               file=sys.stderr)
         return 1
     lo, hi = exp.config.get("interval", [0.2, 0.9])
-    quad = exp.quad(exp.k_sweep[0])
-    area = quad.total_mass
-    pred = asymptotics.weyl_prediction(area, exp.dp, (lo, hi))
-    rows = []
-    last = None
-    for k in exp.k_sweep:
-        op, _ = exp.operator(k)
-        spec = eigensolve(scale_to_S(op, exp.dp))
-        count = weyl_count(spec, (lo, hi))
-        last = exp.scaled_norm(k) * count
-        rows.append({"count": count, "scaled_count": last,
-                     "prediction": pred, **exp.provenance(k, op.trunc)})
+    pred = asymptotics.weyl_prediction(exp.quad(exp.k_sweep[0]).total_mass,
+                                       exp.dp, (lo, hi))
+
+    def one(k):
+        S, norm, prov = exp.scaled(k)
+        count = spectral.weyl_count(spectral.eigensolve(S), (lo, hi))
+        return {"count": count, "scaled_count": norm * count,
+                "prediction": pred, **prov}
+
+    rows = exp.sweep(one)
     write_rows(rows, args, "weyl")
-    verdicts = [{"check_id": f"weyl:[{lo},{hi}]", "observed": last,
-                 "predicted": pred, "tolerance": 0.05 * pred,
-                 "pass": abs(last - pred) <= 0.05 * pred}]
-    return write_verdicts(verdicts, args, "weyl")
+    return write_verdicts([verdict(f"weyl:[{lo},{hi}]",
+                                   rows[-1]["scaled_count"], pred,
+                                   acceptance.WEYL_TOL * pred)],
+                          args, "weyl")
 
 
 def cmd_schatten(exp: Experiment, args) -> int:
-    if exp.dp is None:
-        print("schatten requires an isotropic or coisotropic manifold",
-              file=sys.stderr)
-        return 1
     ps = exp.config.get("schatten_p", [1.0, 2.0])
     quad = exp.quad(exp.k_sweep[0])
     preds = [asymptotics.schatten_prediction(exp.sub, exp.amplitude, p, quad,
                                              cls=exp.classification)
              for p in ps]
-    # one assembly and one SVD per k, one operator held at a time; rows
-    # stay p-major
-    per_p = [[] for _ in ps]
-    for k in exp.k_sweep:
-        op, _ = exp.operator(k)
-        S = scale_to_S(op, exp.dp)
-        prov = exp.provenance(k, op.trunc)
-        for out, total in zip(per_p, schatten_sum(S, ps)):
-            out.append((exp.scaled_norm(k) * total, prov))
-        del op, S
+
+    def one(k):
+        # one assembly and one SVD per k serve every p
+        S, norm, prov = exp.scaled(k)
+        return [norm * total for total in spectral.schatten_sum(S, ps)], prov
+
+    per_k = exp.sweep(one)
     rows, verdicts = [], []
-    for p, pred, out in zip(ps, preds, per_p):
-        rows.extend({"p": p, "scaled_schatten": val, "prediction": pred,
-                     **prov} for val, prov in out)
-        last = out[-1][0]
-        verdicts.append({"check_id": f"schatten:p={p:g}", "observed": last,
-                         "predicted": pred, "tolerance": 0.02 * pred,
-                         "pass": abs(last - pred) <= 0.02 * pred})
+    for i, (p, pred) in enumerate(zip(ps, preds)):
+        # rows stay p-major
+        rows.extend({"p": p, "scaled_schatten": vals[i], "prediction": pred,
+                     **prov} for vals, prov in per_k)
+        verdicts.append(verdict(f"schatten:p={p:g}", per_k[-1][0][i], pred,
+                                acceptance.SCHATTEN_TOL * pred))
     write_rows(rows, args, "schatten")
     return write_verdicts(verdicts, args, "schatten")
 
 
 def cmd_entropy(exp: Experiment, args) -> int:
-    if exp.dp is None or exp.dp <= 0:
-        print("entropy requires d' > 0", file=sys.stderr)
-        return 1
-    quad = exp.quad(exp.k_sweep[0])
-    pred, C_d = asymptotics.entropy_prediction(exp.sub, exp.amplitude, quad,
-                                               cls=exp.classification)
-    rows = []
-    gap = None
-    for k in exp.k_sweep:
+    pred, C_d = asymptotics.entropy_prediction(
+        exp.sub, exp.amplitude, exp.quad(exp.k_sweep[0]),
+        cls=exp.classification)
+    N = exp.sub.ambient_dim
+
+    def one(k):
         op, _ = exp.operator(k)
-        rho_matrix = (math.pi / k) ** exp.sub.ambient_dim * op.matrix
-        spec = spectral.SpectralSummary(
-            eigenvalues=np.linalg.eigvalsh(rho_matrix)[::-1], k=k,
-            ambient_dim=exp.sub.ambient_dim)
-        H = spectral.entropy(spec)
+        # the density matrix is (pi/k)^N T
+        eigs = (math.pi / k) ** N * spectral.eigensolve(op).eigenvalues
+        H = spectral.entropy(spectral.SpectralSummary(eigs, k, N))
         shifted = H + math.log(C_d * k ** (-0.5 * exp.sub.dim))
-        gap = abs(shifted - pred)
-        rows.append({"entropy": H, "shifted": shifted, "prediction": pred,
-                     "gap": gap, **exp.provenance(k, op.trunc)})
+        return {"entropy": H, "shifted": shifted, "prediction": pred,
+                "gap": abs(shifted - pred), **exp.provenance(k, op.trunc)}
+
+    rows = exp.sweep(one)
     write_rows(rows, args, "entropy")
-    verdicts = [{"check_id": "entropy", "observed": rows[-1]["shifted"],
-                 "predicted": pred, "tolerance": 1e-2,
-                 "pass": gap <= 1e-2}]
-    return write_verdicts(verdicts, args, "entropy")
+    return write_verdicts([verdict("entropy", rows[-1]["shifted"], pred,
+                                   acceptance.ENTROPY_TOL)], args, "entropy")
 
 
 def cmd_density(exp: Experiment, args) -> int:
-    if exp.dp is None or exp.dp <= 0:
-        print("density requires d' > 0", file=sys.stderr)
-        return 1
     quad = exp.quad(exp.k_sweep[0])
-    grid = exp.config.get("density_grid")
-    if grid is None:
-        grid = list(np.linspace(0.02, 0.98, 49))
+    grid = exp.config.get("density_grid", np.linspace(0.02, 0.98, 49))
     rows = []
     for s in grid:
         val = asymptotics.limiting_density(exp.sub, exp.amplitude, float(s),
@@ -433,22 +388,19 @@ def cmd_density(exp: Experiment, args) -> int:
 
 def cmd_hessian_check(args) -> int:
     rng = np.random.default_rng(args.seed or 0)
-    worst_det, worst_sqrt = 0.0, 0.0
+    worst = 0.0
     rows = []
     for trial in range(args.trials):
         G, H = hessian.random_spd_skew(args.d, rng)
         rep = hessian.verify_sqrt_det(G, H, args.q)
-        worst_det = max(worst_det, rep.rel_err_det)
-        worst_sqrt = max(worst_sqrt, rep.rel_err_sqrt)
+        worst = max(worst, rep.rel_err_det, rep.rel_err_sqrt)
         rows.append({"trial": trial, "d": args.d, "q": args.q,
                      "rel_err_det": rep.rel_err_det,
                      "rel_err_sqrt": rep.rel_err_sqrt, "pass": rep.ok})
     write_rows(rows, args, "hessian_check")
-    verdicts = [{"check_id": f"hessian:d={args.d},q={args.q}",
-                 "observed": max(worst_det, worst_sqrt), "predicted": 0.0,
-                 "tolerance": 1e-8,
-                 "pass": max(worst_det, worst_sqrt) <= 1e-8}]
-    return write_verdicts(verdicts, args, "hessian_check")
+    return write_verdicts([verdict(f"hessian:d={args.d},q={args.q}", worst,
+                                   0.0, acceptance.HESSIAN_TOL)],
+                          args, "hessian_check")
 
 
 def cmd_bs_state(exp: Experiment, args) -> int:
@@ -460,24 +412,22 @@ def cmd_bs_state(exp: Experiment, args) -> int:
     alpha_src = args.alpha or exp.config.get("alpha")
     alpha = amplitude_from_dsl(alpha_src, exp.sub.dim) if alpha_src else None
     bs = states.BohrSommerfeldData(theta=theta, alpha=alpha)
-    rows = []
-    for k in exp.k_sweep:
-        quad = exp.quad(k)
-        trunc = exp.trunc(k, quad)
-        psi = states.build_test_state(trunc, exp.sub, bs, quad)
-        op = assemble_T(trunc, exp.sub, exp.amplitude, quad)
-        q = states.rayleigh_lower_bound(op, psi)
+
+    def one(k):
+        op, quad = exp.operator(k)
+        psi = states.build_test_state(op.trunc, exp.sub, bs, quad)
         norm2 = float(np.vdot(psi, psi).real)
         ratio = norm2 / (2.0 * k / math.pi) ** (0.5 * exp.sub.ambient_dim)
-        rows.append({"norm_sq": norm2, "norm_ratio": ratio,
-                     "rayleigh": q, **exp.provenance(k, trunc)})
-    write_rows(rows, args, "bs_state")
+        return {"norm_sq": norm2, "norm_ratio": ratio,
+                "rayleigh": states.rayleigh_lower_bound(op, psi),
+                **exp.provenance(k, op.trunc)}
+
+    write_rows(exp.sweep(one), args, "bs_state")
     return 0
 
 
 def cmd_verify_all(args) -> int:
-    verdicts = acceptance.run_all()
-    return write_verdicts(verdicts, args, "verify_all")
+    return write_verdicts(acceptance.run_all(), args, "verify_all")
 
 
 # --- entry point -------------------------------------------------------------
@@ -526,6 +476,13 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    # least d' the prediction needs; d' exists for (co)isotropic manifolds
+    least = {"szego": 0, "weyl": 0, "schatten": 0, "entropy": 1,
+             "density": 1}.get(args.command)
+    if least is not None and (exp.dp is None or exp.dp < least):
+        need = "d' > 0" if least else "an isotropic or coisotropic manifold"
+        print(f"{args.command} requires {need}", file=sys.stderr)
+        return 1
     handlers = {
         "geometry": cmd_geometry,
         "spectrum": cmd_spectrum,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifold import _delta_values, _lambda_pairs
+
 __all__ = [
     "RingElement",
     "build_hessian",
@@ -168,19 +170,9 @@ def lambdas_of(G: np.ndarray, H: np.ndarray, tol: float = 1e-8
                ) -> tuple[np.ndarray, int]:
     """Positive lambda_ell with eig(W) = {+-i lambda_ell} union {0}; returns
     (ascending lambdas, half rank r)."""
-    G = np.asarray(G, float)
-    H = np.asarray(H, float)
-    gl, gv = np.linalg.eigh(G)
-    G_mhalf = gv @ np.diag(gl ** -0.5) @ gv.T
-    A = G_mhalf @ H @ G_mhalf  # skew and similar to W = G^{-1} H
-    lam2 = np.linalg.eigvalsh(A @ A.T)
-    scale = max(float(lam2.max(initial=0.0)), 1.0)
-    keep = lam2 > max(tol ** 2, 1e-13 * scale)
-    lam = np.sqrt(np.clip(lam2, 0.0, None))
-    pos = np.sort(lam[keep])
-    if pos.size % 2 != 0:
-        raise ValueError("spectrum failed to pair")
-    return pos[0::2], pos.size // 2
+    gl, gv = np.linalg.eigh(np.asarray(G, float)[None])
+    lam, is_lambda = _lambda_pairs(gl, gv, np.asarray(H, float)[None], tol)
+    return lam[is_lambda], int(is_lambda.sum())
 
 
 @dataclass(frozen=True)
@@ -216,10 +208,8 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
     det_factored = float(np.linalg.det(G)) ** q * detM
     rel_det = abs(det_dense - det_factored) / max(abs(det_dense), 1e-300)
     lambdas, r = lambdas_of(G, H)
-    n = q + 1
-    delta = float(n) ** (0.5 * (d - 2 * r))
-    for lam in lambdas:
-        delta *= ((1.0 + lam) ** n - (1.0 - lam) ** n) / (2.0 * lam)
+    delta = float(_delta_values(lambdas[None], np.ones((1, r), bool), d,
+                                q + 1)[0])
     sqrt_det = math.sqrt(max(detM, 0.0))
     rel_sqrt = abs(sqrt_det - delta) / max(abs(delta), 1e-300)
     return SqrtDetReport(q=q, det_dense=det_dense, det_factored=det_factored,

@@ -39,6 +39,7 @@ __all__ = [
     "sphere3",
     "custom_chart",
     "manifold_from_spec",
+    "amp_values",
     "amplitude_from_dsl",
     "default_max_degree",
     "default_periodic_nodes",
@@ -136,8 +137,11 @@ class ClassificationError(ValueError):
 def frame_at(chart: Chart, t) -> GeometryFrame:
     """Geometry frame at one interior parameter point."""
     t = np.asarray(t, dtype=float).reshape(1, -1)
-    J = np.asarray(chart.jacobian(t), dtype=float)[0]  # (2N, d)
-    return _frame_from_jacobian(J)
+    J = np.asarray(chart.jacobian(t), dtype=float)  # (1, 2N, d)
+    G, H, W, lam, is_lambda, vol = (x[0] for x in _geometry(J))
+    lambdas = tuple(float(x) for x in lam[is_lambda])
+    return GeometryFrame(G=G, H=H, W=W, lambdas=lambdas,
+                         half_rank=len(lambdas), vol_density=float(vol))
 
 
 def _geometry(J: np.ndarray):
@@ -156,31 +160,30 @@ def _geometry(J: np.ndarray):
     if not np.all(gl[:, -1] <= 1e12 * gl[:, 0]):
         raise SingularMetricError("induced metric is numerically singular")
     W = np.linalg.solve(G, H)
+    lam, is_lambda = _lambda_pairs(gl, gv, H)
+    vol = np.sqrt(np.maximum(np.prod(gl, axis=1), 0.0))
+    return G, H, W, lam, is_lambda, vol
+
+
+def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray,
+                  tol: float = LAMBDA_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """lam and is_lambda of `_geometry` from G = gv diag(gl) gv^T and H."""
     # lambda_ell^2 are the (doubled) eigenvalues of the symmetric PSD matrix
     # G^{-1/2} H G^{-1} H^T G^{-1/2}; this avoids a nonsymmetric eigensolve.
     G_mhalf = (gv * gl[:, None, :] ** -0.5) @ np.swapaxes(gv, 1, 2)
     A = G_mhalf @ H @ G_mhalf  # skew and similar to W
     lam2 = np.linalg.eigvalsh(A @ np.swapaxes(A, 1, 2))  # -A^2, ascending
     # threshold on lambda^2 relative to the spectral scale: eigvalsh noise is
-    # O(eps * scale) and would exceed LAMBDA_TOL after the square root
+    # O(eps * scale) and would exceed tol after the square root
     scale = np.maximum(lam2[:, -1], 1.0)
-    keep = lam2 > np.maximum(LAMBDA_TOL ** 2, 1e-13 * scale)[:, None]
+    keep = lam2 > np.maximum(tol ** 2, 1e-13 * scale)[:, None]
     count = keep.sum(axis=1)
     if np.any(count % 2 != 0):
         raise ClassificationError("W spectrum failed to pair into +-i lambda")
     # the kept entries are the top `count`; pairs sit side by side
     slot = np.arange(lam2.shape[1]) - (lam2.shape[1] - count)[:, None]
     is_lambda = keep & (slot % 2 == 0)
-    lam = np.sqrt(np.clip(lam2, 0.0, None))
-    vol = np.sqrt(np.maximum(np.prod(gl, axis=1), 0.0))
-    return G, H, W, lam, is_lambda, vol
-
-
-def _frame_from_jacobian(J: np.ndarray) -> GeometryFrame:
-    G, H, W, lam, is_lambda, vol = (x[0] for x in _geometry(J[None]))
-    lambdas = tuple(float(x) for x in lam[is_lambda])
-    return GeometryFrame(G=G, H=H, W=W, lambdas=lambdas,
-                         half_rank=len(lambdas), vol_density=float(vol))
+    return np.sqrt(np.clip(lam2, 0.0, None)), is_lambda
 
 
 def _delta_values(lam: np.ndarray, is_lambda: np.ndarray, d: int,
@@ -579,6 +582,15 @@ def manifold_from_spec(spec: dict) -> ChartedSubmanifold:
                             spec["periodic"], spec["domain"],
                             spec.get("label", "custom"))
     raise ValueError(f"unknown manifold kind {kind!r}")
+
+
+def amp_values(a, block: QuadratureBlock) -> np.ndarray:
+    """a at the block's nodes: None (constant 1), a scalar, or a callable."""
+    if a is None:
+        return np.ones(block.size)
+    if np.isscalar(a):
+        return np.full(block.size, a)
+    return np.asarray(a(block.nodes))
 
 
 def amplitude_from_dsl(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:

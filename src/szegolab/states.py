@@ -18,7 +18,8 @@ import numpy as np
 
 from .assembly import HermitianOperator
 from .fock import FockTruncation, eval_basis_matrix
-from .manifold import Chart, ChartedSubmanifold, Quadrature, classify
+from .manifold import (Chart, ChartedSubmanifold, Quadrature, amp_values,
+                       classify)
 from .spectral import RateFit, rate_regression
 
 __all__ = [
@@ -57,15 +58,6 @@ def circle_theta(radius: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
 
 def _theta_values(bs: BohrSommerfeldData, t: np.ndarray) -> np.ndarray:
     return np.asarray(bs.theta(np.atleast_2d(np.asarray(t, float)))).reshape(-1)
-
-
-def _alpha_values(bs: BohrSommerfeldData, t: np.ndarray) -> np.ndarray:
-    t = np.atleast_2d(np.asarray(t, float))
-    if bs.alpha is None:
-        return np.ones(t.shape[0])
-    if np.isscalar(bs.alpha):
-        return np.full(t.shape[0], bs.alpha)
-    return np.asarray(bs.alpha(t))
 
 
 def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData, k: float,
@@ -124,7 +116,7 @@ def build_test_state(trunc: FockTruncation, sub: ChartedSubmanifold,
     coeffs = np.zeros(trunc.dim, dtype=complex)
     for block in quad.blocks:
         phases = np.exp(1j * k * _theta_values(bs, block.nodes))
-        av = _alpha_values(bs, block.nodes)
+        av = amp_values(bs.alpha, block)
         B = eval_basis_matrix(trunc, block.points)
         coeffs += B.conj().T @ (block.weights * phases * av)
     return coeffs

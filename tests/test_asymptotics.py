@@ -12,6 +12,7 @@ from szegolab.asymptotics import (
     moment_prediction,
     schatten_prediction,
     szego_functional,
+    szego_scaling,
     weyl_prediction,
 )
 from szegolab.spectral import entropy_function, power_function, trapezoid_function
@@ -73,7 +74,8 @@ def test_szego_scaling_factor():
     sub = mfd.circle(1.0)
     quad = mfd.quadrature(sub, 64)
     pred = szego_functional(sub, None, power_function(1), quad)
-    assert pred.scaling(4.0) == pytest.approx(math.sqrt(2.0) * math.sqrt(math.pi / 4.0))
+    scaling = szego_scaling(4.0, pred.manifold_dim, pred.d_prime)
+    assert scaling == pytest.approx(math.sqrt(2.0) * math.sqrt(math.pi / 4.0))
 
 
 def test_szego_rejects_symplectic():

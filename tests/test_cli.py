@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from szegolab import cli
+from szegolab import acceptance, cli
+from szegolab.manifold import quadrature
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -170,3 +171,76 @@ def test_entropy_command_verdict(tmp_path):
         math.log(2 * math.pi) + 0.5, rel=1e-10)
     assert code == 0
     assert verdicts[0]["pass"] is True
+
+
+def test_entropy_of_diagonal_operator_skips_lapack(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {
+        "manifold": {"kind": "circle", "radius": 1.0},
+        "amplitude": "1/(2*pi)", "k_sweep": [120.0], "quad_order": 1024,
+    })
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "a"),
+                     "entropy"]) == 0
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def small_only(a, *args, **kwargs):
+        # geometry frames still use it; the 481-dim operator must not
+        if np.shape(a)[-1] > 10:
+            raise AssertionError("eigvalsh called on a diagonal operator")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "b"),
+                     "entropy"]) == 0
+    assert ((tmp_path / "a" / "entropy_verdicts.json").read_text()
+            == (tmp_path / "b" / "entropy_verdicts.json").read_text())
+
+
+def test_weyl_refuses_non_unit_amplitude(tmp_path, capsys):
+    base = {"manifold": {"kind": "circle", "radius": 1.0},
+            "k_sweep": [100.0], "quad_order": 512}
+    cfg = write_config(tmp_path, {**base, "amplitude": "1 + cos(t1)"})
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out), "weyl"]) == 1
+    assert "unit amplitude" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_config(tmp_path, {**base, "amplitude": "2 - 1"}, "unit.json")
+    cli.main(["--config", cfg, "--out", str(out), "weyl"])
+    verdicts = json.loads((out / "weyl_verdicts.json").read_text())
+    assert verdicts[0]["predicted"] == pytest.approx(
+        2 * math.pi / math.gamma(1.5)
+        * (math.sqrt(-math.log(0.2)) - math.sqrt(-math.log(0.9))))
+
+
+@pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")
+def test_szego_builds_each_quadrature_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting(sub, order):
+        built.append(order)
+        return quadrature(sub, order)
+
+    monkeypatch.setattr(cli, "quadrature", counting)
+    cfg = write_config(tmp_path, {"manifold": {"kind": "circle"},
+                                  "k_sweep": [4.0, 8.0, 12.0]})
+    cli.main(["--config", cfg, "--out", str(tmp_path / "out"), "szego"])
+    # the radius probe and the one order every k shares
+    assert built == [8, 64]
+
+
+def test_schatten_agrees_with_acceptance_check(tmp_path):
+    detail = acceptance.check_schatten(acceptance.Lab())["detail"]
+    cfg = write_config(tmp_path, {
+        "manifold": {"kind": "circle", "radius": 1.0},
+        "amplitude": ["0.5*cos(t1)*(1 + cos(t1))",
+                      "0.5*sin(t1)*(1 + cos(t1))"],
+        "k_sweep": [200.0], "schatten_p": [1.0, 2.0]})
+    out = tmp_path / "out"
+    cli.main(["--config", cfg, "--out", str(out), "--max-degree", "800",
+              "--quad-order", "1609", "schatten"])
+    verdicts = json.loads((out / "schatten_verdicts.json").read_text())
+    for v, p in zip(verdicts, ("p=1", "p=2")):
+        pred = detail[p]["prediction"]
+        assert v["predicted"] == pytest.approx(pred, rel=1e-12, abs=0)
+        rel = abs(v["observed"] - v["predicted"]) / v["predicted"]
+        assert rel == pytest.approx(detail[p]["final_rel"], rel=0, abs=1e-12)
