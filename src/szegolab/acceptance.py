@@ -26,6 +26,7 @@ from .assembly import (
 from .asymptotics import szego_scaling
 from .fock import FockTruncation
 from .manifold import (
+    amplitude_from_dsl,
     circle,
     classify,
     delta_n,
@@ -345,16 +346,7 @@ def check_bohr_sommerfeld(lab: Lab):
                    5.0 / CIRCLE_SWEEP[-1], ok, detail=detail)
 
 
-def _parabola_bump(t):
-    x = np.clip(np.abs(t), 0.0, 1.0)
-    vals = np.ones_like(x)
-    mid = (x > 0.5) & (x < 1.0)
-    u = (1.0 - x[mid]) / 0.5
-    fu = np.exp(-1.0 / u)
-    fc = np.exp(-1.0 / (1.0 - u + 1e-300)) * (u < 1.0)
-    vals[mid] = fu / (fu + fc)
-    vals[x >= 1.0] = 0.0
-    return vals[:, 0] * vals[:, 1]
+_parabola_bump = amplitude_from_dsl("bump(t1, -1, 1) * bump(t2, -1, 1)", 2)
 
 
 def check_parabola_moments(lab: Lab):

@@ -90,6 +90,14 @@ def _szego_dim(sub: ChartedSubmanifold, cls: Optional[Classification]
     return cls, d_prime(cls)
 
 
+def _real_values(a, block) -> np.ndarray:
+    """a at the block's nodes; the Szego-type limits need a self-adjoint T_a."""
+    av = amp_values(a, block)
+    if np.iscomplexobj(av) and np.any(av.imag != 0):
+        raise ValueError("Szego-type predictions need a real amplitude")
+    return av.real
+
+
 def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
                      quad: Quadrature,
                      cls: Optional[Classification] = None) -> SzegoPrediction:
@@ -97,7 +105,7 @@ def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
     _, dp = _szego_dim(sub, cls)
     total = 0.0
     for block in quad.blocks:
-        av = amp_values(a, block)
+        av = _real_values(a, block)
         total += float(np.sum(block.weights * mellin_log(phi, 0.5 * dp, av)))
     return SzegoPrediction(value=total, d_prime=dp, manifold_dim=sub.dim)
 
@@ -113,7 +121,7 @@ def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
     expo = 0.5 * dp - 1.0
     total = 0.0
     for block in quad.blocks:
-        av = amp_values(a, block)
+        av = _real_values(a, block)
         mask = av >= s - 1e-12
         if not np.any(mask):
             continue
@@ -184,7 +192,7 @@ def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
         raise ValueError("the entropy limit needs d' > 0")
     mass = 0.0
     for block in quad.blocks:
-        av = amp_values(a, block)
+        av = _real_values(a, block)
         if np.any(av < -1e-12):
             raise ValueError("amplitude must be non-negative")
         mass += float(np.sum(block.weights * av))

@@ -24,7 +24,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from . import acceptance, asymptotics, hessian, spectral, states
+from . import acceptance, asymptotics, dsl, hessian, spectral, states
 from .acceptance import verdict
 from .assembly import assemble_T, scale_to_S
 from .fock import FockTruncation
@@ -84,7 +84,6 @@ CONFIG_SCHEMA = {
         "density_grid": {"type": "array", "items": {"type": "number"}},
         "theta": {"type": "string"},
         "alpha": {"type": "string"},
-        "seed": {"type": "integer"},
     },
     "required": ["manifold"],
     "additionalProperties": False,
@@ -113,13 +112,16 @@ def parse_test_function(name: str) -> spectral.TestFunction:
     """Named test functions: power:n, entropy, trapezoid:l1,l2,m1,m2."""
     if name == "entropy":
         return spectral.entropy_function()
-    if name.startswith("power:"):
-        return spectral.power_function(float(name.split(":", 1)[1]))
-    if name.startswith("trapezoid:"):
-        parts = [float(x) for x in name.split(":", 1)[1].split(",")]
-        if len(parts) != 4:
-            raise SchemaError("trapezoid needs four breakpoints")
-        return spectral.trapezoid_function(*parts)
+    try:
+        if name.startswith("power:"):
+            return spectral.power_function(float(name.split(":", 1)[1]))
+        if name.startswith("trapezoid:"):
+            parts = [float(x) for x in name.split(":", 1)[1].split(",")]
+            if len(parts) != 4:
+                raise SchemaError("trapezoid needs four breakpoints")
+            return spectral.trapezoid_function(*parts)
+    except ValueError as exc:
+        raise SchemaError(f"bad test function {name!r}: {exc}")
     raise SchemaError(f"unknown test function {name!r}")
 
 
@@ -387,7 +389,7 @@ def cmd_density(exp: Experiment, args) -> int:
 
 
 def cmd_hessian_check(args) -> int:
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     rows = []
     for trial in range(args.trials):
@@ -440,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", help="comma-separated k sweep override")
     parser.add_argument("--max-degree", type=int, dest="max_degree")
     parser.add_argument("--quad-order", type=int, dest="quad_order")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--svg", action="store_true")
@@ -457,12 +458,24 @@ def build_parser() -> argparse.ArgumentParser:
     hc.add_argument("--d", type=int, default=3)
     hc.add_argument("--q", type=int, default=4)
     hc.add_argument("--trials", type=int, default=20)
-    hc.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    hc.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; malformed input exits 2, a failed computation 1."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (SchemaError, dsl.DslSyntaxError, dsl.UnknownVariableError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except (ValueError, dsl.DslError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     if args.command == "verify-all":
         return cmd_verify_all(args)
     if args.command == "hessian-check":
@@ -470,12 +483,7 @@ def main(argv=None) -> int:
     if not args.config:
         print("this subcommand requires --config", file=sys.stderr)
         return 2
-    try:
-        config = load_config(args.config)
-        exp = Experiment(config, args)
-    except SchemaError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    exp = Experiment(load_config(args.config), args)
     # least d' the prediction needs; d' exists for (co)isotropic manifolds
     least = {"szego": 0, "weyl": 0, "schatten": 0, "entropy": 1,
              "density": 1}.get(args.command)

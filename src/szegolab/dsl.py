@@ -3,13 +3,18 @@
 Grammar: real literals, variables t1..td, + - * / ^, unary minus, the
 functions exp, log, sin, cos, sqrt, the smooth cutoff bump(x, a, b) (and
 its hand-coded derivative bump_d1), and the constants pi, e.  Expressions
-are immutable trees; eval and derive are pure.
+are immutable trees; evaluate and derive are pure.  evaluate walks a tree
+once for all m rows of an (m, d) array of points, one numpy operation per
+node; a domain violation or an overflow at any row raises DomainError
+naming the subexpression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -227,102 +232,97 @@ def parse(text: str, dim: int) -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 
-def _smooth_step(u: float) -> float:
-    """C-infinity step: 0 for u<=0, 1 for u>=1."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    fu = math.exp(-1.0 / u)
-    fc = math.exp(-1.0 / (1.0 - u))
-    return fu / (fu + fc)
+def _check(bad, message: str, e: Expr) -> None:
+    if np.any(bad):
+        raise DomainError(message, e)
 
 
-def _smooth_step_d1(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    fu = math.exp(-1.0 / u)
-    fc = math.exp(-1.0 / (1.0 - u))
-    dfu = fu / u ** 2
-    dfc = -fc / (1.0 - u) ** 2
+def _smooth_step(u, d1: bool = False):
+    """C-infinity step: 0 for u <= 0, 1 for u >= 1 (d1: its derivative)."""
+    inside = (u > 0.0) & (u < 1.0)
+    # exp(-1/u) is exactly 0 below u = 2^-10, so the floor changes no value
+    # and keeps 1/u and 1/u^2 finite
+    v = np.where(inside, np.maximum(u, 2.0 ** -10), 0.5)
+    fu = np.exp(-1.0 / v)
+    fc = np.exp(-1.0 / (1.0 - v))
     s = fu + fc
-    return (dfu * s - fu * (dfu + dfc)) / s ** 2
+    if not d1:
+        return np.where(inside, fu / s, np.where(u >= 1.0, 1.0, 0.0))
+    dfu = fu / v ** 2
+    dfc = -fc / (1.0 - v) ** 2
+    return np.where(inside, (dfu * s - fu * (dfu + dfc)) / s ** 2, 0.0)
 
 
-def _bump(x: float, a: float, b: float) -> float:
+def _bump(e: Call, x, a, b):
     """Smooth bump on [a, b]: 1 on the middle half, 0 outside [a, b]."""
-    if b <= a:
-        raise ValueError("bump requires a < b")
+    _check(b <= a, "bump requires a < b", e)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    return _smooth_step((hw - abs(x - mid)) / (0.5 * hw))
+    u = (hw - np.abs(x - mid)) / (0.5 * hw)
+    if e.func == "bump":
+        return _smooth_step(u)
+    return _smooth_step(u, d1=True) * (-np.sign(x - mid) / (0.5 * hw))
 
 
-def _bump_d1(x: float, a: float, b: float) -> float:
-    if b <= a:
-        raise ValueError("bump requires a < b")
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    u = (hw - abs(x - mid)) / (0.5 * hw)
-    sign = 0.0 if x == mid else math.copysign(1.0, x - mid)
-    return _smooth_step_d1(u) * (-sign / (0.5 * hw))
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
+_UNARY = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+          "sqrt": np.sqrt}
 
 
-def evaluate(e: Expr, t) -> float:
-    """IEEE double evaluation at t (sequence of d reals)."""
+def _eval(e: Expr, t: np.ndarray):
+    """Values of e at the rows of t: an (m,) array, or a 0-d one if constant."""
     if isinstance(e, Num):
-        return e.value
+        return np.float64(e.value)
     if isinstance(e, Const):
-        return _CONSTANTS[e.name]
+        return np.float64(_CONSTANTS[e.name])
     if isinstance(e, Var):
-        if e.index >= len(t):
+        if e.index >= t.shape[1]:
             raise UnknownVariableError(f"point has no component t{e.index + 1}")
-        return float(t[e.index])
+        return t[:, e.index]
     if isinstance(e, Neg):
-        return -evaluate(e.arg, t)
+        return -_eval(e.arg, t)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, t)
-        b = evaluate(e.right, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
+        a = _eval(e.left, t)
+        b = _eval(e.right, t)
         if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", e)
-            return a / b
+            _check(b == 0.0, "division by zero", e)
         if e.op == "^":
-            if a < 0.0 and b != int(b):
-                raise DomainError("negative base with non-integer exponent", e)
-            if a == 0.0 and b < 0.0:
-                raise DomainError("zero base with negative exponent", e)
-            return a ** b
-        raise AssertionError(e.op)
-    if isinstance(e, Call):
-        args = [evaluate(arg, t) for arg in e.args]
-        x = args[0]
-        if e.func == "exp":
-            return math.exp(x)
+            _check((a < 0.0) & (b != np.trunc(b)),
+                   "negative base with non-integer exponent", e)
+            _check((a == 0.0) & (b < 0.0), "zero base with negative exponent", e)
+        v = _BINARY[e.op](a, b)
+    elif isinstance(e, Call):
+        args = [_eval(arg, t) for arg in e.args]
         if e.func == "log":
-            if x <= 0.0:
-                raise DomainError("log of non-positive value", e)
-            return math.log(x)
-        if e.func == "sin":
-            return math.sin(x)
-        if e.func == "cos":
-            return math.cos(x)
+            _check(args[0] <= 0.0, "log of non-positive value", e)
         if e.func == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt of negative value", e)
-            return math.sqrt(x)
-        if e.func == "bump":
-            return _bump(x, args[1], args[2])
-        if e.func == "bump_d1":
-            return _bump_d1(x, args[1], args[2])
-        raise AssertionError(e.func)
-    raise TypeError(f"not an Expr: {e!r}")
+            _check(args[0] < 0.0, "sqrt of negative value", e)
+        if e.func in ("bump", "bump_d1"):
+            v = _bump(e, *args)
+        else:
+            v = _UNARY[e.func](args[0])
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    _check(~np.isfinite(v), "non-finite value", e)
+    return v
+
+
+def evaluate(e: Expr, t):
+    """IEEE double values of e at the points t, all rows in one tree walk.
+
+    t is an (m, d) array, giving an (m,) array, or one point (a sequence of
+    d reals), giving a float.  A domain violation or an overflow at any row
+    raises DomainError naming the offending subexpression.
+    """
+    t = np.asarray(t, dtype=float)
+    rows = np.atleast_2d(t)
+    out = np.empty(rows.shape[0])
+    # an overflow shows as a non-finite value, which _eval turns into a
+    # DomainError; no other floating-point warning is silenced
+    with np.errstate(over="ignore"):
+        out[:] = _eval(e, rows)
+    return float(out[0]) if t.ndim < 2 else out
 
 
 # --- differentiation -------------------------------------------------------

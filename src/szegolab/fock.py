@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "FockTruncation",
     "basis_norm",
-    "log_basis_norm",
     "eval_basis",
     "eval_basis_matrix",
     "reproducing_kernel",
@@ -105,20 +104,11 @@ class FockTruncation:
         return per_coord[self.exponent_matrix].sum(axis=1)
 
 
-def log_basis_norm(trunc: FockTruncation, n) -> float:
-    """log of the L^2 norm of the unnormalized monomial z^n e^{-k|z|^2/2}."""
-    n = tuple(n)
-    total = sum(n)
-    lg = sum(math.lgamma(nj + 1) for nj in n)
-    N = trunc.ambient_dim
-    return 0.5 * (N * math.log(math.pi) + lg - (total + N) * math.log(trunc.k))
-
-
 def basis_norm(trunc: FockTruncation, n) -> float:
     """||z^n e^{-k|z|^2/2}|| = sqrt(pi^N n! / k^(|n|+N))."""
     if tuple(n) not in trunc._index_map:
         raise ValueError(f"multi-index {n} not in truncated basis")
-    return math.exp(log_basis_norm(trunc, n))
+    return math.exp(trunc.log_norms[trunc.index_of(n)])
 
 
 def _as_points(z, ambient_dim: int) -> np.ndarray:

@@ -540,21 +540,11 @@ def custom_chart(dim: int, ambient_dim: int, coords: Sequence[str],
     derivs = [[dsl.derive(e, j) for j in range(dim)] for e in exprs]
 
     def gamma(t):
-        m = t.shape[0]
-        out = np.empty((m, 2 * ambient_dim))
-        for i in range(m):
-            for c, e in enumerate(exprs):
-                out[i, c] = dsl.evaluate(e, t[i])
-        return out
+        return np.stack([dsl.evaluate(e, t) for e in exprs], axis=1)
 
     def jac(t):
-        m = t.shape[0]
-        out = np.empty((m, 2 * ambient_dim, dim))
-        for i in range(m):
-            for c in range(2 * ambient_dim):
-                for j in range(dim):
-                    out[i, c, j] = dsl.evaluate(derivs[c][j], t[i])
-        return out
+        return np.stack([np.stack([dsl.evaluate(de, t) for de in row], axis=1)
+                         for row in derivs], axis=1)
 
     chart = Chart(dim=dim, ambient_dim=ambient_dim,
                   domain=tuple(tuple(map(float, r)) for r in domain),
@@ -598,7 +588,6 @@ def amplitude_from_dsl(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray
     expr = dsl.parse(text, dim)
 
     def func(t: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(t, float))
-        return np.array([dsl.evaluate(expr, row) for row in t])
+        return dsl.evaluate(expr, np.atleast_2d(t))
 
     return func

@@ -89,6 +89,42 @@ def test_bad_config_exits_2(tmp_path):
     assert cli.main(["geometry"]) == 2  # --config missing entirely
 
 
+@pytest.mark.parametrize("config, argv, code, message", [
+    # malformed input: exit 2
+    ({"amplitude": "1 + cos(t1"}, ["spectrum"], 2, "expected ')'"),
+    ({}, ["bs-state", "--theta", "t1 +"], 2, "unexpected token"),
+    ({}, ["bs-state", "--theta", "t1", "--alpha", "t2"], 2, "t2 out of range"),
+    ({}, ["szego", "--phi", "gaussian"], 2, "unknown test function"),
+    ({"test_function": "power:two"}, ["szego"], 2, "bad test function"),
+    ({"seed": 3}, ["geometry"], 2, "'seed' was unexpected"),
+    # failed computation: exit 1
+    ({"amplitude": "log(t1 - 1)"}, ["spectrum"], 1,
+     "spectrum: log of non-positive value in log(t1 - 1)"),
+    ({}, ["entropy"], 1, "amplitude integrates to 6.28"),
+    ({"amplitude": ["1 + cos(t1)", "0.5*sin(t1)"]}, ["szego"], 1,
+     "need a real amplitude"),
+])
+def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
+                                   message):
+    cfg = write_config(tmp_path, {**CIRCLE, **config})
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out), *argv]) == code
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_seed_belongs_to_hessian_check(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "3", "--config", "c.json", "geometry"])
+    assert exc.value.code == 2
+    for name, seed in (("default", []), ("zero", ["--seed", "0"])):
+        cli.main(["--out", str(tmp_path / name), "hessian-check", "--trials",
+                  "2", *seed])
+    assert ((tmp_path / "default" / "hessian_check.csv").read_text()
+            == (tmp_path / "zero" / "hessian_check.csv").read_text())
+
+
 def test_szego_verdict_schema(tmp_path):
     cfg = write_config(tmp_path, {
         "manifold": {"kind": "circle", "radius": 1.0},

@@ -120,6 +120,82 @@ def test_bump_properties():
     assert 0.0 < mid < 1.0
 
 
+# numpy closed forms of SMOOTH_EXPRS, applied to columns t1, t2
+def _step(u):
+    inside = (u > 0) & (u < 1)
+    v = np.where(inside, u, 0.5)
+    fu, fc = np.exp(-1 / v), np.exp(-1 / (1 - v))
+    return np.where(inside, fu / (fu + fc), np.where(u >= 1, 1.0, 0.0))
+
+
+SMOOTH_CLOSED_FORMS = [
+    lambda t1, t2: np.exp(-t1 ** 2) * np.cos(t2),
+    lambda t1, t2: np.sin(t1 * t2) + t2 ** 3,
+    lambda t1, t2: np.sqrt(t1 ** 2 + 1) / (2 + np.cos(t2)),
+    lambda t1, t2: np.log(2 + np.sin(t1)) * np.exp(t2 / 4),
+    lambda t1, t2: t1 ** t2,
+    lambda t1, t2: _step(2 - np.abs(t1)),
+]
+
+
+@pytest.mark.parametrize("text, closed_form",
+                         zip(SMOOTH_EXPRS, SMOOTH_CLOSED_FORMS))
+def test_array_values_match_closed_forms(text, closed_form):
+    axis = np.linspace(0.3, 1.9, 33)
+    t = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    got = dsl.evaluate(dsl.parse(text, 2), t)
+    assert got.shape == (t.shape[0],)
+    np.testing.assert_array_max_ulp(got, closed_form(t[:, 0], t[:, 1]),
+                                    maxulp=4)
+    # a single point takes the same walk and returns a float
+    one = dsl.evaluate(dsl.parse(text, 2), t[7])
+    assert type(one) is float and one == got[7]
+
+
+def test_bump_and_derivative_at_the_breakpoints():
+    bump = dsl.parse("bump(t1, -1, 3)", 1)  # midpoint 1, middle half [0, 2]
+    d1 = dsl.derive(bump, 0)
+    # a, b, the midpoint and the edges of the middle half
+    x = np.array([[-1.0], [3.0], [1.0], [0.0], [2.0]])
+    assert dsl.evaluate(bump, x).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    assert dsl.evaluate(d1, x).tolist() == [0.0, 0.0, 0.0, 0.0, 0.0]
+    # inside the ramps: rising on the left, falling on the right
+    ramps = np.array([[-0.5], [2.5]])
+    assert np.all((dsl.evaluate(bump, ramps) > 0)
+                  & (dsl.evaluate(bump, ramps) < 1))
+    slopes = dsl.evaluate(d1, ramps)
+    assert slopes[0] > 0 > slopes[1]
+    with pytest.raises(dsl.DomainError):
+        dsl.evaluate(dsl.parse("bump(t1, 1, 1)", 1), x)
+
+
+def test_one_violating_row_raises_with_subexpr():
+    t = np.linspace(0.1, 2.0, 1000).reshape(-1, 1)
+    t[613, 0] = 1.0
+    e = dsl.parse("2 + log(3 * (t1 - 1))", 1)
+    with pytest.raises(dsl.DomainError) as err:
+        dsl.evaluate(e, t)
+    assert err.value.subexpr == e.right
+    assert "log(3 * (t1 - 1))" in str(err.value)
+    t[613, 0] = 1.5
+    assert np.all(np.isfinite(dsl.evaluate(e, t[t[:, 0] > 1])))
+
+
+@pytest.mark.parametrize("text", ["exp(1000)", "exp(t1)", "10^t1",
+                                  "t1 * 1e300 * 1e300"])
+def test_overflow_raises(text):
+    with pytest.raises(dsl.DomainError):
+        dsl.evaluate(dsl.parse(text, 1), np.array([[1.0], [1000.0]]))
+
+
+def test_constant_expressions_fill_every_row():
+    t = np.zeros((5, 2))
+    for text in ("2", "pi", "-e", "sqrt(2) * exp(1)"):
+        out = dsl.evaluate(dsl.parse(text, 2), t)
+        assert out.shape == (5,) and np.all(out == out[0])
+    assert dsl.evaluate(dsl.parse("t1", 2), np.zeros((0, 2))).shape == (0,)
+
+
 def test_roundtrip_fixed_cases():
     for text in SMOOTH_EXPRS + ["-t1 - -t2", "2^(t1+1)", "1/(2*t2)",
                                 "t1 - (t2 - 1)", "-(t1+t2)^2"]:

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import szegolab.manifold as mfd
+from szegolab import dsl
+from szegolab.assembly import assemble_T, exact_trace
+from szegolab.fock import FockTruncation
+from szegolab.spectral import eigensolve
 
 
 def test_circle_frame():
@@ -184,6 +190,42 @@ def test_custom_dsl_chart_matches_builtin_circle():
     assert np.allclose(fc.G, fb.G, rtol=1e-12)
     q = mfd.quadrature(custom, 32)
     assert q.total_mass == pytest.approx(2 * math.pi * 1.5, rel=1e-10)
+
+
+def test_custom_chart_evaluates_each_expression_once(monkeypatch):
+    calls = []
+    evaluate = dsl.evaluate
+
+    def counting(e, t):
+        calls.append(len(t))
+        return evaluate(e, t)
+
+    monkeypatch.setattr(dsl, "evaluate", counting)
+    torus = mfd.custom_chart(2, 2, ["cos(t1)", "sin(t1)", "0.7*cos(t2)",
+                                    "0.7*sin(t2)"], [True, True],
+                             [[0.0, 2 * math.pi]] * 2)
+    for order in (4, 40):
+        calls.clear()
+        q = mfd.quadrature(torus, order)
+        # 2N coordinates and 2N * d derivatives, each over all nodes at once
+        assert calls == [q.size] * (2 * 2 * (1 + 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.floats(0.5, 2.0), s=st.floats(0.0, 2 * math.pi))
+def test_shifted_dsl_circle_matches_builtin(r, s):
+    custom = mfd.custom_chart(1, 1, [f"{r!r}*cos(t1 + {s!r})",
+                                     f"{r!r}*sin(t1 + {s!r})"],
+                              [True], [[0.0, 2 * math.pi]])
+    builtin = mfd.circle(r)
+    # M = 80 holds all but ~1e-18 of the Poisson(k r^2) mass at r <= 2
+    trunc = FockTruncation(1, 4.0, 80)
+    ops = [assemble_T(trunc, sub, None, mfd.quadrature(sub, 192))
+           for sub in (custom, builtin)]
+    for op in ops:
+        assert exact_trace(op)[2] <= 1e-10
+    got, want = (eigensolve(op).eigenvalues for op in ops)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_default_max_degree_rule():
