@@ -22,6 +22,7 @@ from .assembly import (
     pair_trace_integral,
     s_factor,
     scale_to_S,
+    trace_product,
 )
 from .asymptotics import szego_scaling
 from .fock import FockTruncation
@@ -166,7 +167,7 @@ def check_pair_trace(lab: Lab):
     k = 20.0
     op_a = lab.circle_op(k)
     op_b = lab.circle_op(k, "one_plus_cos")
-    observed = float(np.sum(op_a.matrix.T * op_b.matrix).real)
+    observed = float(trace_product(op_a, op_b).real)
     predicted = pair_trace_integral(lab.circle, None, _amp_cos,
                                     lab.circle_quad(k), k)
     rel = abs(observed - predicted) / abs(predicted)

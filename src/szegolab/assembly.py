@@ -1,10 +1,11 @@
-"""Dense matrix assembly for singular Berezin-Toeplitz operators.
+"""Assembly of singular Berezin-Toeplitz operators, dense or by blocks.
 
 T_{a dsigma} acts on the truncated Bargmann space; its matrix in the
 normalized monomial basis is the Gram matrix of the basis functions
 restricted to the submanifold and weighted by a dsigma.  Assembly is a
 single quadrature pass, chunked over nodes so the working set stays near
-a fixed memory budget.
+a fixed memory budget.  On rotation-swept manifolds T is block-diagonal
+by Fourier charge and is stored block by block (charge blocks below).
 
 With B the basis values at the nodes and w the quadrature weights, the
 pass forms C = sqrt(w |a|) B.  A real amplitude gives
@@ -49,21 +50,55 @@ flushed coefficient adds at most mult max|V_theta|^2 |Delta F| / S_theta
 to flush_bound, mult being the largest number of basis functions that
 share a charge.
 
-Invariant amplitudes: when every coefficient off charge 0 is within the
-FFT's rounding floor, ceil(log2 L) eps S_theta, the coefficients are set
-to zero and T is exactly block-diagonal by charge; it is exactly diagonal
-for the circle, sphere3 and the tori at the acceptance orders, and
-`spectral.eigensolve` then skips the eigensolver.  The same bound,
-mult max|V_theta|^2 sum |F_theta[q != 0]| / S_theta, is recorded as
+Charge blocks: every charge whose coefficients all lie within the
+FFT's rounding floor, ceil(log2 L) eps S_theta, is set to zero; charge 0
+is always kept, and for a real amplitude q and -q are kept or zeroed
+together.  The bound of that change, mult max|V_theta|^2 sum
+|F_theta[zeroed q]| / S_theta, is recorded as
 `HermitianOperator.offblock_bound`, not in flush_bound: at circle k=400
-it is about 2e-14 lambda_max, the size of the FFT's own rounding, where
-flush_bound is about 2e-74.  Coefficients of a non-invariant amplitude
-are kept as the FFT gives them even where they are rounding noise: on the
-torus (1, 0.7) at k=12 and M=48 with a = 1 + cos(t1)/4 + cos(t2)/4 up to
-phases, zeroing the noise leaves 99.6% exact zeros, and eigvalsh then
-takes 1.34 s instead of 0.45 s and the SVD 2.59 s instead of 0.78 s, from
-subnormal numbers inside LAPACK's reductions; filling the zeros with
-1e-40 restores 0.45 s and 0.78 s.
+with a = 1 it is about 2e-14 lambda_max, the size of the FFT's own
+rounding, where flush_bound is about 2e-74.  The kept charges are the
+support.  Basis functions n and m are linked when q_m - q_n mod L is in
+it, and T_nm is zero unless they are; the connected components of these
+links are the diagonal blocks of T.  Each block is ordered by charge and
+only its in-support entries are summed.  It is stored banded when the
+band its solver takes (the block's own band if Hermitian, else the
+band of its dilation, `spectral` module notes) is at most
+_BAND_MAX = 8 wide, else dense.  An invariant amplitude on the circle,
+sphere3 or the tori at the acceptance orders gives 1x1 blocks, which no
+solver touches; a = 1 + 0.5 cos(t1 + phi) on the torus gives one
+tridiagonal block per n2.
+
+Links wrap around mod L.  With L = M + 1 nodes on a rotation axis,
+charges 0 and M meet: on sphere3 at k=8, M = 36 and the Lab's order
+[M//2 + 1, M + 1, M + 1], a = 1 + 0.5 cos(t2) links n1 = 0 to n1 = 36 at
+n2 = 0 through an aliased entry of 1.7e-8, and that chain is one cyclic,
+dense block equal to the dense quadrature sum.  The Lab's sphere order
+[M//2 + 1, M + 1, M + 1] is exact only for invariant amplitudes.
+
+Dense path: when the links join every basis function into one block wider
+than _BAND_MAX, T is one dense matrix, assembled as before, and keeps
+every coefficient the FFT gives unless all but charge 0 are noise.  The
+DSL torus amplitude 1 + cos(t1)/4 + cos(t2)/4 is such a case: its support
+{0, +-e1, +-e2} gives bandwidth M + 1 in charge order.  Zeroing its noise
+and passing the dense matrix on would not pay: at k=12 and M=48 that
+leaves 99.6% exact zeros, and eigvalsh then takes 1.34 s instead of
+0.45 s and the SVD 2.59 s instead of 0.78 s, from subnormal numbers
+inside LAPACK's reductions.  The dense path is also taken when some
+block has no rotation axes, and when a sector keeps so many charges that
+a row may link to more than dim/4 others and more than 2 _BAND_MAX + 1.
+
+Bandwidth crossover: _BAND_MAX was measured as the ratio of banded to
+dense solver time on random blocks of n rows (2-vCPU Xeon, OpenBLAS,
+best of 7).  Hermitian blocks, eig_banded against eigvalsh: 0.16-0.51 at
+width 8 for n = 100 to 1600 (1.04 at n = 50, 0.1 ms either way), and
+0.32-0.96 at width 16 for n >= 200; at width 49 and n = 1225, the
+bandwidth of the DSL torus at k=12, 1.04.  Non-Hermitian blocks, the
+dilation against the SVD: 0.28-0.57 at width 3 for n >= 800 and 0.9-2.5
+below; 0.41-0.78 at width 7 for n >= 800 and 1.4-3.9 below; 4.3 at width
+99 and n = 1225.  At 8 the Hermitian solver wins at every size but the
+smallest, and the dilation wins on blocks of about 800 rows or more and
+loses a few milliseconds on small ones.
 
 Paths: one explicit node of the sector sum costs a few passes over the
 dim^2 matrix, about as much as 50 nodes of zherk.  The sector sum is used
@@ -78,10 +113,9 @@ charts) always go node by node.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,6 +124,7 @@ from .manifold import (ChartedSubmanifold, Quadrature, QuadratureBlock,
                        amp_values)
 
 __all__ = [
+    "BlockLayout",
     "HermitianOperator",
     "TruncationWarning",
     "CostLimitError",
@@ -98,12 +133,9 @@ __all__ = [
     "scale_to_S",
     "covariant_symbol",
     "exact_trace",
+    "trace_product",
     "pair_trace_integral",
     "nfold_trace_integral",
-    "mixed_trace_polynomial_H",
-    "assemble_polynomial_multiplier",
-    "write_matrix",
-    "read_matrix",
 ]
 
 _CHUNK_BYTES = 64 << 20  # target working-set size for node chunks
@@ -112,6 +144,7 @@ _FILL_ROWS = 256  # row block for mirroring and for the sector sum
 _EPS = float(np.finfo(np.float64).eps)
 _ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
 _SECTOR_NODES = 64  # rotation nodes per explicit node for the sector sum
+_BAND_MAX = 8  # widest band given to a banded solver; module notes
 
 
 class TruncationWarning(UserWarning):
@@ -123,26 +156,158 @@ class CostLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """Dense operator matrix tagged with its truncation and normalization."""
+class BlockLayout:
+    """An operator matrix as diagonal blocks along a permutation.
 
-    matrix: np.ndarray
-    trunc: FockTruncation
-    normalization: str = "raw_T"  # raw_T | scaled_S
-    scale_factor: float = 1.0
-    hermitian: bool = True
-    manifold_dim: Optional[int] = None
-    d_prime: Optional[int] = None
-    symbol_mass: Optional[complex] = None  # integral of a dsigma
-    flush_bound: float = 0.0  # bound on ||T - T_unflushed||_2, module notes
-    offblock_bound: float = 0.0  # bound on the zeroed off-charge part, ditto
+    Position p holds basis function perm[p]; block i holds positions
+    bounds[i]:bounds[i + 1].  The banded blocks come first, by bandwidth
+    widths[i] = max |i - j| over their entries (1x1 blocks have width 0),
+    and the dense blocks last.  `band` holds every banded block in general
+    band form, band[w + i - j, j] = T at positions (i, j) with
+    w = band.shape[0] // 2, and is zero between blocks and on the dense
+    blocks; `dense` holds the full matrix of each dense block, in order.
+    """
+
+    perm: np.ndarray
+    bounds: np.ndarray
+    widths: np.ndarray
+    band: np.ndarray
+    dense: tuple = ()
+
+    @classmethod
+    def of_matrix(cls, matrix: np.ndarray) -> "BlockLayout":
+        """One dense block holding the whole matrix, in basis order."""
+        dim = matrix.shape[0]
+        return cls(perm=np.arange(dim), bounds=np.array([0, dim]),
+                   widths=np.zeros(0, dtype=np.int64),
+                   band=np.zeros((1, dim), dtype=complex), dense=(matrix,))
+
+    @property
+    def half_width(self) -> int:
+        return self.band.shape[0] // 2
+
+    def banded_blocks(self):
+        """(lo, hi, width) of each banded block."""
+        b = self.bounds
+        for i, width in enumerate(self.widths.tolist()):
+            yield int(b[i]), int(b[i + 1]), width
+
+    def dense_blocks(self):
+        """(lo, hi, matrix) of each dense block."""
+        b = self.bounds[len(self.widths):]
+        for i, D in enumerate(self.dense):
+            yield int(b[i]), int(b[i + 1]), D
+
+    def scaled(self, factor: float) -> "BlockLayout":
+        return replace(self, band=factor * self.band,
+                       dense=tuple(factor * D for D in self.dense))
+
+    def _to_basis(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[self.perm] = values
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal entries in basis order."""
+        d = self.band[self.half_width].copy()
+        for lo, hi, D in self.dense_blocks():
+            d[lo:hi] = np.diagonal(D)
+        return self._to_basis(d)
+
+    def trace(self) -> complex:
+        return complex(self.band[self.half_width].sum()
+                       + sum(np.trace(D) for _, _, D in self.dense_blocks()))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """T x, block by block."""
+        xp = np.asarray(x)[self.perm]
+        n, w = xp.size, self.half_width
+        y = np.zeros(n, dtype=complex)
+        for d in range(-w, w + 1):
+            row = self.band[w + d]
+            if d >= 0:
+                y[d:] += row[:n - d] * xp[:n - d]
+            else:
+                y[:n + d] += row[-d:] * xp[-d:]
+        for lo, hi, D in self.dense_blocks():
+            y[lo:hi] += D @ xp[lo:hi]
+        return self._to_basis(y)
+
+    def band_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, values) in basis indices of the nonzero band."""
+        d, j = np.nonzero(self.band)
+        i = j + d - self.half_width
+        return self.perm[i], self.perm[j], self.band[d, j]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, values) in basis indices, each entry once."""
+        rows, cols, vals = ([x] for x in self.band_entries())
+        for lo, hi, D in self.dense_blocks():
+            idx = self.perm[lo:hi]
+            rows.append(np.repeat(idx, idx.size))
+            cols.append(np.tile(idx, idx.size))
+            vals.append(D.reshape(-1))
+        return tuple(np.concatenate(x) for x in (rows, cols, vals))
+
+    def densify(self) -> np.ndarray:
+        dim = self.perm.size
+        T = np.zeros((dim, dim), dtype=complex)
+        rows, cols, vals = self.band_entries()
+        T[rows, cols] = vals
+        for lo, hi, D in self.dense_blocks():
+            idx = self.perm[lo:hi]
+            T[np.ix_(idx, idx)] = D
+        return T
+
+
+class HermitianOperator:
+    """T_{a dsigma} or S in charge blocks, tagged with its truncation.
+
+    `layout` holds the blocks (see `BlockLayout`); every spectral function
+    reads them block by block.  `matrix` builds the dense dim x dim matrix
+    on first request and keeps it.  HermitianOperator(matrix=A, ...) is
+    the operator of one dense block holding A.  The `hermitian` flag is
+    cleared for complex amplitudes, whose T is not Hermitian.
+    """
+
+    def __init__(self, matrix: Optional[np.ndarray] = None,
+                 trunc: Optional[FockTruncation] = None,
+                 normalization: str = "raw_T",  # raw_T | scaled_S
+                 scale_factor: float = 1.0, hermitian: bool = True,
+                 manifold_dim: Optional[int] = None,
+                 d_prime: Optional[int] = None,
+                 symbol_mass: Optional[complex] = None,  # integral of a dsigma
+                 flush_bound: float = 0.0,  # bound on ||T - T_unflushed||_2
+                 offblock_bound: float = 0.0,  # same for zeroed charges
+                 layout: Optional[BlockLayout] = None):
+        if (matrix is None) == (layout is None):
+            raise ValueError("give exactly one of matrix and layout")
+        if layout is None:
+            layout = BlockLayout.of_matrix(matrix)
+        self.layout = layout
+        self._matrix = matrix
+        self.trunc = trunc
+        self.normalization = normalization
+        self.scale_factor = scale_factor
+        self.hermitian = hermitian
+        self.manifold_dim = manifold_dim
+        self.d_prime = d_prime
+        self.symbol_mass = symbol_mass
+        self.flush_bound = flush_bound
+        self.offblock_bound = offblock_bound
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.layout.perm.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self.layout.densify()
+        return self._matrix
 
     def trace(self) -> complex:
-        t = complex(np.trace(self.matrix))
+        t = self.layout.trace()
         return t.real if self.hermitian else t
 
 
@@ -208,15 +373,98 @@ def _sector_axes(block: QuadratureBlock):
     return tuple(axes), np.stack(charges, axis=1)
 
 
-def _sector_pass(trunc: FockTruncation, block: QuadratureBlock,
-                 wa: np.ndarray, axes: tuple, charges: np.ndarray,
-                 Xt: np.ndarray, is_real: bool) -> tuple[float, ...]:
-    """Add one block to Xt by discrete Fourier sums over its rotation axes.
+@dataclass
+class _Sector:
+    """Fourier-sector data of one quadrature block (module notes)."""
 
-    Xt is the C-ordered view of the accumulator: T itself for complex
-    amplitudes, conj(T) in its lower triangle for real ones.  Returns
-    ||C'||^2, the bound on ||Delta C||^2, and the bounds on what the flush
-    and the invariant zeroing of Fourier coefficients change (module notes).
+    F: np.ndarray  # (explicit node theta, charge): coefficients / S_theta
+    V: np.ndarray  # sqrt(S_theta) U at the base points, flushed
+    q: np.ndarray  # (dim, rotation axes) charge of each basis function
+    shape: tuple  # nodes per rotation axis
+    mult: int  # most basis functions sharing one charge
+    peak: np.ndarray  # mult max|V_theta|^2 per explicit node
+    norm2: float  # ||C'||^2
+    dropped2: float  # bound on ||Delta C||^2
+    keep: np.ndarray  # charges with a coefficient above the rounding floor
+
+    @property
+    def flat_q(self) -> np.ndarray:
+        return np.ravel_multi_index(self.q.T, self.shape)
+
+    def zero_and_flush(self, drop: np.ndarray) -> tuple[float, float]:
+        """Zero the charges in `drop` and flush the rest of F, in place.
+
+        Returns the bounds on what the flush and the zeroing change.
+        """
+        F = self.F
+        off_charge = np.abs(F[:, drop]).sum(axis=1)
+        F[:, drop] = 0.0
+        parts = F.view(np.float64)
+        small = (parts > -_FLUSH) & (parts < _FLUSH)
+        flushed = np.abs(np.where(small, parts, 0.0)).sum(axis=1)
+        parts[small] = 0.0
+        # ||diag(conj v) G diag(v)|| <= mult max|v|^2 sum|G coefficients|
+        return float(self.peak @ flushed), float(self.peak @ off_charge)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (n, m, charge) with q_m - q_n = charge mod L a kept charge."""
+        dim = self.q.shape[0]
+        flat = self.flat_q
+        members = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=self.F.shape[1])
+        starts = np.cumsum(counts) - counts
+        rows, cols, charges = [], [], []
+        for c in np.flatnonzero(self.keep):
+            shift = np.array(np.unravel_index(c, self.shape))
+            partner = np.ravel_multi_index(((self.q + shift) % self.shape).T,
+                                           self.shape)
+            n = counts[partner]
+            offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            rows.append(np.repeat(np.arange(dim), n))
+            cols.append(members[np.repeat(starts[partner], n) + offset])
+            charges.append(np.full(offset.size, c))
+        return tuple(np.concatenate(x) for x in (rows, cols, charges))
+
+    def fill_dense(self, Xt: np.ndarray, is_real: bool) -> None:
+        """Add the sector sum to Xt, the C-ordered view of the accumulator:
+        T itself for complex amplitudes, conj(T) in its lower triangle for
+        real ones."""
+        F, V, q, shape = self.F, self.V, self.q, self.shape
+        dim = q.shape[0]
+        diag = np.diag_indices(dim)
+        if self.mult == 1 and not np.any(F[:, 1:]):  # T is exactly diagonal
+            Xt[diag] += (V.real ** 2 + V.imag ** 2).T @ F[:, 0]
+            return
+        # Xt[r, c] += sum_theta R_r C_c F[q_c - q_r] with R = conj(V), C = V
+        # for T, and all three conjugated for the lower triangle of conj(T)
+        V = np.ascontiguousarray(V)
+        if is_real:
+            R, C, F = V, V.conj(), F.conj()
+        else:
+            R, C = V.conj(), V
+        strides = np.array([math.prod(shape[i + 1:])
+                            for i in range(len(shape))])
+        for lo, hi in _row_blocks(dim):
+            cols = hi if is_real else dim
+            D = (q[None, :cols, :] - q[lo:hi, None, :]) % np.array(shape)
+            D = D @ strides
+            acc = Xt[lo:hi, :cols]
+            work = np.empty(D.shape, dtype=complex)
+            for t in range(F.shape[0]):
+                np.take(F[t], D, out=work, mode="clip")
+                work *= R[t, lo:hi, None]
+                work *= C[t, None, :cols]
+                acc += work
+        if is_real:
+            Xt[diag] = Xt[diag].real  # the rounding of R C F leaves imaginary dust
+
+
+def _sector(trunc: FockTruncation, block: QuadratureBlock, wa: np.ndarray,
+            axes: tuple, charges: np.ndarray,
+            is_real: bool) -> Optional[_Sector]:
+    """Fourier coefficients and base-point basis values of one block.
+
+    None when w a vanishes on the block.
     """
     shape = block.shape
     rot_shape = tuple(shape[a] for a in axes)
@@ -229,7 +477,7 @@ def _sector_pass(trunc: FockTruncation, block: QuadratureBlock,
     live = scale > 0
     wa_grid, scale = wa_grid[live], scale[live]
     if not scale.size:
-        return 0.0, 0.0, 0.0, 0.0
+        return None
     rot = wa_grid[0].size
     # F[theta, q] = sum_phi w a e^{2 pi i phi . q / L}, relative to scale
     from numpy.fft import ifftn
@@ -237,55 +485,142 @@ def _sector_pass(trunc: FockTruncation, block: QuadratureBlock,
     F *= (rot / scale)[:, None]
     if is_real:
         F[:, 0] = F[:, 0].real  # exact for real w a; keeps diag(T) real
+    # charges whose coefficients all lie within the FFT's rounding floor
+    keep = (np.abs(F).max(axis=0)
+            > max(1, math.ceil(math.log2(rot))) * _EPS)
+    keep[0] = True
+    if is_real:  # F[-q] = conj F[q] up to rounding: keep both or neither
+        grid = np.arange(rot).reshape(rot_shape)
+        minus = np.roll(np.flip(grid), 1, axis=tuple(range(grid.ndim)))
+        keep |= keep[minus.reshape(-1)]
     q = trunc.exponent_matrix @ charges % np.array(rot_shape)
-    flat_q = np.ravel_multi_index(q.T, rot_shape)
-    mult = int(np.bincount(flat_q).max())
-    # invariant amplitudes: coefficients off charge 0 are FFT rounding
-    invariant = (rot > 1 and np.abs(F[:, 1:]).max()
-                 <= max(1, math.ceil(math.log2(rot))) * _EPS)
-    off_charge = np.zeros(scale.size)
-    if invariant:
-        off_charge = np.abs(F[:, 1:]).sum(axis=1)
-        F[:, 1:] = 0.0
-    parts = F.view(np.float64)
-    small = (parts > -_FLUSH) & (parts < _FLUSH)
-    flushed = np.abs(np.where(small, parts, 0.0)).sum(axis=1)
-    parts[small] = 0.0
+    mult = int(np.bincount(np.ravel_multi_index(q.T, rot_shape)).max())
     # V = sqrt(sum_phi |w a|) U at the base points phi = 0
     V = eval_basis_matrix(trunc, block.points[order.reshape(-1, rot)[live, 0]])
     V *= np.sqrt(scale)[:, None]
     norm2, dropped2 = _flush(V)
-    # ||diag(conj v) G diag(v)|| <= mult max|v|^2 sum|G coefficients|
-    peak = mult * np.abs(V).max(axis=1) ** 2
-    bounds = (norm2, dropped2, float(peak @ flushed), float(peak @ off_charge))
-    # Xt[r, c] += sum_theta R_r C_c F[q_c - q_r] with R = conj(V), C = V for
-    # T, and all three conjugated for the lower triangle of conj(T)
-    dim = trunc.dim
-    diag = np.diag_indices(dim)
-    if invariant and mult == 1:  # T is exactly diagonal
-        Xt[diag] += (V.real ** 2 + V.imag ** 2).T @ F[:, 0]
-        return bounds
-    V = np.ascontiguousarray(V)
+    return _Sector(F=F, V=V, q=q, shape=rot_shape, mult=mult,
+                   peak=mult * np.abs(V).max(axis=1) ** 2, norm2=norm2,
+                   dropped2=dropped2, keep=keep)
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on n nodes with edges (rows, cols).
+
+    Each node is labelled with the least node of its component: roots hook
+    onto the least root across an edge, then pointer jumping flattens the
+    trees, until no edge joins two labels.
+    """
+    label = np.arange(n)
+    while True:
+        least = np.minimum(label[rows], label[cols])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[rows], least)
+        np.minimum.at(hooked, label[cols], least)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def _dilation_width(lower, upper):
+    """Bandwidth of the interleaved dilation [[0, B], [B^H, 0]] of a block
+    B with these lower and upper bandwidths, or of B^H's if narrower:
+    max(2l - 1, 2u + 1) for l >= u (`spectral` module notes)."""
+    hi, lo = np.maximum(lower, upper), np.minimum(lower, upper)
+    return np.maximum(2 * hi - 1, 2 * lo + 1)
+
+
+def _charge_blocks(sectors: list[_Sector], dim: int, is_real: bool):
+    """Blocks of the charge graph, or None for one wide component.
+
+    Basis functions n and m are linked when q_m - q_n mod L is a kept
+    charge of some sector.  Each component is ordered by charge; a block
+    whose solver width exceeds _BAND_MAX is dense.  Returns perm, bounds
+    and widths in `BlockLayout` order, and the pairs of each sector.
+    """
+    # a row links to at most (kept charges) * mult others: past a quarter of
+    # dim, and past the rows of a band of width _BAND_MAX, the support is
+    # too wide for blocks to pay
+    if any(np.count_nonzero(s.keep) * s.mult > max(dim / 4, 2 * _BAND_MAX + 1)
+           for s in sectors):
+        return None
+    pairs = [s.pairs() for s in sectors]
+    none = np.zeros(0, dtype=np.int64)
+    rows = np.concatenate([p[0] for p in pairs] + [none])
+    cols = np.concatenate([p[1] for p in pairs] + [none])
+    _, comp = np.unique(_components(dim, rows, cols), return_inverse=True)
+    keys = (sectors[0].flat_q, comp) if sectors else (comp,)
+    order = np.lexsort(keys)  # by component, then charge
+    pos = np.empty(dim, dtype=np.int64)
+    pos[order] = np.arange(dim)
+    step = pos[rows] - pos[cols]
+    lower = np.zeros(comp.max() + 1, dtype=np.int64)
+    upper = np.zeros_like(lower)
+    np.maximum.at(lower, comp[rows], step)
+    np.maximum.at(upper, comp[rows], -step)
+    width = np.maximum(lower, upper)
+    # the band each block's solver takes: its own, or its dilation's
+    dense = (width if is_real else _dilation_width(lower, upper)) > _BAND_MAX
+    if dense.size == 1 and dense[0]:
+        return None
+    # banded blocks by bandwidth, then dense blocks; each keeps its order
+    rank = np.empty_like(width)
+    rank[np.lexsort((width, dense))] = np.arange(width.size)
+    perm = order[np.argsort(rank[comp[order]], kind="stable")]
+    sizes = np.bincount(rank[comp], minlength=width.size)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    blocks_in_order = np.argsort(rank)
+    widths = width[blocks_in_order][~dense[blocks_in_order]]
+    return perm, bounds, widths, pairs
+
+
+def _fill_blocks(sectors: list[_Sector], perm: np.ndarray,
+                 bounds: np.ndarray, widths: np.ndarray, pairs: list,
+                 is_real: bool) -> BlockLayout:
+    """Sum the in-support entries of every sector into the blocks."""
+    dim = perm.size
+    w = int(widths.max(initial=0))
+    pos = np.empty(dim, dtype=np.int64)
+    pos[perm] = np.arange(dim)
+    band = np.zeros((2 * w + 1, dim), dtype=complex)
+    # the dense blocks, row-major one after another in one buffer
+    dense_lo = bounds[len(widths):]
+    size = np.diff(dense_lo)
+    start = np.concatenate([[0], np.cumsum(size * size)])
+    buffer = np.zeros(start[-1], dtype=complex)
+    dense = [buffer[start[i]:start[i + 1]].reshape(n, n)
+             for i, n in enumerate(size)]
+    for sec, (rows, cols, charges) in zip(sectors, pairs):
+        i, j = pos[rows], pos[cols]
+        if is_real:  # the lower triangle; the upper is its conjugate
+            lower = i >= j
+            rows, cols, charges = rows[lower], cols[lower], charges[lower]
+            i, j = i[lower], j[lower]
+        # T_nm = sum_theta conj(V_theta,n) V_theta,m F_theta[q_m - q_n]
+        vals = np.zeros(rows.size, dtype=complex)
+        for t in range(sec.F.shape[0]):
+            vals += sec.V[t, rows].conj() * sec.V[t, cols] * sec.F[t, charges]
+        # (n, m) pairs are distinct within a sector, so += adds each once
+        b = np.searchsorted(dense_lo, i, side="right") - 1
+        banded = b < 0
+        band[w + i[banded] - j[banded], j[banded]] += vals[banded]
+        b, r, c = b[~banded], i[~banded], j[~banded]
+        buffer[start[b] + (r - dense_lo[b]) * size[b] + c - dense_lo[b]] \
+            += vals[~banded]
     if is_real:
-        R, C, F = V, V.conj(), F.conj()
-    else:
-        R, C = V.conj(), V
-    strides = np.array([math.prod(rot_shape[i + 1:])
-                        for i in range(len(rot_shape))])
-    for lo, hi in _row_blocks(dim):
-        cols = hi if is_real else dim
-        D = (q[None, :cols, :] - q[lo:hi, None, :]) % np.array(rot_shape)
-        D = D @ strides
-        acc = Xt[lo:hi, :cols]
-        work = np.empty(D.shape, dtype=complex)
-        for t in range(F.shape[0]):
-            np.take(F[t], D, out=work, mode="clip")
-            work *= R[t, lo:hi, None]
-            work *= C[t, None, :cols]
-            acc += work
-    if is_real:
-        Xt[diag] = Xt[diag].real  # the rounding of R C F leaves imaginary dust
-    return bounds
+        band[w] = band[w].real
+        for d in range(1, w + 1):
+            band[w - d, d:] = band[w + d, :dim - d].conj()
+        for D in dense:
+            _mirror_lower(D)
+            D[np.diag_indices(D.shape[0])] = D.diagonal().real
+    return BlockLayout(perm=perm, bounds=bounds, widths=widths, band=band,
+                       dense=tuple(dense))
 
 
 def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
@@ -293,37 +628,79 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     """Assemble T_{a dsigma} as a Gram matrix over the quadrature.
 
     a: None (constant 1), a scalar, or a callable on (m, d) chart nodes.
-    Real amplitudes give an exactly Hermitian matrix; complex ones are
-    assembled as-is with the hermitian flag cleared.  Blocks whose periodic
-    axes rotate the points are summed by Fourier sectors, the rest node by
-    node (module notes).
+    Real amplitudes give an exactly Hermitian operator; complex ones are
+    assembled as-is with the hermitian flag cleared.  When the periodic
+    axes of every block rotate the points, T is summed by Fourier sectors
+    straight into its charge blocks.  Otherwise, or when the charges link
+    into one wide block, T is one dense matrix, summed by sectors where
+    a block allows and node by node elsewhere (module notes).
+    """
+    dim = trunc.dim
+    weighted = [block.weights * amp_values(a, block) for block in quad.blocks]
+    mass = complex(sum(np.sum(wa) for wa in weighted))
+    is_real = not any(np.iscomplexobj(wa) and np.abs(wa.imag).max() > 0
+                      for wa in weighted)
+    if is_real:
+        weighted = [wa.real for wa in weighted]
+    axes = [_sector_axes(block) for block in quad.blocks]
+    sectors = [None if ax is None else _sector(trunc, block, wa, *ax, is_real)
+               for block, wa, ax in zip(quad.blocks, weighted, axes)]
+    live = [sec for sec in sectors if sec is not None]
+    blocks = None
+    if all(ax is not None for ax in axes):
+        blocks = _charge_blocks(live, dim, is_real)
+    if blocks is not None:
+        zeroed = [sec.zero_and_flush(~sec.keep) for sec in live]
+        stored = {"layout": _fill_blocks(live, *blocks, is_real=is_real)}
+        norm2 = sum(sec.norm2 for sec in live)
+        dropped2 = sum(sec.dropped2 for sec in live)
+    else:
+        T, norm2, dropped2, zeroed = _assemble_dense(trunc, quad, weighted,
+                                                     axes, sectors, is_real)
+        stored = {"matrix": T}
+    dC = math.sqrt(dropped2)
+    op = HermitianOperator(**stored, trunc=trunc, normalization="raw_T",
+                           hermitian=is_real, manifold_dim=sub.dim,
+                           symbol_mass=mass,
+                           flush_bound=dC * (2.0 * math.sqrt(norm2) + dC)
+                           + sum(f for f, _ in zeroed),
+                           offblock_bound=sum(o for _, o in zeroed))
+    _warn_if_truncated(op)
+    return op
+
+
+def _assemble_dense(trunc: FockTruncation, quad: Quadrature, weighted: list,
+                    axes: list, sectors: list, is_real: bool):
+    """T as one dense matrix: sector sums where a block has them, zherk or
+    zgemm node by node elsewhere.  Coefficients are zeroed only when every
+    charge but 0 lies within the rounding floor (module notes).
+
+    Returns T, ||C'||^2, the bound on ||Delta C||^2 and the (flush,
+    zeroing) bounds of each sector.
     """
     # scipy.linalg costs more to import than the whole package, so it is
     # loaded on first assembly rather than with the module
     from scipy.linalg.blas import zgemm, zherk
 
     dim = trunc.dim
-    weighted = [block.weights * amp_values(a, block) for block in quad.blocks]
-    mass = complex(sum(np.sum(wa) for wa in weighted))
-    is_real = not any(np.iscomplexobj(wa) and np.abs(wa.imag).max() > 0
-                      for wa in weighted)
     # basis values come in Fortran order, so C and C^T pass to BLAS uncopied
     # and X accumulates in Fortran order: T^T for zgemm, the upper triangle
     # of T for zherk
     X = np.zeros((dim, dim), dtype=complex, order="F")
-    norm2 = dropped2 = f_flush = off_block = 0.0
-    for block, wa in zip(quad.blocks, weighted):
-        if is_real:
-            wa = wa.real
-        sector = _sector_axes(block)
-        if sector is not None:
-            n2, d2, f2, o2 = _sector_pass(trunc, block, wa, *sector, X.T,
-                                          is_real)
-            norm2 += n2
-            dropped2 += d2
-            f_flush += f2
-            off_block += o2
+    norm2 = dropped2 = 0.0
+    zeroed = []
+    for block, wa, ax, sec in zip(quad.blocks, weighted, axes, sectors):
+        if sec is not None:
+            drop = ~sec.keep
+            if sec.keep[1:].any():
+                drop[:] = False
+            zeroed.append(sec.zero_and_flush(drop))
+            sec.fill_dense(X.T, is_real)
+            norm2 += sec.norm2
+            dropped2 += sec.dropped2
             continue
+        if ax is not None:
+            continue  # w a vanishes on the block
         if is_real:
             passes = ((1.0, np.flatnonzero(wa > 0)),
                       (-1.0, np.flatnonzero(wa < 0)))
@@ -352,25 +729,18 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
         # its transpose holds conj(T): mirror it, then conjugate once
         _mirror_lower(T)
         np.conjugate(T, out=T)
-    dC = math.sqrt(dropped2)
-    op = HermitianOperator(matrix=T, trunc=trunc, normalization="raw_T",
-                           hermitian=is_real, manifold_dim=sub.dim,
-                           symbol_mass=mass,
-                           flush_bound=dC * (2.0 * math.sqrt(norm2) + dC)
-                           + f_flush,
-                           offblock_bound=off_block)
-    _warn_if_truncated(op)
-    return op
+    return T, norm2, dropped2, zeroed
 
 
 def _warn_if_truncated(op: HermitianOperator) -> None:
     trunc = op.trunc
-    total = abs(np.trace(op.matrix))
+    diag = op.layout.diagonal()
+    total = abs(diag.sum())
     if total == 0:
         return
     degrees = trunc.exponent_matrix.sum(axis=1)
     boundary = degrees == trunc.max_degree
-    share = float(np.abs(np.diag(op.matrix))[boundary].sum()) / total
+    share = float(np.abs(diag)[boundary].sum()) / total
     if share > 1e-8:
         warnings.warn(
             f"top-degree basis functions carry {share:.2e} of the trace; "
@@ -384,17 +754,20 @@ def s_factor(k: float, N: int, d: int, d_prime: int) -> float:
 
 
 def scale_to_S(op: HermitianOperator, d_prime: int) -> HermitianOperator:
-    """S = s_factor * T."""
+    """S = s_factor * T, block by block."""
     if op.normalization != "raw_T":
         raise ValueError("operator is already scaled")
     if op.manifold_dim is None:
         raise ValueError("operator lacks the manifold dimension tag")
     factor = s_factor(op.trunc.k, op.trunc.ambient_dim, op.manifold_dim,
                       d_prime)
-    return replace(op, matrix=factor * op.matrix, normalization="scaled_S",
-                   scale_factor=factor, d_prime=d_prime,
-                   flush_bound=factor * op.flush_bound,
-                   offblock_bound=factor * op.offblock_bound)
+    return HermitianOperator(layout=op.layout.scaled(factor), trunc=op.trunc,
+                             normalization="scaled_S", scale_factor=factor,
+                             hermitian=op.hermitian,
+                             manifold_dim=op.manifold_dim, d_prime=d_prime,
+                             symbol_mass=op.symbol_mass,
+                             flush_bound=factor * op.flush_bound,
+                             offblock_bound=factor * op.offblock_bound)
 
 
 def covariant_symbol(trunc: FockTruncation, sub: ChartedSubmanifold, a,
@@ -417,10 +790,27 @@ def exact_trace(op: HermitianOperator) -> tuple[float, float, float]:
     if op.symbol_mass is None:
         raise ValueError("operator lacks the recorded amplitude mass")
     k, N = op.trunc.k, op.trunc.ambient_dim
-    observed = float(np.trace(op.matrix).real)
+    observed = float(op.layout.trace().real)
     predicted = (k / math.pi) ** N * op.symbol_mass.real
     gap = abs(observed - predicted) / max(abs(predicted), 1e-300)
     return observed, predicted, gap
+
+
+def trace_product(op_a: HermitianOperator, op_b: HermitianOperator) -> complex:
+    """Tr(A B) = sum_nm A_nm B_mn over the stored entries of both."""
+    if op_a.dim != op_b.dim:
+        raise ValueError("operator dimensions differ")
+    dim = op_a.dim
+    ra, ca, va = op_a.layout.entries()
+    rb, cb, vb = op_b.layout.entries()
+    if not vb.size:
+        return 0j
+    keys = rb * dim + cb
+    order = np.argsort(keys)
+    want = ca * dim + ra  # B_mn for each A_nm
+    at = np.minimum(np.searchsorted(keys, want, sorter=order), keys.size - 1)
+    hit = keys[order[at]] == want
+    return complex(np.sum(va[hit] * vb[order[at[hit]]]))
 
 
 def _real_coords(blocks) -> np.ndarray:
@@ -488,87 +878,3 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
         chain = chain @ ((weights * av)[:, None] * kernel)
     N = sub.ambient_dim
     return (k / math.pi) ** (N * n) * complex(np.trace(chain))
-
-
-def assemble_polynomial_multiplier(trunc: FockTruncation,
-                                   terms: Sequence[tuple]) -> np.ndarray:
-    """Matrix of the ordinary Berezin-Toeplitz operator of a polynomial.
-
-    terms: list of (coeff, alpha, beta) meaning coeff * z^alpha * conj(z)^beta.
-    Entries come from the closed-form Gaussian moments
-    int z^p conj(z)^q e^{-k|z|^2} dL = delta_{pq} pi p! / k^{p+1} per factor.
-    """
-    k, N = trunc.k, trunc.ambient_dim
-    E = trunc.exponent_matrix
-    dim = trunc.dim
-    log_norms = trunc.log_norms
-    M = np.zeros((dim, dim), dtype=complex)
-    for coeff, alpha, beta in terms:
-        alpha = np.asarray(alpha, dtype=np.int64)
-        beta = np.asarray(beta, dtype=np.int64)
-        if alpha.shape != (N,) or beta.shape != (N,):
-            raise ValueError("alpha and beta must have N components")
-        # nonzero iff alpha + n == beta + m componentwise
-        shift = alpha - beta
-        for nn in range(dim):
-            p = E[nn] + alpha
-            mm_exp = E[nn] + shift
-            if np.any(mm_exp < 0) or mm_exp.sum() > trunc.max_degree:
-                continue
-            mm = trunc._index_map.get(tuple(int(x) for x in mm_exp))
-            if mm is None:
-                continue
-            log_val = float(np.sum([math.lgamma(pj + 1) for pj in p])) \
-                + N * math.log(math.pi) - (p.sum() + N) * math.log(k)
-            M[mm, nn] += coeff * math.exp(log_val - log_norms[mm] - log_norms[nn])
-    return M
-
-
-def mixed_trace_polynomial_H(trunc: FockTruncation, sub: ChartedSubmanifold, a,
-                             H_terms: Sequence[tuple], quad: Quadrature
-                             ) -> tuple[complex, complex, float]:
-    """Trace of T_H T_{a dsigma} vs the leading term (k/pi)^N int H a dsigma."""
-    op = assemble_T(trunc, sub, a, quad)
-    TH = assemble_polynomial_multiplier(trunc, H_terms)
-    observed = complex(np.sum(TH.T * op.matrix))  # trace(TH @ T)
-    k, N = trunc.k, trunc.ambient_dim
-
-    def H_at(block: QuadratureBlock) -> np.ndarray:
-        vals = np.zeros(block.size, dtype=complex)
-        for coeff, alpha, beta in H_terms:
-            alpha = np.asarray(alpha)
-            beta = np.asarray(beta)
-            vals += coeff * np.prod(block.points ** alpha, axis=1) \
-                * np.prod(block.points.conj() ** beta, axis=1)
-        return vals
-
-    integral = 0.0 + 0.0j
-    for block in quad.blocks:
-        integral += np.sum(block.weights * amp_values(a, block) * H_at(block))
-    predicted = (k / math.pi) ** N * integral
-    gap = abs(observed - predicted) / max(abs(predicted), 1e-300)
-    return observed, predicted, gap
-
-
-# --- binary export -----------------------------------------------------------
-
-_HEADER = struct.Struct("<IfII")  # dim, k, N, M: 16 bytes
-
-
-def write_matrix(op: HermitianOperator, path) -> None:
-    """Binary layout: 16-byte header (dim, k, N, M), then row-major
-    complex128 little-endian entries."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(op.dim, float(op.trunc.k),
-                              op.trunc.ambient_dim, op.trunc.max_degree))
-        fh.write(np.ascontiguousarray(op.matrix, dtype="<c16").tobytes())
-
-
-def read_matrix(path) -> tuple[np.ndarray, float, int, int]:
-    """Inverse of write_matrix; returns (matrix, k, N, M)."""
-    with open(path, "rb") as fh:
-        dim, k, N, M = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != dim * dim:
-        raise ValueError("matrix payload size does not match header")
-    return data.reshape(dim, dim).copy(), float(k), int(N), int(M)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +31,13 @@ __all__ = [
 
 
 class DslError(Exception):
-    pass
+    expression: Optional[str] = None  # the text that failed to parse
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.expression is None:
+            return message
+        return f"{message} in {self.expression!r}"
 
 
 class DslSyntaxError(DslError):
@@ -226,8 +233,15 @@ class _Parser:
 
 
 def parse(text: str, dim: int) -> Expr:
-    """Parse an expression in variables t1..t{dim}."""
-    return _Parser(text, dim).parse()
+    """Parse an expression in variables t1..t{dim}.
+
+    A syntax error or an unknown variable names the expression.
+    """
+    try:
+        return _Parser(text, dim).parse()
+    except (DslSyntaxError, UnknownVariableError) as exc:
+        exc.expression = text
+        raise
 
 
 # --- evaluation ------------------------------------------------------------

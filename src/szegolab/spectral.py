@@ -1,8 +1,18 @@
 """Eigendecomposition and spectral functionals.
 
 Everything downstream of assembly reads spectra through SpectralSummary:
-traces of test functions, interval counts, Schatten sums, entropy, trace
-distance, and the log-log rate regressions used to check O(1/k) claims.
+traces of test functions, interval counts, Schatten sums, entropy, and the
+log-log rate regressions used to check O(1/k) claims.
+
+Eigenvalues and singular values are computed block by block from the
+operator's `BlockLayout`: 1x1 blocks are their own spectrum, the
+tridiagonal blocks go to one `eigvalsh_tridiagonal` call (the couplings
+between blocks are exact zeros, where it splits), wider banded blocks to
+`eig_banded`, and dense blocks to LAPACK's dense solvers.  A non-Hermitian
+banded block B gives its singular values as the nonnegative eigenvalues of
+the Hermitian dilation [[0, B], [B^H, 0]] with rows and columns
+interleaved, itself banded; this does not square the condition number as
+the eigenvalues of B^H B would.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import HermitianOperator
+from .assembly import HermitianOperator, _dilation_width
 
 __all__ = [
     "SpectralSummary",
@@ -25,7 +35,6 @@ __all__ = [
     "singular_values",
     "schatten_sum",
     "entropy",
-    "trace_distance",
     "rate_regression",
     "power_function",
     "entropy_function",
@@ -102,18 +111,52 @@ def _clamped(eigs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigensolve(op: HermitianOperator) -> SpectralSummary:
-    """Full descending spectrum of a Hermitian operator matrix.
+def _band_eigvals(ab: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian band matrix with lower band form ab."""
+    if ab.shape[0] == 1:
+        return ab[0].real.copy()
+    from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+    if ab.shape[0] == 2:
+        # a unitary diagonal similarity makes the off-diagonal |ab[1]|
+        return eigvalsh_tridiagonal(ab[0].real, np.abs(ab[1, :-1]))
+    return eig_banded(ab, lower=True, eigvals_only=True)
 
-    An exactly diagonal matrix, which sector assembly gives for invariant
-    amplitudes, is its own spectrum and skips the eigensolver.
-    """
+
+def _dense_eigvals(D: np.ndarray) -> np.ndarray:
+    diag = np.diagonal(D).real
+    if np.count_nonzero(D) == np.count_nonzero(diag):
+        return np.sort(diag)  # an exactly diagonal block is its own spectrum
+    return np.linalg.eigvalsh(D)
+
+
+def _runs(layout, merged: tuple):
+    """(lo, hi, width) over the banded blocks.  The blocks of each width in
+    `merged` form one run, which a band solver splits at the exact zeros
+    between them; the others come one by one."""
+    b, widths = layout.bounds, layout.widths
+    for width in merged:
+        sel = np.flatnonzero(widths == width)
+        if sel.size:
+            yield int(b[sel[0]]), int(b[sel[-1] + 1]), width
+    for lo, hi, width in layout.banded_blocks():
+        if width not in merged:
+            yield lo, hi, width
+
+
+def _descending(parts: list[np.ndarray]) -> np.ndarray:
+    return np.sort(np.concatenate(parts + [np.zeros(0)]))[::-1].copy()
+
+
+def eigensolve(op: HermitianOperator) -> SpectralSummary:
+    """Full descending spectrum of a Hermitian operator, block by block."""
     if not op.hermitian:
         raise ValueError("eigensolve requires the Hermitian flag")
-    diag = np.diagonal(op.matrix).real
-    diagonal = np.count_nonzero(op.matrix) == np.count_nonzero(diag)
-    eigs = (np.sort(diag) if diagonal
-            else np.linalg.eigvalsh(op.matrix))[::-1].copy()
+    layout = op.layout
+    w = layout.half_width
+    parts = [_band_eigvals(layout.band[w:w + width + 1, lo:hi])
+             for lo, hi, width in _runs(layout, (0, 1))]
+    parts += [_dense_eigvals(D) for _, _, D in layout.dense_blocks()]
+    eigs = _descending(parts)
     return SpectralSummary(eigenvalues=eigs, k=op.trunc.k,
                            ambient_dim=op.trunc.ambient_dim,
                            manifold_dim=op.manifold_dim, d_prime=op.d_prime,
@@ -137,13 +180,52 @@ def weyl_count(spec: SpectralSummary, interval) -> int:
     return int(np.count_nonzero((eigs >= lo) & (eigs <= hi)))
 
 
-def singular_values(op: HermitianOperator) -> np.ndarray:
-    """Descending singular values, from an SVD of the matrix itself.
+def _dilation_singular_values(ab: np.ndarray) -> np.ndarray:
+    """Singular values of the block B with general band form ab, from its
+    interleaved dilation (module notes)."""
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    reach = min(w, n - 1)  # the band of the whole layout may be wider
+    lower = max((d for d in range(1, reach + 1) if ab[w + d, :n - d].any()),
+                default=0)
+    upper = max((u for u in range(1, reach + 1) if ab[w - u, u:].any()),
+                default=0)
+    if upper > lower:  # B^H has the same singular values, a narrower band
+        flipped = np.zeros_like(ab)
+        for d in range(reach + 1):
+            flipped[w + d, :n - d] = ab[w - d, d:].conj()
+            flipped[w - d, d:] = ab[w + d, :n - d].conj()
+        ab, lower, upper = flipped, upper, lower
+    # B_ij sits at (2i, 2j + 1) of the dilation and conj(B_ij) at (2j + 1, 2i)
+    width = int(_dilation_width(lower, upper))
+    hb = np.zeros((width + 1, 2 * n), dtype=complex)
+    for d in range(1, lower + 1):
+        hb[2 * d - 1, 1:2 * (n - d):2] = ab[w + d, :n - d]
+    for u in range(upper + 1):
+        hb[2 * u + 1, 0:2 * (n - u):2] = ab[w - u, u:].conj()
+    return np.abs(np.sort(_band_eigvals(hb))[n:])
 
-    The eigenvalues of S^H S would square the condition number and lose
-    the small singular values that dominate Schatten sums with p < 2.
+
+def singular_values(op: HermitianOperator) -> np.ndarray:
+    """Descending singular values, block by block.
+
+    They come from the blocks themselves, never from the eigenvalues of
+    S^H S, which would square the condition number and lose the small
+    singular values that dominate Schatten sums with p < 2.  Hermitian
+    banded blocks give |eigenvalues|, non-Hermitian ones their dilation,
+    dense blocks an SVD.
     """
-    return np.linalg.svd(op.matrix, compute_uv=False)
+    layout = op.layout
+    w = layout.half_width
+    if op.hermitian:
+        parts = [np.abs(_band_eigvals(layout.band[w:w + width + 1, lo:hi]))
+                 for lo, hi, width in _runs(layout, (0, 1))]
+    else:
+        parts = [np.abs(layout.band[w, lo:hi]) if width == 0 else
+                 _dilation_singular_values(layout.band[:, lo:hi])
+                 for lo, hi, width in _runs(layout, (0,))]
+    parts += [np.linalg.svd(D, compute_uv=False)
+              for _, _, D in layout.dense_blocks()]
+    return _descending(parts)
 
 
 def schatten_sum(op: HermitianOperator, p):
@@ -169,14 +251,6 @@ def entropy(spec: SpectralSummary) -> float:
         raise ValueError(f"eigenvalues sum to {total}, not a density matrix")
     pos = eigs[eigs > 0]
     return float(-np.sum(pos * np.log(pos)))
-
-
-def trace_distance(op_a: HermitianOperator, op_b: HermitianOperator) -> float:
-    """Schatten-1 norm of the difference."""
-    if op_a.dim != op_b.dim:
-        raise ValueError("operator dimensions differ")
-    eigs = np.linalg.eigvalsh(op_a.matrix - op_b.matrix)
-    return float(np.abs(eigs).sum())
 
 
 @dataclass(frozen=True)

@@ -156,4 +156,4 @@ def rayleigh_lower_bound(op: HermitianOperator, coeffs: np.ndarray) -> float:
     norm2 = float(np.vdot(coeffs, coeffs).real)
     if norm2 <= 0:
         raise ValueError("zero test state")
-    return float(np.vdot(coeffs, op.matrix @ coeffs).real) / norm2
+    return float(np.vdot(coeffs, op.layout.apply(coeffs)).real) / norm2

@@ -15,15 +15,11 @@ from szegolab.assembly import (
     CostLimitError,
     TruncationWarning,
     assemble_T,
-    assemble_polynomial_multiplier,
     covariant_symbol,
     exact_trace,
-    mixed_trace_polynomial_H,
     nfold_trace_integral,
     pair_trace_integral,
-    read_matrix,
     scale_to_S,
-    write_matrix,
 )
 from szegolab.fock import FockTruncation, eval_basis_matrix
 from szegolab.spectral import eigensolve
@@ -153,48 +149,6 @@ def test_nfold_cost_budget():
         nfold_trace_integral(sub, [None, None], quad, 10.0, budget=10.0)
 
 
-def test_polynomial_multiplier_identity_and_number_operator():
-    trunc = FockTruncation(1, 3.0, 6)
-    ident = assemble_polynomial_multiplier(trunc, [(1.0, (0,), (0,))])
-    assert np.allclose(ident, np.eye(trunc.dim), atol=1e-12)
-    # |z|^2 acts diagonally with <n| |z|^2 |n> = (n+1)/k
-    num = assemble_polynomial_multiplier(trunc, [(1.0, (1,), (1,))])
-    diag = np.diag(num).real
-    for n in range(trunc.dim - 1):
-        assert diag[n] == pytest.approx((n + 1) / 3.0)
-
-
-def test_mixed_trace_polynomial_H():
-    k = 25.0
-    sub, trunc, quad = circle_setup(k)
-    # H = 1 reduces to the plain trace identity
-    obs, pred, gap = mixed_trace_polynomial_H(trunc, sub, None,
-                                              [(1.0, (0,), (0,))], quad)
-    assert obs.real == pytest.approx(2 * k, rel=1e-10)
-    assert gap <= 1e-10
-    # H = |z|^2 equals 1 on the circle, prediction 2k, gap O(1/k)
-    obs2, pred2, gap2 = mixed_trace_polynomial_H(trunc, sub, None,
-                                                 [(1.0, (1,), (1,))], quad)
-    assert pred2.real == pytest.approx(2 * k, rel=1e-12)
-    assert gap2 <= 5.0 / k
-    # H = z has zero prediction by symmetry
-    obs3, pred3, _ = mixed_trace_polynomial_H(trunc, sub, None,
-                                              [(1.0, (1,), (0,))], quad)
-    assert abs(pred3) <= 1e-10
-    assert abs(obs3) <= 1e-10
-
-
-def test_mixed_trace_gap_shrinks_like_one_over_k():
-    gaps = []
-    for k in (10.0, 20.0, 40.0):
-        sub, trunc, quad = circle_setup(k)
-        _, _, gap = mixed_trace_polynomial_H(trunc, sub, None,
-                                             [(1.0, (1,), (1,))], quad)
-        gaps.append(gap)
-    assert gaps[1] == pytest.approx(gaps[0] / 2, rel=0.2)
-    assert gaps[2] == pytest.approx(gaps[1] / 2, rel=0.2)
-
-
 def test_covariant_symbol():
     k = 30.0
     sub, trunc, quad = circle_setup(k)
@@ -211,17 +165,6 @@ def test_complex_amplitude_not_hermitian():
     op = assemble_T(trunc, sub, lambda t: np.exp(1j * t[:, 0]), quad)
     assert not op.hermitian
     assert np.abs(op.matrix - op.matrix.conj().T).max() > 1e-6
-
-
-def test_matrix_export_roundtrip(tmp_path):
-    sub, trunc, quad = circle_setup(6.0, M=28)
-    op = assemble_T(trunc, sub, None, quad)
-    path = tmp_path / "op.bin"
-    write_matrix(op, path)
-    assert path.stat().st_size == 16 + 16 * op.dim ** 2
-    matrix, k, N, M = read_matrix(path)
-    assert (k, N, M) == (6.0, 1, trunc.max_degree)
-    assert np.array_equal(matrix, op.matrix)
 
 
 def gemm_reference(trunc, quad, a):
@@ -350,10 +293,11 @@ def test_circle_k400_has_no_subnormals_and_tiny_flush_bound():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg takes longer to import than the package itself; assembly
-    # loads its BLAS wrappers on first use
+    # scipy.linalg and scipy.sparse take longer to import than the package
+    # itself; assembly and the block solvers load what they use on first use
     code = ("import sys, szegolab; "
-            "sys.exit('scipy.linalg' in sys.modules)")
+            "sys.exit('scipy.linalg' in sys.modules "
+            "or 'scipy.sparse' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -418,10 +362,26 @@ def test_invariant_operators_are_exactly_diagonal():
 
 
 def test_non_invariant_amplitude_keeps_every_coefficient():
-    trunc, sub, quad, a = reference_cases()["signed_cos"]
+    # charges 1 and 12 link the circle's basis into one block of bandwidth
+    # 12, which keeps the dense path and every coefficient the FFT gives
+    trunc, sub, quad, _ = reference_cases()["signed_cos"]
+    a = lambda t: np.cos(t[:, 0]) + 0.5 * np.cos(12 * t[:, 0])
     op = assemble_T(trunc, sub, a, quad)
     assert op.offblock_bound == 0
     assert off_diagonal_count(op.matrix) == trunc.dim * (trunc.dim - 1)
+
+
+def test_split_amplitude_zeroes_the_rounding_noise():
+    # cos t links charge n to n +- 1 only: one tridiagonal block whose
+    # entries off the three diagonals are exact zeros
+    trunc, sub, quad, a = reference_cases()["signed_cos"]
+    op = assemble_T(trunc, sub, a, quad)
+    assert op.layout.widths.tolist() == [1]
+    lam = np.abs(op.matrix).max()
+    assert 0 < op.offblock_bound <= 1e-13 * lam
+    band = np.abs(np.subtract.outer(np.arange(trunc.dim),
+                                    np.arange(trunc.dim))) <= 1
+    assert not np.any(op.matrix[~band])
 
 
 def test_charge_collisions_give_exact_blocks():

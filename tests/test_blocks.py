@@ -1,0 +1,213 @@
+"""Charge-block operators: layout, block-by-block spectra, dense-path rule."""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import szegolab.assembly as asm
+import szegolab.manifold as mfd
+from szegolab.assembly import (
+    TruncationWarning,
+    assemble_T,
+    exact_trace,
+    scale_to_S,
+    trace_product,
+)
+from szegolab.fock import FockTruncation, eval_basis_matrix
+from szegolab.spectral import eigensolve, schatten_sum, singular_values
+from szegolab.states import rayleigh_lower_bound
+
+EPS = np.finfo(np.float64).eps
+TWO_PI = 2.0 * math.pi
+
+
+def assemble(trunc, sub, a, quad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return assemble_T(trunc, sub, a, quad)
+
+
+def quadrature_sum(trunc, quad, a):
+    """sum over nodes of w a conj(u(z))^T u(z), as one dense product."""
+    T = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for block in quad.blocks:
+        B = eval_basis_matrix(trunc, block.points)
+        T += (B.conj() * (block.weights * a(block.nodes))[:, None]).T @ B
+    return T
+
+
+def torus_case(k=4.0):
+    sub = mfd.torus_product([1.0, 0.7])
+    M = math.ceil(4 * k * 1.49)
+    return FockTruncation(2, k, M), sub, mfd.quadrature(sub, 2 * M + 9)
+
+
+def circle_case(k=10.0):
+    sub = mfd.circle(1.0)
+    M = math.ceil(4 * k)
+    # at least 64 nodes, so that the sector sum applies at small k
+    quad = mfd.quadrature(sub, max(2 * M + 9, 72))
+    return FockTruncation(1, k, M), sub, quad
+
+
+def sphere_case(k=4.0):
+    sub = mfd.sphere3(1.0)
+    M = int(round(4 * k)) + 4
+    return (FockTruncation(2, k, M), sub,
+            mfd.quadrature(sub, [M // 2 + 1, M + 1, M + 1]))
+
+
+def test_one_dimensional_support_gives_tridiagonal_blocks():
+    trunc, sub, quad = torus_case()
+    a = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] + 0.3)
+    op = assemble(trunc, sub, a, quad)
+    layout = op.layout
+    # one chain over n1 for each n2
+    assert len(layout.bounds) - 1 == trunc.max_degree + 1
+    assert layout.widths.max() == 1 and not layout.dense
+    expect = quadrature_sum(trunc, quad, a)
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
+    # the zeroed entries are FFT rounding, and their bound is that small
+    assert 0 < op.offblock_bound <= 1e-13 * np.abs(expect).max()
+
+
+def test_wrap_around_charge_links_stay_in_the_block():
+    # 37 nodes per angle and degrees up to 36: charges 0 and 36 of the
+    # n2 = 0 chain meet mod 37, where F[-1] aliases a 1.7e-8 entry
+    sub = mfd.sphere3(1.0)
+    trunc = FockTruncation(2, 8.0, 36)
+    quad = mfd.quadrature(sub, [19, 37, 37])
+    a = lambda t: 1.0 + 0.5 * np.cos(t[:, 1])
+    op = assemble(trunc, sub, a, quad)
+    E = trunc.exponent_matrix
+    chain = np.flatnonzero(E[:, 1] == 0)
+    first = chain[E[chain, 0] == 0][0]
+    last = chain[E[chain, 0] == 36][0]
+    (cyclic,) = op.layout.dense
+    assert cyclic.shape == (37, 37)
+    T = op.matrix
+    assert 1e-8 < abs(T[first, last]) < 3e-8
+    expect = quadrature_sum(trunc, quad, a)
+    block = np.ix_(chain, chain)
+    scale = np.abs(expect).max()
+    assert np.abs(T[block] - expect[block]).max() <= 1e-13 * scale
+
+
+def test_one_wide_component_keeps_the_dense_path():
+    # support {0, +-e1, +-e2}: one component of bandwidth M + 1
+    trunc, sub, quad = torus_case()
+    a = lambda t: 1.0 + 0.25 * np.cos(t[:, 0] + 1.0) + 0.25 * np.cos(t[:, 1])
+    op = assemble(trunc, sub, a, quad)
+    layout = op.layout
+    assert len(layout.widths) == 0 and len(layout.dense) == 1
+    assert np.array_equal(layout.perm, np.arange(trunc.dim))
+    assert op.matrix is layout.dense[0]
+    assert op.offblock_bound == 0
+
+
+def test_split_operator_never_builds_the_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("densified a split operator")
+
+    monkeypatch.setattr(asm.BlockLayout, "densify", refuse)
+    trunc, sub, quad = torus_case()
+    op = assemble(trunc, sub, lambda t: 1.0 + 0.5 * np.cos(t[:, 0]), quad)
+    assert len(op.layout.widths) > 1
+    eigensolve(op)
+    singular_values(op)
+    schatten_sum(op, [1.0, 2.0])
+    exact_trace(op)
+    op.trace()
+    S = scale_to_S(op, 2)
+    eigensolve(S)
+    rayleigh_lower_bound(op, np.ones(trunc.dim))
+    trace_product(op, S)
+    ctrunc, circle, cquad = circle_case()
+    cop = assemble(ctrunc, circle,
+                   lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0])),
+                   cquad)
+    assert not cop.hermitian
+    singular_values(cop)
+    schatten_sum(scale_to_S(cop, 1), 1.0)
+    exact_trace(cop)
+
+
+def test_spectra_do_not_depend_on_the_matrix_cache():
+    trunc, sub, quad = sphere_case()
+    a = lambda t: 1.0 + 0.5 * np.cos(t[:, 1] + 0.7)
+    fresh, cached = (assemble(trunc, sub, a, quad) for _ in range(2))
+    cached.matrix
+    assert np.array_equal(eigensolve(fresh).eigenvalues,
+                          eigensolve(cached).eigenvalues)
+    assert np.array_equal(singular_values(fresh), singular_values(cached))
+
+
+def test_trace_product_matches_dense_product():
+    trunc, sub, quad = circle_case(20.0)
+    ops = [assemble(trunc, sub, a, quad) for a in
+           (None, lambda t: 1.0 + np.cos(t[:, 0]),
+            lambda t: np.exp(1j * t[:, 0]) * np.sin(t[:, 0]) ** 2)]
+    ops.append(asm.HermitianOperator(matrix=ops[1].matrix.copy(),
+                                     trunc=trunc))
+    for A in ops:
+        for B in ops:
+            expect = np.sum(A.matrix.T * B.matrix)
+            assert abs(trace_product(A, B) - expect) <= 1e-13 * abs(expect)
+
+
+def test_apply_matches_dense_product():
+    trunc, sub, quad = sphere_case()
+    op = assemble(trunc, sub, lambda t: 1.0 + 0.5 * np.cos(t[:, 1]), quad)
+    x = np.random.default_rng(3).normal(size=trunc.dim) + 0j
+    expect = op.matrix @ x
+    scale = np.abs(expect).max()
+    assert np.abs(op.layout.apply(x) - expect).max() <= 1e-13 * scale
+
+
+CASES = {"circle": circle_case, "torus": torus_case, "sphere3": sphere_case}
+# rotation axes of each chart, as columns of t
+ANGLES = {"circle": [0], "torus": [0, 1], "sphere3": [1, 2]}
+
+
+@st.composite
+def trig_amplitudes(draw):
+    """A random trigonometric polynomial on the rotation angles."""
+    case = draw(st.sampled_from(sorted(CASES)))
+    angles = ANGLES[case]
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.integers(-3, 3), min_size=len(angles),
+                 max_size=len(angles)),
+        st.floats(-0.5, 0.5), st.floats(0.0, TWO_PI)), min_size=1,
+        max_size=3))
+    imaginary = draw(st.booleans())
+    tilt = draw(st.floats(-0.5, 0.5))  # dependence on sphere3's s axis
+
+    def amplitude(t):
+        value = np.ones(t.shape[0], dtype=complex if imaginary else float)
+        for freq, coef, phase in terms:
+            wave = np.exp(1j * (t[:, angles] @ np.array(freq) + phase))
+            value = value + coef * (wave if imaginary else wave.real)
+        if case == "sphere3":
+            value = value * (1.0 + tilt * t[:, 0])
+        return value
+
+    return case, amplitude
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trig_amplitudes(), st.sampled_from([2.0, 3.0, 4.0]))
+def test_blocked_spectra_match_dense_solvers(drawn, k):
+    case, a = drawn
+    trunc, sub, quad = CASES[case](k)
+    op = assemble(trunc, sub, a, quad)
+    T = op.matrix
+    sv = np.linalg.svd(T, compute_uv=False)
+    tol = op.offblock_bound + trunc.dim * EPS * sv[0]
+    assert np.abs(singular_values(op) - sv).max() <= tol
+    if op.hermitian:
+        eigs = np.linalg.eigvalsh(T)[::-1]
+        assert np.abs(eigensolve(op).eigenvalues - eigs).max() <= tol

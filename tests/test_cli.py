@@ -114,6 +114,14 @@ def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
     assert not out.exists()
 
 
+def test_parse_error_names_the_expression(tmp_path, capsys):
+    cfg = write_config(tmp_path, CIRCLE)
+    argv = ["--config", cfg, "bs-state", "--theta", "t1", "--alpha", "sin("]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "(at offset 4) in 'sin('" in err and err.count("\n") == 1
+
+
 def test_seed_belongs_to_hessian_check(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--seed", "3", "--config", "c.json", "geometry"])

@@ -14,7 +14,6 @@ from szegolab.spectral import (
     rate_regression,
     schatten_sum,
     singular_values,
-    trace_distance,
     trace_phi,
     trapezoid_function,
     weyl_count,
@@ -150,17 +149,6 @@ def test_entropy_rank_one_and_uniform():
     assert val == pytest.approx(math.log(n))
     with pytest.raises(ValueError):
         entropy(summary_from([0.5, 0.1]))
-
-
-def test_trace_distance_extremes():
-    a = make_op(np.diag([0.6, 0.4]))
-    assert trace_distance(a, a) == pytest.approx(0.0)
-    b = make_op(np.diag([1.0, 0.0]))
-    c = make_op(np.diag([0.0, 1.0]))
-    # orthogonal supports: trace distance equals 2
-    assert trace_distance(b, c) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        trace_distance(a, make_op(np.zeros((3, 3))))
 
 
 def test_rate_regression_power_laws():
