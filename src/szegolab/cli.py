@@ -90,6 +90,13 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: `jsonschema.validate` would also check CONFIG_SCHEMA against
+# its meta-schema on every call, which the test suite does instead.
+_CONFIG_VALIDATOR = (None if jsonschema is None else
+                     jsonschema.validators.validator_for(CONFIG_SCHEMA)(
+                         CONFIG_SCHEMA))
+
+
 class SchemaError(ValueError):
     pass
 
@@ -100,11 +107,12 @@ def load_config(path: str) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config: {exc}")
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(config, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise SchemaError(f"config schema violation: {exc.message}")
+    if _CONFIG_VALIDATOR is not None:
+        # the error `jsonschema.validate` would raise
+        error = jsonschema.exceptions.best_match(
+            _CONFIG_VALIDATOR.iter_errors(config))
+        if error is not None:
+            raise SchemaError(f"config schema violation: {error.message}")
     return config
 
 

@@ -11,7 +11,8 @@ other and against a brute-force dense determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -35,18 +36,20 @@ class RingElement:
 
     Stores the coefficient vector on W^0..W^{d-1} together with W itself;
     the realized matrix is the polynomial applied to W.  Products reduce
-    modulo the characteristic polynomial, so commutativity is exact.
+    modulo the characteristic polynomial, so commutativity is exact.  The
+    polynomial is computed once, when an element is built from W alone,
+    and carried into every sum, scale and product; build the elements of
+    one ring from `generator(W)` and `scalar`.
     """
 
     W: np.ndarray
     coeffs: np.ndarray
+    # monic [1, c_1, ..., c_d] of W; derived from W when not given
+    charpoly: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    @staticmethod
-    def constant(W: np.ndarray, c: float) -> "RingElement":
-        d = W.shape[0]
-        coeffs = np.zeros(d)
-        coeffs[0] = c
-        return RingElement(W=W, coeffs=coeffs)
+    def __post_init__(self):
+        if self.charpoly is None:
+            object.__setattr__(self, "charpoly", np.poly(self.W).real)
 
     @staticmethod
     def generator(W: np.ndarray) -> "RingElement":
@@ -59,6 +62,15 @@ class RingElement:
             coeffs[1] = 1.0
         return RingElement(W=W, coeffs=coeffs)
 
+    def _like(self, coeffs: np.ndarray) -> "RingElement":
+        return RingElement(W=self.W, coeffs=coeffs, charpoly=self.charpoly)
+
+    def scalar(self, c: float) -> "RingElement":
+        """c times the identity, in the ring of this element."""
+        coeffs = np.zeros(self.W.shape[0])
+        coeffs[0] = c
+        return self._like(coeffs)
+
     def realize(self) -> np.ndarray:
         d = self.W.shape[0]
         out = np.zeros((d, d))
@@ -69,24 +81,23 @@ class RingElement:
         return out
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(W=self.W, coeffs=self.coeffs + other.coeffs)
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return RingElement(W=self.W, coeffs=self.coeffs - other.coeffs)
+        return self._like(self.coeffs - other.coeffs)
 
     def scale(self, c: float) -> "RingElement":
-        return RingElement(W=self.W, coeffs=c * self.coeffs)
+        return self._like(c * self.coeffs)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         raw = np.convolve(self.coeffs, other.coeffs)
-        return RingElement(W=self.W, coeffs=_reduce(raw, self.W))
+        return self._like(_reduce(raw, self.charpoly))
 
 
-def _reduce(coeffs: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Reduce a power series in W modulo its characteristic polynomial."""
-    d = W.shape[0]
-    # np.poly gives monic charpoly [1, c_1, ..., c_d]; W^d = -sum c_i W^{d-i}
-    cp = np.poly(W).real
+def _reduce(coeffs: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Reduce a power series in W modulo its characteristic polynomial cp."""
+    d = cp.size - 1
+    # cp is monic [1, c_1, ..., c_d]; W^d = -sum c_i W^{d-i}
     coeffs = np.array(coeffs, dtype=float, copy=True)
     for p in range(coeffs.size - 1, d - 1, -1):
         top = coeffs[p]
@@ -137,8 +148,8 @@ def det_recursion(G: np.ndarray, H: np.ndarray, q: int) -> RingElement:
     if q < 1:
         raise ValueError("q must be >= 1")
     W = np.linalg.solve(np.asarray(G, float), np.asarray(H, float))
-    one = RingElement.constant(W, 1.0)
     Wr = RingElement.generator(W)
+    one = Wr.scalar(1.0)
     W2 = Wr * Wr
     D_prev = one.scale(2.0)                 # D_1
     if q == 1:
@@ -158,8 +169,8 @@ def det_closed_form(W: np.ndarray, q: int) -> RingElement:
     W = np.asarray(W, float)
     Wr = RingElement.generator(W)
     W2 = Wr * Wr
-    acc = RingElement.constant(W, 0.0)
-    power = RingElement.constant(W, 1.0)
+    acc = Wr.scalar(0.0)
+    power = Wr.scalar(1.0)
     for j in range(q // 2 + 1):
         acc = acc + power.scale(math.comb(q + 1, 2 * j + 1) * (-1.0) ** j)
         power = power * W2

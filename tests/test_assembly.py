@@ -15,7 +15,6 @@ from szegolab.assembly import (
     CostLimitError,
     TruncationWarning,
     assemble_T,
-    covariant_symbol,
     exact_trace,
     nfold_trace_integral,
     pair_trace_integral,
@@ -147,16 +146,6 @@ def test_nfold_cost_budget():
     sub, trunc, quad = circle_setup(10.0)
     with pytest.raises(CostLimitError):
         nfold_trace_integral(sub, [None, None], quad, 10.0, budget=10.0)
-
-
-def test_covariant_symbol():
-    k = 30.0
-    sub, trunc, quad = circle_setup(k)
-    far = covariant_symbol(trunc, sub, None, quad, [4.0 + 0j])
-    assert far <= 1e-15 * (k / math.pi)
-    on_gamma = covariant_symbol(trunc, sub, None, quad, [1.0 + 0j])
-    # on the submanifold the scaled symbol stays bounded as k grows
-    assert 0.1 <= on_gamma * (math.pi / k) ** 0.5 <= 10.0
 
 
 def test_complex_amplitude_not_hermitian():
@@ -407,16 +396,49 @@ def test_circle_k400_spectrum_matches_poisson_closed_form():
     assert np.abs(eigs[top] / expect[top] - 1.0).max() <= 1e-11
 
 
-def test_pair_trace_matches_direct_difference_sum():
-    sub = mfd.parabola_patch()
-    quad = mfd.quadrature(sub, 12)
+PAIR_TRACE_CASES = {
+    # name: (manifold, quadrature order, axis groups)
+    "parabola": (lambda: mfd.parabola_patch(), 12, 2),
+    "torus": (lambda: mfd.torus_product([1.0, 0.7]), 12, 2),
+    "plane_c2": (lambda: mfd.plane_patch([(-1.0, 1.0), (-0.5, 0.5),
+                                          (0.0, 1.0), (-1.0, 0.0)]), 4, 4),
+    "sphere3": (lambda: mfd.sphere3(), [3, 6, 6], 1),
+    "dsl_parabola": (lambda: mfd.custom_chart(
+        2, 2, ["t1", "t2", "t1^2/2", "0"], [False, False],
+        [(-1.0, 1.0), (-1.0, 1.0)]), 12, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(PAIR_TRACE_CASES))
+def test_pair_trace_matches_direct_difference_sum(case):
+    make, order, n_groups = PAIR_TRACE_CASES[case]
+    sub = make()
+    quad = mfd.quadrature(sub, order)
+    assert len(asm._axis_groups(quad.blocks)[2]) == n_groups
     a = lambda t: 1.0 + 0.5 * t[:, 0]
-    b = lambda t: np.exp(1j * t[:, 1])
+    # e^{i t2} would sum to rounding noise over a periodic t2
+    b = lambda t: np.exp(0.5j * t[:, 1])
     k = 30.0
     (blk,) = quad.blocks
     diff = blk.points[:, None, :] - blk.points[None, :, :]
     kernel = np.exp(-k * np.sum(np.abs(diff) ** 2, axis=2))
     wa, wb = blk.weights * a(blk.nodes), blk.weights * b(blk.nodes)
-    expect = (k / math.pi) ** 4 * (wa @ kernel @ wb)
+    N = sub.ambient_dim
+    expect = (k / math.pi) ** (2 * N) * (wa @ kernel @ wb)
     value = pair_trace_integral(sub, a, b, quad, k)
     assert abs(value - expect) <= 1e-13 * abs(expect)
+
+
+def test_pair_trace_forms_no_kernel_wider_than_an_axis(monkeypatch):
+    shapes = []
+
+    def recording(x, y):
+        shapes.append((x.shape[0], y.shape[0]))
+        return sq_dists(x, y)
+
+    sq_dists = asm._sq_dists
+    monkeypatch.setattr(asm, "_sq_dists", recording)
+    sub = mfd.parabola_patch()
+    quad = mfd.quadrature(sub, 64)
+    assert pair_trace_integral(sub, None, None, quad, 50.0) > 0
+    assert shapes and max(max(s) for s in shapes) <= 64

@@ -78,6 +78,13 @@ def test_k_override_splits_commas(tmp_path):
     assert sorted({r["k"] for r in rows}) == [5.0, 9.0]
 
 
+def test_config_schema_is_valid():
+    # checked here once, not by `cli.load_config` on every call
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    validator.check_schema(cli.CONFIG_SCHEMA)
+
+
 def test_bad_config_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"manifold": {"kind": "moebius"}})
     assert cli.main(["--config", cfg, "geometry"]) == 2
