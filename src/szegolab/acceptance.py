@@ -250,8 +250,8 @@ def check_entropy(lab: Lab):
     """8: density-matrix entropy limit with the Poisson cross-check."""
     sub = lab.circle
     quad = lab.circle_quad(25.0)
-    pred, C_d = asymptotics.entropy_prediction(sub, 1.0 / (2.0 * math.pi),
-                                               quad)
+    pred, _ = asymptotics.entropy_prediction(sub, 1.0 / (2.0 * math.pi),
+                                             quad)
     gaps = []
     cross_ok = True
     for k in CIRCLE_SWEEP:
@@ -262,7 +262,8 @@ def check_entropy(lab: Lab):
         logp = n * math.log(k) - k - gammaln(n + 1.0)
         H_poisson = float(-np.sum(np.exp(logp) * logp))
         cross_ok = cross_ok and abs(H - H_poisson) <= 1e-8
-        gaps.append(abs(H + math.log(C_d * k ** -0.5) - pred))
+        # log(C_d k^{-d/2}), C_d k^{-d/2} = 2^{d'/2} (pi/k)^{d/2}
+        gaps.append(abs(H + math.log(szego_scaling(k, 1, 1)) - pred))
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     return verdict("entropy_limit", gaps[-1], 0.0, ENTROPY_TOL,
                    cross_ok and decreasing and gaps[-1] <= ENTROPY_TOL,
@@ -292,13 +293,12 @@ def check_hessian_oracle(lab: Lab):
         d = int(rng.integers(1, 5))
         q = int(rng.integers(1, 7))
         G, H = hessian.random_spd_skew(d, rng)
-        rec = hessian.det_recursion(G, H, q).realize()
-        W = np.linalg.solve(G, H)
-        closed = hessian.det_closed_form(W, q).realize()
-        scale = max(float(np.abs(rec).max()), 1e-300)
-        worst = max(worst, float(np.abs(rec - closed).max()) / scale)
         rep = hessian.verify_sqrt_det(G, H, q)
-        worst = max(worst, rep.rel_err_det, rep.rel_err_sqrt)
+        rec = rep.ring.realize()
+        closed = hessian.det_closed_form(rep.ring.W, q).realize()
+        scale = max(float(np.abs(rec).max()), 1e-300)
+        worst = max(worst, float(np.abs(rec - closed).max()) / scale,
+                    rep.rel_err_det, rep.rel_err_sqrt)
     parabola_ok = True
     sub = parabola_patch()
     for x1 in (0.0, 1.0):

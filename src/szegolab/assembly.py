@@ -39,7 +39,9 @@ The quadrature sum becomes
     T_nm = sum_theta conj(U_theta,n) U_theta,m F_theta[q_m - q_n],
     F_theta[q] = sum_phi w a(theta, phi) e^{2 pi i phi . q / L},
 over the explicit nodes theta of the remaining axes; F is an L-scaled
-inverse FFT.  It is the same sum as node by node, reordered: the circle
+inverse FFT.  The node ordering by (theta, phi), the base points and the
+charges q_n come from one helper, `_rotation_grid`, which the test states
+of `states` share.  It is the same sum as node by node, reordered: the circle
 at k=400 needs one base point instead of 3209 nodes, sphere3 at k=10
 needs 23 instead of 46,575.  Real amplitudes fill one triangle and mirror
 it, so T == T^H still holds exactly.  With S_theta = sum_phi |w a|, the
@@ -391,6 +393,25 @@ def _sector_axes(block: QuadratureBlock):
     return tuple(axes), np.stack(charges, axis=1)
 
 
+def _rotation_grid(trunc: FockTruncation, block: QuadratureBlock,
+                   axes: tuple, charges: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of a block by rotation sector, and the charges of the basis.
+
+    axes and charges are those `_sector_axes` found.  Returns (order, q):
+    order[theta, phi] is the index of the node at explicit node theta and
+    rotation multi-index phi, so order[:, 0, ..., 0] are the base points,
+    and q[n] is the charge of basis function n on each rotation axis, so
+    that u_n at phi is omega^{phi . q_n} times u_n at the base point.
+    """
+    shape = block.shape
+    rot_shape = tuple(shape[a] for a in axes)
+    explicit = [a for a in range(len(shape)) if a not in axes]
+    order = np.arange(block.size).reshape(shape).transpose(explicit + list(axes))
+    q = trunc.exponent_matrix @ charges % np.array(rot_shape)
+    return order.reshape((-1,) + rot_shape), q
+
+
 @dataclass
 class _Sector:
     """Fourier-sector data of one quadrature block (module notes)."""
@@ -484,12 +505,8 @@ def _sector(trunc: FockTruncation, block: QuadratureBlock, wa: np.ndarray,
 
     None when w a vanishes on the block.
     """
-    shape = block.shape
-    rot_shape = tuple(shape[a] for a in axes)
-    explicit = [a for a in range(len(shape)) if a not in axes]
-    # node indices as (explicit node theta, rotation multi-index phi)
-    order = np.arange(block.size).reshape(shape).transpose(explicit + list(axes))
-    order = order.reshape((-1,) + rot_shape)
+    order, q = _rotation_grid(trunc, block, axes, charges)
+    rot_shape = order.shape[1:]
     wa_grid = wa[order]
     scale = np.abs(wa_grid).reshape(order.shape[0], -1).sum(axis=1)
     live = scale > 0
@@ -511,7 +528,6 @@ def _sector(trunc: FockTruncation, block: QuadratureBlock, wa: np.ndarray,
         grid = np.arange(rot).reshape(rot_shape)
         minus = np.roll(np.flip(grid), 1, axis=tuple(range(grid.ndim)))
         keep |= keep[minus.reshape(-1)]
-    q = trunc.exponent_matrix @ charges % np.array(rot_shape)
     mult = int(np.bincount(np.ravel_multi_index(q.T, rot_shape)).max())
     # V = sqrt(sum_phi |w a|) U at the base points phi = 0
     V = eval_basis_matrix(trunc, block.points[order.reshape(-1, rot)[live, 0]])
@@ -920,7 +936,8 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
     Tr(T_{a_1} ... T_{a_n}) = (k/pi)^{Nn} int_{Gamma^n} prod_j
     e^{-k|w_j - w_{j+1}|^2 / 2} e^{i k omega(w_j, w_{j+1})} a_j(w_j) dsigma^n,
     evaluated as a chain of node-coupling matrix products (identical sum,
-    nodes^2 * n cost instead of nodes^n).
+    nodes^2 * n cost instead of nodes^n): the chain starts from the first
+    factor, takes n - 2 products and closes with Tr(X A_n) = sum X o A_n^T.
     """
     n = len(amplitudes)
     if n < 2:
@@ -936,8 +953,10 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
     kernel = np.exp(-0.5 * k * d2 + 1j * k * om)
     avals = [np.concatenate([amp_values(a, blk) for blk in quad.blocks])
              for a in amplitudes]
-    chain = np.eye(m, dtype=complex)
-    for av in avals:
-        chain = chain @ ((weights * av)[:, None] * kernel)
+    factors = (((weights * av)[:, None] * kernel) for av in avals)
+    chain = next(factors)
+    for _ in range(n - 2):
+        chain = chain @ next(factors)
     N = sub.ambient_dim
-    return (k / math.pi) ** (N * n) * complex(np.trace(chain))
+    trace = np.einsum("ij,ji->", chain, next(factors))
+    return (k / math.pi) ** (N * n) * complex(trace)

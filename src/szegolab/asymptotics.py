@@ -20,10 +20,10 @@ from .manifold import (
     ChartedSubmanifold,
     Classification,
     Quadrature,
+    _delta_values,
     amp_values,
     classify,
     d_prime,
-    delta_n_at,
 )
 from .spectral import TestFunction
 
@@ -150,6 +150,9 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
     """Leading term of Tr(T_{a_1} ... T_{a_n}) with pointwise Delta_n:
 
     [2^{d/2} (k/pi)^{N-d/2}]^n (k/2pi)^{d/2} int Delta_n(w)^{-1} prod a_j dsigma.
+
+    Delta_n comes from the W-spectrum each block keeps after first use, so
+    a sweep over k computes the geometry of the nodes once.
     """
     if len(amplitudes) != n:
         raise ValueError("need one amplitude per factor")
@@ -159,7 +162,7 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
         prod = np.ones(block.size, dtype=complex)
         for a in amplitudes:
             prod = prod * amp_values(a, block)
-        deltas = delta_n_at(block.chart, block.nodes, n)
+        deltas = _delta_values(*block.w_spectrum, block.chart.dim, n)
         total += float(np.sum(block.weights * (prod / deltas)).real)
     prefactor = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
         * (k / (2.0 * math.pi)) ** (0.5 * d)

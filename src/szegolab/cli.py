@@ -358,7 +358,7 @@ def cmd_schatten(exp: Experiment, args) -> int:
 
 
 def cmd_entropy(exp: Experiment, args) -> int:
-    pred, C_d = asymptotics.entropy_prediction(
+    pred, _ = asymptotics.entropy_prediction(
         exp.sub, exp.amplitude, exp.quad(exp.k_sweep[0]),
         cls=exp.classification)
     N = exp.sub.ambient_dim
@@ -368,7 +368,9 @@ def cmd_entropy(exp: Experiment, args) -> int:
         # the density matrix is (pi/k)^N T
         eigs = (math.pi / k) ** N * spectral.eigensolve(op).eigenvalues
         H = spectral.entropy(spectral.SpectralSummary(eigs, k, N))
-        shifted = H + math.log(C_d * k ** (-0.5 * exp.sub.dim))
+        # log(C_d k^{-d/2}), C_d k^{-d/2} = 2^{d'/2} (pi/k)^{d/2}
+        shifted = H + math.log(
+            asymptotics.szego_scaling(k, exp.sub.dim, exp.dp))
         return {"entropy": H, "shifted": shifted, "prediction": pred,
                 "gap": abs(shifted - pred), **exp.provenance(k, op.trunc)}
 

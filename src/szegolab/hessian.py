@@ -6,6 +6,11 @@ ring of polynomials in W = G^{-1}H.  Det(M_q) satisfies a three-term
 recursion and has an explicit binomial closed form; its square root equals
 the Hessian factor Delta_{q+1}.  All three routes are checked against each
 other and against a brute-force dense determinant.
+
+Each public entry point validates (G, H, q) once and calls private cores
+that do not check again.  The report of `verify_sqrt_det` carries the
+recursion's ring element, so a caller comparing it against the closed
+form runs the recursion once per (G, H, q).
 """
 
 from __future__ import annotations
@@ -123,14 +128,26 @@ def _check_gh(G: np.ndarray, H: np.ndarray) -> None:
         raise ValueError("H must be skew-symmetric")
 
 
-def build_hessian(G: np.ndarray, H: np.ndarray, q: int) -> np.ndarray:
-    """Dense qd x qd block tri-diagonal matrix: diagonal 2G, superdiagonal
-    -G - iH, subdiagonal -G + iH."""
+def _checked(G: np.ndarray, H: np.ndarray, q: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """G and H as float arrays, after `_check_gh` and the check of q.
+
+    Each public entry point validates once here and calls the private
+    cores below, which do not check again.
+    """
     _check_gh(G, H)
     if q < 1:
         raise ValueError("q must be >= 1")
-    G = np.asarray(G, float)
-    H = np.asarray(H, float)
+    return np.asarray(G, float), np.asarray(H, float)
+
+
+def build_hessian(G: np.ndarray, H: np.ndarray, q: int) -> np.ndarray:
+    """Dense qd x qd block tri-diagonal matrix: diagonal 2G, superdiagonal
+    -G - iH, subdiagonal -G + iH."""
+    return _build_hessian(*_checked(G, H, q), q)
+
+
+def _build_hessian(G: np.ndarray, H: np.ndarray, q: int) -> np.ndarray:
     d = G.shape[0]
     S = np.zeros((q * d, q * d), dtype=complex)
     for b in range(q):
@@ -144,10 +161,11 @@ def build_hessian(G: np.ndarray, H: np.ndarray, q: int) -> np.ndarray:
 def det_recursion(G: np.ndarray, H: np.ndarray, q: int) -> RingElement:
     """Det(M_q) by the recursion D_1 = 2I, D_2 = 3I - W^2,
     D_{q+1} = 2 D_q - (I + W^2) D_{q-1}, with W = G^{-1} H."""
-    _check_gh(G, H)
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    W = np.linalg.solve(np.asarray(G, float), np.asarray(H, float))
+    return _det_recursion(*_checked(G, H, q), q)
+
+
+def _det_recursion(G: np.ndarray, H: np.ndarray, q: int) -> RingElement:
+    W = np.linalg.solve(G, H)
     Wr = RingElement.generator(W)
     one = Wr.scalar(1.0)
     W2 = Wr * Wr
@@ -196,6 +214,7 @@ class SqrtDetReport:
     delta: float
     rel_err_sqrt: float
     ok: bool
+    ring: RingElement = field(repr=False, compare=False)  # Det(M_q), recursion
 
 
 def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
@@ -205,16 +224,14 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
     (i) det of the dense Hessian equals det(G)^q det(Det(M_q));
     (ii) sqrt(det(Det(M_q))) equals Delta_{q+1} built from the lambdas of W.
     """
-    _check_gh(G, H)
-    G = np.asarray(G, float)
-    H = np.asarray(H, float)
+    G, H = _checked(G, H, q)
     d = G.shape[0]
-    dense = build_hessian(G, H, q)
+    dense = _build_hessian(G, H, q)
     det_dense = np.linalg.det(dense)
     if abs(det_dense.imag) > 1e-8 * max(abs(det_dense), 1.0):
         raise ValueError("dense Hessian determinant is not real")
     det_dense = float(det_dense.real)
-    ring = det_recursion(G, H, q)
+    ring = _det_recursion(G, H, q)
     detM = float(np.linalg.det(ring.realize()))
     det_factored = float(np.linalg.det(G)) ** q * detM
     rel_det = abs(det_dense - det_factored) / max(abs(det_dense), 1e-300)
@@ -226,7 +243,7 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
     return SqrtDetReport(q=q, det_dense=det_dense, det_factored=det_factored,
                          rel_err_det=rel_det, sqrt_det=sqrt_det, delta=delta,
                          rel_err_sqrt=rel_sqrt,
-                         ok=rel_det <= tol and rel_sqrt <= tol)
+                         ok=rel_det <= tol and rel_sqrt <= tol, ring=ring)
 
 
 def random_spd_skew(d: int, rng: np.random.Generator

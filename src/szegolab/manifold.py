@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,12 +207,17 @@ def delta_n(frame: GeometryFrame, n: int) -> float:
     return float(_delta_values(lam, np.ones(lam.shape, bool), frame.dim, n)[0])
 
 
-def delta_n_at(chart: Chart, nodes, n: int) -> np.ndarray:
-    """delta_n at every parameter point of nodes (m, d), in one stacked pass."""
+def _w_spectrum(chart: Chart, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """lam and is_lambda of `_geometry` at every parameter point of nodes."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     *_, lam, is_lambda, _ = _geometry(np.asarray(chart.jacobian(nodes),
                                                  dtype=float))
-    return _delta_values(lam, is_lambda, chart.dim, n)
+    return lam, is_lambda
+
+
+def delta_n_at(chart: Chart, nodes, n: int) -> np.ndarray:
+    """delta_n at every parameter point of nodes (m, d), in one stacked pass."""
+    return _delta_values(*_w_spectrum(chart, nodes), chart.dim, n)
 
 
 # --- classification ----------------------------------------------------------
@@ -304,6 +310,15 @@ class QuadratureBlock:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    @cached_property
+    def w_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, is_lambda) of W at every node, computed on first use.
+
+        It does not depend on k, so Delta_n at the nodes costs one pass of
+        `_geometry` per block, whatever k and n are asked for.
+        """
+        return _w_spectrum(self.chart, self.nodes)
 
 
 @dataclass(frozen=True)

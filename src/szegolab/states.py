@@ -6,6 +6,20 @@ around every period, defines the state psi_k built by smearing coherent
 states with e^{ik theta} alpha dsigma.  Its squared norm grows like
 (2k/pi)^{N/2} times the L^2 mass of alpha, and its Rayleigh quotient is a
 lower bound for the top eigenvalue of T_{a dsigma}.
+
+Test states by rotation sectors: the coefficients are
+c_n = sum over nodes of conj(u_n) g, g = w e^{ik theta} alpha.  On a block
+whose periodic axes rotate the points (`assembly` module notes, sector
+sum), u_n at rotation index phi is omega^{phi . q_n} U_n, with U_n its
+value at the base point of the explicit node theta, so
+    c_n = sum_theta conj(U_theta,n) FFT_phi(g)[theta, q_n],
+one forward FFT over the rotation axes.  The basis is evaluated at the
+base points only: on the circle at k=200 at one point instead of 1609
+nodes, which drops the 1609 x 801 complex basis matrix and its conjugate
+copy, and the Bohr-Sommerfeld check falls from about 0.1 s to 0.01 s.
+The node ordering and the charges come from the helper that assembly's
+sector sum uses.  Blocks without rotation axes, or with fewer than 64
+rotation nodes per explicit node, keep the node-by-node sum.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import HermitianOperator
+from .assembly import HermitianOperator, _rotation_grid, _sector_axes
 from .fock import FockTruncation, eval_basis_matrix
 from .manifold import (Chart, ChartedSubmanifold, Quadrature, amp_values,
                        classify)
@@ -116,9 +130,20 @@ def build_test_state(trunc: FockTruncation, sub: ChartedSubmanifold,
     coeffs = np.zeros(trunc.dim, dtype=complex)
     for block in quad.blocks:
         phases = np.exp(1j * k * _theta_values(bs, block.nodes))
-        av = amp_values(bs.alpha, block)
-        B = eval_basis_matrix(trunc, block.points)
-        coeffs += B.conj().T @ (block.weights * phases * av)
+        g = block.weights * phases * amp_values(bs.alpha, block)
+        rotations = _sector_axes(block)
+        if rotations is None:
+            B = eval_basis_matrix(trunc, block.points)
+            coeffs += B.conj().T @ g
+            continue
+        # c_n = sum_theta conj(U_theta,n) FFT_phi(g)[theta, q_n]
+        order, q = _rotation_grid(trunc, block, *rotations)
+        sectors = order.reshape(order.shape[0], -1)
+        G = np.fft.fftn(g[order], axes=tuple(range(1, order.ndim)))
+        G = G.reshape(sectors.shape)
+        U = eval_basis_matrix(trunc, block.points[sectors[:, 0]])
+        flat_q = np.ravel_multi_index(q.T, order.shape[1:])
+        coeffs += np.einsum("tn,tn->n", U.conj(), G[:, flat_q])
     return coeffs
 
 

@@ -142,6 +142,28 @@ def test_nfold_trace_reduces_to_pair_and_matches_cubes():
     assert nfold_trace_integral(sub, [None, 0.0, None], quad, k) == 0
 
 
+def test_nfold_trace_matches_identity_started_chain():
+    # the chain as first written: n gemms from the identity, then the trace
+    sub = mfd.parabola_patch((-1.0, 1.0), (-1.0, 1.0))
+    quad = mfd.quadrature(sub, 10)
+    k = 12.0
+    amps = [lambda t: 1.0 + 0.5 * t[:, 0], lambda t: np.cos(t[:, 1]),
+            None, lambda t: 1.0 - 0.3 * t[:, 0] * t[:, 1]]
+    pts = np.concatenate([b.points for b in quad.blocks])
+    w = np.concatenate([b.weights for b in quad.blocks])
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.sum(np.abs(diff) ** 2, axis=2)
+    kernel = np.exp(-0.5 * k * d2 + 1j * k * np.imag(pts @ pts.conj().T))
+    for n in (2, 3, 4):
+        chain = np.eye(pts.shape[0], dtype=complex)
+        for a in amps[:n]:
+            av = np.concatenate([mfd.amp_values(a, b) for b in quad.blocks])
+            chain = chain @ ((w * av)[:, None] * kernel)
+        expect = (k / math.pi) ** (2 * n) * np.trace(chain)
+        value = nfold_trace_integral(sub, amps[:n], quad, k)
+        assert abs(value - expect) <= 1e-13 * abs(expect)
+
+
 def test_nfold_cost_budget():
     sub, trunc, quad = circle_setup(10.0)
     with pytest.raises(CostLimitError):

@@ -140,6 +140,29 @@ def test_moment_prediction_circle_n2():
         moment_prediction(sub, [None], 2, quad, k)
 
 
+def test_moment_prediction_matches_delta_n_at_route():
+    # the W-spectrum cached on the block serves every k bit for bit
+    sub = mfd.parabola_patch((-1.0, 1.0), (-1.0, 1.0))
+    quad = mfd.quadrature(sub, 16)
+
+    def amp(t):
+        return 1.0 + 0.5 * t[:, 0] * t[:, 1]
+
+    d, N = sub.dim, sub.ambient_dim
+    for n in (2, 3):
+        for k in (50.0, 100.0):
+            total = 0.0
+            for block in quad.blocks:
+                prod = np.ones(block.size, dtype=complex)
+                for a in (amp,) * n:
+                    prod = prod * mfd.amp_values(a, block)
+                deltas = mfd.delta_n_at(block.chart, block.nodes, n)
+                total += float(np.sum(block.weights * (prod / deltas)).real)
+            expect = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
+                * (k / (2.0 * math.pi)) ** (0.5 * d) * total
+            assert moment_prediction(sub, [amp] * n, n, quad, k) == expect
+
+
 def test_schatten_prediction_values():
     sub = mfd.circle(1.0)
     quad = mfd.quadrature(sub, 128)

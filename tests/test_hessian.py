@@ -40,12 +40,30 @@ def test_build_hessian_is_complex_symmetric_with_real_det():
 
 
 def test_build_hessian_validates_inputs():
-    with pytest.raises(ValueError):
-        build_hessian(np.eye(2), np.eye(2), 2)  # H not skew
-    with pytest.raises(ValueError):
-        build_hessian(-np.eye(2), H2, 2)  # G not positive definite
-    with pytest.raises(ValueError):
-        build_hessian(G2, H2, 0)
+    # every public entry point rejects every invalid (G, H, q)
+    invalid = [
+        (np.eye(2), np.eye(2), 2),  # H not skew
+        (-np.eye(2), H2, 2),  # G not positive definite
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), H2, 2),  # G not symmetric
+        (np.eye(3), H2, 2),  # shapes differ
+        (np.ones(2), np.zeros(2), 2),  # not matrices
+        (G2, H2, 0),  # q < 1
+    ]
+    for entry in (build_hessian, det_recursion, verify_sqrt_det):
+        for G, H, q in invalid:
+            with pytest.raises(ValueError):
+                entry(G, H, q)
+
+
+def test_verify_carries_the_recursion_ring():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4):
+        G, H = random_spd_skew(d, rng)
+        for q in (1, 2, 5):
+            ring = verify_sqrt_det(G, H, q).ring
+            expect = det_recursion(G, H, q)
+            assert np.array_equal(ring.coeffs, expect.coeffs)
+            assert np.array_equal(ring.W, expect.W)
 
 
 def test_recursion_W_zero_gives_q_plus_one():

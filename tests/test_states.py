@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import szegolab.manifold as mfd
+import szegolab.states as states_mod
 from szegolab.assembly import assemble_T
-from szegolab.fock import FockTruncation
+from szegolab.fock import FockTruncation, eval_basis_matrix
 from szegolab.spectral import eigensolve
 from szegolab.states import (
     BohrSommerfeldData,
@@ -124,3 +125,83 @@ def test_rayleigh_is_lower_bound_with_nonuniform_alpha():
     top = eigensolve(op).max
     assert q <= top * (1 + 1e-10)
     assert q >= 0.5 * top  # still within a factor of the top eigenvalue
+
+
+def node_sum_state(trunc, bs, quad):
+    """c_n = sum over every node of conj(u_n) w e^{ik theta} alpha."""
+    c = np.zeros(trunc.dim, dtype=complex)
+    for block in quad.blocks:
+        theta = np.asarray(bs.theta(block.nodes)).reshape(-1)
+        g = block.weights * np.exp(1j * trunc.k * theta) \
+            * mfd.amp_values(bs.alpha, block)
+        c += eval_basis_matrix(trunc, block.points).conj().T @ g
+    return c
+
+
+def assert_matches_node_sum(trunc, sub, bs, quad):
+    c = build_test_state(trunc, sub, bs, quad)
+    ref = node_sum_state(trunc, bs, quad)
+    assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+    return c
+
+
+@pytest.mark.parametrize("k", [25.0, 200.0])
+def test_circle_state_matches_node_sum(k):
+    sub, trunc, quad = circle_parts(k)
+    bs = BohrSommerfeldData(theta=circle_theta(1.0),
+                            alpha=lambda t: 1.0 + 0.5 * np.cos(3 * t[:, 0]))
+    assert_matches_node_sum(trunc, sub, bs, quad)
+
+
+def test_torus_state_matches_node_sum():
+    # theta = t1 + 0.49 t2 is a primitive of eta on the (1, 0.7) torus, and
+    # k r_j^2 = 100, 49 are integers; the degree cap keeps the oracle small
+    sub = mfd.torus_product([1.0, 0.7])
+    quad = mfd.quadrature(sub, 32)
+    trunc = FockTruncation(2, 100.0, 60)
+    bs = BohrSommerfeldData(
+        theta=lambda t: t[:, 0] + 0.49 * t[:, 1],
+        alpha=lambda t: 1.0 + 0.3 * np.cos(t[:, 0]) * np.sin(2 * t[:, 1]))
+    assert_matches_node_sum(trunc, sub, bs, quad)
+
+
+def test_dsl_circle_state_matches_node_sum():
+    sub = mfd.custom_chart(1, 1, ["cos(t1)", "sin(t1)"], [True],
+                           [[0.0, 2 * math.pi]])
+    k = 30.0
+    quad = mfd.quadrature(sub, 2 * 120 + 9)
+    trunc = FockTruncation(1, k, 120)
+    bs = BohrSommerfeldData(theta=circle_theta(1.0),
+                            alpha=lambda t: np.exp(np.sin(t[:, 0])))
+    assert_matches_node_sum(trunc, sub, bs, quad)
+
+
+def spy_basis_points(monkeypatch) -> list:
+    """Point counts of every basis evaluation that `states` makes."""
+    seen = []
+
+    def spy(tr, points):
+        seen.append(len(points))
+        return eval_basis_matrix(tr, points)
+
+    monkeypatch.setattr(states_mod, "eval_basis_matrix", spy)
+    return seen
+
+
+def test_few_node_circle_keeps_node_sum(monkeypatch):
+    # fewer than 64 rotation nodes: every node is evaluated, as before
+    sub = mfd.circle(1.0)
+    quad = mfd.quadrature(sub, 40)
+    trunc = FockTruncation(1, 4.0, 16)
+    seen = spy_basis_points(monkeypatch)
+    bs = BohrSommerfeldData(theta=circle_theta(1.0))
+    assert_matches_node_sum(trunc, sub, bs, quad)
+    assert seen == [quad.size]
+
+
+def test_circle_state_evaluates_one_basis_point(monkeypatch):
+    sub, trunc, quad = circle_parts(200.0)
+    seen = spy_basis_points(monkeypatch)
+    bs = BohrSommerfeldData(theta=circle_theta(1.0))
+    build_test_state(trunc, sub, bs, quad)
+    assert seen == [1]
