@@ -7,7 +7,7 @@ asymptotics they are compared against (trace identities, Szego limits,
 Weyl counts, Schatten sums, entropy limits, Bohr-Sommerfeld bounds).
 """
 
-from .fock import FockTruncation, basis_norm, eval_basis, reproducing_kernel
+from .fock import FockTruncation
 from .manifold import (
     Chart,
     ChartedSubmanifold,
@@ -24,9 +24,6 @@ from .spectral import SpectralSummary, TestFunction, eigensolve
 
 __all__ = [
     "FockTruncation",
-    "basis_norm",
-    "eval_basis",
-    "reproducing_kernel",
     "Chart",
     "ChartedSubmanifold",
     "GeometryFrame",

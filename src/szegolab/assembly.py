@@ -293,9 +293,8 @@ class HermitianOperator:
     def __init__(self, matrix: Optional[np.ndarray] = None,
                  trunc: Optional[FockTruncation] = None,
                  normalization: str = "raw_T",  # raw_T | scaled_S
-                 scale_factor: float = 1.0, hermitian: bool = True,
+                 hermitian: bool = True,
                  manifold_dim: Optional[int] = None,
-                 d_prime: Optional[int] = None,
                  symbol_mass: Optional[complex] = None,  # integral of a dsigma
                  flush_bound: float = 0.0,  # bound on ||T - T_unflushed||_2
                  offblock_bound: float = 0.0,  # same for zeroed charges
@@ -308,10 +307,8 @@ class HermitianOperator:
         self._matrix = matrix
         self.trunc = trunc
         self.normalization = normalization
-        self.scale_factor = scale_factor
         self.hermitian = hermitian
         self.manifold_dim = manifold_dim
-        self.d_prime = d_prime
         self.symbol_mass = symbol_mass
         self.flush_bound = flush_bound
         self.offblock_bound = offblock_bound
@@ -796,9 +793,8 @@ def scale_to_S(op: HermitianOperator, d_prime: int) -> HermitianOperator:
     factor = s_factor(op.trunc.k, op.trunc.ambient_dim, op.manifold_dim,
                       d_prime)
     return HermitianOperator(layout=op.layout.scaled(factor), trunc=op.trunc,
-                             normalization="scaled_S", scale_factor=factor,
-                             hermitian=op.hermitian,
-                             manifold_dim=op.manifold_dim, d_prime=d_prime,
+                             normalization="scaled_S", hermitian=op.hermitian,
+                             manifold_dim=op.manifold_dim,
                              symbol_mass=op.symbol_mass,
                              flush_bound=factor * op.flush_bound,
                              offblock_bound=factor * op.offblock_bound)

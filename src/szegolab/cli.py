@@ -101,12 +101,23 @@ class SchemaError(ValueError):
     pass
 
 
-def load_config(path: str) -> dict:
+def load_config(args) -> dict:
+    """The --config file with --k, --max-degree and --quad-order merged in,
+    validated against the schema as one dict."""
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config: {exc}")
+    if args.k is not None:
+        try:
+            config["k_sweep"] = [float(k) for k in args.k.split(",")]
+        except ValueError:
+            raise SchemaError(f"--k takes comma-separated numbers, "
+                              f"not {args.k!r}")
+    for key in ("max_degree", "quad_order"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     if _CONFIG_VALIDATOR is not None:
         # the error `jsonschema.validate` would raise
         error = jsonschema.exceptions.best_match(
@@ -139,19 +150,17 @@ def _max_workers() -> int:
 
 
 class Experiment:
-    """Config plus CLI overrides, resolved into assembly inputs.
+    """A validated config (`load_config`), resolved into assembly inputs.
 
     Quadratures are memoised by order; operators are built per k, not kept.
     """
 
-    def __init__(self, config: dict, args):
+    def __init__(self, config: dict):
         self.config = config
         self.sub = manifold_from_spec(config["manifold"])
-        ks = (str(args.k).split(",") if args.k
-              else config.get("k_sweep", [50.0]))
-        self.k_sweep = [float(k) for k in ks]
-        self.max_degree = args.max_degree or config.get("max_degree")
-        self.quad_order = args.quad_order or config.get("quad_order")
+        self.k_sweep = [float(k) for k in config.get("k_sweep", [50.0])]
+        self.max_degree = config.get("max_degree")
+        self.quad_order = config.get("quad_order")
         amp = config.get("amplitude")
         if amp is None:
             self.amplitude = None
@@ -172,14 +181,16 @@ class Experiment:
         """Quadrature for k, built once per order."""
         if order is None:
             # the default order depends on the radius of a coarse grid
-            order = self.quad_order or default_periodic_nodes(
-                k, self.quad(k, 8).max_radius())
+            order = (self.quad_order if self.quad_order is not None
+                     else default_periodic_nodes(
+                         k, self.quad(k, 8).max_radius()))
         return self.lab._get(("quad", *np.ravel(order).tolist()),
                              lambda: quadrature(self.sub, order))
 
     def operator(self, k: float):
         quad = self.quad(k)
-        M = self.max_degree or default_max_degree(k, quad)
+        M = (self.max_degree if self.max_degree is not None
+             else default_max_degree(k, quad))
         trunc = FockTruncation(self.sub.ambient_dim, k, M)
         return assemble_T(trunc, self.sub, self.amplitude, quad), quad
 
@@ -367,7 +378,7 @@ def cmd_entropy(exp: Experiment, args) -> int:
         op, _ = exp.operator(k)
         # the density matrix is (pi/k)^N T
         eigs = (math.pi / k) ** N * spectral.eigensolve(op).eigenvalues
-        H = spectral.entropy(spectral.SpectralSummary(eigs, k, N))
+        H = spectral.entropy(spectral.SpectralSummary(eigs))
         # log(C_d k^{-d/2}), C_d k^{-d/2} = 2^{d'/2} (pi/k)^{d/2}
         shifted = H + math.log(
             asymptotics.szego_scaling(k, exp.sub.dim, exp.dp))
@@ -493,7 +504,7 @@ def _run(args) -> int:
     if not args.config:
         print("this subcommand requires --config", file=sys.stderr)
         return 2
-    exp = Experiment(load_config(args.config), args)
+    exp = Experiment(load_config(args))
     # least d' the prediction needs; d' exists for (co)isotropic manifolds
     least = {"szego": 0, "weyl": 0, "schatten": 0, "entropy": 1,
              "density": 1}.get(args.command)

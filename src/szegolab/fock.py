@@ -13,8 +13,9 @@ phi_m(zeta) = (sqrt(k) zeta)^m e^{-k|zeta|^2/2} sqrt(k / (pi m!)).
 `eval_basis_matrix` builds, per coordinate, one table of phi_0..phi_M at
 the points, in log form; |phi_m| <= sqrt(k / pi), so nothing overflows.
 It then gathers the products: a basis value costs N-1 gathers and
-multiplies instead of one complex exponential.  The split is exact,
-since log_norms is itself a sum over coordinates.
+multiplies instead of one complex exponential.  The split is exact:
+the log of the norm is the sum over coordinates of the per-coordinate
+log(pi n_j! / k^{n_j + 1}) / 2, which the tables fold in.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ import numpy as np
 
 __all__ = [
     "FockTruncation",
-    "basis_norm",
-    "eval_basis",
     "eval_basis_matrix",
-    "reproducing_kernel",
-    "coherent_state_coeffs",
 ]
 
 
@@ -73,16 +70,9 @@ class FockTruncation:
     def basis(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_graded_lex_indices(self.ambient_dim, self.max_degree))
 
-    @cached_property
-    def _index_map(self) -> dict[tuple[int, ...], int]:
-        return {n: i for i, n in enumerate(self.basis)}
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index_of(self, n) -> int:
-        return self._index_map[tuple(n)]
 
     @cached_property
     def exponent_matrix(self) -> np.ndarray:
@@ -94,21 +84,6 @@ class FockTruncation:
         """lgamma(m + 1) / 2 for m = 0..M."""
         return 0.5 * np.array([math.lgamma(m + 1.0)
                                for m in range(self.max_degree + 1)])
-
-    @cached_property
-    def log_norms(self) -> np.ndarray:
-        """log of ||z^n e^{-k|z|^2/2}|| for every basis element."""
-        m = np.arange(self.max_degree + 1)
-        per_coord = (self._half_lgamma
-                     + 0.5 * (math.log(math.pi) - (m + 1) * math.log(self.k)))
-        return per_coord[self.exponent_matrix].sum(axis=1)
-
-
-def basis_norm(trunc: FockTruncation, n) -> float:
-    """||z^n e^{-k|z|^2/2}|| = sqrt(pi^N n! / k^(|n|+N))."""
-    if tuple(n) not in trunc._index_map:
-        raise ValueError(f"multi-index {n} not in truncated basis")
-    return math.exp(trunc.log_norms[trunc.index_of(n)])
 
 
 def _as_points(z, ambient_dim: int) -> np.ndarray:
@@ -156,38 +131,3 @@ def eval_basis_matrix(trunc: FockTruncation, points) -> np.ndarray:
     for j in range(1, len(tables)):
         vals *= tables[j][E[:, j]]
     return vals.T
-
-
-def eval_basis(trunc: FockTruncation, n, z) -> complex:
-    """Normalized basis element z^n e^{-k|z|^2/2} / norm evaluated at z."""
-    idx = trunc.index_of(n)
-    pts = _as_points(z, trunc.ambient_dim)
-    return complex(eval_basis_matrix(trunc, pts)[0, idx])
-
-
-def reproducing_kernel(trunc: FockTruncation, z, w) -> complex:
-    """Kernel (k/pi)^N e^{k z.conj(w)} e^{-k|z|^2/2} e^{-k|w|^2/2}.
-
-    The real part of the exponent is computed as -k|z-w|^2/2 in log form, so
-    the value never overflows for large k|z||w|.
-    """
-    k, N = trunc.k, trunc.ambient_dim
-    zv = np.asarray(z, dtype=complex).reshape(-1)
-    wv = np.asarray(w, dtype=complex).reshape(-1)
-    if zv.size != N or wv.size != N:
-        raise ValueError("points must have N complex coordinates")
-    inner = np.sum(zv * wv.conj())
-    log_mag = N * math.log(k / math.pi) - 0.5 * k * float(
-        np.sum(np.abs(zv - wv) ** 2)
-    )
-    return math.exp(log_mag) * np.exp(1j * k * inner.imag)
-
-
-def coherent_state_coeffs(trunc: FockTruncation, w) -> np.ndarray:
-    """Expansion coefficients of the coherent state e_w in the normalized basis.
-
-    Since Pi_k(z, conj(w)) = sum_n u_n(z) conj(u_n(w)), the coefficient on
-    u_n is conj(u_n(w)).
-    """
-    pts = _as_points(w, trunc.ambient_dim)
-    return eval_basis_matrix(trunc, pts)[0].conj()

@@ -1,15 +1,15 @@
 """Block tri-diagonal Hessian determinants.
 
 The q-block Hessian S_q built from a metric G and a skew form H factors as
-det(S_q) = det(G)^q det(Det(M_q)) where Det(M_q) lives in the commutative
-ring of polynomials in W = G^{-1}H.  Det(M_q) satisfies a three-term
-recursion and has an explicit binomial closed form; its square root equals
-the Hessian factor Delta_{q+1}.  All three routes are checked against each
-other and against a brute-force dense determinant.
+det(S_q) = det(G)^q det(Det(M_q)) where Det(M_q) is a matrix polynomial in
+W = G^{-1}H, computed here as a plain d x d matrix.  Det(M_q) satisfies a
+three-term recursion and has an explicit binomial closed form; its square
+root equals the Hessian factor Delta_{q+1}.  All three routes are checked
+against each other and against a brute-force dense determinant.
 
 Each public entry point validates (G, H, q) once and calls private cores
 that do not check again.  The report of `verify_sqrt_det` carries the
-recursion's ring element, so a caller comparing it against the closed
+recursion's matrix and W, so a caller comparing it against the closed
 form runs the recursion once per (G, H, q).
 """
 
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .manifold import _delta_values, _lambda_pairs
 
 __all__ = [
-    "RingElement",
     "build_hessian",
     "det_recursion",
     "det_closed_form",
@@ -34,85 +32,7 @@ __all__ = [
     "SqrtDetReport",
 ]
 
-
-@dataclass(frozen=True)
-class RingElement:
-    """Polynomial in a fixed d x d matrix W, reduced to degree < d.
-
-    Stores the coefficient vector on W^0..W^{d-1} together with W itself;
-    the realized matrix is the polynomial applied to W.  Products reduce
-    modulo the characteristic polynomial, so commutativity is exact.  The
-    polynomial is computed once, when an element is built from W alone,
-    and carried into every sum, scale and product; build the elements of
-    one ring from `generator(W)` and `scalar`.
-    """
-
-    W: np.ndarray
-    coeffs: np.ndarray
-    # monic [1, c_1, ..., c_d] of W; derived from W when not given
-    charpoly: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.charpoly is None:
-            object.__setattr__(self, "charpoly", np.poly(self.W).real)
-
-    @staticmethod
-    def generator(W: np.ndarray) -> "RingElement":
-        d = W.shape[0]
-        coeffs = np.zeros(d)
-        if d == 1:
-            # W is scalar; the generator is that scalar times the identity
-            coeffs[0] = float(W[0, 0])
-        else:
-            coeffs[1] = 1.0
-        return RingElement(W=W, coeffs=coeffs)
-
-    def _like(self, coeffs: np.ndarray) -> "RingElement":
-        return RingElement(W=self.W, coeffs=coeffs, charpoly=self.charpoly)
-
-    def scalar(self, c: float) -> "RingElement":
-        """c times the identity, in the ring of this element."""
-        coeffs = np.zeros(self.W.shape[0])
-        coeffs[0] = c
-        return self._like(coeffs)
-
-    def realize(self) -> np.ndarray:
-        d = self.W.shape[0]
-        out = np.zeros((d, d))
-        P = np.eye(d)
-        for c in self.coeffs:
-            out = out + c * P
-            P = P @ self.W
-        return out
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return self._like(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self._like(self.coeffs - other.coeffs)
-
-    def scale(self, c: float) -> "RingElement":
-        return self._like(c * self.coeffs)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        raw = np.convolve(self.coeffs, other.coeffs)
-        return self._like(_reduce(raw, self.charpoly))
-
-
-def _reduce(coeffs: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """Reduce a power series in W modulo its characteristic polynomial cp."""
-    d = cp.size - 1
-    # cp is monic [1, c_1, ..., c_d]; W^d = -sum c_i W^{d-i}
-    coeffs = np.array(coeffs, dtype=float, copy=True)
-    for p in range(coeffs.size - 1, d - 1, -1):
-        top = coeffs[p]
-        if top != 0.0:
-            for i in range(1, d + 1):
-                coeffs[p - i] -= top * cp[i]
-            coeffs[p] = 0.0
-    out = np.zeros(d)
-    out[:min(d, coeffs.size)] = coeffs[:d]
-    return out
+SQRT_DET_TOL = 1e-8  # relative tolerance of both checks in verify_sqrt_det
 
 
 def _check_gh(G: np.ndarray, H: np.ndarray) -> None:
@@ -158,49 +78,48 @@ def _build_hessian(G: np.ndarray, H: np.ndarray, q: int) -> np.ndarray:
     return S
 
 
-def det_recursion(G: np.ndarray, H: np.ndarray, q: int) -> RingElement:
+def det_recursion(G: np.ndarray, H: np.ndarray, q: int) -> np.ndarray:
     """Det(M_q) by the recursion D_1 = 2I, D_2 = 3I - W^2,
     D_{q+1} = 2 D_q - (I + W^2) D_{q-1}, with W = G^{-1} H."""
-    return _det_recursion(*_checked(G, H, q), q)
+    G, H = _checked(G, H, q)
+    return _det_recursion(np.linalg.solve(G, H), q)
 
 
-def _det_recursion(G: np.ndarray, H: np.ndarray, q: int) -> RingElement:
-    W = np.linalg.solve(G, H)
-    Wr = RingElement.generator(W)
-    one = Wr.scalar(1.0)
-    W2 = Wr * Wr
-    D_prev = one.scale(2.0)                 # D_1
+def _det_recursion(W: np.ndarray, q: int) -> np.ndarray:
+    one = np.eye(W.shape[0])
+    W2 = W @ W
+    D_prev = 2.0 * one                      # D_1
     if q == 1:
         return D_prev
-    D_cur = one.scale(3.0) - W2             # D_2
+    D_cur = 3.0 * one - W2                  # D_2
     Z = one + W2
     for _ in range(3, q + 1):
-        D_prev, D_cur = D_cur, D_cur.scale(2.0) - Z * D_prev
+        D_prev, D_cur = D_cur, 2.0 * D_cur - Z @ D_prev
     return D_cur
 
 
-def det_closed_form(W: np.ndarray, q: int) -> RingElement:
+def det_closed_form(W: np.ndarray, q: int) -> np.ndarray:
     """Det(M_q) = sum_j binom(q+1, 2j+1) (-1)^j W^{2j}; total even for
     singular W."""
     if q < 1:
         raise ValueError("q must be >= 1")
     W = np.asarray(W, float)
-    Wr = RingElement.generator(W)
-    W2 = Wr * Wr
-    acc = Wr.scalar(0.0)
-    power = Wr.scalar(1.0)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError("W must be a square matrix")
+    W2 = W @ W
+    acc = np.zeros_like(W2)
+    power = np.eye(W.shape[0])
     for j in range(q // 2 + 1):
-        acc = acc + power.scale(math.comb(q + 1, 2 * j + 1) * (-1.0) ** j)
-        power = power * W2
+        acc += math.comb(q + 1, 2 * j + 1) * (-1.0) ** j * power
+        power = power @ W2
     return acc
 
 
-def lambdas_of(G: np.ndarray, H: np.ndarray, tol: float = 1e-8
-               ) -> tuple[np.ndarray, int]:
+def lambdas_of(G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, int]:
     """Positive lambda_ell with eig(W) = {+-i lambda_ell} union {0}; returns
     (ascending lambdas, half rank r)."""
     gl, gv = np.linalg.eigh(np.asarray(G, float)[None])
-    lam, is_lambda = _lambda_pairs(gl, gv, np.asarray(H, float)[None], tol)
+    lam, is_lambda = _lambda_pairs(gl, gv, np.asarray(H, float)[None])
     return lam[is_lambda], int(is_lambda.sum())
 
 
@@ -214,11 +133,11 @@ class SqrtDetReport:
     delta: float
     rel_err_sqrt: float
     ok: bool
-    ring: RingElement = field(repr=False, compare=False)  # Det(M_q), recursion
+    det_m: np.ndarray = field(repr=False, compare=False)  # recursion's Det(M_q)
+    W: np.ndarray = field(repr=False, compare=False)
 
 
-def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
-                    tol: float = 1e-8) -> SqrtDetReport:
+def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int) -> SqrtDetReport:
     """Three-way check of the determinant factorization.
 
     (i) det of the dense Hessian equals det(G)^q det(Det(M_q));
@@ -231,8 +150,9 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
     if abs(det_dense.imag) > 1e-8 * max(abs(det_dense), 1.0):
         raise ValueError("dense Hessian determinant is not real")
     det_dense = float(det_dense.real)
-    ring = _det_recursion(G, H, q)
-    detM = float(np.linalg.det(ring.realize()))
+    W = np.linalg.solve(G, H)
+    det_m = _det_recursion(W, q)
+    detM = float(np.linalg.det(det_m))
     det_factored = float(np.linalg.det(G)) ** q * detM
     rel_det = abs(det_dense - det_factored) / max(abs(det_dense), 1e-300)
     lambdas, r = lambdas_of(G, H)
@@ -243,7 +163,9 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int,
     return SqrtDetReport(q=q, det_dense=det_dense, det_factored=det_factored,
                          rel_err_det=rel_det, sqrt_det=sqrt_det, delta=delta,
                          rel_err_sqrt=rel_sqrt,
-                         ok=rel_det <= tol and rel_sqrt <= tol, ring=ring)
+                         ok=rel_det <= SQRT_DET_TOL
+                         and rel_sqrt <= SQRT_DET_TOL,
+                         det_m=det_m, W=W)
 
 
 def random_spd_skew(d: int, rng: np.random.Generator

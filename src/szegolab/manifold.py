@@ -11,7 +11,7 @@ factor Delta_n that drives all trace asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -93,7 +93,6 @@ class Chart:
 class ChartedSubmanifold:
     ambient_dim: int
     charts: tuple[Chart, ...]
-    declared_class: Optional[str] = None
     label: str = "manifold"
 
     def __post_init__(self):
@@ -166,8 +165,8 @@ def _geometry(J: np.ndarray):
     return G, H, W, lam, is_lambda, vol
 
 
-def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray,
-                  tol: float = LAMBDA_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """lam and is_lambda of `_geometry` from G = gv diag(gl) gv^T and H."""
     # lambda_ell^2 are the (doubled) eigenvalues of the symmetric PSD matrix
     # G^{-1/2} H G^{-1} H^T G^{-1/2}; this avoids a nonsymmetric eigensolve.
@@ -175,9 +174,9 @@ def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray,
     A = G_mhalf @ H @ G_mhalf  # skew and similar to W
     lam2 = np.linalg.eigvalsh(A @ np.swapaxes(A, 1, 2))  # -A^2, ascending
     # threshold on lambda^2 relative to the spectral scale: eigvalsh noise is
-    # O(eps * scale) and would exceed tol after the square root
+    # O(eps * scale) and would exceed LAMBDA_TOL after the square root
     scale = np.maximum(lam2[:, -1], 1.0)
-    keep = lam2 > np.maximum(tol ** 2, 1e-13 * scale)[:, None]
+    keep = lam2 > np.maximum(LAMBDA_TOL ** 2, 1e-13 * scale)[:, None]
     count = keep.sum(axis=1)
     if np.any(count % 2 != 0):
         raise ClassificationError("W spectrum failed to pair into +-i lambda")
@@ -230,40 +229,36 @@ class Classification:
     half_rank: int
     lambda_range: tuple[float, float]  # (min, max) over nodes, 0s if r = 0
     max_unit_deviation: float  # max |lambda - 1| when coisotropic-shaped
-    frames: tuple[GeometryFrame, ...] = field(repr=False, default=())
 
     @property
     def d_prime(self) -> int:
         return d_prime(self)
 
 
-def _sample_nodes(sub: ChartedSubmanifold, per_axis: int = 5) -> list[tuple[Chart, np.ndarray]]:
+SAMPLES_PER_AXIS = 5  # classification grid: nodes per chart axis
+
+
+def _sample_nodes(sub: ChartedSubmanifold) -> list[tuple[Chart, np.ndarray]]:
     out = []
+    n = SAMPLES_PER_AXIS
     for chart in sub.charts:
         axes = []
         for (lo, hi), per in zip(chart.domain, chart.periodic):
             if per:
-                axes.append(lo + (hi - lo) * (np.arange(per_axis) + 0.5) / per_axis)
+                axes.append(lo + (hi - lo) * (np.arange(n) + 0.5) / n)
             else:
                 # keep strictly interior for non-periodic axes
-                axes.append(lo + (hi - lo) * (np.arange(1, per_axis + 1)) / (per_axis + 1))
+                axes.append(lo + (hi - lo) * (np.arange(1, n + 1)) / (n + 1))
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.dim)
         out.append((chart, grid))
     return out
 
 
-def classify(sub: ChartedSubmanifold, sample_nodes=None) -> Classification:
-    """Classify by the K-endomorphism spectrum at sampled nodes.
-
-    sample_nodes: optional list of (chart, (m, d) array) pairs; defaults to a
-    coarse interior grid per chart.
-    """
-    if sample_nodes is None:
-        sample_nodes = _sample_nodes(sub)
-    frames = []
-    for chart, nodes in sample_nodes:
-        for t in np.atleast_2d(nodes):
-            frames.append(frame_at(chart, t))
+def classify(sub: ChartedSubmanifold) -> Classification:
+    """Classify by the K-endomorphism spectrum on a coarse interior grid
+    of each chart."""
+    frames = [frame_at(chart, t) for chart, nodes in _sample_nodes(sub)
+              for t in nodes]
     ranks = {f.half_rank for f in frames}
     if len(ranks) != 1:
         raise ClassificationError(f"half rank varies across nodes: {sorted(ranks)}")
@@ -281,8 +276,7 @@ def classify(sub: ChartedSubmanifold, sample_nodes=None) -> Classification:
     else:
         tag = "generic"
     return Classification(tag=tag, dim=d, ambient_dim=N, half_rank=r,
-                          lambda_range=lam_range, max_unit_deviation=unit_dev,
-                          frames=tuple(frames))
+                          lambda_range=lam_range, max_unit_deviation=unit_dev)
 
 
 def d_prime(obj) -> int:
@@ -422,8 +416,7 @@ def circle(radius: float = 1.0) -> ChartedSubmanifold:
 
     chart = Chart(dim=1, ambient_dim=1, domain=((0.0, 2.0 * math.pi),),
                   periodic=(True,), gamma=gamma, jacobian=jac, label="circle")
-    return ChartedSubmanifold(ambient_dim=1, charts=(chart,),
-                              declared_class="lagrangian", label=f"circle(r={r})")
+    return ChartedSubmanifold(ambient_dim=1, charts=(chart,), label=f"circle(r={r})")
 
 
 def torus_product(radii: Sequence[float], ambient_dim: Optional[int] = None) -> ChartedSubmanifold:
@@ -452,9 +445,7 @@ def torus_product(radii: Sequence[float], ambient_dim: Optional[int] = None) -> 
                   domain=tuple((0.0, 2.0 * math.pi) for _ in range(d)),
                   periodic=tuple(True for _ in range(d)),
                   gamma=gamma, jacobian=jac, label="torus")
-    tag = "lagrangian" if d == N else "isotropic"
-    return ChartedSubmanifold(ambient_dim=N, charts=(chart,),
-                              declared_class=tag, label=f"torus(radii={radii})")
+    return ChartedSubmanifold(ambient_dim=N, charts=(chart,), label=f"torus(radii={radii})")
 
 
 def parabola_patch(x1_range=(-1.0, 1.0), y1_range=(-1.0, 1.0)) -> ChartedSubmanifold:
@@ -477,8 +468,7 @@ def parabola_patch(x1_range=(-1.0, 1.0), y1_range=(-1.0, 1.0)) -> ChartedSubmani
                   domain=(tuple(map(float, x1_range)), tuple(map(float, y1_range))),
                   periodic=(False, False), gamma=gamma, jacobian=jac,
                   label="parabola")
-    return ChartedSubmanifold(ambient_dim=2, charts=(chart,),
-                              declared_class="symplectic", label="parabola_patch")
+    return ChartedSubmanifold(ambient_dim=2, charts=(chart,), label="parabola_patch")
 
 
 def plane_patch(ranges: Sequence[Sequence[float]]) -> ChartedSubmanifold:
@@ -498,8 +488,7 @@ def plane_patch(ranges: Sequence[Sequence[float]]) -> ChartedSubmanifold:
     chart = Chart(dim=d, ambient_dim=N, domain=tuple(ranges),
                   periodic=tuple(False for _ in range(d)),
                   gamma=gamma, jacobian=jac, label="plane")
-    return ChartedSubmanifold(ambient_dim=N, charts=(chart,),
-                              declared_class="coisotropic", label="plane_patch")
+    return ChartedSubmanifold(ambient_dim=N, charts=(chart,), label="plane_patch")
 
 
 def sphere3(radius: float = 1.0) -> ChartedSubmanifold:
@@ -541,8 +530,7 @@ def sphere3(radius: float = 1.0) -> ChartedSubmanifold:
                           (0.0, 2.0 * math.pi)),
                   periodic=(False, True, True), gamma=gamma, jacobian=jac,
                   label="sphere3")
-    return ChartedSubmanifold(ambient_dim=2, charts=(chart,),
-                              declared_class="coisotropic", label=f"sphere3(r={r})")
+    return ChartedSubmanifold(ambient_dim=2, charts=(chart,), label=f"sphere3(r={r})")
 
 
 def custom_chart(dim: int, ambient_dim: int, coords: Sequence[str],

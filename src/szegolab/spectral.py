@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,18 +42,14 @@ __all__ = [
 ]
 
 _CLAMP = 1e-10  # negative round-off below this fraction of max is zeroed
+NOISE_FLOOR = 1e-13  # rate_regression: relative error counted as converged
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Eigenvalues sorted descending plus operator metadata."""
+    """Eigenvalues sorted descending."""
 
     eigenvalues: np.ndarray
-    k: float
-    ambient_dim: int
-    manifold_dim: Optional[int] = None
-    d_prime: Optional[int] = None
-    normalization: str = "raw_T"
 
     @property
     def max(self) -> float:
@@ -156,11 +152,7 @@ def eigensolve(op: HermitianOperator) -> SpectralSummary:
     parts = [_band_eigvals(layout.band[w:w + width + 1, lo:hi])
              for lo, hi, width in _runs(layout, (0, 1))]
     parts += [_dense_eigvals(D) for _, _, D in layout.dense_blocks()]
-    eigs = _descending(parts)
-    return SpectralSummary(eigenvalues=eigs, k=op.trunc.k,
-                           ambient_dim=op.trunc.ambient_dim,
-                           manifold_dim=op.manifold_dim, d_prime=op.d_prime,
-                           normalization=op.normalization)
+    return SpectralSummary(_descending(parts))
 
 
 def trace_phi(spec: SpectralSummary, phi: TestFunction) -> float:
@@ -261,7 +253,7 @@ class RateFit:
     residuals: np.ndarray
 
 
-def rate_regression(k_values, values, target, noise_floor: float = 1e-13) -> RateFit:
+def rate_regression(k_values, values, target) -> RateFit:
     """Least-squares slope of log|value - target| against log k."""
     k_values = np.asarray(k_values, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -269,10 +261,10 @@ def rate_regression(k_values, values, target, noise_floor: float = 1e-13) -> Rat
         raise ValueError("need at least two distinct sweep points")
     err = np.abs(values - target)
     scale = max(abs(target), np.abs(values).max(initial=0.0), 1.0)
-    if np.all(err <= noise_floor * scale):
+    if np.all(err <= NOISE_FLOOR * scale):
         return RateFit(slope=0.0, intercept=-math.inf,
                        converged_below_noise=True, residuals=err)
-    err = np.maximum(err, noise_floor * scale)
+    err = np.maximum(err, NOISE_FLOOR * scale)
     slope, intercept = np.polyfit(np.log(k_values), np.log(err), 1)
     return RateFit(slope=float(slope), intercept=float(intercept),
                    converged_below_noise=False, residuals=err)

@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+BS_SAMPLES = 7  # nodes per axis of the gradient check's grid
+BS_GRAD_TOL = 1e-6  # largest |d(theta) - iota^* eta| accepted
+BS_CLOSURE_TOL = 1e-6  # largest distance of k dtheta / 2pi from an integer
+
+
 class BSViolationError(ValueError):
     pass
 
@@ -74,9 +79,8 @@ def _theta_values(bs: BohrSommerfeldData, t: np.ndarray) -> np.ndarray:
     return np.asarray(bs.theta(np.atleast_2d(np.asarray(t, float)))).reshape(-1)
 
 
-def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData, k: float,
-                           samples: int = 7, grad_tol: float = 1e-6,
-                           closure_tol: float = 1e-6) -> None:
+def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData,
+                           k: float) -> None:
     """Check d(theta) = iota^* eta and phase closure; raise on violation.
 
     The gradient check compares central finite differences of theta against
@@ -86,7 +90,7 @@ def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData, k: float,
     """
     axes = []
     for (lo, hi), per in zip(chart.domain, chart.periodic):
-        frac = (np.arange(samples) + 0.5) / samples
+        frac = (np.arange(BS_SAMPLES) + 0.5) / BS_SAMPLES
         axes.append(lo + (hi - lo) * frac)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.dim)
     z = chart.points(grid)
@@ -100,7 +104,7 @@ def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData, k: float,
                   - _theta_values(bs, grid - step)) / (2.0 * h)
         eta_j = -np.imag(np.sum(z * cols[:, :, j].conj(), axis=1))
         worst = float(np.abs(dtheta - eta_j).max())
-        if worst > grad_tol:
+        if worst > BS_GRAD_TOL:
             raise BSViolationError(
                 f"d(theta)/dt{j + 1} deviates from iota^* eta by {worst:.2e}")
     for j, per in enumerate(chart.periodic):
@@ -113,7 +117,7 @@ def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData, k: float,
         dphase = k * float(_theta_values(bs, shifted)[0]
                            - _theta_values(bs, base)[0])
         frac = dphase / (2.0 * math.pi)
-        if abs(frac - round(frac)) > closure_tol:
+        if abs(frac - round(frac)) > BS_CLOSURE_TOL:
             raise BSViolationError(
                 f"phase closure fails on axis {j + 1}: k*dtheta/2pi = {frac}")
 

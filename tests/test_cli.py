@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import poisson
 
 from szegolab import acceptance, cli
+from szegolab.assembly import TruncationWarning
 from szegolab.manifold import quadrature
 
 
@@ -59,8 +60,7 @@ def test_spectrum_of_complex_amplitude_lists_singular_values(tmp_path):
     rows = json.loads((out / "spectrum.json").read_text())
     assert all("eigenvalue" not in r for r in rows)
     values = [r["singular_value"] for r in rows]
-    exp = cli.Experiment(config, cli.build_parser().parse_args(
-        ["--config", cfg, "spectrum"]))
+    exp = cli.Experiment(config)
     op, _ = exp.operator(10.0)
     assert not op.hermitian
     assert values == pytest.approx(
@@ -119,6 +119,36 @@ def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "abc"], ["--k", "0"], ["--k", "5,"], ["--max-degree", "-1"],
+    ["--quad-order", "0"],
+])
+def test_overrides_are_validated_by_the_schema(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, CIRCLE)
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out), *argv,
+                     "spectrum"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"max_degree": 0}, []),
+    ({}, ["--max-degree", "0"]),
+    ({"max_degree": 7}, ["--max-degree", "0"]),
+])
+def test_max_degree_zero_is_kept(tmp_path, config, argv):
+    cfg = write_config(tmp_path, {**CIRCLE, "k_sweep": [5.0], **config})
+    out = tmp_path / "out"
+    # the single basis function is the top degree, so truncation is flagged
+    with pytest.warns(TruncationWarning):
+        code = cli.main(["--config", cfg, "--out", str(out), *argv,
+                         "--format", "json", "spectrum"])
+    assert code == 0
+    rows = json.loads((out / "spectrum.json").read_text())
+    assert [r["M"] for r in rows] == [0]
 
 
 def test_parse_error_names_the_expression(tmp_path, capsys):

@@ -3,14 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from szegolab.fock import (
-    FockTruncation,
-    basis_norm,
-    coherent_state_coeffs,
-    eval_basis,
-    eval_basis_matrix,
-    reproducing_kernel,
-)
+from szegolab.fock import FockTruncation, eval_basis_matrix
+
+
+def kernel_closed_form(k, z, w):
+    """Bergman kernel (k/pi)^N e^{k z.conj(w)} e^{-k|z|^2/2} e^{-k|w|^2/2}.
+
+    The real part of the exponent is taken as -k|z - w|^2/2 in log form, so
+    the value never overflows for large k|z||w|.
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    w = np.asarray(w, dtype=complex).reshape(-1)
+    log_mag = z.size * math.log(k / math.pi) - 0.5 * k * float(
+        np.sum(np.abs(z - w) ** 2))
+    return math.exp(log_mag) * np.exp(1j * k * np.sum(z * w.conj()).imag)
+
+
+def kernel_sum(trunc, z, w):
+    """Truncated kernel sum_n u_n(z) conj(u_n(w)) over the basis."""
+    vals = eval_basis_matrix(trunc, np.array([z, w], dtype=complex))
+    return complex(np.sum(vals[0] * vals[1].conj()))
 
 
 def test_basis_size_is_binomial():
@@ -29,89 +41,93 @@ def test_basis_ordering_graded_and_stable():
 
 
 def test_basis_norm_gaussian_integrals():
-    t1 = FockTruncation(1, 1.0, 2)
-    assert basis_norm(t1, (0,)) == pytest.approx(math.sqrt(math.pi))
-    assert basis_norm(t1, (1,)) == pytest.approx(math.sqrt(math.pi))
-    t2 = FockTruncation(2, 2.0, 1)
-    assert basis_norm(t2, (0, 0)) == pytest.approx(math.pi / 2)
-
-
-def test_basis_norm_rejects_out_of_basis():
-    trunc = FockTruncation(1, 1.0, 2)
-    with pytest.raises(ValueError):
-        basis_norm(trunc, (5,))
+    # each normalized basis function has unit L^2 norm on C
+    # Gauss-Legendre in the radius on [0, 12]
+    x, wx = np.polynomial.legendre.leggauss(200)
+    r, wr = 6.0 * (x + 1.0), 6.0 * wx
+    for k in (1.0, 3.0):
+        trunc = FockTruncation(1, k, 4)
+        vals = eval_basis_matrix(trunc, (r + 0j)[:, None])
+        mass = 2 * math.pi * (wr * r) @ np.abs(vals) ** 2
+        assert mass == pytest.approx(np.ones(trunc.dim), rel=1e-12)
 
 
 def test_eval_basis_values():
     trunc = FockTruncation(1, 1.0, 3)
-    assert eval_basis(trunc, (0,), [0j]) == pytest.approx(1 / math.sqrt(math.pi))
-    assert eval_basis(trunc, (1,), [0j]) == 0
+    vals = eval_basis_matrix(trunc, [0j])[0]
+    assert vals[trunc.basis.index((0,))] == pytest.approx(1 / math.sqrt(math.pi))
+    assert vals[trunc.basis.index((1,))] == 0
 
 
 def test_eval_basis_radial_maximum():
     k, n = 3.0, 4
     trunc = FockTruncation(1, k, 8)
     radii = np.linspace(0.2, 3.0, 400)
-    vals = [abs(eval_basis(trunc, (n,), [r + 0j])) for r in radii]
+    column = trunc.basis.index((n,))
+    vals = np.abs(eval_basis_matrix(trunc, (radii + 0j)[:, None])[:, column])
     r_star = radii[int(np.argmax(vals))]
     assert r_star ** 2 == pytest.approx(n / k, rel=0.02)
 
 
 def test_kernel_diagonal_and_examples():
-    t = FockTruncation(1, 3.0, 2)
-    assert reproducing_kernel(t, [0j], [0j]) == pytest.approx(3 / math.pi)
+    t = FockTruncation(1, 3.0, 40)
+    assert kernel_sum(t, [0j], [0j]) == pytest.approx(3 / math.pi, rel=1e-14)
     z = [0.4 + 0.2j]
-    val = reproducing_kernel(t, z, z)
+    val = kernel_sum(t, z, z)
     assert val.imag == pytest.approx(0.0, abs=1e-15)
-    assert val.real == pytest.approx(3 / math.pi)
-    t1 = FockTruncation(1, 1.0, 2)
-    assert abs(reproducing_kernel(t1, [1 + 0j], [1j])) == pytest.approx(
-        math.exp(-1) / math.pi)
+    assert val.real == pytest.approx(3 / math.pi, rel=1e-12)
+    assert kernel_closed_form(3.0, z, z) == pytest.approx(3 / math.pi)
+    t1 = FockTruncation(1, 1.0, 40)
+    assert abs(kernel_sum(t1, [1 + 0j], [1j])) == pytest.approx(
+        math.exp(-1) / math.pi, rel=1e-12)
 
 
 def test_kernel_hermitian_symmetry_and_phase():
-    trunc = FockTruncation(2, 7.0, 3)
+    trunc = FockTruncation(2, 7.0, 80)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        kzw = reproducing_kernel(trunc, z, w)
-        assert kzw == pytest.approx(np.conj(reproducing_kernel(trunc, w, z)))
+        z = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        w = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        kzw = kernel_sum(trunc, z, w)
+        assert kzw == pytest.approx(np.conj(kernel_sum(trunc, w, z)),
+                                    rel=1e-12)
         omega = np.imag(np.sum(z * np.conj(w)))
         expect = (7.0 / math.pi) ** 2 * math.exp(
             -3.5 * float(np.sum(np.abs(z - w) ** 2))) * np.exp(7j * omega)
-        assert kzw == pytest.approx(expect, rel=1e-12)
+        assert kernel_closed_form(7.0, z, w) == pytest.approx(expect,
+                                                              rel=1e-12)
+        assert kzw == pytest.approx(expect, rel=1e-9)
 
 
 def test_kernel_no_overflow_large_k():
-    trunc = FockTruncation(1, 400.0, 10)
-    val = reproducing_kernel(trunc, [3 + 0j], [2.5 + 0j])
-    assert np.isfinite(val)
+    # (sqrt(k)|z|)^M = 60^1600 overflows unless the tables stay in log form
+    trunc = FockTruncation(1, 400.0, 1600)
+    vals = eval_basis_matrix(trunc, [[3 + 0j], [2.5 + 0j]])
+    assert np.all(np.isfinite(vals))
+    assert np.isfinite(kernel_sum(trunc, [3 + 0j], [2.5 + 0j]))
 
 
 def test_truncated_kernel_completeness():
     k, M = 6.0, 24
     trunc = FockTruncation(1, k, M)
     # k|z|^2, k|w|^2 <= M/4
-    z = np.array([[0.9 + 0.2j]])
-    w = np.array([[0.5 - 0.7j]])
-    bz = eval_basis_matrix(trunc, z)[0]
-    bw = eval_basis_matrix(trunc, w)[0]
-    partial = np.sum(bz * bw.conj())
-    exact = reproducing_kernel(trunc, z[0], w[0])
+    z, w = 0.9 + 0.2j, 0.5 - 0.7j
+    partial = kernel_sum(trunc, [z], [w])
+    exact = kernel_closed_form(k, [z], [w])
     assert abs(partial - exact) <= 1e-8 * (k / math.pi)
 
 
 def test_coherent_state_coeffs():
+    # the coherent state e_w has the coefficient conj(u_n(w)) on u_n
     trunc = FockTruncation(1, 1.0, 12)
-    c0 = coherent_state_coeffs(trunc, [0j])
+    c0 = eval_basis_matrix(trunc, [0j])[0].conj()
     assert np.count_nonzero(np.abs(c0) > 1e-14) == 1
-    cw = coherent_state_coeffs(trunc, [1 + 0j])
+    cw = eval_basis_matrix(trunc, [1 + 0j])[0].conj()
     bound = (1.0 / math.pi)
     assert np.sum(np.abs(cw) ** 2) <= bound + 1e-12
     # |c_n|^2 = e^{-1} / (pi n!)
     for n in range(5):
-        idx = trunc.index_of((n,))
+        idx = trunc.basis.index((n,))
         assert abs(cw[idx]) ** 2 == pytest.approx(
             math.exp(-1) / (math.pi * math.factorial(n)))
 
@@ -120,9 +136,9 @@ def test_eval_basis_matrix_zero_coordinate_masking():
     trunc = FockTruncation(2, 2.0, 2)
     vals = eval_basis_matrix(trunc, np.array([[0j, 1.0 + 0j]]))[0]
     assert np.all(np.isfinite(vals))
-    idx = trunc.index_of((1, 0))
+    idx = trunc.basis.index((1, 0))
     assert vals[idx] == 0
-    idx2 = trunc.index_of((0, 1))
+    idx2 = trunc.basis.index((0, 1))
     assert vals[idx2] != 0
 
 

@@ -25,14 +25,13 @@ def make_op(matrix, k=5.0, hermitian=True, normalization="scaled_S"):
     trunc = FockTruncation(1, k, M)
     return HermitianOperator(matrix=np.asarray(matrix, dtype=complex),
                              trunc=trunc, normalization=normalization,
-                             scale_factor=1.0, hermitian=hermitian,
-                             manifold_dim=1, d_prime=1, symbol_mass=1.0)
+                             hermitian=hermitian, manifold_dim=1,
+                             symbol_mass=1.0)
 
 
 def test_eigensolve_zero_matrix():
     summary = eigensolve(make_op(np.zeros((4, 4))))
     assert np.array_equal(summary.eigenvalues, np.zeros(4))
-    assert summary.k == 5.0
 
 
 def test_eigensolve_pauli_x():
@@ -53,10 +52,8 @@ def test_eigenvalues_sorted_descending():
     assert np.all(np.diff(summary.eigenvalues) <= 0)
 
 
-def summary_from(eigs, k=5.0):
-    return SpectralSummary(eigenvalues=np.sort(eigs)[::-1].astype(float),
-                           k=k, ambient_dim=1, manifold_dim=1, d_prime=1,
-                           normalization="scaled_S")
+def summary_from(eigs):
+    return SpectralSummary(eigenvalues=np.sort(eigs)[::-1].astype(float))
 
 
 def test_trace_phi_identity_and_powers():
