@@ -9,7 +9,6 @@ Weyl counts, Schatten sums, entropy limits, Bohr-Sommerfeld bounds).
 
 from .fock import FockTruncation
 from .manifold import (
-    Chart,
     ChartedSubmanifold,
     GeometryFrame,
     frame_at,
@@ -24,7 +23,6 @@ from .spectral import SpectralSummary, TestFunction, eigensolve
 
 __all__ = [
     "FockTruncation",
-    "Chart",
     "ChartedSubmanifold",
     "GeometryFrame",
     "frame_at",

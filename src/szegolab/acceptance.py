@@ -302,7 +302,7 @@ def check_hessian_oracle(lab: Lab):
     parabola_ok = True
     sub = parabola_patch()
     for x1 in (0.0, 1.0):
-        frame = frame_at(sub.charts[0], (x1, 0.3))
+        frame = frame_at(sub, (x1, 0.3))
         lam2 = 1.0 / (1.0 + x1 ** 2)
         for n in range(2, 7):
             series = sum(math.comb(n, 2 * j + 1) * lam2 ** j

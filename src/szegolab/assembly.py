@@ -31,7 +31,7 @@ rotations z_j -> e^{i theta} z_j, which the monomial basis diagonalises.
 A periodic axis with L nodes is a rotation axis when, for every
 coordinate j, z_j at the next node along it (wrapping around) equals
 omega^{c_j} z_j on every node, omega = e^{2 pi i / L} and c_j an integer
-mod L, to 64 eps max|z|.  The check reads only the block's points, so
+mod L, to 64 eps max|z|.  The check reads only the quadrature points, so
 DSL charts qualify as the built-in ones do.  A basis function n then has
 charge q_n = sum_j c_j n_j mod L on each rotation axis, and its value at
 rotation index phi is omega^{phi . q_n} times its value U_n at phi = 0.
@@ -86,9 +86,10 @@ DSL torus amplitude 1 + cos(t1)/4 + cos(t2)/4 is such a case: its support
 and passing the dense matrix on would not pay: at k=12 and M=48 that
 leaves 99.6% exact zeros, and eigvalsh then takes 1.34 s instead of
 0.45 s and the SVD 2.59 s instead of 0.78 s, from subnormal numbers
-inside LAPACK's reductions.  The dense path is also taken when some
-block has no rotation axes, and when a sector keeps so many charges that
-a row may link to more than dim/4 others and more than 2 _BAND_MAX + 1.
+inside LAPACK's reductions.  The dense path is also taken when the
+quadrature has no rotation axes, when w a vanishes on every node, and
+when the sector keeps so many charges that a row may link to more than
+dim/4 others and more than 2 _BAND_MAX + 1.
 
 Bandwidth crossover: _BAND_MAX was measured as the ratio of banded to
 dense solver time on random blocks of n rows (2-vCPU Xeon, OpenBLAS,
@@ -104,15 +105,15 @@ loses a few milliseconds on small ones.
 
 Paths: one explicit node of the sector sum costs a few passes over the
 dim^2 matrix, about as much as 50 nodes of zherk.  The sector sum is used
-when a block has at least _SECTOR_NODES = 64 rotation nodes per explicit
-node.  Measured on sphere3 at k=10 (dim 1035, 2-vCPU Xeon, OpenBLAS), the
+when the grid has at least _SECTOR_NODES = 64 rotation nodes per
+explicit node.  Measured on sphere3 at k=10 (dim 1035, 2-vCPU Xeon, OpenBLAS), the
 sector sum won at 64 ([200, 8, 8]: 1.04-1.08 s against 1.29-1.33 s node
 by node) and lost at 48 ([300, 6, 8]: 1.56-1.71 s against 1.43-1.45 s).
-Blocks without rotation axes (parabola, plane patches, non-rotation DSL
+Grids without rotation axes (parabola, plane patches, non-rotation DSL
 charts) always go node by node.
 
 Pair traces: Tr(T_a T_b) is the double sum of (w a)_s e^{-k|z_s - z_t|^2}
-(w b)_t over m nodes.  On a block with a tensor grid, two chart axes are
+(w b)_t over m nodes.  On the tensor grid of the quadrature, two chart axes are
 in the same group when some real coordinate of the points varies along
 both; a coordinate varies along an axis unless it is exactly constant
 along it.  As for rotation axes, only the points are read, so DSL charts
@@ -121,9 +122,8 @@ the kernel is the Kronecker product of the n_g x n_g group kernels, and
 w b is multiplied by one group kernel at a time and finished by a dot
 product with w a: m sum_g n_g products and sum_g n_g^2 exponentials
 instead of m^2 of each.  The parabola, the tori and plane patches have
-one group per axis.  sphere3, whose s axis moves every coordinate, a
-block without a grid and a quadrature of several blocks form one group,
-which is the dense sum.  On the 64 x 64 parabola a call takes 1-2 ms
+one group per axis.  sphere3, whose s axis moves every coordinate, forms
+one group, which is the dense sum.  On the 64 x 64 parabola a call takes 1-2 ms
 instead of 0.28-0.40 s with the 4096 x 4096 kernel, and 0.01-0.02 s at
 256 x 256 nodes, where that kernel would have 4.3e9 entries (2-vCPU
 Xeon, OpenBLAS); the parabola_moments pair traces move by 2e-16
@@ -141,8 +141,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fock import FockTruncation, eval_basis_matrix
-from .manifold import (ChartedSubmanifold, Quadrature, QuadratureBlock,
-                       amp_values)
+from .manifold import ChartedSubmanifold, Quadrature, amp_values
 
 __all__ = [
     "BlockLayout",
@@ -362,21 +361,18 @@ def _mirror_lower(T: np.ndarray) -> None:
         diag[upper] = diag.T[upper].conj()
 
 
-def _sector_axes(block: QuadratureBlock):
-    """Periodic axes of the block that act on its points as rotations.
+def _sector_axes(quad: Quadrature):
+    """Periodic axes of the grid that act on its points as rotations.
 
     Returns (axes, charges), charges[j, i] the integer c with
     z_j(next node along axes[i]) = e^{2 pi i c / L} z_j(node) on every node,
-    or None when the block has no grid, no such axis, or fewer than
-    _SECTOR_NODES rotation nodes per explicit node (module notes).
+    or None when there is no such axis, or fewer than _SECTOR_NODES
+    rotation nodes per explicit node (module notes).
     """
-    if block.shape is None:
-        return None
-    grid = block.points.reshape(block.shape + (-1,))
+    grid = quad.points.reshape(quad.shape + (-1,))
     tol = _ROTATION_TOL * float(np.abs(grid).max(initial=0.0))
     axes, charges = [], []
-    for axis, (L, periodic) in enumerate(zip(block.shape,
-                                             block.chart.periodic)):
+    for axis, (L, periodic) in enumerate(zip(quad.shape, quad.sub.periodic)):
         if not periodic:
             continue
         shifted = np.roll(grid, -1, axis=axis)
@@ -385,15 +381,15 @@ def _sector_axes(block: QuadratureBlock):
         if np.abs(shifted - np.exp(2j * math.pi * c / L) * grid).max() <= tol:
             axes.append(axis)
             charges.append(c)
-    if math.prod(block.shape[a] for a in axes) < _SECTOR_NODES:
+    if math.prod(quad.shape[a] for a in axes) < _SECTOR_NODES:
         return None  # also when axes is empty
     return tuple(axes), np.stack(charges, axis=1)
 
 
-def _rotation_grid(trunc: FockTruncation, block: QuadratureBlock,
+def _rotation_grid(trunc: FockTruncation, quad: Quadrature,
                    axes: tuple, charges: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of a block by rotation sector, and the charges of the basis.
+    """Nodes of the grid by rotation sector, and the charges of the basis.
 
     axes and charges are those `_sector_axes` found.  Returns (order, q):
     order[theta, phi] is the index of the node at explicit node theta and
@@ -401,17 +397,17 @@ def _rotation_grid(trunc: FockTruncation, block: QuadratureBlock,
     and q[n] is the charge of basis function n on each rotation axis, so
     that u_n at phi is omega^{phi . q_n} times u_n at the base point.
     """
-    shape = block.shape
+    shape = quad.shape
     rot_shape = tuple(shape[a] for a in axes)
     explicit = [a for a in range(len(shape)) if a not in axes]
-    order = np.arange(block.size).reshape(shape).transpose(explicit + list(axes))
+    order = np.arange(quad.size).reshape(shape).transpose(explicit + list(axes))
     q = trunc.exponent_matrix @ charges % np.array(rot_shape)
     return order.reshape((-1,) + rot_shape), q
 
 
 @dataclass
 class _Sector:
-    """Fourier-sector data of one quadrature block (module notes)."""
+    """Fourier-sector data of a rotation grid (module notes)."""
 
     F: np.ndarray  # (explicit node theta, charge): coefficients / S_theta
     V: np.ndarray  # sqrt(S_theta) U at the base points, flushed
@@ -495,14 +491,14 @@ class _Sector:
             Xt[diag] = Xt[diag].real  # the rounding of R C F leaves imaginary dust
 
 
-def _sector(trunc: FockTruncation, block: QuadratureBlock, wa: np.ndarray,
+def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
             axes: tuple, charges: np.ndarray,
             is_real: bool) -> Optional[_Sector]:
-    """Fourier coefficients and base-point basis values of one block.
+    """Fourier coefficients and base-point basis values of the grid.
 
-    None when w a vanishes on the block.
+    None when w a vanishes on every node.
     """
-    order, q = _rotation_grid(trunc, block, axes, charges)
+    order, q = _rotation_grid(trunc, quad, axes, charges)
     rot_shape = order.shape[1:]
     wa_grid = wa[order]
     scale = np.abs(wa_grid).reshape(order.shape[0], -1).sum(axis=1)
@@ -527,7 +523,7 @@ def _sector(trunc: FockTruncation, block: QuadratureBlock, wa: np.ndarray,
         keep |= keep[minus.reshape(-1)]
     mult = int(np.bincount(np.ravel_multi_index(q.T, rot_shape)).max())
     # V = sqrt(sum_phi |w a|) U at the base points phi = 0
-    V = eval_basis_matrix(trunc, block.points[order.reshape(-1, rot)[live, 0]])
+    V = eval_basis_matrix(trunc, quad.points[order.reshape(-1, rot)[live, 0]])
     V *= np.sqrt(scale)[:, None]
     norm2, dropped2 = _flush(V)
     return _Sector(F=F, V=V, q=q, shape=rot_shape, mult=mult,
@@ -566,27 +562,24 @@ def _dilation_width(lower, upper):
     return np.maximum(2 * hi - 1, 2 * lo + 1)
 
 
-def _charge_blocks(sectors: list[_Sector], dim: int, is_real: bool):
+def _charge_blocks(sector: _Sector, dim: int, is_real: bool):
     """Blocks of the charge graph, or None for one wide component.
 
     Basis functions n and m are linked when q_m - q_n mod L is a kept
-    charge of some sector.  Each component is ordered by charge; a block
-    whose solver width exceeds _BAND_MAX is dense.  Returns perm, bounds
-    and widths in `BlockLayout` order, and the pairs of each sector.
+    charge.  Each component is ordered by charge; a block whose solver
+    width exceeds _BAND_MAX is dense.  Returns perm, bounds and widths in
+    `BlockLayout` order, and the sector's pairs.
     """
     # a row links to at most (kept charges) * mult others: past a quarter of
     # dim, and past the rows of a band of width _BAND_MAX, the support is
     # too wide for blocks to pay
-    if any(np.count_nonzero(s.keep) * s.mult > max(dim / 4, 2 * _BAND_MAX + 1)
-           for s in sectors):
+    if (np.count_nonzero(sector.keep) * sector.mult
+            > max(dim / 4, 2 * _BAND_MAX + 1)):
         return None
-    pairs = [s.pairs() for s in sectors]
-    none = np.zeros(0, dtype=np.int64)
-    rows = np.concatenate([p[0] for p in pairs] + [none])
-    cols = np.concatenate([p[1] for p in pairs] + [none])
+    pairs = sector.pairs()
+    rows, cols, _ = pairs
     _, comp = np.unique(_components(dim, rows, cols), return_inverse=True)
-    keys = (sectors[0].flat_q, comp) if sectors else (comp,)
-    order = np.lexsort(keys)  # by component, then charge
+    order = np.lexsort((sector.flat_q, comp))  # by component, then charge
     pos = np.empty(dim, dtype=np.int64)
     pos[order] = np.arange(dim)
     step = pos[rows] - pos[cols]
@@ -610,10 +603,10 @@ def _charge_blocks(sectors: list[_Sector], dim: int, is_real: bool):
     return perm, bounds, widths, pairs
 
 
-def _fill_blocks(sectors: list[_Sector], perm: np.ndarray,
-                 bounds: np.ndarray, widths: np.ndarray, pairs: list,
+def _fill_blocks(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
+                 widths: np.ndarray, pairs: tuple,
                  is_real: bool) -> BlockLayout:
-    """Sum the in-support entries of every sector into the blocks."""
+    """Sum the in-support entries of the sector into the blocks."""
     dim = perm.size
     w = int(widths.max(initial=0))
     pos = np.empty(dim, dtype=np.int64)
@@ -626,23 +619,24 @@ def _fill_blocks(sectors: list[_Sector], perm: np.ndarray,
     buffer = np.zeros(start[-1], dtype=complex)
     dense = [buffer[start[i]:start[i + 1]].reshape(n, n)
              for i, n in enumerate(size)]
-    for sec, (rows, cols, charges) in zip(sectors, pairs):
-        i, j = pos[rows], pos[cols]
-        if is_real:  # the lower triangle; the upper is its conjugate
-            lower = i >= j
-            rows, cols, charges = rows[lower], cols[lower], charges[lower]
-            i, j = i[lower], j[lower]
-        # T_nm = sum_theta conj(V_theta,n) V_theta,m F_theta[q_m - q_n]
-        vals = np.zeros(rows.size, dtype=complex)
-        for t in range(sec.F.shape[0]):
-            vals += sec.V[t, rows].conj() * sec.V[t, cols] * sec.F[t, charges]
-        # (n, m) pairs are distinct within a sector, so += adds each once
-        b = np.searchsorted(dense_lo, i, side="right") - 1
-        banded = b < 0
-        band[w + i[banded] - j[banded], j[banded]] += vals[banded]
-        b, r, c = b[~banded], i[~banded], j[~banded]
-        buffer[start[b] + (r - dense_lo[b]) * size[b] + c - dense_lo[b]] \
-            += vals[~banded]
+    rows, cols, charges = pairs
+    i, j = pos[rows], pos[cols]
+    if is_real:  # the lower triangle; the upper is its conjugate
+        lower = i >= j
+        rows, cols, charges = rows[lower], cols[lower], charges[lower]
+        i, j = i[lower], j[lower]
+    # T_nm = sum_theta conj(V_theta,n) V_theta,m F_theta[q_m - q_n]
+    V, F = sector.V, sector.F
+    vals = np.zeros(rows.size, dtype=complex)
+    for t in range(F.shape[0]):
+        vals += V[t, rows].conj() * V[t, cols] * F[t, charges]
+    # the (n, m) pairs are distinct, so += adds each once
+    b = np.searchsorted(dense_lo, i, side="right") - 1
+    banded = b < 0
+    band[w + i[banded] - j[banded], j[banded]] += vals[banded]
+    b, r, c = b[~banded], i[~banded], j[~banded]
+    buffer[start[b] + (r - dense_lo[b]) * size[b] + c - dense_lo[b]] \
+        += vals[~banded]
     if is_real:
         band[w] = band[w].real
         for d in range(1, w + 1):
@@ -661,53 +655,47 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     a: None (constant 1), a scalar, or a callable on (m, d) chart nodes.
     Real amplitudes give an exactly Hermitian operator; complex ones are
     assembled as-is with the hermitian flag cleared.  When the periodic
-    axes of every block rotate the points, T is summed by Fourier sectors
-    straight into its charge blocks.  Otherwise, or when the charges link
-    into one wide block, T is one dense matrix, summed by sectors where
-    a block allows and node by node elsewhere (module notes).
+    axes of the grid rotate the points, T is summed by Fourier sectors
+    straight into its charge blocks, or into one dense matrix when the
+    charges link into one wide block.  Otherwise T is one dense matrix
+    summed node by node (module notes).
     """
-    dim = trunc.dim
-    weighted = [block.weights * amp_values(a, block) for block in quad.blocks]
-    mass = complex(sum(np.sum(wa) for wa in weighted))
-    is_real = not any(np.iscomplexobj(wa) and np.abs(wa.imag).max() > 0
-                      for wa in weighted)
+    wa = quad.weights * amp_values(a, quad)
+    mass = complex(np.sum(wa))
+    is_real = not (np.iscomplexobj(wa) and np.abs(wa.imag).max() > 0)
     if is_real:
-        weighted = [wa.real for wa in weighted]
-    axes = [_sector_axes(block) for block in quad.blocks]
-    sectors = [None if ax is None else _sector(trunc, block, wa, *ax, is_real)
-               for block, wa, ax in zip(quad.blocks, weighted, axes)]
-    live = [sec for sec in sectors if sec is not None]
-    blocks = None
-    if all(ax is not None for ax in axes):
-        blocks = _charge_blocks(live, dim, is_real)
+        wa = wa.real
+    axes = _sector_axes(quad)
+    sector = None if axes is None else _sector(trunc, quad, wa, *axes, is_real)
+    blocks = None if sector is None else _charge_blocks(sector, trunc.dim,
+                                                          is_real)
     if blocks is not None:
-        zeroed = [sec.zero_and_flush(~sec.keep) for sec in live]
-        stored = {"layout": _fill_blocks(live, *blocks, is_real=is_real)}
-        norm2 = sum(sec.norm2 for sec in live)
-        dropped2 = sum(sec.dropped2 for sec in live)
+        flushed, offblock = sector.zero_and_flush(~sector.keep)
+        stored = {"layout": _fill_blocks(sector, *blocks, is_real=is_real)}
+        norm2, dropped2 = sector.norm2, sector.dropped2
     else:
-        T, norm2, dropped2, zeroed = _assemble_dense(trunc, quad, weighted,
-                                                     axes, sectors, is_real)
+        T, norm2, dropped2, flushed, offblock = _assemble_dense(
+            trunc, quad, wa, sector, is_real)
         stored = {"matrix": T}
     dC = math.sqrt(dropped2)
     op = HermitianOperator(**stored, trunc=trunc, normalization="raw_T",
                            hermitian=is_real, manifold_dim=sub.dim,
                            symbol_mass=mass,
                            flush_bound=dC * (2.0 * math.sqrt(norm2) + dC)
-                           + sum(f for f, _ in zeroed),
-                           offblock_bound=sum(o for _, o in zeroed))
+                           + flushed,
+                           offblock_bound=offblock)
     _warn_if_truncated(op)
     return op
 
 
-def _assemble_dense(trunc: FockTruncation, quad: Quadrature, weighted: list,
-                    axes: list, sectors: list, is_real: bool):
-    """T as one dense matrix: sector sums where a block has them, zherk or
-    zgemm node by node elsewhere.  Coefficients are zeroed only when every
-    charge but 0 lies within the rounding floor (module notes).
+def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
+                    sector: Optional[_Sector], is_real: bool):
+    """T as one dense matrix: the sector sum when there is a sector, zherk
+    or zgemm node by node otherwise.  Coefficients are zeroed only when
+    every charge but 0 lies within the rounding floor (module notes).
 
-    Returns T, ||C'||^2, the bound on ||Delta C||^2 and the (flush,
-    zeroing) bounds of each sector.
+    Returns T, ||C'||^2, the bound on ||Delta C||^2 and the sector's flush
+    and zeroing bounds.
     """
     # scipy.linalg costs more to import than the whole package, so it is
     # loaded on first assembly rather than with the module
@@ -718,49 +706,42 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, weighted: list,
     # and X accumulates in Fortran order: T^T for zgemm, the upper triangle
     # of T for zherk
     X = np.zeros((dim, dim), dtype=complex, order="F")
-    norm2 = dropped2 = 0.0
-    zeroed = []
-    for block, wa, ax, sec in zip(quad.blocks, weighted, axes, sectors):
-        if sec is not None:
-            drop = ~sec.keep
-            if sec.keep[1:].any():
-                drop[:] = False
-            zeroed.append(sec.zero_and_flush(drop))
-            sec.fill_dense(X.T, is_real)
-            norm2 += sec.norm2
-            dropped2 += sec.dropped2
-            continue
-        if ax is not None:
-            continue  # w a vanishes on the block
-        if is_real:
-            passes = ((1.0, np.flatnonzero(wa > 0)),
-                      (-1.0, np.flatnonzero(wa < 0)))
-        else:
-            passes = ((1.0, np.flatnonzero(wa != 0)),)
-        for alpha, rows in passes:
-            for lo, hi in _node_chunks(rows.size, dim):
-                chunk = rows[lo:hi]
-                C = eval_basis_matrix(trunc, block.points[chunk])
-                C *= np.sqrt(np.abs(wa[chunk]))[:, None]
-                n2, d2 = _flush(C)
-                norm2 += n2
-                dropped2 += d2
-                if is_real:
-                    X = zherk(alpha, C, beta=1.0, c=X, trans=2,
-                              overwrite_c=1)
-                    continue
-                # X += C^T (phase * conj C), with phase = wa / |wa|
-                phased = C.conj()
-                phased *= (wa[chunk] / np.abs(wa[chunk]))[:, None]
-                X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
-                          overwrite_c=1)
+    norm2 = dropped2 = flushed = offblock = 0.0
+    if sector is not None:
+        drop = ~sector.keep
+        if sector.keep[1:].any():
+            drop[:] = False
+        flushed, offblock = sector.zero_and_flush(drop)
+        sector.fill_dense(X.T, is_real)
+        norm2, dropped2 = sector.norm2, sector.dropped2
+        passes = ()  # the sector sum covers every node
+    elif is_real:
+        passes = ((1.0, np.flatnonzero(wa > 0)), (-1.0, np.flatnonzero(wa < 0)))
+    else:
+        passes = ((1.0, np.flatnonzero(wa != 0)),)
+    for alpha, rows in passes:
+        for lo, hi in _node_chunks(rows.size, dim):
+            chunk = rows[lo:hi]
+            C = eval_basis_matrix(trunc, quad.points[chunk])
+            C *= np.sqrt(np.abs(wa[chunk]))[:, None]
+            n2, d2 = _flush(C)
+            norm2 += n2
+            dropped2 += d2
+            if is_real:
+                X = zherk(alpha, C, beta=1.0, c=X, trans=2, overwrite_c=1)
+                continue
+            # X += C^T (phase * conj C), with phase = wa / |wa|
+            phased = C.conj()
+            phased *= (wa[chunk] / np.abs(wa[chunk]))[:, None]
+            X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
+                      overwrite_c=1)
     T = X.T
     if is_real:
         # zherk filled the upper triangle of X, so the lower triangle of
         # its transpose holds conj(T): mirror it, then conjugate once
         _mirror_lower(T)
         np.conjugate(T, out=T)
-    return T, norm2, dropped2, zeroed
+    return T, norm2, dropped2, flushed, offblock
 
 
 def _warn_if_truncated(op: HermitianOperator) -> None:
@@ -830,12 +811,6 @@ def trace_product(op_a: HermitianOperator, op_b: HermitianOperator) -> complex:
     return complex(np.sum(va[hit] * vb[order[at[hit]]]))
 
 
-def _real_coords(blocks) -> np.ndarray:
-    """Points of all blocks as (m, 2N) interleaved reals (x1, y1, ...)."""
-    pts = np.concatenate([blk.points for blk in blocks]).astype(complex)
-    return pts.view(np.float64)
-
-
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|x_i - y_j|^2 for real rows, as |x|^2 + |y|^2 - 2 x.y by one gemm.
 
@@ -848,7 +823,7 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _axis_groups(blocks) -> tuple[tuple, tuple, list]:
+def _axis_groups(quad: Quadrature) -> tuple[tuple, tuple, list]:
     """Chart axes grouped so that |z - w|^2 is one sum per group.
 
     Returns (shape, perm, groups): the nodes in C order form a grid of
@@ -857,14 +832,11 @@ def _axis_groups(blocks) -> tuple[tuple, tuple, list]:
     group's n_g nodes.  Transposing the grid by `perm` lines the groups
     up in order, each group's axes in C order.  A coordinate varies along
     an axis unless it is exactly constant along it, and axes joined by a
-    varying coordinate share a group.  A block without a grid, or several
-    blocks, form one group of every node.
+    varying coordinate share a group.
     """
-    x = _real_coords(blocks)
-    if len(blocks) != 1 or blocks[0].shape is None:
-        return (x.shape[0],), (0,), [x]
-    shape = blocks[0].shape
-    grid = x.reshape(shape + (-1,))
+    shape = quad.shape
+    # the points as interleaved reals (x1, y1, ...) on the grid
+    grid = quad.points.view(np.float64).reshape(shape + (-1,))
     varying = [{a for a in range(len(shape))
                 if np.any(coord != coord.take([0], axis=a))}
                for coord in np.moveaxis(grid, -1, 0)]
@@ -902,12 +874,11 @@ def pair_trace_integral(sub: ChartedSubmanifold, a, b, quad: Quadrature,
     w b meets one group kernel at a time (module notes).
     """
     N = sub.ambient_dim
-    shape, perm, groups = _axis_groups(quad.blocks)
+    shape, perm, groups = _axis_groups(quad)
     sizes = [g.shape[0] for g in groups]
 
     def by_group(amp):  # w amp on the grid (n_1, ..., n_G), one axis a group
-        w = np.concatenate([blk.weights * amp_values(amp, blk)
-                            for blk in quad.blocks])
+        w = quad.weights * amp_values(amp, quad)
         return w.reshape(shape).transpose(perm).reshape(sizes)
 
     # each product moves its group's axis last, so the next group leads
@@ -938,18 +909,16 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
     n = len(amplitudes)
     if n < 2:
         raise ValueError("need at least two amplitudes")
-    pts = np.concatenate([blk.points for blk in quad.blocks])
+    pts = quad.points
     m = pts.shape[0]
     if float(m) ** 2 * n * 16 > budget:
         raise CostLimitError(f"{m} nodes with n={n} exceeds the cost budget")
-    weights = np.concatenate([blk.weights for blk in quad.blocks])
-    x = _real_coords(quad.blocks)
+    x = pts.view(np.float64)  # interleaved reals (x1, y1, ...)
     d2 = _sq_dists(x, x)
     om = np.imag(pts @ pts.conj().T)  # omega(w_u, w_v) = Im(w_u . conj(w_v))
     kernel = np.exp(-0.5 * k * d2 + 1j * k * om)
-    avals = [np.concatenate([amp_values(a, blk) for blk in quad.blocks])
-             for a in amplitudes]
-    factors = (((weights * av)[:, None] * kernel) for av in avals)
+    factors = (((quad.weights * amp_values(a, quad))[:, None] * kernel)
+               for a in amplitudes)
     chain = next(factors)
     for _ in range(n - 2):
         chain = chain @ next(factors)

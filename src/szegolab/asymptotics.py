@@ -90,9 +90,9 @@ def _szego_dim(sub: ChartedSubmanifold, cls: Optional[Classification]
     return cls, d_prime(cls)
 
 
-def _real_values(a, block) -> np.ndarray:
-    """a at the block's nodes; the Szego-type limits need a self-adjoint T_a."""
-    av = amp_values(a, block)
+def _real_values(a, quad: Quadrature) -> np.ndarray:
+    """a at the nodes; the Szego-type limits need a self-adjoint T_a."""
+    av = amp_values(a, quad)
     if np.iscomplexobj(av) and np.any(av.imag != 0):
         raise ValueError("Szego-type predictions need a real amplitude")
     return av.real
@@ -103,10 +103,8 @@ def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
                      cls: Optional[Classification] = None) -> SzegoPrediction:
     """F(phi) = integral over Gamma of O_{-d'/2}(phi)(a(w)) dsigma."""
     _, dp = _szego_dim(sub, cls)
-    total = 0.0
-    for block in quad.blocks:
-        av = _real_values(a, block)
-        total += float(np.sum(block.weights * mellin_log(phi, 0.5 * dp, av)))
+    av = _real_values(a, quad)
+    total = float(np.sum(quad.weights * mellin_log(phi, 0.5 * dp, av)))
     return SzegoPrediction(value=total, d_prime=dp, manifold_dim=sub.dim)
 
 
@@ -119,17 +117,13 @@ def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
     if dp <= 0:
         raise ValueError("the limiting density needs d' > 0")
     expo = 0.5 * dp - 1.0
-    total = 0.0
-    for block in quad.blocks:
-        av = _real_values(a, block)
-        mask = av >= s - 1e-12
-        if not np.any(mask):
-            continue
-        logs = np.log(np.maximum(av[mask] / s, 1.0))
-        if expo < 0:
-            # integrable endpoint singularity; keep boundary nodes finite
-            logs = np.maximum(logs, 1e-15)
-        total += float(np.sum(block.weights[mask] * logs ** expo))
+    av = _real_values(a, quad)
+    mask = av >= s - 1e-12
+    logs = np.log(np.maximum(av[mask] / s, 1.0))
+    if expo < 0:
+        # integrable endpoint singularity; keep boundary nodes finite
+        logs = np.maximum(logs, 1e-15)
+    total = float(np.sum(quad.weights[mask] * logs ** expo))
     return total / (gamma_fn(0.5 * dp) * s)
 
 
@@ -151,19 +145,17 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
 
     [2^{d/2} (k/pi)^{N-d/2}]^n (k/2pi)^{d/2} int Delta_n(w)^{-1} prod a_j dsigma.
 
-    Delta_n comes from the W-spectrum each block keeps after first use, so
-    a sweep over k computes the geometry of the nodes once.
+    Delta_n comes from the W-spectrum the quadrature keeps after first use,
+    so a sweep over k computes the geometry of the nodes once.
     """
     if len(amplitudes) != n:
         raise ValueError("need one amplitude per factor")
     d, N = sub.dim, sub.ambient_dim
-    total = 0.0
-    for block in quad.blocks:
-        prod = np.ones(block.size, dtype=complex)
-        for a in amplitudes:
-            prod = prod * amp_values(a, block)
-        deltas = _delta_values(*block.w_spectrum, block.chart.dim, n)
-        total += float(np.sum(block.weights * (prod / deltas)).real)
+    prod = np.ones(quad.size, dtype=complex)
+    for a in amplitudes:
+        prod = prod * amp_values(a, quad)
+    deltas = _delta_values(*quad.w_spectrum, d, n)
+    total = float(np.sum(quad.weights * (prod / deltas)).real)
     prefactor = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
         * (k / (2.0 * math.pi)) ** (0.5 * d)
     return prefactor * total
@@ -175,10 +167,7 @@ def schatten_prediction(sub: ChartedSubmanifold, a, p: float, quad: Quadrature,
     if p <= 0:
         raise ValueError("p must be positive")
     _, dp = _szego_dim(sub, cls)
-    total = 0.0
-    for block in quad.blocks:
-        av = np.abs(amp_values(a, block))
-        total += float(np.sum(block.weights * av ** p))
+    total = float(np.sum(quad.weights * np.abs(amp_values(a, quad)) ** p))
     return total / p ** (0.5 * dp)
 
 
@@ -193,12 +182,10 @@ def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
     cls, dp = _szego_dim(sub, cls)
     if dp <= 0:
         raise ValueError("the entropy limit needs d' > 0")
-    mass = 0.0
-    for block in quad.blocks:
-        av = _real_values(a, block)
-        if np.any(av < -1e-12):
-            raise ValueError("amplitude must be non-negative")
-        mass += float(np.sum(block.weights * av))
+    av = _real_values(a, quad)
+    if np.any(av < -1e-12):
+        raise ValueError("amplitude must be non-negative")
+    mass = float(np.sum(quad.weights * av))
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"amplitude integrates to {mass}, not 1")
     from .spectral import entropy_function

@@ -17,12 +17,8 @@ import math
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import acceptance, asymptotics, dsl, hessian, spectral, states
 from .acceptance import verdict
@@ -57,6 +53,14 @@ MANIFOLD_SCHEMA = {
         "label": {"type": "string"},
     },
     "required": ["kind"],
+    # the fields each kind reads without a default
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}},
+                      "required": ["kind"]},
+               "then": {"required": fields}}
+              for kind, fields in (("torus_product", ["radii"]),
+                                   ("plane_patch", ["ranges"]),
+                                   ("custom", ["dim", "ambient_dim", "coords",
+                                               "periodic", "domain"]))],
 }
 
 CONFIG_SCHEMA = {
@@ -92,13 +96,18 @@ CONFIG_SCHEMA = {
 
 # Built once: `jsonschema.validate` would also check CONFIG_SCHEMA against
 # its meta-schema on every call, which the test suite does instead.
-_CONFIG_VALIDATOR = (None if jsonschema is None else
-                     jsonschema.validators.validator_for(CONFIG_SCHEMA)(
-                         CONFIG_SCHEMA))
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(
+    CONFIG_SCHEMA)
 
 
 class SchemaError(ValueError):
     pass
+
+
+def _reject_constant(name: str):
+    """json.load hook for NaN, Infinity and -Infinity, which JSON Schema's
+    number comparisons let through."""
+    raise SchemaError(f"config holds the non-finite number {name}")
 
 
 def load_config(args) -> dict:
@@ -106,7 +115,7 @@ def load_config(args) -> dict:
     validated against the schema as one dict."""
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config: {exc}")
     if args.k is not None:
@@ -115,15 +124,16 @@ def load_config(args) -> dict:
         except ValueError:
             raise SchemaError(f"--k takes comma-separated numbers, "
                               f"not {args.k!r}")
+        if not all(map(math.isfinite, config["k_sweep"])):
+            raise SchemaError(f"--k takes finite numbers, not {args.k!r}")
     for key in ("max_degree", "quad_order"):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
-    if _CONFIG_VALIDATOR is not None:
-        # the error `jsonschema.validate` would raise
-        error = jsonschema.exceptions.best_match(
-            _CONFIG_VALIDATOR.iter_errors(config))
-        if error is not None:
-            raise SchemaError(f"config schema violation: {error.message}")
+    # the error `jsonschema.validate` would raise
+    error = jsonschema.exceptions.best_match(
+        _CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise SchemaError(f"config schema violation: {error.message}")
     return config
 
 
@@ -161,6 +171,11 @@ class Experiment:
         self.k_sweep = [float(k) for k in config.get("k_sweep", [50.0])]
         self.max_degree = config.get("max_degree")
         self.quad_order = config.get("quad_order")
+        if (isinstance(self.quad_order, list)
+                and len(self.quad_order) != self.sub.dim):
+            raise SchemaError(f"quad_order lists {len(self.quad_order)} "
+                              f"orders for a manifold of dimension "
+                              f"{self.sub.dim}")
         amp = config.get("amplitude")
         if amp is None:
             self.amplitude = None
@@ -321,8 +336,8 @@ def cmd_szego(exp: Experiment, args) -> int:
 
 
 def cmd_weyl(exp: Experiment, args) -> int:
-    if not all(np.all(amp_values(exp.amplitude, block) == 1.0)
-               for k in exp.k_sweep for block in exp.quad(k).blocks):
+    if not all(np.all(amp_values(exp.amplitude, exp.quad(k)) == 1.0)
+               for k in exp.k_sweep):
         print("weyl predicts counts for the unit amplitude only",
               file=sys.stderr)
         return 1

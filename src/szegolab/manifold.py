@@ -1,8 +1,8 @@
 """Parametrized submanifolds of R^{2N} = C^N.
 
-A Chart carries a map gamma into interleaved real coordinates
-(x1, y1, ..., xN, yN), its jacobian, periodicity flags and a
-partition-of-unity weight.  From the jacobian columns we form the induced
+A ChartedSubmanifold is one parametrization: a map gamma from a box of
+R^d into interleaved real coordinates (x1, y1, ..., xN, yN), its jacobian
+and periodicity flags.  From the jacobian columns we form the induced
 metric G, the pulled-back symplectic form H, the endomorphism W = G^{-1}H
 whose eigenvalues +-i lambda_ell classify the submanifold, and the Hessian
 factor Delta_n that drives all trace asymptotics.
@@ -20,11 +20,9 @@ import numpy as np
 from . import dsl
 
 __all__ = [
-    "Chart",
     "ChartedSubmanifold",
     "GeometryFrame",
     "Classification",
-    "QuadratureBlock",
     "Quadrature",
     "frame_at",
     "classify",
@@ -56,8 +54,8 @@ def real_to_complex(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Chart:
-    """Single parametrization t in a box of R^d -> R^{2N}.
+class ChartedSubmanifold:
+    """Submanifold given by one parametrization t in a box of R^d -> R^{2N}.
 
     gamma and jacobian are vectorized: gamma maps (m, d) -> (m, 2N) and
     jacobian maps (m, d) -> (m, 2N, d) with columns d(gamma)/dt_j.
@@ -69,45 +67,13 @@ class Chart:
     periodic: tuple[bool, ...]
     gamma: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    pou_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    label: str = "chart"
+    label: str = "manifold"
 
     def __post_init__(self):
         if len(self.domain) != self.dim or len(self.periodic) != self.dim:
             raise ValueError("domain and periodic must have one entry per axis")
         if not 1 <= self.dim <= 2 * self.ambient_dim:
-            raise ValueError("chart dimension must lie in [1, 2N]")
-
-    def points(self, t: np.ndarray) -> np.ndarray:
-        """Complex ambient points at parameter values t: (m, d) -> (m, N)."""
-        return real_to_complex(self.gamma(np.atleast_2d(np.asarray(t, float))))
-
-    def pou(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(t, float))
-        if self.pou_weight is None:
-            return np.ones(t.shape[0])
-        return np.asarray(self.pou_weight(t), dtype=float)
-
-
-@dataclass(frozen=True)
-class ChartedSubmanifold:
-    ambient_dim: int
-    charts: tuple[Chart, ...]
-    label: str = "manifold"
-
-    def __post_init__(self):
-        if not self.charts:
-            raise ValueError("at least one chart is required")
-        dims = {c.dim for c in self.charts}
-        if len(dims) != 1:
-            raise ValueError("all charts must share the manifold dimension")
-        for c in self.charts:
-            if c.ambient_dim != self.ambient_dim:
-                raise ValueError("chart ambient dimension mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.charts[0].dim
+            raise ValueError("manifold dimension must lie in [1, 2N]")
 
 
 @dataclass(frozen=True)
@@ -134,10 +100,10 @@ class ClassificationError(ValueError):
     pass
 
 
-def frame_at(chart: Chart, t) -> GeometryFrame:
+def frame_at(sub: ChartedSubmanifold, t) -> GeometryFrame:
     """Geometry frame at one interior parameter point."""
     t = np.asarray(t, dtype=float).reshape(1, -1)
-    J = np.asarray(chart.jacobian(t), dtype=float)  # (1, 2N, d)
+    J = np.asarray(sub.jacobian(t), dtype=float)  # (1, 2N, d)
     G, H, W, lam, is_lambda, vol = (x[0] for x in _geometry(J))
     lambdas = tuple(float(x) for x in lam[is_lambda])
     return GeometryFrame(G=G, H=H, W=W, lambdas=lambdas,
@@ -206,17 +172,17 @@ def delta_n(frame: GeometryFrame, n: int) -> float:
     return float(_delta_values(lam, np.ones(lam.shape, bool), frame.dim, n)[0])
 
 
-def _w_spectrum(chart: Chart, nodes) -> tuple[np.ndarray, np.ndarray]:
+def _w_spectrum(sub: ChartedSubmanifold, nodes):
     """lam and is_lambda of `_geometry` at every parameter point of nodes."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    *_, lam, is_lambda, _ = _geometry(np.asarray(chart.jacobian(nodes),
+    *_, lam, is_lambda, _ = _geometry(np.asarray(sub.jacobian(nodes),
                                                  dtype=float))
     return lam, is_lambda
 
 
-def delta_n_at(chart: Chart, nodes, n: int) -> np.ndarray:
+def delta_n_at(sub: ChartedSubmanifold, nodes, n: int) -> np.ndarray:
     """delta_n at every parameter point of nodes (m, d), in one stacked pass."""
-    return _delta_values(*_w_spectrum(chart, nodes), chart.dim, n)
+    return _delta_values(*_w_spectrum(sub, nodes), sub.dim, n)
 
 
 # --- classification ----------------------------------------------------------
@@ -235,30 +201,24 @@ class Classification:
         return d_prime(self)
 
 
-SAMPLES_PER_AXIS = 5  # classification grid: nodes per chart axis
+SAMPLES_PER_AXIS = 5  # classification grid: nodes per axis
 
 
-def _sample_nodes(sub: ChartedSubmanifold) -> list[tuple[Chart, np.ndarray]]:
-    out = []
+def _sample_nodes(sub: ChartedSubmanifold) -> np.ndarray:
     n = SAMPLES_PER_AXIS
-    for chart in sub.charts:
-        axes = []
-        for (lo, hi), per in zip(chart.domain, chart.periodic):
-            if per:
-                axes.append(lo + (hi - lo) * (np.arange(n) + 0.5) / n)
-            else:
-                # keep strictly interior for non-periodic axes
-                axes.append(lo + (hi - lo) * (np.arange(1, n + 1)) / (n + 1))
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.dim)
-        out.append((chart, grid))
-    return out
+    axes = []
+    for (lo, hi), per in zip(sub.domain, sub.periodic):
+        if per:
+            axes.append(lo + (hi - lo) * (np.arange(n) + 0.5) / n)
+        else:
+            # keep strictly interior for non-periodic axes
+            axes.append(lo + (hi - lo) * (np.arange(1, n + 1)) / (n + 1))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sub.dim)
 
 
 def classify(sub: ChartedSubmanifold) -> Classification:
-    """Classify by the K-endomorphism spectrum on a coarse interior grid
-    of each chart."""
-    frames = [frame_at(chart, t) for chart, nodes in _sample_nodes(sub)
-              for t in nodes]
+    """Classify by the K-endomorphism spectrum on a coarse interior grid."""
+    frames = [frame_at(sub, t) for t in _sample_nodes(sub)]
     ranks = {f.half_rank for f in frames}
     if len(ranks) != 1:
         raise ClassificationError(f"half rank varies across nodes: {sorted(ranks)}")
@@ -292,50 +252,39 @@ def d_prime(obj) -> int:
 # --- quadrature --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadratureBlock:
-    chart: Chart
+class Quadrature:
+    """Tensor-grid quadrature of a submanifold; nodes run in C order (last
+    axis fastest) over a grid of `shape`."""
+
+    sub: ChartedSubmanifold
     nodes: np.ndarray        # (m, d)
-    weights: np.ndarray      # (m,) includes pou * sqrt(det G) * cell volume
+    weights: np.ndarray      # (m,) includes sqrt(det G) * cell volume
     points: np.ndarray       # (m, N) complex ambient points
-    # nodes per axis of a tensor grid whose nodes run in C order (last axis
-    # fastest); None when the nodes form no such grid
-    shape: Optional[tuple[int, ...]] = None
+    shape: tuple[int, ...]   # nodes per axis
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.weights.sum())
 
     @cached_property
     def w_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, is_lambda) of W at every node, computed on first use.
 
         It does not depend on k, so Delta_n at the nodes costs one pass of
-        `_geometry` per block, whatever k and n are asked for.
+        `_geometry`, whatever k and n are asked for.
         """
-        return _w_spectrum(self.chart, self.nodes)
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    blocks: tuple[QuadratureBlock, ...]
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(b.weights.sum() for b in self.blocks))
-
-    @property
-    def size(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return _w_spectrum(self.sub, self.nodes)
 
     def max_radius(self) -> float:
-        return max(float(np.abs(b.points).max()) for b in self.blocks)
+        return float(np.abs(self.points).max())
 
-    def integrate(self, func: Callable[[QuadratureBlock], np.ndarray]) -> complex:
-        """Sum of weights * func(block) over all blocks."""
-        total = 0.0 + 0.0j
-        for b in self.blocks:
-            vals = np.asarray(func(b))
-            total += complex(np.sum(b.weights * vals))
+    def integrate(self, func: Callable[["Quadrature"], np.ndarray]) -> complex:
+        """Sum of weights * func(quadrature) over the nodes."""
+        total = complex(np.sum(self.weights * np.asarray(func(self))))
         return total if total.imag != 0 else total.real
 
 
@@ -353,40 +302,32 @@ def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
 
 
 def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
-    """Tensor-product quadrature over all charts.
+    """Tensor-product quadrature over the parameter box.
 
     order: nodes per axis, an integer or a sequence with one entry per axis.
     Periodic axes use the trapezoid rule, the rest Gauss-Legendre.  Weights
-    include the partition-of-unity factor and the surface density sqrt(det G).
+    include the surface density sqrt(det G).
     """
-    blocks = []
-    for chart in sub.charts:
-        if np.isscalar(order):
-            per_axis = [int(order)] * chart.dim
-        else:
-            per_axis = [int(o) for o in order]
-            if len(per_axis) != chart.dim:
-                raise ValueError("per-axis order list must match chart dimension")
-        axes = [_axis_rule(lo, hi, per, n)
-                for (lo, hi), per, n in zip(chart.domain, chart.periodic, per_axis)]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        nodes = np.stack(grids, axis=-1).reshape(-1, chart.dim)
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        cell = np.prod(np.stack(wgrids, axis=-1).reshape(-1, chart.dim), axis=1)
-        J = np.asarray(chart.jacobian(nodes), dtype=float)  # (m, 2N, d)
-        G = np.einsum("mad,mae->mde", J, J)
-        detG = np.linalg.det(G)
-        if np.any(detG <= 0):
-            raise SingularMetricError("non-positive metric determinant at a node")
-        weights = cell * chart.pou(nodes) * np.sqrt(detG)
-        points = real_to_complex(chart.gamma(nodes))
-        blocks.append(QuadratureBlock(chart=chart, nodes=nodes,
-                                      weights=weights, points=points,
-                                      shape=tuple(per_axis)))
-    total = sum(b.size for b in blocks)
-    if total == 0:
-        raise ValueError("empty quadrature")
-    return Quadrature(blocks=tuple(blocks))
+    if np.isscalar(order):
+        per_axis = [int(order)] * sub.dim
+    else:
+        per_axis = [int(o) for o in order]
+        if len(per_axis) != sub.dim:
+            raise ValueError("per-axis order list must match chart dimension")
+    axes = [_axis_rule(lo, hi, per, n)
+            for (lo, hi), per, n in zip(sub.domain, sub.periodic, per_axis)]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    nodes = np.stack(grids, axis=-1).reshape(-1, sub.dim)
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    cell = np.prod(np.stack(wgrids, axis=-1).reshape(-1, sub.dim), axis=1)
+    J = np.asarray(sub.jacobian(nodes), dtype=float)  # (m, 2N, d)
+    G = np.einsum("mad,mae->mde", J, J)
+    detG = np.linalg.det(G)
+    if np.any(detG <= 0):
+        raise SingularMetricError("non-positive metric determinant at a node")
+    return Quadrature(sub=sub, nodes=nodes, weights=cell * np.sqrt(detG),
+                      points=real_to_complex(sub.gamma(nodes)),
+                      shape=tuple(per_axis))
 
 
 def default_periodic_nodes(k: float, radius: float) -> int:
@@ -414,9 +355,9 @@ def circle(radius: float = 1.0) -> ChartedSubmanifold:
         th = t[:, 0]
         return np.stack([-r * np.sin(th), r * np.cos(th)], axis=1)[:, :, None]
 
-    chart = Chart(dim=1, ambient_dim=1, domain=((0.0, 2.0 * math.pi),),
-                  periodic=(True,), gamma=gamma, jacobian=jac, label="circle")
-    return ChartedSubmanifold(ambient_dim=1, charts=(chart,), label=f"circle(r={r})")
+    return ChartedSubmanifold(dim=1, ambient_dim=1,
+                              domain=((0.0, 2.0 * math.pi),), periodic=(True,),
+                              gamma=gamma, jacobian=jac, label=f"circle(r={r})")
 
 
 def torus_product(radii: Sequence[float], ambient_dim: Optional[int] = None) -> ChartedSubmanifold:
@@ -441,11 +382,11 @@ def torus_product(radii: Sequence[float], ambient_dim: Optional[int] = None) -> 
             out[:, 2 * j + 1, j] = r * np.cos(t[:, j])
         return out
 
-    chart = Chart(dim=d, ambient_dim=N,
-                  domain=tuple((0.0, 2.0 * math.pi) for _ in range(d)),
-                  periodic=tuple(True for _ in range(d)),
-                  gamma=gamma, jacobian=jac, label="torus")
-    return ChartedSubmanifold(ambient_dim=N, charts=(chart,), label=f"torus(radii={radii})")
+    return ChartedSubmanifold(dim=d, ambient_dim=N,
+                              domain=tuple((0.0, 2.0 * math.pi) for _ in range(d)),
+                              periodic=tuple(True for _ in range(d)),
+                              gamma=gamma, jacobian=jac,
+                              label=f"torus(radii={radii})")
 
 
 def parabola_patch(x1_range=(-1.0, 1.0), y1_range=(-1.0, 1.0)) -> ChartedSubmanifold:
@@ -464,11 +405,11 @@ def parabola_patch(x1_range=(-1.0, 1.0), y1_range=(-1.0, 1.0)) -> ChartedSubmani
         out[:, 1, 1] = 1.0
         return out
 
-    chart = Chart(dim=2, ambient_dim=2,
-                  domain=(tuple(map(float, x1_range)), tuple(map(float, y1_range))),
-                  periodic=(False, False), gamma=gamma, jacobian=jac,
-                  label="parabola")
-    return ChartedSubmanifold(ambient_dim=2, charts=(chart,), label="parabola_patch")
+    return ChartedSubmanifold(dim=2, ambient_dim=2,
+                              domain=(tuple(map(float, x1_range)),
+                                      tuple(map(float, y1_range))),
+                              periodic=(False, False), gamma=gamma,
+                              jacobian=jac, label="parabola_patch")
 
 
 def plane_patch(ranges: Sequence[Sequence[float]]) -> ChartedSubmanifold:
@@ -485,10 +426,9 @@ def plane_patch(ranges: Sequence[Sequence[float]]) -> ChartedSubmanifold:
     def jac(t):
         return np.broadcast_to(np.eye(d), (t.shape[0], d, d)).copy()
 
-    chart = Chart(dim=d, ambient_dim=N, domain=tuple(ranges),
-                  periodic=tuple(False for _ in range(d)),
-                  gamma=gamma, jacobian=jac, label="plane")
-    return ChartedSubmanifold(ambient_dim=N, charts=(chart,), label="plane_patch")
+    return ChartedSubmanifold(dim=d, ambient_dim=N, domain=tuple(ranges),
+                              periodic=tuple(False for _ in range(d)),
+                              gamma=gamma, jacobian=jac, label="plane_patch")
 
 
 def sphere3(radius: float = 1.0) -> ChartedSubmanifold:
@@ -525,18 +465,17 @@ def sphere3(radius: float = 1.0) -> ChartedSubmanifold:
         out[:, 3, 2] = c2 * np.cos(b)
         return out
 
-    chart = Chart(dim=3, ambient_dim=2,
-                  domain=((0.0, 1.0), (0.0, 2.0 * math.pi),
-                          (0.0, 2.0 * math.pi)),
-                  periodic=(False, True, True), gamma=gamma, jacobian=jac,
-                  label="sphere3")
-    return ChartedSubmanifold(ambient_dim=2, charts=(chart,), label=f"sphere3(r={r})")
+    return ChartedSubmanifold(dim=3, ambient_dim=2,
+                              domain=((0.0, 1.0), (0.0, 2.0 * math.pi),
+                                      (0.0, 2.0 * math.pi)),
+                              periodic=(False, True, True), gamma=gamma,
+                              jacobian=jac, label=f"sphere3(r={r})")
 
 
 def custom_chart(dim: int, ambient_dim: int, coords: Sequence[str],
                  periodic: Sequence[bool], domain: Sequence[Sequence[float]],
                  label: str = "custom") -> ChartedSubmanifold:
-    """Single chart from 2N coordinate expressions in t1..td."""
+    """Submanifold from 2N coordinate expressions in t1..td."""
     if len(coords) != 2 * ambient_dim:
         raise ValueError("need 2N coordinate expressions (x1, y1, ...)")
     exprs = [dsl.parse(s, dim) for s in coords]
@@ -549,11 +488,10 @@ def custom_chart(dim: int, ambient_dim: int, coords: Sequence[str],
         return np.stack([np.stack([dsl.evaluate(de, t) for de in row], axis=1)
                          for row in derivs], axis=1)
 
-    chart = Chart(dim=dim, ambient_dim=ambient_dim,
-                  domain=tuple(tuple(map(float, r)) for r in domain),
-                  periodic=tuple(bool(p) for p in periodic),
-                  gamma=gamma, jacobian=jac, label=label)
-    return ChartedSubmanifold(ambient_dim=ambient_dim, charts=(chart,), label=label)
+    return ChartedSubmanifold(dim=dim, ambient_dim=ambient_dim,
+                              domain=tuple(tuple(map(float, r)) for r in domain),
+                              periodic=tuple(bool(p) for p in periodic),
+                              gamma=gamma, jacobian=jac, label=label)
 
 
 def manifold_from_spec(spec: dict) -> ChartedSubmanifold:
@@ -577,13 +515,13 @@ def manifold_from_spec(spec: dict) -> ChartedSubmanifold:
     raise ValueError(f"unknown manifold kind {kind!r}")
 
 
-def amp_values(a, block: QuadratureBlock) -> np.ndarray:
-    """a at the block's nodes: None (constant 1), a scalar, or a callable."""
+def amp_values(a, quad: Quadrature) -> np.ndarray:
+    """a at the quadrature nodes: None (constant 1), a scalar, or a callable."""
     if a is None:
-        return np.ones(block.size)
+        return np.ones(quad.size)
     if np.isscalar(a):
-        return np.full(block.size, a)
-    return np.asarray(a(block.nodes))
+        return np.full(quad.size, a)
+    return np.asarray(a(quad.nodes))
 
 
 def amplitude_from_dsl(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -1,6 +1,6 @@
 """Bohr-Sommerfeld test states on Lagrangian submanifolds.
 
-A phase theta on a chart with d(theta) equal to the pulled-back tautological
+A phase theta on the parameter box with d(theta) equal to the pulled-back tautological
 one-form eta (eta(v) at z is -Im(z . conj(v))), and e^{ik theta} single-valued
 around every period, defines the state psi_k built by smearing coherent
 states with e^{ik theta} alpha dsigma.  Its squared norm grows like
@@ -8,9 +8,9 @@ states with e^{ik theta} alpha dsigma.  Its squared norm grows like
 lower bound for the top eigenvalue of T_{a dsigma}.
 
 Test states by rotation sectors: the coefficients are
-c_n = sum over nodes of conj(u_n) g, g = w e^{ik theta} alpha.  On a block
-whose periodic axes rotate the points (`assembly` module notes, sector
-sum), u_n at rotation index phi is omega^{phi . q_n} U_n, with U_n its
+c_n = sum over nodes of conj(u_n) g, g = w e^{ik theta} alpha.  On a
+quadrature grid whose periodic axes rotate the points (`assembly` module
+notes, sector sum), u_n at rotation index phi is omega^{phi . q_n} U_n, with U_n its
 value at the base point of the explicit node theta, so
     c_n = sum_theta conj(U_theta,n) FFT_phi(g)[theta, q_n],
 one forward FFT over the rotation axes.  The basis is evaluated at the
@@ -18,7 +18,7 @@ base points only: on the circle at k=200 at one point instead of 1609
 nodes, which drops the 1609 x 801 complex basis matrix and its conjugate
 copy, and the Bohr-Sommerfeld check falls from about 0.1 s to 0.01 s.
 The node ordering and the charges come from the helper that assembly's
-sector sum uses.  Blocks without rotation axes, or with fewer than 64
+sector sum uses.  Grids without rotation axes, or with fewer than 64
 rotation nodes per explicit node, keep the node-by-node sum.
 """
 
@@ -32,8 +32,8 @@ import numpy as np
 
 from .assembly import HermitianOperator, _rotation_grid, _sector_axes
 from .fock import FockTruncation, eval_basis_matrix
-from .manifold import (Chart, ChartedSubmanifold, Quadrature, amp_values,
-                       classify)
+from .manifold import (ChartedSubmanifold, Quadrature, amp_values, classify,
+                       real_to_complex)
 from .spectral import RateFit, rate_regression
 
 __all__ = [
@@ -59,7 +59,7 @@ class BSViolationError(ValueError):
 
 @dataclass(frozen=True)
 class BohrSommerfeldData:
-    """Phase theta(t) and real amplitude alpha(t) on a single chart.
+    """Phase theta(t) and real amplitude alpha(t) on the parameter box.
 
     theta maps (m, d) parameter arrays to (m,) phase values; it may jump by
     constants across the period as long as e^{ik theta} is single-valued.
@@ -79,7 +79,7 @@ def _theta_values(bs: BohrSommerfeldData, t: np.ndarray) -> np.ndarray:
     return np.asarray(bs.theta(np.atleast_2d(np.asarray(t, float)))).reshape(-1)
 
 
-def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData,
+def verify_bohr_sommerfeld(sub: ChartedSubmanifold, bs: BohrSommerfeldData,
                            k: float) -> None:
     """Check d(theta) = iota^* eta and phase closure; raise on violation.
 
@@ -88,17 +88,15 @@ def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData,
     interior grid.  For each periodic axis, k times the phase increment over
     one period must be an integer multiple of 2 pi.
     """
-    axes = []
-    for (lo, hi), per in zip(chart.domain, chart.periodic):
-        frac = (np.arange(BS_SAMPLES) + 0.5) / BS_SAMPLES
-        axes.append(lo + (hi - lo) * frac)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.dim)
-    z = chart.points(grid)
-    J = np.asarray(chart.jacobian(grid), dtype=float)
+    frac = (np.arange(BS_SAMPLES) + 0.5) / BS_SAMPLES
+    axes = [lo + (hi - lo) * frac for lo, hi in sub.domain]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sub.dim)
+    z = real_to_complex(sub.gamma(grid))
+    J = np.asarray(sub.jacobian(grid), dtype=float)
     cols = J[:, 0::2, :] + 1j * J[:, 1::2, :]  # (m, N, d)
     h = 1e-5
-    for j in range(chart.dim):
-        step = np.zeros(chart.dim)
+    for j in range(sub.dim):
+        step = np.zeros(sub.dim)
         step[j] = h
         dtheta = (_theta_values(bs, grid + step)
                   - _theta_values(bs, grid - step)) / (2.0 * h)
@@ -107,10 +105,10 @@ def verify_bohr_sommerfeld(chart: Chart, bs: BohrSommerfeldData,
         if worst > BS_GRAD_TOL:
             raise BSViolationError(
                 f"d(theta)/dt{j + 1} deviates from iota^* eta by {worst:.2e}")
-    for j, per in enumerate(chart.periodic):
+    for j, per in enumerate(sub.periodic):
         if not per:
             continue
-        lo, hi = chart.domain[j]
+        lo, hi = sub.domain[j]
         base = grid[:1].copy()
         shifted = base.copy()
         shifted[0, j] += hi - lo
@@ -129,26 +127,20 @@ def build_test_state(trunc: FockTruncation, sub: ChartedSubmanifold,
     if cls.tag != "lagrangian":
         raise ValueError(f"test states need a Lagrangian submanifold, got {cls.tag}")
     k = trunc.k
-    for chart in sub.charts:
-        verify_bohr_sommerfeld(chart, bs, k)
-    coeffs = np.zeros(trunc.dim, dtype=complex)
-    for block in quad.blocks:
-        phases = np.exp(1j * k * _theta_values(bs, block.nodes))
-        g = block.weights * phases * amp_values(bs.alpha, block)
-        rotations = _sector_axes(block)
-        if rotations is None:
-            B = eval_basis_matrix(trunc, block.points)
-            coeffs += B.conj().T @ g
-            continue
-        # c_n = sum_theta conj(U_theta,n) FFT_phi(g)[theta, q_n]
-        order, q = _rotation_grid(trunc, block, *rotations)
-        sectors = order.reshape(order.shape[0], -1)
-        G = np.fft.fftn(g[order], axes=tuple(range(1, order.ndim)))
-        G = G.reshape(sectors.shape)
-        U = eval_basis_matrix(trunc, block.points[sectors[:, 0]])
-        flat_q = np.ravel_multi_index(q.T, order.shape[1:])
-        coeffs += np.einsum("tn,tn->n", U.conj(), G[:, flat_q])
-    return coeffs
+    verify_bohr_sommerfeld(sub, bs, k)
+    phases = np.exp(1j * k * _theta_values(bs, quad.nodes))
+    g = quad.weights * phases * amp_values(bs.alpha, quad)
+    rotations = _sector_axes(quad)
+    if rotations is None:
+        return eval_basis_matrix(trunc, quad.points).conj().T @ g
+    # c_n = sum_theta conj(U_theta,n) FFT_phi(g)[theta, q_n]
+    order, q = _rotation_grid(trunc, quad, *rotations)
+    sectors = order.reshape(order.shape[0], -1)
+    G = np.fft.fftn(g[order], axes=tuple(range(1, order.ndim)))
+    G = G.reshape(sectors.shape)
+    U = eval_basis_matrix(trunc, quad.points[sectors[:, 0]])
+    flat_q = np.ravel_multi_index(q.T, order.shape[1:])
+    return np.einsum("tn,tn->n", U.conj(), G[:, flat_q])
 
 
 @dataclass(frozen=True)

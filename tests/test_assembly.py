@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -150,16 +149,14 @@ def test_nfold_trace_matches_identity_started_chain():
     k = 12.0
     amps = [lambda t: 1.0 + 0.5 * t[:, 0], lambda t: np.cos(t[:, 1]),
             None, lambda t: 1.0 - 0.3 * t[:, 0] * t[:, 1]]
-    pts = np.concatenate([b.points for b in quad.blocks])
-    w = np.concatenate([b.weights for b in quad.blocks])
+    pts, w = quad.points, quad.weights
     diff = pts[:, None, :] - pts[None, :, :]
     d2 = np.sum(np.abs(diff) ** 2, axis=2)
     kernel = np.exp(-0.5 * k * d2 + 1j * k * np.imag(pts @ pts.conj().T))
     for n in (2, 3, 4):
         chain = np.eye(pts.shape[0], dtype=complex)
         for a in amps[:n]:
-            av = np.concatenate([mfd.amp_values(a, b) for b in quad.blocks])
-            chain = chain @ ((w * av)[:, None] * kernel)
+            chain = chain @ ((w * mfd.amp_values(a, quad))[:, None] * kernel)
         expect = (k / math.pi) ** (2 * n) * np.trace(chain)
         value = nfold_trace_integral(sub, amps[:n], quad, k)
         assert abs(value - expect) <= 1e-13 * abs(expect)
@@ -181,32 +178,9 @@ def test_complex_amplitude_not_hermitian():
 
 def gemm_reference(trunc, quad, a):
     """sum over nodes of w a conj(u(z))^T u(z), as one dense product."""
-    T = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for block in quad.blocks:
-        av = a(block.nodes) if callable(a) else (1.0 if a is None else a)
-        B = eval_basis_matrix(trunc, block.points)
-        T += (B.conj() * (block.weights * av)[:, None]).T @ B
-    return T
-
-
-def two_chart_circle():
-    """Unit circle covered twice, the two charts weighted cos^2 and sin^2."""
-    (chart,) = mfd.circle(1.0).charts
-    shift = 0.3
-
-    def gamma(t):
-        return chart.gamma(t + shift)
-
-    def jac(t):
-        return chart.jacobian(t + shift)
-
-    first = dataclasses.replace(
-        chart, pou_weight=lambda t: np.cos(t[:, 0]) ** 2)
-    second = dataclasses.replace(
-        chart, gamma=gamma, jacobian=jac,
-        pou_weight=lambda t: np.sin(t[:, 0] + shift) ** 2)
-    return mfd.ChartedSubmanifold(ambient_dim=1, charts=(first, second),
-                                  label="circle, two charts")
+    av = a(quad.nodes) if callable(a) else (1.0 if a is None else a)
+    B = eval_basis_matrix(trunc, quad.points)
+    return (B.conj() * (quad.weights * av)[:, None]).T @ B
 
 
 TWO_PI = 2.0 * math.pi
@@ -229,7 +203,6 @@ def reference_cases():
     circle = mfd.circle(1.0)
     circle_quad = mfd.quadrature(circle, 2 * M + 9)
     sphere = mfd.sphere3(1.0)
-    twice = two_chart_circle()
     flat = mfd.torus_product([1.0, 0.7], ambient_dim=3)
     torus_amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] - 2.0 * t[:, 1])
     sphere_amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 1]) + 0.2 * np.sin(t[:, 2])
@@ -255,16 +228,13 @@ def reference_cases():
         "sphere3": (FockTruncation(2, 4.0, 20), sphere,
                     mfd.quadrature(sphere, [11, 21, 21]),
                     lambda t: 1.0 + 0.5 * np.cos(t[:, 1])),
-        "two_charts": (FockTruncation(1, k, M), twice,
-                       mfd.quadrature(twice, 2 * M + 9),
-                       lambda t: 0.3 + np.cos(t[:, 0])),
         "complex": (FockTruncation(1, k, M), circle, circle_quad,
                     lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0]))),
     }
 
 
 @pytest.mark.parametrize("case", ["signed_cos", "negative_scalar", "sphere3",
-                                  "two_charts", "complex",
+                                  "complex",
                                   "torus_zero_coordinate", "dsl_torus",
                                   "dsl_wobbly_dense", "sphere3_dense_grid",
                                   "sphere3_sector_grid"])
@@ -282,12 +252,6 @@ def test_rank_k_assembly_matches_gemm_reference(case):
         assert np.all(np.diag(op.matrix).imag == 0)
     else:
         assert np.abs(op.matrix - op.matrix.conj().T).max() > 1e-3 * scale
-
-
-def test_two_chart_quadrature_covers_circle_once():
-    quad = mfd.quadrature(two_chart_circle(), 64)
-    assert len(quad.blocks) == 2
-    assert quad.total_mass == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 def test_circle_k400_has_no_subnormals_and_tiny_flush_bound():
@@ -316,30 +280,27 @@ def test_import_leaves_scipy_linalg_unloaded():
 
 
 @pytest.mark.parametrize("case, sector", [
-    ("signed_cos", True), ("two_charts", True), ("torus_zero_coordinate", True),
+    ("signed_cos", True), ("torus_zero_coordinate", True),
     ("dsl_torus", True), ("dsl_wobbly_dense", False),
     ("sphere3_dense_grid", False), ("sphere3_sector_grid", True)])
 def test_rotation_detection_picks_the_path(case, sector):
     _, _, quad, _ = reference_cases()[case]
-    assert (asm._sector_axes(quad.blocks[0]) is not None) == sector
+    assert (asm._sector_axes(quad) is not None) == sector
 
 
 def test_rotation_charges_read_from_points():
-    axes, charges = asm._sector_axes(mfd.quadrature(dsl_torus(), 16).blocks[0])
+    axes, charges = asm._sector_axes(mfd.quadrature(dsl_torus(), 16))
     assert axes == (0, 1)
     assert charges.tolist() == [[1, 0], [0, 1]]
     # z1 = e^{-2i t1} turns twice per lap, backwards: charge -2 mod 16
     chart = dsl_torus(("cos(2*t1)", "-sin(2*t1)", "0.7*cos(t2)", "0.7*sin(t2)"))
-    axes, charges = asm._sector_axes(mfd.quadrature(chart, 16).blocks[0])
+    axes, charges = asm._sector_axes(mfd.quadrature(chart, 16))
     assert charges.tolist() == [[14, 0], [0, 1]]
     # the unrotated third coordinate of a torus in C^3 carries charge 0
     flat = mfd.quadrature(mfd.torus_product([1.0, 0.7], ambient_dim=3), 8)
-    assert asm._sector_axes(flat.blocks[0])[1].tolist() == [[1, 0], [0, 1],
-                                                              [0, 0]]
-    assert asm._sector_axes(
-        mfd.quadrature(wobbly_circle(), 64).blocks[0]) is None
-    assert asm._sector_axes(
-        mfd.quadrature(mfd.parabola_patch(), 8).blocks[0]) is None
+    assert asm._sector_axes(flat)[1].tolist() == [[1, 0], [0, 1], [0, 0]]
+    assert asm._sector_axes(mfd.quadrature(wobbly_circle(), 64)) is None
+    assert asm._sector_axes(mfd.quadrature(mfd.parabola_patch(), 8)) is None
 
 
 @pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")
@@ -438,15 +399,14 @@ def test_pair_trace_matches_direct_difference_sum(case):
     make, order, n_groups = PAIR_TRACE_CASES[case]
     sub = make()
     quad = mfd.quadrature(sub, order)
-    assert len(asm._axis_groups(quad.blocks)[2]) == n_groups
+    assert len(asm._axis_groups(quad)[2]) == n_groups
     a = lambda t: 1.0 + 0.5 * t[:, 0]
     # e^{i t2} would sum to rounding noise over a periodic t2
     b = lambda t: np.exp(0.5j * t[:, 1])
     k = 30.0
-    (blk,) = quad.blocks
-    diff = blk.points[:, None, :] - blk.points[None, :, :]
+    diff = quad.points[:, None, :] - quad.points[None, :, :]
     kernel = np.exp(-k * np.sum(np.abs(diff) ** 2, axis=2))
-    wa, wb = blk.weights * a(blk.nodes), blk.weights * b(blk.nodes)
+    wa, wb = quad.weights * a(quad.nodes), quad.weights * b(quad.nodes)
     N = sub.ambient_dim
     expect = (k / math.pi) ** (2 * N) * (wa @ kernel @ wb)
     value = pair_trace_integral(sub, a, b, quad, k)

@@ -62,7 +62,7 @@ def test_szego_functional_powers_on_circle():
     a = lambda t: 1.0 + 0.5 * np.cos(t[:, 0])
     for n in (1, 2, 3):
         pred = szego_functional(sub, a, power_function(n), quad)
-        expect = quad.integrate(lambda b: (1.0 + 0.5 * np.cos(b.nodes[:, 0])) ** n)
+        expect = quad.integrate(lambda q: (1.0 + 0.5 * np.cos(q.nodes[:, 0])) ** n)
         assert pred.value == pytest.approx(expect / n ** 0.5, rel=1e-10)
         assert pred.d_prime == 1
     # unit amplitude with s log s gives -|Gamma|/2 = -pi
@@ -141,7 +141,7 @@ def test_moment_prediction_circle_n2():
 
 
 def test_moment_prediction_matches_delta_n_at_route():
-    # the W-spectrum cached on the block serves every k bit for bit
+    # the W-spectrum cached on the quadrature serves every k bit for bit
     sub = mfd.parabola_patch((-1.0, 1.0), (-1.0, 1.0))
     quad = mfd.quadrature(sub, 16)
 
@@ -151,13 +151,11 @@ def test_moment_prediction_matches_delta_n_at_route():
     d, N = sub.dim, sub.ambient_dim
     for n in (2, 3):
         for k in (50.0, 100.0):
-            total = 0.0
-            for block in quad.blocks:
-                prod = np.ones(block.size, dtype=complex)
-                for a in (amp,) * n:
-                    prod = prod * mfd.amp_values(a, block)
-                deltas = mfd.delta_n_at(block.chart, block.nodes, n)
-                total += float(np.sum(block.weights * (prod / deltas)).real)
+            prod = np.ones(quad.size, dtype=complex)
+            for a in (amp,) * n:
+                prod = prod * mfd.amp_values(a, quad)
+            deltas = mfd.delta_n_at(sub, quad.nodes, n)
+            total = float(np.sum(quad.weights * (prod / deltas)).real)
             expect = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
                 * (k / (2.0 * math.pi)) ** (0.5 * d) * total
             assert moment_prediction(sub, [amp] * n, n, quad, k) == expect

@@ -32,11 +32,8 @@ def assemble(trunc, sub, a, quad):
 
 def quadrature_sum(trunc, quad, a):
     """sum over nodes of w a conj(u(z))^T u(z), as one dense product."""
-    T = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for block in quad.blocks:
-        B = eval_basis_matrix(trunc, block.points)
-        T += (B.conj() * (block.weights * a(block.nodes))[:, None]).T @ B
-    return T
+    B = eval_basis_matrix(trunc, quad.points)
+    return (B.conj() * (quad.weights * a(quad.nodes))[:, None]).T @ B
 
 
 def torus_case(k=4.0):

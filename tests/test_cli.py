@@ -110,6 +110,19 @@ def test_bad_config_exits_2(tmp_path):
     ({}, ["entropy"], 1, "amplitude integrates to 6.28"),
     ({"amplitude": ["1 + cos(t1)", "0.5*sin(t1)"]}, ["szego"], 1,
      "need a real amplitude"),
+    # malformed input: non-finite numbers, missing manifold fields and
+    # per-axis orders of the wrong length exit 2 as well
+    ({"k_sweep": [math.nan]}, ["spectrum"], 2, "non-finite number NaN"),
+    ({"manifold": {"kind": "custom", "ambient_dim": 1,
+                   "coords": ["cos(t1)", "sin(t1)"], "periodic": [True],
+                   "domain": [[0.0, 2 * math.pi]]}}, ["geometry"], 2,
+     "'dim' is a required property"),
+    ({"manifold": {"kind": "torus_product"}}, ["geometry"], 2,
+     "'radii' is a required property"),
+    ({"manifold": {"kind": "plane_patch"}}, ["geometry"], 2,
+     "'ranges' is a required property"),
+    ({"quad_order": [96, 96]}, ["spectrum"], 2,
+     "quad_order lists 2 orders for a manifold of dimension 1"),
 ])
 def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
                                    message):
@@ -123,7 +136,7 @@ def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
 
 @pytest.mark.parametrize("argv", [
     ["--k", "abc"], ["--k", "0"], ["--k", "5,"], ["--max-degree", "-1"],
-    ["--quad-order", "0"],
+    ["--quad-order", "0"], ["--k", "inf"], ["--k", "nan"],
 ])
 def test_overrides_are_validated_by_the_schema(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, CIRCLE)

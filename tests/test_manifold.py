@@ -14,7 +14,7 @@ from szegolab.spectral import eigensolve
 
 def test_circle_frame():
     sub = mfd.circle(1.5)
-    frame = mfd.frame_at(sub.charts[0], (0.7,))
+    frame = mfd.frame_at(sub, (0.7,))
     assert frame.G[0, 0] == pytest.approx(1.5 ** 2)
     assert frame.H[0, 0] == 0
     assert frame.half_rank == 0
@@ -25,7 +25,7 @@ def test_circle_frame():
 def test_parabola_frame_matches_closed_form():
     sub = mfd.parabola_patch()
     for x1 in (0.0, 0.5, 1.0):
-        frame = mfd.frame_at(sub.charts[0], (x1, 0.2))
+        frame = mfd.frame_at(sub, (x1, 0.2))
         expect_W = np.array([[0.0, -1.0 / (1.0 + x1 ** 2)], [1.0, 0.0]])
         assert np.allclose(frame.W, expect_W, atol=1e-12)
         assert frame.lambdas == pytest.approx(((1.0 + x1 ** 2) ** -0.5,))
@@ -34,7 +34,7 @@ def test_parabola_frame_matches_closed_form():
 
 def test_plane_frame_all_lambdas_one():
     sub = mfd.plane_patch([[-1, 1]] * 6)  # C^3
-    frame = mfd.frame_at(sub.charts[0], np.zeros(6))
+    frame = mfd.frame_at(sub, np.zeros(6))
     assert frame.half_rank == 3
     assert frame.lambdas == pytest.approx((1.0, 1.0, 1.0))
 
@@ -57,11 +57,11 @@ def test_d_prime_values():
 
 
 def test_delta_n_values():
-    circle_frame = mfd.frame_at(mfd.circle(1.0).charts[0], (0.1,))
+    circle_frame = mfd.frame_at(mfd.circle(1.0), (0.1,))
     assert mfd.delta_n(circle_frame, 1) == 1.0
     assert mfd.delta_n(circle_frame, 2) == pytest.approx(math.sqrt(2))
     plane = mfd.plane_patch([[-1, 1]] * 4)  # N = 2
-    pf = mfd.frame_at(plane.charts[0], np.zeros(4))
+    pf = mfd.frame_at(plane, np.zeros(4))
     for n in (1, 2, 3, 4):
         assert mfd.delta_n(pf, n) == pytest.approx(2.0 ** (2 * (n - 1)))
     # lambda = 1, d = 2, r = 1, n = 3 gives 4
@@ -85,45 +85,43 @@ def test_delta_identity_binomial_sum():
 
 def test_stacked_delta_n_matches_per_node_frames():
     sub = mfd.parabola_patch()
-    (block,) = mfd.quadrature(sub, 16).blocks
-    chart = block.chart
+    quad = mfd.quadrature(sub, 16)
     for n in (2, 3, 5):
-        stacked = mfd.delta_n_at(chart, block.nodes, n)
-        loop = np.array([mfd.delta_n(mfd.frame_at(chart, t), n)
-                         for t in block.nodes])
+        stacked = mfd.delta_n_at(sub, quad.nodes, n)
+        loop = np.array([mfd.delta_n(mfd.frame_at(sub, t), n)
+                         for t in quad.nodes])
         assert np.abs(stacked - loop).max() <= 1e-13 * np.abs(loop).max()
         # lambda^2 = 1 / (1 + x1^2) on the parabola
-        lam2 = 1.0 / (1.0 + block.nodes[:, 0] ** 2)
+        lam2 = 1.0 / (1.0 + quad.nodes[:, 0] ** 2)
         series = sum(math.comb(n, 2 * j + 1) * lam2 ** j
                      for j in range(n // 2 + 1))
         assert np.abs(stacked / series - 1.0).max() <= 1e-13
     # ranks that differ by manifold: circle r = 0, plane r = 2
-    circle = mfd.circle(1.0).charts[0]
+    circle = mfd.circle(1.0)
     assert mfd.delta_n_at(circle, [[0.1], [2.0]], 2) == pytest.approx(
         [math.sqrt(2)] * 2)
-    plane = mfd.plane_patch([[-1, 1]] * 4).charts[0]
+    plane = mfd.plane_patch([[-1, 1]] * 4)
     assert mfd.delta_n_at(plane, np.zeros((3, 4)), 3) == pytest.approx(
         [16.0] * 3)
 
 
 def test_quadrature_records_grid_shape():
     quad = mfd.quadrature(mfd.sphere3(1.0), [3, 4, 5])
-    (block,) = quad.blocks
-    assert block.shape == (3, 4, 5)
-    grid = block.nodes.reshape(3, 4, 5, 3)
+    assert quad.shape == (3, 4, 5)
+    grid = quad.nodes.reshape(3, 4, 5, 3)
     assert np.all(grid[:, 1:, :, 1] > grid[:, :-1, :, 1])  # C order
 
 
 def test_isotropic_has_zero_H():
     sub = mfd.torus_product([1.0, 0.5, 0.8])
     for t in [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0)]:
-        frame = mfd.frame_at(sub.charts[0], t)
+        frame = mfd.frame_at(sub, t)
         assert np.abs(frame.H).max() <= 1e-12
 
 
 def test_W_kernel_dimension():
     sub = mfd.sphere3(1.0)
-    frame = mfd.frame_at(sub.charts[0], (0.4, 1.0, 2.0))
+    frame = mfd.frame_at(sub, (0.4, 1.0, 2.0))
     d, r = frame.dim, frame.half_rank
     eigs = np.linalg.eigvals(frame.W)
     assert np.count_nonzero(np.abs(eigs) < 1e-8) == d - 2 * r
@@ -141,7 +139,7 @@ def test_quadrature_masses():
 def test_gauss_legendre_polynomial_exactness():
     sub = mfd.plane_patch([[0, 1], [0, 1]])
     q = mfd.quadrature(sub, 4)  # exact through degree 7
-    val = q.integrate(lambda b: b.nodes[:, 0] ** 7)
+    val = q.integrate(lambda quad: quad.nodes[:, 0] ** 7)
     assert val == pytest.approx(1 / 8, rel=1e-13)
 
 
@@ -151,16 +149,15 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(7)
     h = 1e-5
     for sub in subs:
-        chart = sub.charts[0]
         for _ in range(3):
             t = np.array([lo + (hi - lo) * rng.uniform(0.2, 0.8)
-                          for lo, hi in chart.domain])
-            J = chart.jacobian(t[None])[0]
-            for j in range(chart.dim):
-                step = np.zeros(chart.dim)
+                          for lo, hi in sub.domain])
+            J = sub.jacobian(t[None])[0]
+            for j in range(sub.dim):
+                step = np.zeros(sub.dim)
                 step[j] = h
-                fd = (chart.gamma((t + step)[None])[0]
-                      - chart.gamma((t - step)[None])[0]) / (2 * h)
+                fd = (sub.gamma((t + step)[None])[0]
+                      - sub.gamma((t - step)[None])[0]) / (2 * h)
                 assert np.abs(fd - J[:, j]).max() <= 1e-6
 
 
@@ -185,8 +182,8 @@ def test_custom_dsl_chart_matches_builtin_circle():
     custom = mfd.manifold_from_spec(spec)
     builtin = mfd.circle(1.5)
     assert mfd.classify(custom).tag == "lagrangian"
-    fc = mfd.frame_at(custom.charts[0], (0.7,))
-    fb = mfd.frame_at(builtin.charts[0], (0.7,))
+    fc = mfd.frame_at(custom, (0.7,))
+    fb = mfd.frame_at(builtin, (0.7,))
     assert np.allclose(fc.G, fb.G, rtol=1e-12)
     q = mfd.quadrature(custom, 32)
     assert q.total_mass == pytest.approx(2 * math.pi * 1.5, rel=1e-10)

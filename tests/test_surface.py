@@ -8,6 +8,7 @@ of set-up; these checks fail in a second when a deletion would break it.
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -56,5 +57,21 @@ def test_benchmark_reads_existing_names():
             obj = getattr(obj, part, None)
         if not callable(obj) and not isinstance(obj, (list, tuple)):
             missing.append(f"{module_name}.{attr}")
+    # the `measure` callbacks bind these arguments by name
+    for module_name, func, names in [
+            ("assembly", "assemble_T", ("trunc", "sub", "a", "quad")),
+            ("assembly", "pair_trace_integral", ("quad",)),
+            ("spectral", "eigensolve", ("op",))]:
+        module = importlib.import_module(f"szegolab.{module_name}")
+        params = inspect.signature(getattr(module, func)).parameters
+        missing += [f"{module_name}.{func}({n})" for n in names
+                    if n not in params]
+    # and read these attributes of the arguments and results
+    for module_name, cls, attrs in [
+            ("manifold", "Quadrature", ("size", "total_mass")),
+            ("assembly", "HermitianOperator", ("matrix", "dim"))]:
+        module = importlib.import_module(f"szegolab.{module_name}")
+        missing += [f"{module_name}.{cls}.{a}" for a in attrs
+                    if not hasattr(getattr(module, cls), a)]
     assert missing == []
 
