@@ -32,7 +32,10 @@ A periodic axis with L nodes is a rotation axis when, for every
 coordinate j, z_j at the next node along it (wrapping around) equals
 omega^{c_j} z_j on every node, omega = e^{2 pi i / L} and c_j an integer
 mod L, to 64 eps max|z|.  The check reads only the quadrature points, so
-DSL charts qualify as the built-in ones do.  A basis function n then has
+DSL charts qualify as the built-in ones do.  It reads them in blocks of
+slabs along the axis, each block a view of about _SLAB_BYTES paired with
+the view one slab further on, the last slab with the first: no shifted
+copy of the grid is made, and one numpy operation covers a whole block.  A basis function n then has
 charge q_n = sum_j c_j n_j mod L on each rotation axis, and its value at
 rotation index phi is omega^{phi . q_n} times its value U_n at phi = 0.
 The quadrature sum becomes
@@ -162,6 +165,7 @@ _FLUSH = float(np.finfo(np.float64).tiny) ** 0.25  # see the module notes
 _FILL_ROWS = 256  # row block for mirroring and for the sector sum
 _EPS = float(np.finfo(np.float64).eps)
 _ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
+_SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
 _SECTOR_NODES = 64  # rotation nodes per explicit node for the sector sum
 _BAND_MAX = 8  # widest band given to a banded solver; module notes
 
@@ -361,6 +365,19 @@ def _mirror_lower(T: np.ndarray) -> None:
         diag[upper] = diag.T[upper].conj()
 
 
+def _slab_pairs(grid: np.ndarray, axis: int):
+    """(here, ahead) views over blocks of slabs of grid along axis, ahead
+    one slab further on, wrapping around: each slab meets its successor
+    once, without a copy of the grid."""
+    g = np.moveaxis(grid, axis, 0)
+    L = g.shape[0]
+    rows = max(1, _SLAB_BYTES // max(1, g[0].nbytes))
+    for lo in range(0, L - 1, rows):
+        hi = min(L - 1, lo + rows)
+        yield g[lo:hi], g[lo + 1:hi + 1]
+    yield g[L - 1:], g[:1]
+
+
 def _sector_axes(quad: Quadrature):
     """Periodic axes of the grid that act on its points as rotations.
 
@@ -370,15 +387,21 @@ def _sector_axes(quad: Quadrature):
     rotation nodes per explicit node (module notes).
     """
     grid = quad.points.reshape(quad.shape + (-1,))
-    tol = _ROTATION_TOL * float(np.abs(grid).max(initial=0.0))
+    # the `here` blocks along any axis hold every point once
+    tol = _ROTATION_TOL * max(float(np.abs(here).max(initial=0.0))
+                              for here, _ in _slab_pairs(grid, 0))
+    idx = list(range(grid.ndim))
     axes, charges = [], []
     for axis, (L, periodic) in enumerate(zip(quad.shape, quad.sub.periodic)):
         if not periodic:
             continue
-        shifted = np.roll(grid, -1, axis=axis)
-        turn = np.sum(shifted * grid.conj(), axis=tuple(range(grid.ndim - 1)))
+        # sum of ahead conj(here) over the nodes, one value per coordinate
+        turn = sum(np.einsum(ahead, idx, here.conj(), idx, idx[-1:])
+                   for here, ahead in _slab_pairs(grid, axis))
         c = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(np.int64) % L
-        if np.abs(shifted - np.exp(2j * math.pi * c / L) * grid).max() <= tol:
+        phase = np.exp(2j * math.pi * c / L)
+        if all(np.abs(ahead - phase * here).max() <= tol
+               for here, ahead in _slab_pairs(grid, axis)):
             axes.append(axis)
             charges.append(c)
     if math.prod(quad.shape[a] for a in axes) < _SECTOR_NODES:

@@ -159,6 +159,20 @@ def _max_workers() -> int:
     return 1
 
 
+def _check_manifold_lengths(spec: dict) -> None:
+    """The list lengths of a manifold spec, which the schema cannot relate
+    to `dim` and `ambient_dim`."""
+    if spec["kind"] == "custom":
+        for key, want in (("periodic", spec["dim"]), ("domain", spec["dim"]),
+                          ("coords", 2 * spec["ambient_dim"])):
+            if len(spec[key]) != want:
+                raise SchemaError(f"manifold {key} lists {len(spec[key])} "
+                                  f"entries, not {want}")
+    if spec["kind"] == "plane_patch" and len(spec["ranges"]) % 2:
+        raise SchemaError(f"plane_patch lists {len(spec['ranges'])} ranges, "
+                          f"not 2N (x1, y1, x2, y2, ...)")
+
+
 class Experiment:
     """A validated config (`load_config`), resolved into assembly inputs.
 
@@ -167,6 +181,7 @@ class Experiment:
 
     def __init__(self, config: dict):
         self.config = config
+        _check_manifold_lengths(config["manifold"])
         self.sub = manifold_from_spec(config["manifold"])
         self.k_sweep = [float(k) for k in config.get("k_sweep", [50.0])]
         self.max_degree = config.get("max_degree")

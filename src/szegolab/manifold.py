@@ -6,6 +6,29 @@ and periodicity flags.  From the jacobian columns we form the induced
 metric G, the pulled-back symplectic form H, the endomorphism W = G^{-1}H
 whose eigenvalues +-i lambda_ell classify the submanifold, and the Hessian
 factor Delta_n that drives all trace asymptotics.
+
+Quadrature in node chunks: a quadrature is a tensor grid whose weights are
+the cell volumes times the surface density sqrt(det G).  The nodes and
+cell volumes are broadcast from the per-axis rules into preallocated
+arrays; the chart's jacobian and points are then evaluated over chunks of
+nodes, each holding about _CHUNK_BYTES of jacobian and metric, and
+written into the preallocated weights and points.  So memory holds the
+nodes, weights and points of the grid and the jacobian of one chunk, never
+the (m, 2N, d) jacobians or (m, d, d) metrics of all m nodes.
+sqrt(det G) comes from
+a Cholesky elimination of G = J^T J written as O(d^2) operations on
+vectors over the nodes of a chunk (`_sqrt_det_metric`), for any d; a
+pivot that is not positive raises SingularMetricError.  The W spectrum of
+`Quadrature.w_spectrum` is computed over the same chunks.  Each node is
+independent, so the chunking changes no value.
+
+The weights stay per node, also along the axes that `assembly` finds to
+act on the points as rotations.  That an axis rotates the points at the
+nodes does not make the chart equivariant: the tangents, and with them
+sqrt(det G), can still vary along it.  The DSL chart
+(cos(t + 0.01 sin 32t), sin(t + 0.01 sin 32t)) at 64 nodes puts every
+node on the unit circle one step of 2 pi / 64 apart, yet its weights
+alternate between 0.130 and 0.067.
 """
 
 from __future__ import annotations
@@ -45,6 +68,7 @@ __all__ = [
 ]
 
 LAMBDA_TOL = 1e-8
+_CHUNK_BYTES = 1 << 20  # jacobian and metric working set of a node chunk
 
 
 def real_to_complex(x: np.ndarray) -> np.ndarray:
@@ -110,6 +134,40 @@ def frame_at(sub: ChartedSubmanifold, t) -> GeometryFrame:
                          half_rank=len(lambdas), vol_density=float(vol))
 
 
+def _node_chunks(sub: ChartedSubmanifold, m: int):
+    """(lo, hi) ranges over m nodes, each about _CHUNK_BYTES of jacobian
+    and metric."""
+    d = sub.dim
+    rows = max(1, _CHUNK_BYTES // (8 * d * (2 * sub.ambient_dim + d)))
+    for lo in range(0, m, rows):
+        yield lo, min(m, lo + rows)
+
+
+def _sqrt_det_metric(J: np.ndarray) -> np.ndarray:
+    """sqrt(det G), G = J^T J, of stacked jacobians J (m, 2N, d).
+
+    G = L D L^T is factored by Cholesky elimination with the nodes as the
+    vector dimension: each entry of G is one dot product of two columns
+    of J, and each elimination step one Schur-complement update over the
+    nodes, O(d^2) vector operations in all for any d.  det G is the
+    product of the pivots D; a pivot that is not positive means a
+    singular metric.
+    """
+    m, _, d = J.shape
+    G = np.empty((d, d, m))
+    for i in range(d):
+        for j in range(i + 1):
+            G[i, j] = G[j, i] = np.einsum("ma,ma->m", J[:, :, i], J[:, :, j])
+    det = np.ones(m)
+    for j in range(d):
+        pivot = G[j, j]
+        if not np.all(pivot > 0):
+            raise SingularMetricError("non-positive metric pivot at a node")
+        det *= pivot
+        G[j + 1:, j + 1:] -= G[j + 1:, j, None] * (G[j, j + 1:] / pivot)
+    return np.sqrt(det)
+
+
 def _geometry(J: np.ndarray):
     """First-order data of stacked jacobians J, (m, 2N, d).
 
@@ -173,10 +231,14 @@ def delta_n(frame: GeometryFrame, n: int) -> float:
 
 
 def _w_spectrum(sub: ChartedSubmanifold, nodes):
-    """lam and is_lambda of `_geometry` at every parameter point of nodes."""
+    """lam and is_lambda of `_geometry` at every parameter point of nodes,
+    computed in node chunks (module notes)."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    *_, lam, is_lambda, _ = _geometry(np.asarray(sub.jacobian(nodes),
-                                                 dtype=float))
+    lam = np.empty(nodes.shape)
+    is_lambda = np.empty(nodes.shape, dtype=bool)
+    for lo, hi in _node_chunks(sub, nodes.shape[0]):
+        J = np.asarray(sub.jacobian(nodes[lo:hi]), dtype=float)
+        *_, lam[lo:hi], is_lambda[lo:hi], _ = _geometry(J)
     return lam, is_lambda
 
 
@@ -254,7 +316,8 @@ def d_prime(obj) -> int:
 @dataclass(frozen=True)
 class Quadrature:
     """Tensor-grid quadrature of a submanifold; nodes run in C order (last
-    axis fastest) over a grid of `shape`."""
+    axis fastest) over a grid of `shape`.  Every node carries its own
+    weight (module notes)."""
 
     sub: ChartedSubmanifold
     nodes: np.ndarray        # (m, d)
@@ -306,7 +369,10 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
 
     order: nodes per axis, an integer or a sequence with one entry per axis.
     Periodic axes use the trapezoid rule, the rest Gauss-Legendre.  Weights
-    include the surface density sqrt(det G).
+    include the surface density sqrt(det G), one value per node.  The
+    chart's jacobian and points are evaluated in node chunks (module
+    notes), so neither the jacobians nor the metrics of the whole grid are
+    ever held at once.
     """
     if np.isscalar(order):
         per_axis = [int(order)] * sub.dim
@@ -314,20 +380,26 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
         per_axis = [int(o) for o in order]
         if len(per_axis) != sub.dim:
             raise ValueError("per-axis order list must match chart dimension")
-    axes = [_axis_rule(lo, hi, per, n)
-            for (lo, hi), per, n in zip(sub.domain, sub.periodic, per_axis)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    nodes = np.stack(grids, axis=-1).reshape(-1, sub.dim)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    cell = np.prod(np.stack(wgrids, axis=-1).reshape(-1, sub.dim), axis=1)
-    J = np.asarray(sub.jacobian(nodes), dtype=float)  # (m, 2N, d)
-    G = np.einsum("mad,mae->mde", J, J)
-    detG = np.linalg.det(G)
-    if np.any(detG <= 0):
-        raise SingularMetricError("non-positive metric determinant at a node")
-    return Quadrature(sub=sub, nodes=nodes, weights=cell * np.sqrt(detG),
-                      points=real_to_complex(sub.gamma(nodes)),
-                      shape=tuple(per_axis))
+    shape, d = tuple(per_axis), sub.dim
+    m = math.prod(shape)
+    nodes = np.empty(shape + (d,))
+    weights = np.ones(shape)
+    for j, ((lo, hi), per, n) in enumerate(zip(sub.domain, sub.periodic,
+                                               per_axis)):
+        x, w = _axis_rule(lo, hi, per, n)
+        along = (1,) * j + (n,) + (1,) * (d - j - 1)
+        nodes[..., j] = x.reshape(along)
+        weights *= w.reshape(along)  # the cell volume
+    nodes, weights = nodes.reshape(m, d), weights.reshape(m)
+    coords = np.empty((m, 2 * sub.ambient_dim))  # interleaved (x1, y1, ...)
+    for lo, hi in _node_chunks(sub, m):
+        t = nodes[lo:hi]
+        weights[lo:hi] *= _sqrt_det_metric(
+            np.asarray(sub.jacobian(t), dtype=float))
+        coords[lo:hi] = sub.gamma(t)
+    # (x_j, y_j) pairs are the memory layout of complex z_j = x_j + i y_j
+    return Quadrature(sub=sub, nodes=nodes, weights=weights,
+                      points=coords.view(complex), shape=shape)
 
 
 def default_periodic_nodes(k: float, radius: float) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -301,6 +302,27 @@ def test_rotation_charges_read_from_points():
     assert asm._sector_axes(flat)[1].tolist() == [[1, 0], [0, 1], [0, 0]]
     assert asm._sector_axes(mfd.quadrature(wobbly_circle(), 64)) is None
     assert asm._sector_axes(mfd.quadrature(mfd.parabola_patch(), 8)) is None
+
+
+@pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")
+def test_sector_sum_keeps_the_weights_of_every_node():
+    # at the 64 nodes sin(32 t1) = 0, so the points lie on |z| = 1 and turn
+    # by one node per step; |gamma'| = 1 + 0.32 cos(32 t1) alternates
+    # between 1.32 and 0.68 there, so the weights do not turn with them
+    chart = mfd.custom_chart(1, 1, ["cos(t1 + 0.01*sin(32*t1))",
+                                    "sin(t1 + 0.01*sin(32*t1))"],
+                             [True], [[0.0, TWO_PI]], label="wiggly")
+    quad = mfd.quadrature(chart, 64)
+    assert asm._sector_axes(quad)[1].tolist() == [[1]]
+    assert quad.weights[1] < 0.55 * quad.weights[0]
+    trunc = FockTruncation(1, 10.0, 40)
+    expect = gemm_reference(trunc, quad, None)
+    scale = np.abs(expect).max()
+    op = assemble_T(trunc, chart, None, quad)
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * scale
+    # the base node's weight on every node is off by about a third of T
+    base = dataclasses.replace(quad, weights=np.full(64, quad.weights[0]))
+    assert np.abs(gemm_reference(trunc, base, None) - expect).max() > 0.25 * scale
 
 
 @pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")

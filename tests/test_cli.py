@@ -19,6 +19,9 @@ def write_config(tmp_path, config, name="config.json"):
 
 CIRCLE = {"manifold": {"kind": "circle", "radius": 1.0},
           "k_sweep": [10.0], "quad_order": 96}
+CUSTOM_CIRCLE = {"kind": "custom", "dim": 1, "ambient_dim": 1,
+                 "coords": ["cos(t1)", "sin(t1)"], "periodic": [True],
+                 "domain": [[0.0, 2 * math.pi]]}
 
 
 def test_geometry_csv(tmp_path):
@@ -123,6 +126,15 @@ def test_bad_config_exits_2(tmp_path):
      "'ranges' is a required property"),
     ({"quad_order": [96, 96]}, ["spectrum"], 2,
      "quad_order lists 2 orders for a manifold of dimension 1"),
+    # list lengths that disagree with dim or ambient_dim exit 2, not 1
+    ({"manifold": {**CUSTOM_CIRCLE, "periodic": [True, True]}}, ["geometry"],
+     2, "manifold periodic lists 2 entries, not 1"),
+    ({"manifold": {**CUSTOM_CIRCLE, "domain": []}}, ["geometry"], 2,
+     "manifold domain lists 0 entries, not 1"),
+    ({"manifold": {**CUSTOM_CIRCLE, "coords": ["cos(t1)"]}}, ["geometry"], 2,
+     "manifold coords lists 1 entries, not 2"),
+    ({"manifold": {"kind": "plane_patch", "ranges": [[-1, 1]] * 3}},
+     ["geometry"], 2, "plane_patch lists 3 ranges, not 2N"),
 ])
 def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
                                    message):

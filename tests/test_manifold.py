@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +114,94 @@ def test_quadrature_records_grid_shape():
     assert quad.shape == (3, 4, 5)
     grid = quad.nodes.reshape(3, 4, 5, 3)
     assert np.all(grid[:, 1:, :, 1] > grid[:, :-1, :, 1])  # C order
+
+
+TWO_PI = 2.0 * math.pi
+
+
+def dsl_torus():
+    return mfd.custom_chart(2, 2, ["cos(t1)", "sin(t1)", "0.7*cos(t2)",
+                                   "0.7*sin(t2)"], [True, True],
+                            [[0.0, TWO_PI]] * 2, label="torus")
+
+
+@pytest.mark.parametrize("sub", [
+    mfd.circle(1.3), mfd.torus_product([1.0, 0.7]),
+    mfd.torus_product([1.0, 0.5, 0.8], ambient_dim=4), mfd.parabola_patch(),
+    mfd.plane_patch([[-1.0, 2.0], [0.0, 1.0], [-0.5, 0.5], [1.0, 3.0]]),
+    mfd.sphere3(0.9), dsl_torus()], ids=lambda sub: sub.label)
+def test_sqrt_det_metric_matches_lapack_det(sub):
+    J = np.asarray(sub.jacobian(mfd.quadrature(sub, 5).nodes), dtype=float)
+    expect = np.sqrt(np.linalg.det(np.swapaxes(J, 1, 2) @ J))
+    assert np.abs(mfd._sqrt_det_metric(J) / expect - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rows, d", [(6, 4), (8, 5), (10, 7), (6, 1)])
+def test_sqrt_det_metric_any_dimension(rows, d):
+    # tall Gaussian jacobians keep G well conditioned (cond below 2e3)
+    J = np.random.default_rng(d).normal(size=(40, rows, d))
+    expect = np.sqrt(np.linalg.det(np.swapaxes(J, 1, 2) @ J))
+    assert np.abs(mfd._sqrt_det_metric(J) / expect - 1.0).max() <= 1e-13
+
+
+def test_degenerate_chart_has_a_singular_metric():
+    # the t2 column of the jacobian vanishes
+    chart = mfd.custom_chart(2, 2, ["cos(t1)", "sin(t1)", "cos(t1)",
+                                    "sin(t1)"], [True, True],
+                             [[0.0, TWO_PI]] * 2)
+    with pytest.raises(mfd.SingularMetricError):
+        mfd.quadrature(chart, 8)
+
+
+def test_quadrature_chunks_bound_the_jacobian(monkeypatch):
+    sphere = mfd.sphere3(1.0)
+    order = [11, 21, 21]
+    monkeypatch.setattr(mfd, "_CHUNK_BYTES", 1 << 40)
+    whole = mfd.quadrature(sphere, order)
+    calls = []
+
+    def jacobian(t):
+        calls.append(t.shape[0])
+        return sphere.jacobian(t)
+
+    # 8 bytes times d (2N + d) per node: 1500 nodes a chunk, 4 chunks
+    monkeypatch.setattr(mfd, "_CHUNK_BYTES", 1500 * 8 * 3 * 7)
+    chunked = mfd.quadrature(dataclasses.replace(sphere, jacobian=jacobian),
+                             order)
+    assert len(calls) >= 3 and sum(calls) == whole.size
+    assert max(calls) <= 1500
+    for field in ("nodes", "weights", "points"):
+        assert np.array_equal(getattr(chunked, field), getattr(whole, field))
+    assert chunked.shape == whole.shape
+
+
+@pytest.mark.parametrize("sub, order", [(mfd.parabola_patch(), 24),
+                                        (mfd.sphere3(1.0), [6, 9, 9])],
+                         ids=["parabola", "sphere3"])
+def test_w_spectrum_in_chunks_matches_one_geometry_pass(monkeypatch, sub,
+                                                        order):
+    quad = mfd.quadrature(sub, order)
+    *_, lam, is_lambda, _ = mfd._geometry(
+        np.asarray(sub.jacobian(quad.nodes), dtype=float))
+    monkeypatch.setattr(mfd, "_CHUNK_BYTES", 50 * 8 * sub.dim
+                        * (2 * sub.ambient_dim + sub.dim))
+    chunked = mfd.quadrature(sub, order).w_spectrum
+    assert np.array_equal(chunked[0], lam)
+    assert np.array_equal(chunked[1], is_lambda)
+
+
+def test_sphere3_quadrature_memory_is_bounded():
+    # the k = 20 Lab order, 310,675 nodes: the stored nodes, weights and
+    # points take 20 MB; full-grid jacobians and metrics took 104 MB more
+    code = ("import resource, szegolab.manifold as m\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "m.quadrature(m.sphere3(1.0), [43, 85, 85])\n"
+            "print((peak() - before) / 1024)")  # ru_maxrss is in KiB
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert float(out.stdout) < 50.0
 
 
 def test_isotropic_has_zero_H():
