@@ -185,14 +185,15 @@ def test_w_spectrum_in_chunks_matches_one_geometry_pass(monkeypatch, sub,
         np.asarray(sub.jacobian(quad.nodes), dtype=float))
     monkeypatch.setattr(mfd, "_CHUNK_BYTES", 50 * 8 * sub.dim
                         * (2 * sub.ambient_dim + sub.dim))
-    chunked = mfd.quadrature(sub, order).w_spectrum
+    chunked = quad.w_spectrum  # 50 nodes a chunk
     assert np.array_equal(chunked[0], lam)
     assert np.array_equal(chunked[1], is_lambda)
 
 
 def test_sphere3_quadrature_memory_is_bounded():
     # the k = 20 Lab order, 310,675 nodes: the stored nodes, weights and
-    # points take 20 MB; full-grid jacobians and metrics took 104 MB more
+    # points take 20 MB, and the peak grows by about 21 MB; with full-grid
+    # jacobians and metrics it grew by 75-104 MB
     code = ("import resource, szegolab.manifold as m\n"
             "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "before = peak()\n"
