@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -350,3 +354,28 @@ def test_schatten_agrees_with_acceptance_check(tmp_path):
         assert v["predicted"] == pytest.approx(pred, rel=1e-12, abs=0)
         rel = abs(v["observed"] - v["predicted"]) / v["predicted"]
         assert rel == pytest.approx(detail[p]["final_rel"], rel=0, abs=1e-12)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_steady_heap_returns_freed_matrices():
+    # a freed 24 MB block raises glibc's default mmap threshold, so an
+    # 8 MB array freed under a small live one stays resident in the heap;
+    # cli.main fixes the threshold, and the 8 MB go back to the system
+    code = ("import numpy as np\n"
+            "from szegolab import cli\n"
+            "def rss():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh\n"
+            "                    if l.startswith('VmRSS')) / 1024\n"
+            "cli._steady_heap()\n"
+            "big = np.ones(3 << 20)\n"
+            "del big\n"
+            "before = rss()\n"
+            "mid = np.ones(1 << 20)\n"
+            "pin = np.ones(1000)\n"
+            "del mid\n"
+            "print(rss() - before)")  # MiB
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert float(out.stdout) < 2.0
