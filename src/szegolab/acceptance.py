@@ -300,15 +300,14 @@ def check_hessian_oracle(lab: Lab):
         worst = max(worst, float(np.abs(rec - closed).max()) / scale,
                     rep.rel_err_det, rep.rel_err_sqrt)
     parabola_ok = True
-    sub = parabola_patch()
-    for x1 in (0.0, 1.0):
-        frame = frame_at(sub, (x1, 0.3))
-        lam2 = 1.0 / (1.0 + x1 ** 2)
-        for n in range(2, 7):
-            series = sum(math.comb(n, 2 * j + 1) * lam2 ** j
-                         for j in range(n // 2 + 1))
-            if abs(delta_n(frame, n) - series) > 1e-10 * series:
-                parabola_ok = False
+    points = np.array([[0.0, 0.3], [1.0, 0.3]])
+    frame = frame_at(parabola_patch(), points)
+    lam2 = 1.0 / (1.0 + points[:, 0] ** 2)
+    for n in range(2, 7):
+        series = sum(math.comb(n, 2 * j + 1) * lam2 ** j
+                     for j in range(n // 2 + 1))
+        if np.any(np.abs(delta_n(frame, n) - series) > 1e-10 * series):
+            parabola_ok = False
     return verdict("hessian_oracle", worst, 0.0, HESSIAN_TOL,
                    worst <= HESSIAN_TOL and parabola_ok,
                    detail={"parabola_delta_ok": parabola_ok})

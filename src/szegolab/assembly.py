@@ -168,6 +168,7 @@ _ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
 _SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
 _SECTOR_NODES = 64  # rotation nodes per explicit node for the sector sum
 _BAND_MAX = 8  # widest band given to a banded solver; module notes
+_NFOLD_BUDGET = 4e9  # bytes of the n complex node-coupling matrices
 
 
 class TruncationWarning(UserWarning):
@@ -486,10 +487,6 @@ class _Sector:
         real ones."""
         F, V, q, shape = self.F, self.V, self.q, self.shape
         dim = q.shape[0]
-        diag = np.diag_indices(dim)
-        if self.mult == 1 and not np.any(F[:, 1:]):  # T is exactly diagonal
-            Xt[diag] += (V.real ** 2 + V.imag ** 2).T @ F[:, 0]
-            return
         # Xt[r, c] += sum_theta R_r C_c F[q_c - q_r] with R = conj(V), C = V
         # for T, and all three conjugated for the lower triangle of conj(T)
         V = np.ascontiguousarray(V)
@@ -511,6 +508,7 @@ class _Sector:
                 work *= C[t, None, :cols]
                 acc += work
         if is_real:
+            diag = np.diag_indices(dim)
             Xt[diag] = Xt[diag].real  # the rounding of R C F leaves imaginary dust
 
 
@@ -920,7 +918,7 @@ def pair_trace_integral(sub: ChartedSubmanifold, a, b, quad: Quadrature,
 
 
 def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Quadrature,
-                         k: float, budget: float = 4e9) -> complex:
+                         k: float) -> complex:
     """Direct quadrature of the cyclic trace integral for n factors.
 
     Tr(T_{a_1} ... T_{a_n}) = (k/pi)^{Nn} int_{Gamma^n} prod_j
@@ -934,7 +932,7 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
         raise ValueError("need at least two amplitudes")
     pts = quad.points
     m = pts.shape[0]
-    if float(m) ** 2 * n * 16 > budget:
+    if float(m) ** 2 * n * 16 > _NFOLD_BUDGET:
         raise CostLimitError(f"{m} nodes with n={n} exceeds the cost budget")
     x = pts.view(np.float64)  # interleaved reals (x1, y1, ...)
     d2 = _sq_dists(x, x)

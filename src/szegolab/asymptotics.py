@@ -20,10 +20,10 @@ from .manifold import (
     ChartedSubmanifold,
     Classification,
     Quadrature,
-    _delta_values,
     amp_values,
     classify,
     d_prime,
+    delta_n,
 )
 from .spectral import TestFunction
 
@@ -145,8 +145,8 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
 
     [2^{d/2} (k/pi)^{N-d/2}]^n (k/2pi)^{d/2} int Delta_n(w)^{-1} prod a_j dsigma.
 
-    Delta_n comes from the W-spectrum the quadrature keeps after first use,
-    so a sweep over k computes the geometry of the nodes once.
+    Delta_n is read from `quad.frame`, the geometry frame the quadrature
+    keeps after first use, so a sweep over k computes it once.
     """
     if len(amplitudes) != n:
         raise ValueError("need one amplitude per factor")
@@ -154,7 +154,7 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
     prod = np.ones(quad.size, dtype=complex)
     for a in amplitudes:
         prod = prod * amp_values(a, quad)
-    deltas = _delta_values(*quad.w_spectrum, d, n)
+    deltas = delta_n(quad.frame, n)
     total = float(np.sum(quad.weights * (prod / deltas)).real)
     prefactor = (2.0 ** (0.5 * d) * (k / math.pi) ** (N - 0.5 * d)) ** n \
         * (k / (2.0 * math.pi)) ** (0.5 * d)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import _delta_values, _lambda_pairs
+from .manifold import GeometryFrame, _lambda_pairs, delta_n
 
 __all__ = [
     "build_hessian",
@@ -144,7 +144,6 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int) -> SqrtDetReport:
     (ii) sqrt(det(Det(M_q))) equals Delta_{q+1} built from the lambdas of W.
     """
     G, H = _checked(G, H, q)
-    d = G.shape[0]
     dense = _build_hessian(G, H, q)
     det_dense = np.linalg.det(dense)
     if abs(det_dense.imag) > 1e-8 * max(abs(det_dense), 1.0):
@@ -155,9 +154,9 @@ def verify_sqrt_det(G: np.ndarray, H: np.ndarray, q: int) -> SqrtDetReport:
     detM = float(np.linalg.det(det_m))
     det_factored = float(np.linalg.det(G)) ** q * detM
     rel_det = abs(det_dense - det_factored) / max(abs(det_dense), 1e-300)
-    lambdas, r = lambdas_of(G, H)
-    delta = float(_delta_values(lambdas[None], np.ones((1, r), bool), d,
-                                q + 1)[0])
+    gl, gv = np.linalg.eigh(G[None])
+    delta = float(delta_n(GeometryFrame(*_lambda_pairs(gl, gv, H[None])),
+                          q + 1)[0])
     sqrt_det = math.sqrt(max(detM, 0.0))
     rel_sqrt = abs(sqrt_det - delta) / max(abs(delta), 1e-300)
     return SqrtDetReport(q=q, det_dense=det_dense, det_factored=det_factored,

@@ -5,7 +5,10 @@ R^d into interleaved real coordinates (x1, y1, ..., xN, yN), its jacobian
 and periodicity flags.  From the jacobian columns we form the induced
 metric G, the pulled-back symplectic form H, the endomorphism W = G^{-1}H
 whose eigenvalues +-i lambda_ell classify the submanifold, and the Hessian
-factor Delta_n that drives all trace asymptotics.
+factor Delta_n that drives all trace asymptotics.  `frame_at` is the one
+place that computes the W spectrum of a chart: it takes a stack of
+parameter points and returns a GeometryFrame of arrays, which `classify`,
+`delta_n` and `Quadrature.frame` read.
 
 Quadrature in node chunks: a quadrature is a tensor grid whose weights are
 the cell volumes times the surface density sqrt(det G).  The nodes and
@@ -18,9 +21,9 @@ the (m, 2N, d) jacobians or (m, d, d) metrics of all m nodes.
 sqrt(det G) comes from
 a Cholesky elimination of G = J^T J written as O(d^2) operations on
 vectors over the nodes of a chunk (`_sqrt_det_metric`), for any d; a
-pivot that is not positive raises SingularMetricError.  The W spectrum of
-`Quadrature.w_spectrum` is computed over the same chunks.  Each node is
-independent, so the chunking changes no value.
+pivot that is not positive raises SingularMetricError.  `frame_at`, and
+with it `Quadrature.frame`, computes the W spectrum over the same chunks.
+Each node is independent, so the chunking changes no value.
 
 The weights stay per node, also along the axes that `assembly` finds to
 act on the points as rotations.  That an axis rotates the points at the
@@ -51,7 +54,6 @@ __all__ = [
     "classify",
     "d_prime",
     "delta_n",
-    "delta_n_at",
     "quadrature",
     "real_to_complex",
     "circle",
@@ -102,18 +104,21 @@ class ChartedSubmanifold:
 
 @dataclass(frozen=True)
 class GeometryFrame:
-    """Pointwise first-order data: metric, symplectic form, W-spectrum."""
+    """The W-spectrum at m stacked parameter points, as `_geometry` gives
+    it: lam (m, d) ascending, each +-i lambda pair showing twice, and
+    is_lambda (m, d) marking one entry of each pair."""
 
-    G: np.ndarray
-    H: np.ndarray
-    W: np.ndarray
-    lambdas: tuple[float, ...]  # positive ones, ascending; r of them
-    half_rank: int
-    vol_density: float
+    lam: np.ndarray
+    is_lambda: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.G.shape[0]
+        return self.lam.shape[1]
+
+    @property
+    def half_rank(self) -> np.ndarray:
+        """r, the number of positive lambdas, at each point."""
+        return self.is_lambda.sum(axis=1)
 
 
 class SingularMetricError(ValueError):
@@ -122,16 +127,6 @@ class SingularMetricError(ValueError):
 
 class ClassificationError(ValueError):
     pass
-
-
-def frame_at(sub: ChartedSubmanifold, t) -> GeometryFrame:
-    """Geometry frame at one interior parameter point."""
-    t = np.asarray(t, dtype=float).reshape(1, -1)
-    J = np.asarray(sub.jacobian(t), dtype=float)  # (1, 2N, d)
-    G, H, W, lam, is_lambda, vol = (x[0] for x in _geometry(J))
-    lambdas = tuple(float(x) for x in lam[is_lambda])
-    return GeometryFrame(G=G, H=H, W=W, lambdas=lambdas,
-                         half_rank=len(lambdas), vol_density=float(vol))
 
 
 def _node_chunks(sub: ChartedSubmanifold, m: int):
@@ -168,13 +163,13 @@ def _sqrt_det_metric(J: np.ndarray) -> np.ndarray:
     return np.sqrt(det)
 
 
-def _geometry(J: np.ndarray):
-    """First-order data of stacked jacobians J, (m, 2N, d).
+def _geometry(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W-spectrum of stacked jacobians J, (m, 2N, d).
 
-    Returns G, H, W (each (m, d, d)), lam (m, d), is_lambda (m, d) and the
-    volume densities (m,).  lam holds the square roots of the eigenvalues
-    of -A^2, A = G^{-1/2} H G^{-1/2}, ascending; each +-i lambda pair of W
-    shows twice, and is_lambda marks one entry of each pair.
+    Returns lam (m, d), the square roots of the eigenvalues of -A^2,
+    A = G^{-1/2} H G^{-1/2}, ascending, and is_lambda (m, d); each
+    +-i lambda pair of W shows twice, and is_lambda marks one entry of
+    each pair.
     """
     cols = J[:, 0::2, :] + 1j * J[:, 1::2, :]  # (m, N, d) complex tangents
     G = np.swapaxes(J, 1, 2) @ J
@@ -183,10 +178,7 @@ def _geometry(J: np.ndarray):
     gl, gv = np.linalg.eigh(G)
     if not np.all(gl[:, -1] <= 1e12 * gl[:, 0]):
         raise SingularMetricError("induced metric is numerically singular")
-    W = np.linalg.solve(G, H)
-    lam, is_lambda = _lambda_pairs(gl, gv, H)
-    vol = np.sqrt(np.maximum(np.prod(gl, axis=1), 0.0))
-    return G, H, W, lam, is_lambda, vol
+    return _lambda_pairs(gl, gv, H)
 
 
 def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray
@@ -210,41 +202,30 @@ def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray
     return np.sqrt(np.clip(lam2, 0.0, None)), is_lambda
 
 
-def _delta_values(lam: np.ndarray, is_lambda: np.ndarray, d: int,
-                  n: int) -> np.ndarray:
-    """Delta_n per row of lam, over the entries that is_lambda marks."""
+def frame_at(sub: ChartedSubmanifold, t) -> GeometryFrame:
+    """Geometry frame at the parameter points t, (m, d) or one point,
+    computed in node chunks (module notes)."""
+    t = np.asarray(t, dtype=float).reshape(-1, sub.dim)
+    lam = np.empty(t.shape)
+    is_lambda = np.empty(t.shape, dtype=bool)
+    for lo, hi in _node_chunks(sub, t.shape[0]):
+        J = np.asarray(sub.jacobian(t[lo:hi]), dtype=float)
+        lam[lo:hi], is_lambda[lo:hi] = _geometry(J)
+    return GeometryFrame(lam=lam, is_lambda=is_lambda)
+
+
+def delta_n(frame: GeometryFrame, n: int) -> np.ndarray:
+    """Hessian factor n^{d/2-r} prod [(1+l)^n - (1-l)^n]/(2l) over the
+    lambdas, at every point of the frame."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = is_lambda.sum(axis=1)
+    lam = frame.lam
     flat = lam < 1e-12
     safe = np.where(flat, 1.0, lam)
     factor = np.where(flat, float(n),
                       ((1.0 + safe) ** n - (1.0 - safe) ** n) / (2.0 * safe))
-    return float(n) ** (0.5 * d - r) * np.prod(np.where(is_lambda, factor, 1.0),
-                                               axis=1)
-
-
-def delta_n(frame: GeometryFrame, n: int) -> float:
-    """Hessian factor n^{d/2-r} prod [(1+l)^n - (1-l)^n]/(2l) over lambdas."""
-    lam = np.array(frame.lambdas, dtype=float).reshape(1, -1)
-    return float(_delta_values(lam, np.ones(lam.shape, bool), frame.dim, n)[0])
-
-
-def _w_spectrum(sub: ChartedSubmanifold, nodes):
-    """lam and is_lambda of `_geometry` at every parameter point of nodes,
-    computed in node chunks (module notes)."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    lam = np.empty(nodes.shape)
-    is_lambda = np.empty(nodes.shape, dtype=bool)
-    for lo, hi in _node_chunks(sub, nodes.shape[0]):
-        J = np.asarray(sub.jacobian(nodes[lo:hi]), dtype=float)
-        *_, lam[lo:hi], is_lambda[lo:hi], _ = _geometry(J)
-    return lam, is_lambda
-
-
-def delta_n_at(sub: ChartedSubmanifold, nodes, n: int) -> np.ndarray:
-    """delta_n at every parameter point of nodes (m, d), in one stacked pass."""
-    return _delta_values(*_w_spectrum(sub, nodes), sub.dim, n)
+    return float(n) ** (0.5 * frame.dim - frame.half_rank) * np.prod(
+        np.where(frame.is_lambda, factor, 1.0), axis=1)
 
 
 # --- classification ----------------------------------------------------------
@@ -257,10 +238,6 @@ class Classification:
     half_rank: int
     lambda_range: tuple[float, float]  # (min, max) over nodes, 0s if r = 0
     max_unit_deviation: float  # max |lambda - 1| when coisotropic-shaped
-
-    @property
-    def d_prime(self) -> int:
-        return d_prime(self)
 
 
 SAMPLES_PER_AXIS = 5  # classification grid: nodes per axis
@@ -280,15 +257,15 @@ def _sample_nodes(sub: ChartedSubmanifold) -> np.ndarray:
 
 def classify(sub: ChartedSubmanifold) -> Classification:
     """Classify by the K-endomorphism spectrum on a coarse interior grid."""
-    frames = [frame_at(sub, t) for t in _sample_nodes(sub)]
-    ranks = {f.half_rank for f in frames}
-    if len(ranks) != 1:
-        raise ClassificationError(f"half rank varies across nodes: {sorted(ranks)}")
-    r = ranks.pop()
+    frame = frame_at(sub, _sample_nodes(sub))
+    ranks = np.unique(frame.half_rank)
+    if ranks.size != 1:
+        raise ClassificationError(f"half rank varies across nodes: {ranks.tolist()}")
+    r = int(ranks[0])
     d, N = sub.dim, sub.ambient_dim
-    all_lam = [lam for f in frames for lam in f.lambdas]
-    lam_range = (min(all_lam), max(all_lam)) if all_lam else (0.0, 0.0)
-    unit_dev = max((abs(lam - 1.0) for lam in all_lam), default=0.0)
+    lam = frame.lam[frame.is_lambda]
+    lam_range = (float(lam.min()), float(lam.max())) if lam.size else (0.0, 0.0)
+    unit_dev = float(np.abs(lam - 1.0).max(initial=0.0))
     if r == 0:
         tag = "lagrangian" if d == N else "isotropic"
     elif d == N + r and unit_dev <= LAMBDA_TOL:
@@ -334,21 +311,16 @@ class Quadrature:
         return float(self.weights.sum())
 
     @cached_property
-    def w_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, is_lambda) of W at every node, computed on first use.
+    def frame(self) -> GeometryFrame:
+        """Geometry frame at every node, computed on first use.
 
         It does not depend on k, so Delta_n at the nodes costs one pass of
         `_geometry`, whatever k and n are asked for.
         """
-        return _w_spectrum(self.sub, self.nodes)
+        return frame_at(self.sub, self.nodes)
 
     def max_radius(self) -> float:
         return float(np.abs(self.points).max())
-
-    def integrate(self, func: Callable[["Quadrature"], np.ndarray]) -> complex:
-        """Sum of weights * func(quadrature) over the nodes."""
-        total = complex(np.sum(self.weights * np.asarray(func(self))))
-        return total if total.imag != 0 else total.real
 
 
 def _axis_rule(lo: float, hi: float, periodic: bool, n: int):

@@ -55,9 +55,6 @@ class SpectralSummary:
     def max(self) -> float:
         return float(self.eigenvalues[0])
 
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
 
 @dataclass(frozen=True)
 class TestFunction:

@@ -163,10 +163,11 @@ def test_nfold_trace_matches_identity_started_chain():
         assert abs(value - expect) <= 1e-13 * abs(expect)
 
 
-def test_nfold_cost_budget():
+def test_nfold_cost_budget(monkeypatch):
     sub, trunc, quad = circle_setup(10.0)
+    monkeypatch.setattr(asm, "_NFOLD_BUDGET", 10.0)
     with pytest.raises(CostLimitError):
-        nfold_trace_integral(sub, [None, None], quad, 10.0, budget=10.0)
+        nfold_trace_integral(sub, [None, None], quad, 10.0)
 
 
 def test_complex_amplitude_not_hermitian():
@@ -204,6 +205,7 @@ def reference_cases():
     circle = mfd.circle(1.0)
     circle_quad = mfd.quadrature(circle, 2 * M + 9)
     sphere = mfd.sphere3(1.0)
+    parabola = mfd.parabola_patch()
     flat = mfd.torus_product([1.0, 0.7], ambient_dim=3)
     torus_amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] - 2.0 * t[:, 1])
     sphere_amp = lambda t: 1.0 + 0.5 * np.cos(t[:, 1]) + 0.2 * np.sin(t[:, 2])
@@ -231,11 +233,16 @@ def reference_cases():
                     lambda t: 1.0 + 0.5 * np.cos(t[:, 1])),
         "complex": (FockTruncation(1, k, M), circle, circle_quad,
                     lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0]))),
+        # no periodic axis: zgemm node by node
+        "complex_no_rotation": (FockTruncation(2, 3.0, 8), parabola,
+                                mfd.quadrature(parabola, 24),
+                                lambda t: np.exp(1j * t[:, 0])
+                                * (1.2 + t[:, 1])),
     }
 
 
 @pytest.mark.parametrize("case", ["signed_cos", "negative_scalar", "sphere3",
-                                  "complex",
+                                  "complex", "complex_no_rotation",
                                   "torus_zero_coordinate", "dsl_torus",
                                   "dsl_wobbly_dense", "sphere3_dense_grid",
                                   "sphere3_sector_grid"])
@@ -247,7 +254,7 @@ def test_rank_k_assembly_matches_gemm_reference(case):
     expect = gemm_reference(trunc, quad, a)
     scale = np.abs(expect).max()
     assert np.abs(op.matrix - expect).max() <= 1e-13 * scale
-    assert op.hermitian == (case != "complex")
+    assert op.hermitian == (not case.startswith("complex"))
     if op.hermitian:
         assert np.array_equal(op.matrix, op.matrix.conj().T)
         assert np.all(np.diag(op.matrix).imag == 0)
@@ -283,7 +290,8 @@ def test_import_leaves_scipy_linalg_unloaded():
 @pytest.mark.parametrize("case, sector", [
     ("signed_cos", True), ("torus_zero_coordinate", True),
     ("dsl_torus", True), ("dsl_wobbly_dense", False),
-    ("sphere3_dense_grid", False), ("sphere3_sector_grid", True)])
+    ("sphere3_dense_grid", False), ("sphere3_sector_grid", True),
+    ("complex_no_rotation", False)])
 def test_rotation_detection_picks_the_path(case, sector):
     _, _, quad, _ = reference_cases()[case]
     assert (asm._sector_axes(quad) is not None) == sector
@@ -392,6 +400,22 @@ def test_charge_collisions_give_exact_blocks():
     expect = gemm_reference(trunc, mfd.quadrature(sub, 24), None)
     assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
     assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
+def test_wide_charge_support_gives_one_dense_block(monkeypatch):
+    # exp(cos t) keeps 27 charges on 169 nodes, more than
+    # max(dim / 4, 2 _BAND_MAX + 1) = 20.25 at M = 80: the charge graph
+    # is never built
+    def no_pairs(self):
+        raise AssertionError("charge pairs built for a wide support")
+
+    monkeypatch.setattr(asm._Sector, "pairs", no_pairs)
+    sub, trunc, quad = circle_setup(20.0, M=80, order=169)
+    a = lambda t: np.exp(np.cos(t[:, 0]))
+    op = assemble_T(trunc, sub, a, quad)
+    assert op.layout.widths.size == 0 and len(op.layout.dense) == 1
+    expect = gemm_reference(trunc, quad, a)
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_circle_k400_spectrum_matches_poisson_closed_form():

@@ -16,31 +16,47 @@ from szegolab.fock import FockTruncation
 from szegolab.spectral import eigensolve
 
 
+def metric_and_form(sub, t):
+    """G = J^T J and H_ij = omega(col_i, col_j) = sum over the complex
+    coordinates of y_i x_j - x_i y_j, from the chart's jacobian at t."""
+    J = np.asarray(sub.jacobian(np.asarray(t, dtype=float)[None]))[0]
+    X, Y = J[0::2], J[1::2]
+    return J.T @ J, Y.T @ X - X.T @ Y
+
+
 def test_circle_frame():
     sub = mfd.circle(1.5)
     frame = mfd.frame_at(sub, (0.7,))
-    assert frame.G[0, 0] == pytest.approx(1.5 ** 2)
-    assert frame.H[0, 0] == 0
-    assert frame.half_rank == 0
-    assert frame.lambdas == ()
-    assert frame.vol_density == pytest.approx(1.5)
+    G, H = metric_and_form(sub, (0.7,))
+    assert G[0, 0] == pytest.approx(1.5 ** 2)
+    assert H[0, 0] == 0
+    assert frame.dim == 1
+    assert frame.half_rank.tolist() == [0]
+    assert frame.lam.tolist() == [[0.0]]
+    assert not frame.is_lambda.any()
 
 
 def test_parabola_frame_matches_closed_form():
     sub = mfd.parabola_patch()
-    for x1 in (0.0, 0.5, 1.0):
-        frame = mfd.frame_at(sub, (x1, 0.2))
-        expect_W = np.array([[0.0, -1.0 / (1.0 + x1 ** 2)], [1.0, 0.0]])
-        assert np.allclose(frame.W, expect_W, atol=1e-12)
-        assert frame.lambdas == pytest.approx(((1.0 + x1 ** 2) ** -0.5,))
-        assert frame.half_rank == 1
+    x1 = np.array([0.0, 0.5, 1.0])
+    frame = mfd.frame_at(sub, np.stack([x1, np.full(3, 0.2)], axis=1))
+    assert frame.half_rank.tolist() == [1, 1, 1]
+    lam = frame.lam[frame.is_lambda]
+    assert lam == pytest.approx((1.0 + x1 ** 2) ** -0.5, rel=1e-14)
+    for x, l in zip(x1, lam):
+        W = np.linalg.solve(*metric_and_form(sub, (x, 0.2)))
+        expect_W = np.array([[0.0, -1.0 / (1.0 + x ** 2)], [1.0, 0.0]])
+        assert np.allclose(W, expect_W, atol=1e-12)
+        # eig(W) = +-i lambda, by a nonsymmetric eigensolve
+        eigs = np.sort_complex(np.linalg.eigvals(W))
+        assert eigs == pytest.approx([-1j * l, 1j * l], abs=1e-14)
 
 
 def test_plane_frame_all_lambdas_one():
     sub = mfd.plane_patch([[-1, 1]] * 6)  # C^3
     frame = mfd.frame_at(sub, np.zeros(6))
-    assert frame.half_rank == 3
-    assert frame.lambdas == pytest.approx((1.0, 1.0, 1.0))
+    assert frame.half_rank.tolist() == [3]
+    assert frame.lam[frame.is_lambda] == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_classification_catalog():
@@ -62,19 +78,18 @@ def test_d_prime_values():
 
 def test_delta_n_values():
     circle_frame = mfd.frame_at(mfd.circle(1.0), (0.1,))
-    assert mfd.delta_n(circle_frame, 1) == 1.0
-    assert mfd.delta_n(circle_frame, 2) == pytest.approx(math.sqrt(2))
+    assert mfd.delta_n(circle_frame, 1).tolist() == [1.0]
+    assert mfd.delta_n(circle_frame, 2) == pytest.approx([math.sqrt(2)])
     plane = mfd.plane_patch([[-1, 1]] * 4)  # N = 2
     pf = mfd.frame_at(plane, np.zeros(4))
     for n in (1, 2, 3, 4):
-        assert mfd.delta_n(pf, n) == pytest.approx(2.0 ** (2 * (n - 1)))
+        assert mfd.delta_n(pf, n) == pytest.approx([2.0 ** (2 * (n - 1))])
     # lambda = 1, d = 2, r = 1, n = 3 gives 4
-    from szegolab.manifold import GeometryFrame
-
-    frame = GeometryFrame(G=np.eye(2), H=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                          W=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                          lambdas=(1.0,), half_rank=1, vol_density=1.0)
-    assert mfd.delta_n(frame, 3) == pytest.approx(4.0)
+    frame = mfd.GeometryFrame(lam=np.array([[1.0, 1.0]]),
+                              is_lambda=np.array([[False, True]]))
+    assert mfd.delta_n(frame, 3) == pytest.approx([4.0])
+    with pytest.raises(ValueError):
+        mfd.delta_n(frame, 0)
 
 
 def test_delta_identity_binomial_sum():
@@ -90,9 +105,10 @@ def test_delta_identity_binomial_sum():
 def test_stacked_delta_n_matches_per_node_frames():
     sub = mfd.parabola_patch()
     quad = mfd.quadrature(sub, 16)
+    frame = mfd.frame_at(sub, quad.nodes)
     for n in (2, 3, 5):
-        stacked = mfd.delta_n_at(sub, quad.nodes, n)
-        loop = np.array([mfd.delta_n(mfd.frame_at(sub, t), n)
+        stacked = mfd.delta_n(frame, n)
+        loop = np.array([mfd.delta_n(mfd.frame_at(sub, t), n)[0]
                          for t in quad.nodes])
         assert np.abs(stacked - loop).max() <= 1e-13 * np.abs(loop).max()
         # lambda^2 = 1 / (1 + x1^2) on the parabola
@@ -102,11 +118,11 @@ def test_stacked_delta_n_matches_per_node_frames():
         assert np.abs(stacked / series - 1.0).max() <= 1e-13
     # ranks that differ by manifold: circle r = 0, plane r = 2
     circle = mfd.circle(1.0)
-    assert mfd.delta_n_at(circle, [[0.1], [2.0]], 2) == pytest.approx(
-        [math.sqrt(2)] * 2)
+    assert mfd.delta_n(mfd.frame_at(circle, [[0.1], [2.0]]), 2) == \
+        pytest.approx([math.sqrt(2)] * 2)
     plane = mfd.plane_patch([[-1, 1]] * 4)
-    assert mfd.delta_n_at(plane, np.zeros((3, 4)), 3) == pytest.approx(
-        [16.0] * 3)
+    assert mfd.delta_n(mfd.frame_at(plane, np.zeros((3, 4))), 3) == \
+        pytest.approx([16.0] * 3)
 
 
 def test_quadrature_records_grid_shape():
@@ -125,11 +141,14 @@ def dsl_torus():
                             [[0.0, TWO_PI]] * 2, label="torus")
 
 
-@pytest.mark.parametrize("sub", [
+CHARTS = [
     mfd.circle(1.3), mfd.torus_product([1.0, 0.7]),
     mfd.torus_product([1.0, 0.5, 0.8], ambient_dim=4), mfd.parabola_patch(),
     mfd.plane_patch([[-1.0, 2.0], [0.0, 1.0], [-0.5, 0.5], [1.0, 3.0]]),
-    mfd.sphere3(0.9), dsl_torus()], ids=lambda sub: sub.label)
+    mfd.sphere3(0.9), dsl_torus()]
+
+
+@pytest.mark.parametrize("sub", CHARTS, ids=lambda sub: sub.label)
 def test_sqrt_det_metric_matches_lapack_det(sub):
     J = np.asarray(sub.jacobian(mfd.quadrature(sub, 5).nodes), dtype=float)
     expect = np.sqrt(np.linalg.det(np.swapaxes(J, 1, 2) @ J))
@@ -181,13 +200,39 @@ def test_quadrature_chunks_bound_the_jacobian(monkeypatch):
 def test_w_spectrum_in_chunks_matches_one_geometry_pass(monkeypatch, sub,
                                                         order):
     quad = mfd.quadrature(sub, order)
-    *_, lam, is_lambda, _ = mfd._geometry(
+    lam, is_lambda = mfd._geometry(
         np.asarray(sub.jacobian(quad.nodes), dtype=float))
     monkeypatch.setattr(mfd, "_CHUNK_BYTES", 50 * 8 * sub.dim
                         * (2 * sub.ambient_dim + sub.dim))
-    chunked = quad.w_spectrum  # 50 nodes a chunk
-    assert np.array_equal(chunked[0], lam)
-    assert np.array_equal(chunked[1], is_lambda)
+    chunked = quad.frame  # frame_at over chunks of 50 nodes
+    assert np.array_equal(chunked.lam, lam)
+    assert np.array_equal(chunked.is_lambda, is_lambda)
+    assert quad.frame is chunked
+
+
+@pytest.mark.parametrize("sub", CHARTS, ids=lambda sub: sub.label)
+def test_stacked_frame_equals_per_point_frames(sub):
+    nodes = mfd.quadrature(sub, 5).nodes
+    stacked = mfd.frame_at(sub, nodes)
+    assert stacked.lam.shape == stacked.is_lambda.shape == nodes.shape
+    for i, t in enumerate(nodes):
+        one = mfd.frame_at(sub, t)
+        assert np.array_equal(one.lam, stacked.lam[i:i + 1])
+        assert np.array_equal(one.is_lambda, stacked.is_lambda[i:i + 1])
+
+
+def test_classify_reads_one_stacked_frame(monkeypatch):
+    calls = []
+    frame_at = mfd.frame_at
+
+    def counting(sub, t):
+        calls.append(np.shape(t))
+        return frame_at(sub, t)
+
+    monkeypatch.setattr(mfd, "frame_at", counting)
+    cls = mfd.classify(mfd.sphere3(1.0))
+    assert cls.tag == "coisotropic" and cls.half_rank == 1
+    assert calls == [(mfd.SAMPLES_PER_AXIS ** 3, 3)]
 
 
 def test_sphere3_quadrature_memory_is_bounded():
@@ -207,17 +252,26 @@ def test_sphere3_quadrature_memory_is_bounded():
 
 def test_isotropic_has_zero_H():
     sub = mfd.torus_product([1.0, 0.5, 0.8])
-    for t in [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0)]:
-        frame = mfd.frame_at(sub, t)
-        assert np.abs(frame.H).max() <= 1e-12
+    points = [(0.1, 0.2, 0.3), (1.0, 2.0, 3.0)]
+    for t in points:
+        assert np.abs(metric_and_form(sub, t)[1]).max() <= 1e-12
+    frame = mfd.frame_at(sub, points)
+    assert frame.half_rank.tolist() == [0, 0]
+    assert np.abs(frame.lam).max() <= 1e-12
 
 
 def test_W_kernel_dimension():
     sub = mfd.sphere3(1.0)
-    frame = mfd.frame_at(sub, (0.4, 1.0, 2.0))
-    d, r = frame.dim, frame.half_rank
-    eigs = np.linalg.eigvals(frame.W)
+    t = (0.4, 1.0, 2.0)
+    frame = mfd.frame_at(sub, t)
+    d, r = frame.dim, int(frame.half_rank[0])
+    assert r == 1
+    eigs = np.linalg.eigvals(np.linalg.solve(*metric_and_form(sub, t)))
     assert np.count_nonzero(np.abs(eigs) < 1e-8) == d - 2 * r
+    # the rest are +-i lambda with the frame's lambda
+    lam = frame.lam[frame.is_lambda]
+    assert np.sort(np.abs(eigs))[d - 2 * r:] == pytest.approx(
+        np.repeat(lam, 2), rel=1e-12)
 
 
 def test_quadrature_masses():
@@ -232,7 +286,7 @@ def test_quadrature_masses():
 def test_gauss_legendre_polynomial_exactness():
     sub = mfd.plane_patch([[0, 1], [0, 1]])
     q = mfd.quadrature(sub, 4)  # exact through degree 7
-    val = q.integrate(lambda quad: quad.nodes[:, 0] ** 7)
+    val = np.sum(q.weights * q.nodes[:, 0] ** 7)
     assert val == pytest.approx(1 / 8, rel=1e-13)
 
 
@@ -275,9 +329,13 @@ def test_custom_dsl_chart_matches_builtin_circle():
     custom = mfd.manifold_from_spec(spec)
     builtin = mfd.circle(1.5)
     assert mfd.classify(custom).tag == "lagrangian"
+    for f, g in zip(metric_and_form(custom, (0.7,)),
+                    metric_and_form(builtin, (0.7,))):
+        assert np.allclose(f, g, rtol=1e-12, atol=0.0)
     fc = mfd.frame_at(custom, (0.7,))
     fb = mfd.frame_at(builtin, (0.7,))
-    assert np.allclose(fc.G, fb.G, rtol=1e-12)
+    assert np.array_equal(fc.lam, fb.lam)
+    assert np.array_equal(fc.is_lambda, fb.is_lambda)
     q = mfd.quadrature(custom, 32)
     assert q.total_mass == pytest.approx(2 * math.pi * 1.5, rel=1e-10)
 
