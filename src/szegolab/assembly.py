@@ -60,7 +60,8 @@ FFT's rounding floor, ceil(log2 L) eps S_theta, is set to zero; charge 0
 is always kept, and for a real amplitude q and -q are kept or zeroed
 together.  The bound of that change, mult max|V_theta|^2 sum
 |F_theta[zeroed q]| / S_theta, is recorded as
-`HermitianOperator.offblock_bound`, not in flush_bound: at circle k=400
+`HermitianOperator.offblock_bound`, with the imaginary parts a gauge
+drops (below), not in flush_bound: at circle k=400
 with a = 1 it is about 2e-14 lambda_max, the size of the FFT's own
 rounding, where flush_bound is about 2e-74.  The kept charges are the
 support.  Basis functions n and m are linked when q_m - q_n mod L is in
@@ -81,30 +82,67 @@ n2 = 0 through an aliased entry of 1.7e-8, and that chain is one cyclic,
 dense block equal to the dense quadrature sum.  The Lab's sphere order
 [M//2 + 1, M + 1, M + 1] is exact only for invariant amplitudes.
 
+Gauge: T is often real up to a diagonal unitary.  If the phases of V
+split as alpha_theta + beta_n and some turn c, one angle per rotation
+axis, makes every kept F_theta[q] e^{i c . q} real, then T = G B G^H with
+B real and G = diag(g), g_n = e^{-i beta_n + i c . Q_n}, Q_n the integer
+charge of basis function n (coordinate charges taken in (-L/2, L/2]).
+`_sector` decides this from its own F and V before any fill, in
+O(charges x theta): the phases of V from each column's and each row's
+largest entry, and c either zero, when F is real already, or solved from
+the kept charges by integer elimination of 2 c . q = -2 arg F[q] mod 2 pi
+and one least-squares step weighted by |F|.  The gauge holds when every
+gauged coefficient is real to the FFT's rounding floor, ceil(log2 L) eps,
+at every integer difference d = q mod L that two basis functions can
+reach: when L <= 2M a charge is reached by more than one d, and
+e^{i c . L} must then be +-1 where F is not noise.  A charge phase around
+an aliased cycle, as on sphere3 at L = M + 1 with a = 1 + 0.5 cos(t2 +
+0.7), or around a cycle of charges, as with a = 1 + cos(t1)/4 +
+cos(t2)/4 + cos(t1 + t2 + 1)/5, admits none, and T stays complex.  A
+gauged sector fills float64 blocks, whose solvers run in real arithmetic
+(`spectral` module notes), and `BlockLayout.phase` holds g.  The
+imaginary parts dropped, |F_theta[q] e^{i c . d} - B coefficient| summed
+over the reachable d, join the zeroed charges in `offblock_bound` with
+the same bound mult max|V_theta|^2 sum|dropped| / S_theta; those of V
+join ||Delta C|| in flush_bound.  Both DSL torus amplitudes of the
+benchmark, 1 + cos(t1 + p1)/4 + cos(t2 + p2)/4 and [1 + cos(t1 + p3)/2,
+sin(t2 + p4)/2], qualify for every phase: one base point, real V, and
+at k=12 dropped parts of at most 9e-17 (seeds 0, 7, 12, 41).  So does
+any amplitude with a(c - t) = conj a(c + t) about some centre c, such as
+the Schatten check's e^{it}(1 + cos t)/2 with c = 0.  Grids without
+rotation axes go node by node in complex arithmetic, as before.
+
 Dense path: when the links join every basis function into one block wider
 than _BAND_MAX, T is one dense matrix, assembled as before, and keeps
 every coefficient the FFT gives unless all but charge 0 are noise.  The
 DSL torus amplitude 1 + cos(t1)/4 + cos(t2)/4 is such a case: its support
-{0, +-e1, +-e2} gives bandwidth M + 1 in charge order.  Zeroing its noise
-and passing the dense matrix on would not pay: at k=12 and M=48 that
-leaves 99.6% exact zeros, and eigvalsh then takes 1.34 s instead of
-0.45 s and the SVD 2.59 s instead of 0.78 s, from subnormal numbers
-inside LAPACK's reductions.  The dense path is also taken when the
+{0, +-e1, +-e2} gives bandwidth M + 1 in charge order.  At k=12 and
+M=48 (dim 1225, 2-vCPU Xeon, OpenBLAS, best of 5) its gauged real block
+takes 0.14 s in eigvalsh and 0.51 s in the SVD, against 0.54 s and 0.97 s
+for the complex T.  Zeroing the noise of the complex matrix would not
+pay: it leaves 99.6% exact zeros, and eigvalsh then took 1.34 s instead
+of 0.45 s and the SVD 2.59 s instead of 0.78 s, from subnormal numbers
+inside LAPACK's reductions; on the real block the same zeros cost
+nothing (0.14 s and 0.52 s).  The dense path is also taken when the
 quadrature has no rotation axes, when w a vanishes on every node, and
 when the sector keeps so many charges that a row may link to more than
 dim/4 others and more than 2 _BAND_MAX + 1.
 
 Bandwidth crossover: _BAND_MAX was measured as the ratio of banded to
 dense solver time on random blocks of n rows (2-vCPU Xeon, OpenBLAS,
-best of 7).  Hermitian blocks, eig_banded against eigvalsh: 0.16-0.51 at
-width 8 for n = 100 to 1600 (1.04 at n = 50, 0.1 ms either way), and
-0.32-0.96 at width 16 for n >= 200; at width 49 and n = 1225, the
-bandwidth of the DSL torus at k=12, 1.04.  Non-Hermitian blocks, the
-dilation against the SVD: 0.28-0.57 at width 3 for n >= 800 and 0.9-2.5
-below; 0.41-0.78 at width 7 for n >= 800 and 1.4-3.9 below; 4.3 at width
-99 and n = 1225.  At 8 the Hermitian solver wins at every size but the
-smallest, and the dilation wins on blocks of about 800 rows or more and
-loses a few milliseconds on small ones.
+best of 7).  Hermitian blocks, eig_banded against eigvalsh: complex,
+0.16-0.51 at width 8 for n = 100 to 1600 (1.04 at n = 50, 0.1 ms either
+way), and 0.32-0.96 at width 16 for n >= 200; real, 0.42-0.82 at width 8
+for n = 100 to 1600 (0.97 at n = 50) and 0.43-1.13 at width 16.  At
+width 49 and n = 1225, the bandwidth of the DSL torus at k=12: 0.85-1.04
+complex, 0.93 real.  Non-Hermitian blocks, the dilation against the SVD:
+complex, 0.28-0.57 at width 3 for n >= 800 and 0.9-2.5 below, 0.41-0.78
+at width 7 for n >= 800 and 1.4-3.9 below, 4.3 at width 99 and n = 1225;
+real, 0.24-0.85 at width 3 for n >= 400 and 1.1-1.7 below, 0.39-1.01 at
+width 7 for n >= 400 and 1.5-2.7 below.  At 8 the Hermitian solver wins
+at every size but the smallest in either arithmetic, and the dilation
+wins on blocks of some hundreds of rows or more and loses a few
+milliseconds on small ones, so _BAND_MAX stays 8 for real blocks.
 
 Paths: one explicit node of the sector sum costs a few passes over the
 dim^2 matrix, about as much as 50 nodes of zherk.  The sector sum is used
@@ -136,6 +174,7 @@ Im(z_s . conj z_t) couples the parabola's x1 and y1 axes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -187,9 +226,12 @@ class BlockLayout:
     bounds[i]:bounds[i + 1].  The banded blocks come first, by bandwidth
     widths[i] = max |i - j| over their entries (1x1 blocks have width 0),
     and the dense blocks last.  `band` holds every banded block in general
-    band form, band[w + i - j, j] = T at positions (i, j) with
+    band form, band[w + i - j, j] = B at positions (i, j) with
     w = band.shape[0] // 2, and is zero between blocks and on the dense
     blocks; `dense` holds the full matrix of each dense block, in order.
+    The operator is T = G B G^H, G = diag(phase) a unit phase per
+    position, or T = B when `phase` is None; a gauged B is real (module
+    notes).  `densify`, `apply`, `entries`, `diagonal` and `trace` give T.
     """
 
     perm: np.ndarray
@@ -197,14 +239,17 @@ class BlockLayout:
     widths: np.ndarray
     band: np.ndarray
     dense: tuple = ()
+    phase: Optional[np.ndarray] = None
 
     @classmethod
-    def of_matrix(cls, matrix: np.ndarray) -> "BlockLayout":
+    def of_matrix(cls, matrix: np.ndarray,
+                  phase: Optional[np.ndarray] = None) -> "BlockLayout":
         """One dense block holding the whole matrix, in basis order."""
         dim = matrix.shape[0]
         return cls(perm=np.arange(dim), bounds=np.array([0, dim]),
                    widths=np.zeros(0, dtype=np.int64),
-                   band=np.zeros((1, dim), dtype=complex), dense=(matrix,))
+                   band=np.zeros((1, dim), dtype=matrix.dtype),
+                   dense=(matrix,), phase=phase)
 
     @property
     def half_width(self) -> int:
@@ -232,7 +277,7 @@ class BlockLayout:
         return out
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal entries in basis order."""
+        """Diagonal entries in basis order; the phases cancel on it."""
         d = self.band[self.half_width].copy()
         for lo, hi, D in self.dense_blocks():
             d[lo:hi] = np.diagonal(D)
@@ -245,6 +290,8 @@ class BlockLayout:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T x, block by block."""
         xp = np.asarray(x)[self.perm]
+        if self.phase is not None:
+            xp = self.phase.conj() * xp
         n, w = xp.size, self.half_width
         y = np.zeros(n, dtype=complex)
         for d in range(-w, w + 1):
@@ -255,32 +302,45 @@ class BlockLayout:
                 y[:n + d] += row[-d:] * xp[-d:]
         for lo, hi, D in self.dense_blocks():
             y[lo:hi] += D @ xp[lo:hi]
+        if self.phase is not None:
+            y *= self.phase
         return self._to_basis(y)
 
-    def band_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, columns, values) in basis indices of the nonzero band."""
-        d, j = np.nonzero(self.band)
-        i = j + d - self.half_width
-        return self.perm[i], self.perm[j], self.band[d, j]
-
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, columns, values) in basis indices, each entry once."""
-        rows, cols, vals = ([x] for x in self.band_entries())
+        """(rows, columns, values) of T in basis indices, each entry once."""
+        d, j = np.nonzero(self.band)
+        rows, cols, vals = [j + d - self.half_width], [j], [self.band[d, j]]
         for lo, hi, D in self.dense_blocks():
-            idx = self.perm[lo:hi]
+            idx = np.arange(lo, hi)
             rows.append(np.repeat(idx, idx.size))
             cols.append(np.tile(idx, idx.size))
             vals.append(D.reshape(-1))
-        return tuple(np.concatenate(x) for x in (rows, cols, vals))
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        if self.phase is not None:
+            vals = vals * (self.phase[rows] * self.phase[cols].conj())
+        return self.perm[rows], self.perm[cols], vals
 
     def densify(self) -> np.ndarray:
+        """T as a dim x dim complex matrix in basis order."""
         dim = self.perm.size
-        T = np.zeros((dim, dim), dtype=complex)
-        rows, cols, vals = self.band_entries()
-        T[rows, cols] = vals
+        B = np.zeros((dim, dim), dtype=self.band.dtype)
+        d, j = np.nonzero(self.band)
+        B[self.perm[j + d - self.half_width], self.perm[j]] = self.band[d, j]
         for lo, hi, D in self.dense_blocks():
             idx = self.perm[lo:hi]
-            T[np.ix_(idx, idx)] = D
+            B[np.ix_(idx, idx)] = D
+        if self.phase is None:
+            return B.astype(complex, copy=False)
+        # B_nm g_n conj(g_m) from real products, so that a symmetric B
+        # gives a T equal to its conjugate transpose bit for bit
+        g = self._to_basis(self.phase)
+        re = np.multiply.outer(g.real, g.real)
+        re += np.multiply.outer(g.imag, g.imag)
+        im = np.multiply.outer(g.imag, g.real)
+        im = im - im.T
+        T = np.empty((dim, dim), dtype=complex)
+        np.multiply(B, re, out=T.real)
+        np.multiply(B, im, out=T.imag)
         return T
 
 
@@ -301,7 +361,7 @@ class HermitianOperator:
                  manifold_dim: Optional[int] = None,
                  symbol_mass: Optional[complex] = None,  # integral of a dsigma
                  flush_bound: float = 0.0,  # bound on ||T - T_unflushed||_2
-                 offblock_bound: float = 0.0,  # same for zeroed charges
+                 offblock_bound: float = 0.0,  # zeroed charges and gauge
                  layout: Optional[BlockLayout] = None):
         if (matrix is None) == (layout is None):
             raise ValueError("give exactly one of matrix and layout")
@@ -434,7 +494,7 @@ class _Sector:
     """Fourier-sector data of a rotation grid (module notes)."""
 
     F: np.ndarray  # (explicit node theta, charge): coefficients / S_theta
-    V: np.ndarray  # sqrt(S_theta) U at the base points, flushed
+    V: np.ndarray  # sqrt(S_theta) U at the base points, flushed (Y if gauged)
     q: np.ndarray  # (dim, rotation axes) charge of each basis function
     shape: tuple  # nodes per rotation axis
     mult: int  # most basis functions sharing one charge
@@ -442,19 +502,35 @@ class _Sector:
     norm2: float  # ||C'||^2
     dropped2: float  # bound on ||Delta C||^2
     keep: np.ndarray  # charges with a coefficient above the rounding floor
+    turn: Optional[np.ndarray] = None  # charge phase of the gauge, per axis
+    spread: Optional[np.ndarray] = None  # widest charge difference, per axis
+    phase: Optional[np.ndarray] = None  # gauge phase g_n, None if all 1
 
     @property
     def flat_q(self) -> np.ndarray:
         return np.ravel_multi_index(self.q.T, self.shape)
 
-    def zero_and_flush(self, drop: np.ndarray) -> tuple[float, float]:
-        """Zero the charges in `drop` and flush the rest of F, in place.
+    @property
+    def gauged(self) -> bool:
+        return self.turn is not None
 
-        Returns the bounds on what the flush and the zeroing change.
+    def zero_and_flush(self, drop: np.ndarray) -> tuple[float, float]:
+        """Zero the charges in `drop`, make F real if gauged, and flush
+        the rest of F, in place.
+
+        Returns the bounds on what the flush, and the zeroing with the
+        gauge's dropped imaginary parts, change.
         """
         F = self.F
         off_charge = np.abs(F[:, drop]).sum(axis=1)
         F[:, drop] = 0.0
+        if self.gauged:
+            live = np.flatnonzero(F.any(axis=0))
+            real, residual, _ = _turned(F, live, self.shape, self.turn,
+                                        self.spread)
+            F = self.F = np.zeros(F.shape)
+            F[:, live] = real
+            off_charge += residual.sum(axis=1)
         parts = F.view(np.float64)
         small = (parts > -_FLUSH) & (parts < _FLUSH)
         flushed = np.abs(np.where(small, parts, 0.0)).sum(axis=1)
@@ -484,7 +560,7 @@ class _Sector:
     def fill_dense(self, Xt: np.ndarray, is_real: bool) -> None:
         """Add the sector sum to Xt, the C-ordered view of the accumulator:
         T itself for complex amplitudes, conj(T) in its lower triangle for
-        real ones."""
+        real ones.  Gauged sectors fill the real B (module notes)."""
         F, V, q, shape = self.F, self.V, self.q, self.shape
         dim = q.shape[0]
         # Xt[r, c] += sum_theta R_r C_c F[q_c - q_r] with R = conj(V), C = V
@@ -501,7 +577,7 @@ class _Sector:
             D = (q[None, :cols, :] - q[lo:hi, None, :]) % np.array(shape)
             D = D @ strides
             acc = Xt[lo:hi, :cols]
-            work = np.empty(D.shape, dtype=complex)
+            work = np.empty(D.shape, dtype=Xt.dtype)
             for t in range(F.shape[0]):
                 np.take(F[t], D, out=work, mode="clip")
                 work *= R[t, lo:hi, None]
@@ -515,7 +591,8 @@ class _Sector:
 def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
             axes: tuple, charges: np.ndarray,
             is_real: bool) -> Optional[_Sector]:
-    """Fourier coefficients and base-point basis values of the grid.
+    """Fourier coefficients and base-point basis values of the grid, and
+    the gauge that makes them real when there is one.
 
     None when w a vanishes on every node.
     """
@@ -535,8 +612,8 @@ def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     if is_real:
         F[:, 0] = F[:, 0].real  # exact for real w a; keeps diag(T) real
     # charges whose coefficients all lie within the FFT's rounding floor
-    keep = (np.abs(F).max(axis=0)
-            > max(1, math.ceil(math.log2(rot))) * _EPS)
+    floor = max(1, math.ceil(math.log2(rot))) * _EPS
+    keep = np.abs(F).max(axis=0) > floor
     keep[0] = True
     if is_real:  # F[-q] = conj F[q] up to rounding: keep both or neither
         grid = np.arange(rot).reshape(rot_shape)
@@ -547,9 +624,143 @@ def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     V = eval_basis_matrix(trunc, quad.points[order.reshape(-1, rot)[live, 0]])
     V *= np.sqrt(scale)[:, None]
     norm2, dropped2 = _flush(V)
-    return _Sector(F=F, V=V, q=q, shape=rot_shape, mult=mult,
-                   peak=mult * np.abs(V).max(axis=1) ** 2, norm2=norm2,
-                   dropped2=dropped2, keep=keep)
+    sector = _Sector(F=F, V=V, q=q, shape=rot_shape, mult=mult,
+                     peak=mult * np.abs(V).max(axis=1) ** 2, norm2=norm2,
+                     dropped2=dropped2, keep=keep)
+    # the integer charges, from coordinate charges in (-L/2, L/2]
+    Q = trunc.exponent_matrix @ _signed(charges, np.array(rot_shape))
+    spread = Q.max(axis=0) - Q.min(axis=0)
+    split = _split_phases(V, floor)
+    if split is None:
+        return sector
+
+    def real_to_floor(turn):
+        worst = _turned(F, np.flatnonzero(keep), rot_shape, turn, spread)[2]
+        return worst.max(initial=0.0) <= floor
+
+    # no turn at all where F is real already, else the one its charges ask
+    turn = np.zeros(len(axes))
+    if not real_to_floor(turn):
+        turn = _charge_turn(F, keep, rot_shape)
+        if not real_to_floor(turn):
+            return sector
+    Y, p, imag2 = split
+    phase = p.conj() * np.exp(1j * (Q @ turn))
+    sector.V, sector.turn, sector.spread = Y, turn, spread
+    sector.phase = None if np.all(phase == 1) else phase
+    sector.dropped2 += imag2
+    return sector
+
+
+def _signed(c: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The representatives of c mod L in (-L/2, L/2]."""
+    return (c + (L - 1) // 2) % L - (L - 1) // 2
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """z / |z|, and 1 where z is 0."""
+    size = np.abs(z)
+    safe = np.where(size > 0, size, 1.0)
+    unit = z.real / safe + 1j * (z.imag / safe)  # exact 1 on positive reals
+    unit[size == 0] = 1.0
+    return unit
+
+
+def _split_phases(V: np.ndarray, floor: float):
+    """V as Y_theta,n a_theta p_n with Y real and |a| = |p| = 1, or None.
+
+    A real V is its own Y.  Otherwise p_n is the unit phase of column n
+    at its largest entry and a_theta that of row theta at its largest
+    entry once p is divided out.  Returns
+    (Y, p, ||Im||^2 of what is dropped), or None when an imaginary part
+    left exceeds `floor` times its row's largest |V|.
+    """
+    if not V.imag.any():
+        return V.real.copy(), np.ones(V.shape[1]), 0.0
+    mag = np.abs(V)
+    p = _unit(V[mag.argmax(axis=0), np.arange(V.shape[1])])
+    X = V * p.conj()
+    a = _unit(X[np.arange(V.shape[0]), mag.argmax(axis=1)])
+    X *= a.conj()[:, None]
+    if np.any(np.abs(X.imag) > floor * mag.max(axis=1, keepdims=True)):
+        return None
+    return X.real.copy(), p, float(np.vdot(X.imag, X.imag))
+
+
+def _charge_turn(F: np.ndarray, keep: np.ndarray, shape: tuple) -> np.ndarray:
+    """The turn c, one angle per rotation axis, that the kept charges ask
+    for: F_theta[q] e^{i c . q} real means 2 c . q = -2 arg F_theta[q]
+    mod 2 pi.  The charges, strongest first, are brought to integer
+    echelon form by Euclid's algorithm down each axis, with the angles
+    following the row operations, and the echelon rows are solved for c.
+    Whether c makes F real is checked by `_turned`.
+    """
+    cols = np.flatnonzero(keep[1:]) + 1
+    strength = np.abs(F[:, cols])
+    by_strength = np.argsort(-strength.max(axis=0), kind="stable")
+    cols = cols[by_strength]
+    at = strength[:, by_strength].argmax(axis=0)
+    L = np.array(shape)
+    charge = _signed(np.array(np.unravel_index(cols, shape)).T, L)
+    coef = F[at, cols]
+    A, angle = charge.copy(), -2.0 * np.angle(coef)
+    row = 0
+    for axis in range(len(shape)):
+        while True:
+            nonzero = row + np.flatnonzero(A[row:, axis])
+            if not nonzero.size:
+                break
+            pivot = nonzero[np.argmin(np.abs(A[nonzero, axis]))]
+            swap = [pivot, row]
+            A[[row, pivot]], angle[[row, pivot]] = A[swap], angle[swap]
+            rest = row + 1 + np.flatnonzero(A[row + 1:, axis])
+            if not rest.size:
+                row += 1
+                break
+            m = A[rest, axis] // A[row, axis]
+            A[rest] -= m[:, None] * A[row]
+            angle[rest] -= m * angle[row]
+    if not row:
+        return np.zeros(len(shape))
+    turn = np.linalg.lstsq(A[:row].astype(float), angle[:row] / 2.0,
+                           rcond=None)[0]
+    # c and c + pi e_j make the same coefficients real
+    turn = (turn + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    # one least-squares step on the angles left over, weighted by |F|,
+    # takes the rounding of the steps above out of the imaginary parts
+    left = np.angle(coef * np.exp(1j * (charge @ turn)))
+    left = (left + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    size = np.abs(coef)[:, None]
+    return turn - np.linalg.lstsq(charge * size, left * size[:, 0],
+                                  rcond=None)[0]
+
+
+def _turned(F: np.ndarray, cols: np.ndarray, shape: tuple,
+            turn: np.ndarray, spread: np.ndarray):
+    """The gauged coefficients of the charges `cols` and what they drop.
+
+    Returns R = Re(F e^{i c . d}) at the representative d in (-L/2, L/2]
+    of each charge, and the sum and the largest of
+    |F e^{i c . d'} - R| over every integer charge difference d' = d
+    mod L with |d'| <= spread, each (theta, len(cols)).
+    """
+    L = np.array(shape)
+    d = _signed(np.array(np.unravel_index(cols, shape)).T, L)
+    Fc = F[:, cols]
+    real = (Fc * np.exp(1j * (d @ turn))).real
+    total, worst = np.zeros(Fc.shape), np.zeros(Fc.shape)
+    # |d| <= L/2, so d + wrap L is within the spread only for these wraps
+    wraps = np.array(list(itertools.product(
+        *(range(-r, r + 1) for r in (spread + L // 2) // L)))) * L
+    reached = np.all(np.abs(d + wraps[:, None, :]) <= spread, axis=2)
+    for wrap, hit in zip(wraps, reached):
+        if not hit.any():
+            continue
+        dw = d[hit] + wrap
+        err = np.abs(Fc[:, hit] * np.exp(1j * (dw @ turn)) - real[:, hit])
+        total[:, hit] += err
+        worst[:, hit] = np.maximum(worst[:, hit], err)
+    return real, total, worst
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -632,12 +843,14 @@ def _fill_blocks(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
     w = int(widths.max(initial=0))
     pos = np.empty(dim, dtype=np.int64)
     pos[perm] = np.arange(dim)
-    band = np.zeros((2 * w + 1, dim), dtype=complex)
+    V, F = sector.V, sector.F
+    dtype = np.result_type(V, F)  # float64 when gauged
+    band = np.zeros((2 * w + 1, dim), dtype=dtype)
     # the dense blocks, row-major one after another in one buffer
     dense_lo = bounds[len(widths):]
     size = np.diff(dense_lo)
     start = np.concatenate([[0], np.cumsum(size * size)])
-    buffer = np.zeros(start[-1], dtype=complex)
+    buffer = np.zeros(start[-1], dtype=dtype)
     dense = [buffer[start[i]:start[i + 1]].reshape(n, n)
              for i, n in enumerate(size)]
     rows, cols, charges = pairs
@@ -647,8 +860,7 @@ def _fill_blocks(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
         rows, cols, charges = rows[lower], cols[lower], charges[lower]
         i, j = i[lower], j[lower]
     # T_nm = sum_theta conj(V_theta,n) V_theta,m F_theta[q_m - q_n]
-    V, F = sector.V, sector.F
-    vals = np.zeros(rows.size, dtype=complex)
+    vals = np.zeros(rows.size, dtype=dtype)
     for t in range(F.shape[0]):
         vals += V[t, rows].conj() * V[t, cols] * F[t, charges]
     # the (n, m) pairs are distinct, so += adds each once
@@ -666,7 +878,9 @@ def _fill_blocks(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
             _mirror_lower(D)
             D[np.diag_indices(D.shape[0])] = D.diagonal().real
     return BlockLayout(perm=perm, bounds=bounds, widths=widths, band=band,
-                       dense=tuple(dense))
+                       dense=tuple(dense),
+                       phase=None if sector.phase is None
+                       else sector.phase[perm])
 
 
 def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
@@ -697,7 +911,9 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     else:
         T, norm2, dropped2, flushed, offblock = _assemble_dense(
             trunc, quad, wa, sector, is_real)
-        stored = {"matrix": T}
+        gauged = sector is not None and sector.gauged
+        stored = ({"layout": BlockLayout.of_matrix(T, sector.phase)}
+                  if gauged else {"matrix": T})
     dC = math.sqrt(dropped2)
     op = HermitianOperator(**stored, trunc=trunc, normalization="raw_T",
                            hermitian=is_real, manifold_dim=sub.dim,
@@ -726,7 +942,8 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     # basis values come in Fortran order, so C and C^T pass to BLAS uncopied
     # and X accumulates in Fortran order: T^T for zgemm, the upper triangle
     # of T for zherk
-    X = np.zeros((dim, dim), dtype=complex, order="F")
+    X = np.zeros((dim, dim), order="F",
+                 dtype=complex if sector is None else sector.V.dtype)
     norm2 = dropped2 = flushed = offblock = 0.0
     if sector is not None:
         drop = ~sector.keep

@@ -13,6 +13,13 @@ banded block B gives its singular values as the nonnegative eigenvalues of
 the Hermitian dilation [[0, B], [B^H, 0]] with rows and columns
 interleaved, itself banded; this does not square the condition number as
 the eigenvalues of B^H B would.
+
+Every solver follows the dtype of the blocks.  An operator that a
+diagonal phase makes real (the gauge, `assembly` module notes) stores
+T = G B G^H with B real and G = diag(g) unitary; T and B share their
+eigenvalues and singular values, so its blocks go to dsyevd, dgesdd and a
+real `eig_banded`, the dilation included, and the phases are never read.
+Complex blocks take zheevd, zgesdd and the complex band solver as before.
 """
 
 from __future__ import annotations
@@ -186,7 +193,7 @@ def _dilation_singular_values(ab: np.ndarray) -> np.ndarray:
         ab, lower, upper = flipped, upper, lower
     # B_ij sits at (2i, 2j + 1) of the dilation and conj(B_ij) at (2j + 1, 2i)
     width = int(_dilation_width(lower, upper))
-    hb = np.zeros((width + 1, 2 * n), dtype=complex)
+    hb = np.zeros((width + 1, 2 * n), dtype=ab.dtype)
     for d in range(1, lower + 1):
         hb[2 * d - 1, 1:2 * (n - d):2] = ab[w + d, :n - d]
     for u in range(upper + 1):

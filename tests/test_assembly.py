@@ -367,12 +367,30 @@ def test_invariant_operators_are_exactly_diagonal():
 
 def test_non_invariant_amplitude_keeps_every_coefficient():
     # charges 1 and 12 link the circle's basis into one block of bandwidth
-    # 12, which keeps the dense path and every coefficient the FFT gives
+    # 12, which keeps the dense path and every coefficient the FFT gives;
+    # the phase 1 at charge 12 and none at charge 1 admit no gauge, so the
+    # coefficients stay complex too
+    trunc, sub, quad, _ = reference_cases()["signed_cos"]
+    a = lambda t: np.cos(t[:, 0]) + 0.5 * np.cos(12 * t[:, 0] + 1.0)
+    op = assemble_T(trunc, sub, a, quad)
+    assert op.offblock_bound == 0
+    assert op.layout.dense[0].dtype == complex
+    assert off_diagonal_count(op.matrix) == trunc.dim * (trunc.dim - 1)
+
+
+def test_gauged_amplitude_keeps_every_charge_and_bounds_the_imaginary_dust():
+    # cos t + 0.5 cos 12t has real coefficients: the same dense block, real,
+    # with only the imaginary rounding of the FFT dropped into offblock_bound
     trunc, sub, quad, _ = reference_cases()["signed_cos"]
     a = lambda t: np.cos(t[:, 0]) + 0.5 * np.cos(12 * t[:, 0])
     op = assemble_T(trunc, sub, a, quad)
-    assert op.offblock_bound == 0
+    (D,) = op.layout.dense
+    assert D.dtype == np.float64 and op.layout.phase is None
     assert off_diagonal_count(op.matrix) == trunc.dim * (trunc.dim - 1)
+    expect = gemm_reference(trunc, quad, a)
+    lam = np.abs(expect).max()
+    assert 0 < op.offblock_bound <= 1e-13 * lam
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * lam
 
 
 def test_split_amplitude_zeroes_the_rounding_noise():

@@ -4,7 +4,8 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import szegolab.assembly as asm
@@ -57,6 +58,11 @@ def sphere_case(k=4.0):
             mfd.quadrature(sub, [M // 2 + 1, M + 1, M + 1]))
 
 
+def cycle_phase(t):
+    return (1.0 + 0.25 * np.cos(t[:, 0]) + 0.25 * np.cos(t[:, 1])
+            + 0.2 * np.cos(t[:, 0] + t[:, 1] + 1.0))
+
+
 def test_one_dimensional_support_gives_tridiagonal_blocks():
     trunc, sub, quad = torus_case()
     a = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] + 0.3)
@@ -94,9 +100,10 @@ def test_wrap_around_charge_links_stay_in_the_block():
 
 
 def test_one_wide_component_keeps_the_dense_path():
-    # support {0, +-e1, +-e2}: one component of bandwidth M + 1
+    # support {0, +-e1, +-e2, +-(e1 + e2)}: one component of bandwidth
+    # M + 1, and a phase around the charge cycle that no gauge removes
     trunc, sub, quad = torus_case()
-    a = lambda t: 1.0 + 0.25 * np.cos(t[:, 0] + 1.0) + 0.25 * np.cos(t[:, 1])
+    a = cycle_phase
     op = assemble(trunc, sub, a, quad)
     layout = op.layout
     assert len(layout.widths) == 0 and len(layout.dense) == 1
@@ -164,6 +171,124 @@ def test_apply_matches_dense_product():
     assert np.abs(op.layout.apply(x) - expect).max() <= 1e-13 * scale
 
 
+def dsl_real(t):
+    """The real amplitude of the DSL torus benchmark config, seeded phases."""
+    return 1.0 + 0.25 * np.cos(t[:, 0] + 2.1) + 0.25 * np.cos(t[:, 1] + 5.3)
+
+
+def dsl_complex(t):
+    """Its complex amplitude [1 + 0.5 cos(t1 + p3), 0.5 sin(t2 + p4)]."""
+    return 1.0 + 0.5 * np.cos(t[:, 0] + 0.4) + 0.5j * np.sin(t[:, 1] + 3.9)
+
+
+def spectra_match(op, expect):
+    """Blocked spectra against the dense complex solvers on `expect`,
+    within offblock_bound + dim eps sigma_max; returns that tolerance."""
+    sv = np.linalg.svd(expect, compute_uv=False)
+    tol = op.offblock_bound + op.dim * EPS * sv[0]
+    assert np.abs(singular_values(op) - sv).max() <= tol
+    if op.hermitian:
+        eigs = np.linalg.eigvalsh(expect)[::-1]
+        assert np.abs(eigensolve(op).eigenvalues - eigs).max() <= tol
+    return tol
+
+
+# 2M + 9 nodes per circle, and 32 <= 2M, where charges alias as on the
+# benchmark's DSL torus (64 nodes, M = 48)
+@pytest.mark.parametrize("order", [None, 32])
+@pytest.mark.parametrize("a", [dsl_real, dsl_complex])
+def test_symmetric_torus_amplitudes_give_real_blocks(a, order):
+    trunc, sub, quad = torus_case()
+    if order is not None:
+        quad = mfd.quadrature(sub, order)
+    op = assemble(trunc, sub, a, quad)
+    (D,) = op.layout.dense
+    assert D.dtype == np.float64 and op.layout.phase is not None
+    assert op.hermitian == (a is dsl_real)
+    expect = quadrature_sum(trunc, quad, a)
+    tol = spectra_match(op, expect)
+    assert 0 < op.offblock_bound <= 1e-13 * np.abs(expect).max()
+    assert np.abs(op.matrix - expect).max() <= tol
+
+
+def test_complex_base_point_splits_off_its_phases():
+    # the DSL torus with both angles starting at 0.5: the base point
+    # (e^{0.5i}, 0.7 e^{0.5i}) gives V complex phases, which the gauge
+    # takes into g along with the turn of the amplitude
+    trunc, _, quad = torus_case()
+    start = [[0.5, 0.5 + TWO_PI]] * 2
+    sub = mfd.custom_chart(2, 2, ["cos(t1)", "sin(t1)", "0.7*cos(t2)",
+                                  "0.7*sin(t2)"], [True, True], start)
+    quad = mfd.quadrature(sub, quad.shape[0])
+    op = assemble(trunc, sub, dsl_real, quad)
+    (D,) = op.layout.dense
+    assert D.dtype == np.float64 and op.layout.phase is not None
+    expect = quadrature_sum(trunc, quad, dsl_real)
+    tol = spectra_match(op, expect)
+    assert np.abs(op.matrix - expect).max() <= tol
+
+
+def test_cycle_phase_stays_complex_and_solves_as_before():
+    trunc, sub, quad = torus_case()
+    op = assemble(trunc, sub, cycle_phase, quad)
+    (D,) = op.layout.dense
+    assert D.dtype == complex and op.layout.phase is None
+    # the dense complex solvers on the very block
+    assert np.array_equal(eigensolve(op).eigenvalues,
+                          np.linalg.eigvalsh(D)[::-1])
+    assert np.array_equal(singular_values(op),
+                          np.linalg.svd(D, compute_uv=False))
+    spectra_match(op, quadrature_sum(trunc, quad, cycle_phase))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_aliased_cyclic_block_gauges_consistently_or_stays_complex(shift):
+    # L = M + 1: the n2 = 0 chain closes into a cycle through charge M = -1
+    # mod 37.  Without a shift its coefficients are real; with one, the
+    # phase around the 37 links is 37 * 0.7, not a multiple of pi, and no
+    # gauge removes it
+    sub = mfd.sphere3(1.0)
+    trunc = FockTruncation(2, 8.0, 36)
+    quad = mfd.quadrature(sub, [19, 37, 37])
+    a = lambda t: 1.0 + 0.5 * np.cos(t[:, 1] + shift)
+    op = assemble(trunc, sub, a, quad)
+    (cyclic,) = op.layout.dense
+    assert cyclic.dtype == (np.float64 if shift == 0 else complex)
+    spectra_match(op, op.matrix)
+
+
+def test_layout_applies_the_phase_vector():
+    trunc, sub, quad = torus_case()
+    banded = lambda t: 1.0 + 0.5 * np.cos(t[:, 0] + 0.3)
+    re, im = np.random.default_rng(5).normal(size=(2, trunc.dim))
+    x = re + 1j * im
+    ops, refs, tols = [], [], []
+    for a in (dsl_real, banded):
+        op = assemble(trunc, sub, a, quad)
+        assert op.layout.band.dtype == np.float64
+        assert op.layout.phase is not None
+        expect = quadrature_sum(trunc, quad, a)
+        tol = op.offblock_bound + trunc.dim * EPS * np.abs(expect).max()
+        layout = op.layout
+        assert np.abs(layout.densify() - expect).max() <= tol
+        rows, cols, vals = layout.entries()
+        T = np.zeros_like(expect)
+        T[rows, cols] = vals
+        assert np.abs(T - expect).max() <= tol
+        assert np.abs(layout.diagonal() - np.diag(expect)).max() <= tol
+        assert abs(layout.trace() - np.trace(expect)) <= trunc.dim * tol
+        err = np.abs(layout.apply(x) - expect @ x).max()
+        assert err <= tol * np.linalg.norm(x)
+        assert abs(rayleigh_lower_bound(op, x)
+                   - (x.conj() @ expect @ x).real / (x.conj() @ x).real) <= tol
+        ops.append(op), refs.append(expect), tols.append(tol)
+    # Tr(AB) of a gauged pair with different phase vectors
+    (A, B), (RA, RB), (ta, tb) = ops, refs, tols
+    fro = [np.linalg.norm(R) for R in refs]
+    bound = math.sqrt(trunc.dim) * (ta * fro[1] + tb * fro[0] + ta * tb)
+    assert abs(trace_product(A, B) - np.sum(RA.T * RB)) <= bound
+
+
 CASES = {"circle": circle_case, "torus": torus_case, "sphere3": sphere_case}
 # rotation axes of each chart, as columns of t
 ANGLES = {"circle": [0], "torus": [0, 1], "sphere3": [1, 2]}
@@ -181,6 +306,12 @@ def trig_amplitudes(draw):
         max_size=3))
     imaginary = draw(st.booleans())
     tilt = draw(st.floats(-0.5, 0.5))  # dependence on sphere3's s axis
+    # a(c + t) = conj a(c - t) about a centre c admits a gauge
+    centre = draw(st.one_of(st.none(), st.lists(
+        st.floats(0.0, TWO_PI), min_size=len(angles), max_size=len(angles))))
+    if centre is not None:
+        terms = [(freq, coef, -float(np.dot(freq, centre)))
+                 for freq, coef, _ in terms]
 
     def amplitude(t):
         value = np.ones(t.shape[0], dtype=complex if imaginary else float)
@@ -191,20 +322,21 @@ def trig_amplitudes(draw):
             value = value * (1.0 + tilt * t[:, 0])
         return value
 
-    return case, amplitude
+    # sphere3's L = M + 1 nodes alias charges, which can still forbid it
+    return case, amplitude, centre is not None and case != "sphere3"
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(trig_amplitudes(), st.sampled_from([2.0, 3.0, 4.0]))
+@example(("torus", cycle_phase, False), 3.0)
+@example(("torus", dsl_complex, True), 3.0)
 def test_blocked_spectra_match_dense_solvers(drawn, k):
-    case, a = drawn
+    case, a, symmetric = drawn
     trunc, sub, quad = CASES[case](k)
     op = assemble(trunc, sub, a, quad)
-    T = op.matrix
-    sv = np.linalg.svd(T, compute_uv=False)
-    tol = op.offblock_bound + trunc.dim * EPS * sv[0]
-    assert np.abs(singular_values(op) - sv).max() <= tol
-    if op.hermitian:
-        eigs = np.linalg.eigvalsh(T)[::-1]
-        assert np.abs(eigensolve(op).eigenvalues - eigs).max() <= tol
+    gauged = op.layout.band.dtype == np.float64
+    event("gauged" if gauged else "complex")
+    if symmetric:
+        assert gauged
+    spectra_match(op, op.matrix)

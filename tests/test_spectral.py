@@ -175,3 +175,19 @@ def test_trapezoid_function_shape():
     assert vals[3] == 1.0
     assert vals[4] == pytest.approx(0.5)
     assert vals[5] == 0
+
+
+@pytest.mark.parametrize("k", [25.0, 50.0, 100.0, 200.0])
+def test_dilation_singular_values_keep_the_frobenius_norm(k):
+    # the Schatten check's complex circle operators, whose tridiagonal
+    # blocks take the banded dilation: sum sigma^2 = ||S||_F^2 to 1e-14
+    # relative (2.2e-15 at worst in float64, 3.6e-15 in complex128)
+    from szegolab.acceptance import Lab
+    from szegolab.assembly import scale_to_S
+
+    S = scale_to_S(Lab().circle_op(k, "complex"), 1)
+    assert S.layout.widths.max() > 0 and not S.layout.dense
+    sv = singular_values(S)
+    parts = S.matrix.view(np.float64).ravel()
+    frobenius2 = math.fsum((parts * parts).tolist())
+    assert abs(math.fsum((sv * sv).tolist()) - frobenius2) <= 1e-14 * frobenius2
