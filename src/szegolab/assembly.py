@@ -5,7 +5,7 @@ normalized monomial basis is the Gram matrix of the basis functions
 restricted to the submanifold and weighted by a dsigma.  Assembly is a
 single quadrature pass, chunked over nodes so the working set stays near
 a fixed memory budget.  On rotation-swept manifolds T is block-diagonal
-by Fourier charge and is stored block by block (charge blocks below).
+by Fourier charge and is stored block by block (stored pattern below).
 
 With B the basis values at the nodes and w the quadrature weights, the
 pass forms C = sqrt(w |a|) B.  A real amplitude gives
@@ -55,25 +55,48 @@ flushed coefficient adds at most mult max|V_theta|^2 |Delta F| / S_theta
 to flush_bound, mult being the largest number of basis functions that
 share a charge.
 
-Charge blocks: every charge whose coefficients all lie within the
-FFT's rounding floor, ceil(log2 L) eps S_theta, is set to zero; charge 0
-is always kept, and for a real amplitude q and -q are kept or zeroed
-together.  The bound of that change, mult max|V_theta|^2 sum
-|F_theta[zeroed q]| / S_theta, is recorded as
-`HermitianOperator.offblock_bound`, with the imaginary parts a gauge
-drops (below), not in flush_bound: at circle k=400
-with a = 1 it is about 2e-14 lambda_max, the size of the FFT's own
-rounding, where flush_bound is about 2e-74.  The kept charges are the
-support.  Basis functions n and m are linked when q_m - q_n mod L is in
-it, and T_nm is zero unless they are; the connected components of these
-links are the diagonal blocks of T.  Each block is ordered by charge and
-only its in-support entries are summed.  It is stored banded when the
-band its solver takes (the block's own band if Hermitian, else the
-band of its dilation, `spectral` module notes) is at most
-_BAND_MAX = 8 wide, else dense.  An invariant amplitude on the circle,
-sphere3 or the tori at the acceptance orders gives 1x1 blocks, which no
-solver touches; a = 1 + 0.5 cos(t1 + phi) on the torus gives one
-tridiagonal block per n2.
+Stored pattern: a charge whose coefficients all lie within the FFT's
+rounding floor, ceil(log2 L) eps S_theta, is noise; charge 0 is always
+kept, and for a real amplitude q and -q are kept or dropped together.
+The kept charges are the support, and they decide only which entries T
+stores.  Basis functions n and m are linked when q_m - q_n mod L is in
+the support; the connected components of the links are the diagonal
+blocks of T, each ordered by charge.  A block is banded, stored between
+its own lower and upper extents (its widest links below and above the
+diagonal), when the band its solver takes (the block's own if
+Hermitian, else the band of its dilation, `spectral` module notes) is at
+most _BAND_MAX = 8 wide, and dense otherwise.  A support so wide that a
+row may link to more than dim/4 others and more than 2 _BAND_MAX + 1 is
+not linked at all: T is one dense block.  Every stored entry is the full
+sector sum, with the coefficients of every charge, noise included.  One
+gather fills band diagonals and dense blocks alike: with the charge grid
+tiled twice along each rotation axis, (q_m - q_n) mod L is read at the
+flat index col_m - row_n of the tiled grid, one subtraction and one
+lookup per entry for all explicit nodes at once.  Entries outside the
+pattern are zero, and only noise charges reach them; the bound of that
+change, mult max|V_theta|^2 sum |F_theta[noise q]| / S_theta, is
+recorded as `HermitianOperator.offblock_bound`, with the imaginary parts
+a gauge drops (below), not in flush_bound: at circle k=400 with a = 1 it
+is about 2e-14 lambda_max, the size of the FFT's own rounding, where
+flush_bound is about 2e-74.  One dense block leaves nothing out.  An
+invariant amplitude on the circle, sphere3 or the tori at the acceptance
+orders gives 1x1 blocks, which no solver touches; a = 1 + 0.5 cos(t1 +
+phi) on the torus gives one tridiagonal block per n2; the DSL torus
+amplitude 1 + cos(t1)/4 + cos(t2)/4, support {0, +-e1, +-e2}, links the
+whole basis into one dense block of bandwidth M + 1 in charge order.
+
+Dense blocks keep the noise because LAPACK runs faster on it than on
+exact zeros, in real blocks as in complex ones.  Measured with eigvalsh
+(2-vCPU Xeon, OpenBLAS, best to median of 5): the circle bump
+exp(-8 (1 - cos t)) at k=200, one real block of dim 801 with 93% of it
+unlinked, takes 0.036-0.049 s with the noise and 0.072-0.093 s with
+zeros; the complex cycle torus 1 + cos(t1)/4 + cos(t2)/4 + cos(t1 + t2 +
+1)/5 at k=12, dim 1225 with 99.5% unlinked, 0.54-0.62 s against
+0.59-0.67 s; earlier, the complex DSL torus at k=12 took 0.45 s against
+1.34 s in eigvalsh and 0.78 s against 2.59 s in the SVD.  A banded
+block holds noise only between its own extents: the full +-w band would
+put it on the unlinked side of a one-sided non-Hermitian block, such as
+e^{it}(1 + cos t)/2 on the circle, and widen its dilation from 3 to 5.
 
 Links wrap around mod L.  With L = M + 1 nodes on a rotation axis,
 charges 0 and M meet: on sphere3 at k=8, M = 36 and the Lab's order
@@ -100,33 +123,24 @@ an aliased cycle, as on sphere3 at L = M + 1 with a = 1 + 0.5 cos(t2 +
 0.7), or around a cycle of charges, as with a = 1 + cos(t1)/4 +
 cos(t2)/4 + cos(t1 + t2 + 1)/5, admits none, and T stays complex.  A
 gauged sector fills float64 blocks, whose solvers run in real arithmetic
-(`spectral` module notes), and `BlockLayout.phase` holds g.  The
-imaginary parts dropped, |F_theta[q] e^{i c . d} - B coefficient| summed
-over the reachable d, join the zeroed charges in `offblock_bound` with
-the same bound mult max|V_theta|^2 sum|dropped| / S_theta; those of V
-join ||Delta C|| in flush_bound.  Both DSL torus amplitudes of the
+(`spectral` module notes), and `BlockLayout.phase` holds g: at k=12 the
+real dense block of the DSL torus takes 0.14 s in eigvalsh and 0.51 s in
+the SVD, against 0.54 s and 0.97 s for the complex T.  The imaginary
+parts a kept charge drops, |F_theta[q] e^{i c . d} - B coefficient|
+summed over the reachable d, join the noise charges in `offblock_bound`
+with the same bound mult max|V_theta|^2 sum|dropped| / S_theta.  A noise
+charge is stored as the real part of F_theta[q] e^{i c . d} at the
+representative d, and is bounded by |F| when no charge difference has
+two integer values (2 spread < L on every axis), else by |F| plus that
+real part; both bounds also cover its entries outside the pattern, and
+take one pass over the charges.  The parts dropped from V join
+||Delta C|| in flush_bound.  Both DSL torus amplitudes of the
 benchmark, 1 + cos(t1 + p1)/4 + cos(t2 + p2)/4 and [1 + cos(t1 + p3)/2,
 sin(t2 + p4)/2], qualify for every phase: one base point, real V, and
 at k=12 dropped parts of at most 9e-17 (seeds 0, 7, 12, 41).  So does
 any amplitude with a(c - t) = conj a(c + t) about some centre c, such as
 the Schatten check's e^{it}(1 + cos t)/2 with c = 0.  Grids without
 rotation axes go node by node in complex arithmetic, as before.
-
-Dense path: when the links join every basis function into one block wider
-than _BAND_MAX, T is one dense matrix, assembled as before, and keeps
-every coefficient the FFT gives unless all but charge 0 are noise.  The
-DSL torus amplitude 1 + cos(t1)/4 + cos(t2)/4 is such a case: its support
-{0, +-e1, +-e2} gives bandwidth M + 1 in charge order.  At k=12 and
-M=48 (dim 1225, 2-vCPU Xeon, OpenBLAS, best of 5) its gauged real block
-takes 0.14 s in eigvalsh and 0.51 s in the SVD, against 0.54 s and 0.97 s
-for the complex T.  Zeroing the noise of the complex matrix would not
-pay: it leaves 99.6% exact zeros, and eigvalsh then took 1.34 s instead
-of 0.45 s and the SVD 2.59 s instead of 0.78 s, from subnormal numbers
-inside LAPACK's reductions; on the real block the same zeros cost
-nothing (0.14 s and 0.52 s).  The dense path is also taken when the
-quadrature has no rotation axes, when w a vanishes on every node, and
-when the sector keeps so many charges that a row may link to more than
-dim/4 others and more than 2 _BAND_MAX + 1.
 
 Bandwidth crossover: _BAND_MAX was measured as the ratio of banded to
 dense solver time on random blocks of n rows (2-vCPU Xeon, OpenBLAS,
@@ -144,14 +158,18 @@ at every size but the smallest in either arithmetic, and the dilation
 wins on blocks of some hundreds of rows or more and loses a few
 milliseconds on small ones, so _BAND_MAX stays 8 for real blocks.
 
-Paths: one explicit node of the sector sum costs a few passes over the
-dim^2 matrix, about as much as 50 nodes of zherk.  The sector sum is used
-when the grid has at least _SECTOR_NODES = 64 rotation nodes per
-explicit node.  Measured on sphere3 at k=10 (dim 1035, 2-vCPU Xeon, OpenBLAS), the
-sector sum won at 64 ([200, 8, 8]: 1.04-1.08 s against 1.29-1.33 s node
-by node) and lost at 48 ([300, 6, 8]: 1.56-1.71 s against 1.43-1.45 s).
-Grids without rotation axes (parabola, plane patches, non-rotation DSL
-charts) always go node by node.
+Paths: the sector sum is used when the grid has at least _SECTOR_NODES =
+64 rotation nodes per explicit node.  That crossover was timed against a
+sector sum that filled all of the dim^2 matrix at every explicit node;
+summed into the stored pattern it wins far below 64.  On sphere3 at k=10
+(dim 1035, 2-vCPU Xeon, OpenBLAS, three runs each of a = 1 and a = 1 +
+cos(t2)/2) it takes 0.04-0.14 s against 1.3-2.2 s node by node at 64
+([200, 8, 8]), 0.06-0.17 s against 1.6-2.9 s at 48 ([300, 6, 8]),
+0.22-0.48 s against 1.6-2.8 s at 24 ([600, 4, 6]) and 0.31-1.33 s
+against 1.6-1.9 s at 16 ([900, 4, 4]).  No workload has a rotation grid
+below 64 and the tests pin a 48-node grid to the node-by-node path, so
+the constant stays.  Grids without rotation axes (parabola, plane
+patches, non-rotation DSL charts) always go node by node.
 
 Pair traces: Tr(T_a T_b) is the double sum of (w a)_s e^{-k|z_s - z_t|^2}
 (w b)_t over m nodes.  On the tensor grid of the quadrature, two chart axes are
@@ -242,14 +260,13 @@ class BlockLayout:
     phase: Optional[np.ndarray] = None
 
     @classmethod
-    def of_matrix(cls, matrix: np.ndarray,
-                  phase: Optional[np.ndarray] = None) -> "BlockLayout":
+    def of_matrix(cls, matrix: np.ndarray) -> "BlockLayout":
         """One dense block holding the whole matrix, in basis order."""
         dim = matrix.shape[0]
         return cls(perm=np.arange(dim), bounds=np.array([0, dim]),
                    widths=np.zeros(0, dtype=np.int64),
                    band=np.zeros((1, dim), dtype=matrix.dtype),
-                   dense=(matrix,), phase=phase)
+                   dense=(matrix,))
 
     @property
     def half_width(self) -> int:
@@ -412,9 +429,9 @@ def _flush(C: np.ndarray) -> tuple[float, float]:
             np.count_nonzero(dropped) * dropped.max(initial=0.0) ** 2)
 
 
-def _row_blocks(n: int):
-    for lo in range(0, n, _FILL_ROWS):
-        yield lo, min(n, lo + _FILL_ROWS)
+def _row_blocks(n: int, rows: int = _FILL_ROWS):
+    for lo in range(0, n, rows):
+        yield lo, min(n, lo + rows)
 
 
 def _mirror_lower(T: np.ndarray) -> None:
@@ -514,38 +531,47 @@ class _Sector:
     def gauged(self) -> bool:
         return self.turn is not None
 
-    def zero_and_flush(self, drop: np.ndarray) -> tuple[float, float]:
-        """Zero the charges in `drop`, make F real if gauged, and flush
-        the rest of F, in place.
+    def gauge_and_flush(self, outside: bool) -> tuple[float, float]:
+        """Make F real if gauged, and flush it, in place.
 
-        Returns the bounds on what the flush, and the zeroing with the
-        gauge's dropped imaginary parts, change.
+        `outside` says whether the stored pattern leaves entries out.
+        Returns the bounds on what the flush changes, and on what the
+        pattern leaves out together with what the gauge drops.
         """
-        F = self.F
-        off_charge = np.abs(F[:, drop]).sum(axis=1)
-        F[:, drop] = 0.0
+        F, noise = self.F, ~self.keep
+        # a noise charge's entries are off by |F| outside the pattern and
+        # exact inside it; gauged, by at most |F| inside it when a charge
+        # difference has one integer value, else by |F| + |real part|
+        off = np.zeros(F.shape[0])
         if self.gauged:
-            live = np.flatnonzero(F.any(axis=0))
-            real, residual, _ = _turned(F, live, self.shape, self.turn,
-                                        self.spread)
-            F = self.F = np.zeros(F.shape)
-            F[:, live] = real
-            off_charge += residual.sum(axis=1)
+            L = np.array(self.shape)
+            d = _signed(np.array(np.unravel_index(np.arange(F.shape[1]),
+                                                  self.shape)).T, L)
+            real = (F * np.exp(1j * (d @ self.turn))).real
+            size = np.abs(F)
+            if np.any(2 * self.spread >= L):
+                size += np.abs(real)
+            kept = _turned(F, np.flatnonzero(self.keep), self.shape,
+                           self.turn, self.spread)[1]
+            off = size @ noise + kept.sum(axis=1)
+            F = self.F = real
+        elif outside:
+            off = np.abs(F) @ noise
         parts = F.view(np.float64)
         small = (parts > -_FLUSH) & (parts < _FLUSH)
         flushed = np.abs(np.where(small, parts, 0.0)).sum(axis=1)
         parts[small] = 0.0
         # ||diag(conj v) G diag(v)|| <= mult max|v|^2 sum|G coefficients|
-        return float(self.peak @ flushed), float(self.peak @ off_charge)
+        return float(self.peak @ flushed), float(self.peak @ off)
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (n, m, charge) with q_m - q_n = charge mod L a kept charge."""
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (n, m) with q_m - q_n mod L a kept charge."""
         dim = self.q.shape[0]
         flat = self.flat_q
         members = np.argsort(flat, kind="stable")
         counts = np.bincount(flat, minlength=self.F.shape[1])
         starts = np.cumsum(counts) - counts
-        rows, cols, charges = [], [], []
+        rows, cols = [], []
         for c in np.flatnonzero(self.keep):
             shift = np.array(np.unravel_index(c, self.shape))
             partner = np.ravel_multi_index(((self.q + shift) % self.shape).T,
@@ -554,38 +580,7 @@ class _Sector:
             offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
             rows.append(np.repeat(np.arange(dim), n))
             cols.append(members[np.repeat(starts[partner], n) + offset])
-            charges.append(np.full(offset.size, c))
-        return tuple(np.concatenate(x) for x in (rows, cols, charges))
-
-    def fill_dense(self, Xt: np.ndarray, is_real: bool) -> None:
-        """Add the sector sum to Xt, the C-ordered view of the accumulator:
-        T itself for complex amplitudes, conj(T) in its lower triangle for
-        real ones.  Gauged sectors fill the real B (module notes)."""
-        F, V, q, shape = self.F, self.V, self.q, self.shape
-        dim = q.shape[0]
-        # Xt[r, c] += sum_theta R_r C_c F[q_c - q_r] with R = conj(V), C = V
-        # for T, and all three conjugated for the lower triangle of conj(T)
-        V = np.ascontiguousarray(V)
-        if is_real:
-            R, C, F = V, V.conj(), F.conj()
-        else:
-            R, C = V.conj(), V
-        strides = np.array([math.prod(shape[i + 1:])
-                            for i in range(len(shape))])
-        for lo, hi in _row_blocks(dim):
-            cols = hi if is_real else dim
-            D = (q[None, :cols, :] - q[lo:hi, None, :]) % np.array(shape)
-            D = D @ strides
-            acc = Xt[lo:hi, :cols]
-            work = np.empty(D.shape, dtype=Xt.dtype)
-            for t in range(F.shape[0]):
-                np.take(F[t], D, out=work, mode="clip")
-                work *= R[t, lo:hi, None]
-                work *= C[t, None, :cols]
-                acc += work
-        if is_real:
-            diag = np.diag_indices(dim)
-            Xt[diag] = Xt[diag].real  # the rounding of R C F leaves imaginary dust
+        return np.concatenate(rows), np.concatenate(cols)
 
 
 def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
@@ -795,21 +790,22 @@ def _dilation_width(lower, upper):
 
 
 def _charge_blocks(sector: _Sector, dim: int, is_real: bool):
-    """Blocks of the charge graph, or None for one wide component.
+    """The stored pattern: blocks of the charge graph and their extents.
 
     Basis functions n and m are linked when q_m - q_n mod L is a kept
     charge.  Each component is ordered by charge; a block whose solver
-    width exceeds _BAND_MAX is dense.  Returns perm, bounds and widths in
-    `BlockLayout` order, and the sector's pairs.
+    width exceeds _BAND_MAX is dense, and so is the one block of a support
+    too wide to link.  Returns perm, bounds and widths in `BlockLayout`
+    order, and the lower and upper bandwidths of the banded blocks.
     """
+    none = np.zeros(0, dtype=np.int64)
     # a row links to at most (kept charges) * mult others: past a quarter of
     # dim, and past the rows of a band of width _BAND_MAX, the support is
     # too wide for blocks to pay
     if (np.count_nonzero(sector.keep) * sector.mult
             > max(dim / 4, 2 * _BAND_MAX + 1)):
-        return None
-    pairs = sector.pairs()
-    rows, cols, _ = pairs
+        return np.arange(dim), np.array([0, dim]), none, none, none
+    rows, cols = sector.pairs()
     _, comp = np.unique(_components(dim, rows, cols), return_inverse=True)
     order = np.lexsort((sector.flat_q, comp))  # by component, then charge
     pos = np.empty(dim, dtype=np.int64)
@@ -822,61 +818,75 @@ def _charge_blocks(sector: _Sector, dim: int, is_real: bool):
     width = np.maximum(lower, upper)
     # the band each block's solver takes: its own, or its dilation's
     dense = (width if is_real else _dilation_width(lower, upper)) > _BAND_MAX
-    if dense.size == 1 and dense[0]:
-        return None
     # banded blocks by bandwidth, then dense blocks; each keeps its order
     rank = np.empty_like(width)
     rank[np.lexsort((width, dense))] = np.arange(width.size)
     perm = order[np.argsort(rank[comp[order]], kind="stable")]
     sizes = np.bincount(rank[comp], minlength=width.size)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    blocks_in_order = np.argsort(rank)
-    widths = width[blocks_in_order][~dense[blocks_in_order]]
-    return perm, bounds, widths, pairs
+    banded = np.argsort(rank)[:np.count_nonzero(~dense)]
+    return perm, bounds, width[banded], lower[banded], upper[banded]
 
 
-def _fill_blocks(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
-                 widths: np.ndarray, pairs: tuple,
-                 is_real: bool) -> BlockLayout:
-    """Sum the in-support entries of the sector into the blocks."""
-    dim = perm.size
-    w = int(widths.max(initial=0))
-    pos = np.empty(dim, dtype=np.int64)
-    pos[perm] = np.arange(dim)
-    V, F = sector.V, sector.F
+def _fill(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
+          widths: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+          is_real: bool) -> BlockLayout:
+    """Sum the sector into the stored pattern: every entry of each dense
+    block, and each banded block between its own lower and upper extents;
+    for real amplitudes the lower triangle, mirrored."""
+    F, L = sector.F, np.array(sector.shape)
+    dim, nband = perm.size, int(bounds[len(widths)])
+    # the charges tiled twice along each rotation axis, where (q_m - q_n)
+    # mod L sits at the flat index col_m - row_n: one subtraction, no
+    # remainder, and one lookup per entry for every explicit node
+    tiled = np.tile(np.arange(F.shape[1]).reshape(sector.shape),
+                    (2,) * L.size).ravel()
+    q = sector.q[perm].T
+    row, col = (np.ravel_multi_index(x, 2 * L) for x in (q, q + L[:, None]))
+    V = sector.V[:, perm]
+    Vr = V.conj()
     dtype = np.result_type(V, F)  # float64 when gauged
+    # entries times explicit nodes per gather: one row block of a dense T
+    budget = _FILL_ROWS * dim
+
+    def gather(i, j):
+        """T at positions (i, j), broadcast:
+        sum_theta conj(V_theta,i) V_theta,j F_theta[q_j - q_i]."""
+        terms = np.take(F, tiled[col[j] - row[i]], axis=1)
+        terms *= Vr[:, i]
+        terms *= V[:, j]
+        return terms.sum(axis=0)
+
+    # banded blocks: diagonal d = i - j from -upper to lower of each block
+    w = int(widths.max(initial=0))
     band = np.zeros((2 * w + 1, dim), dtype=dtype)
-    # the dense blocks, row-major one after another in one buffer
-    dense_lo = bounds[len(widths):]
-    size = np.diff(dense_lo)
-    start = np.concatenate([[0], np.cumsum(size * size)])
-    buffer = np.zeros(start[-1], dtype=dtype)
-    dense = [buffer[start[i]:start[i + 1]].reshape(n, n)
-             for i, n in enumerate(size)]
-    rows, cols, charges = pairs
-    i, j = pos[rows], pos[cols]
-    if is_real:  # the lower triangle; the upper is its conjugate
-        lower = i >= j
-        rows, cols, charges = rows[lower], cols[lower], charges[lower]
-        i, j = i[lower], j[lower]
-    # T_nm = sum_theta conj(V_theta,n) V_theta,m F_theta[q_m - q_n]
-    vals = np.zeros(rows.size, dtype=dtype)
-    for t in range(F.shape[0]):
-        vals += V[t, rows].conj() * V[t, cols] * F[t, charges]
-    # the (n, m) pairs are distinct, so += adds each once
-    b = np.searchsorted(dense_lo, i, side="right") - 1
-    banded = b < 0
-    band[w + i[banded] - j[banded], j[banded]] += vals[banded]
-    b, r, c = b[~banded], i[~banded], j[~banded]
-    buffer[start[b] + (r - dense_lo[b]) * size[b] + c - dense_lo[b]] \
-        += vals[~banded]
+    block = np.repeat(np.arange(widths.size), np.diff(bounds[:widths.size + 1]))
+    i, j = [], []
+    for d in range(0 if is_real else -w, w + 1):
+        at = np.arange(max(0, -d), min(nband, nband - d))
+        b = block[at]
+        at = at[(block[at + d] == b) & (d <= lower[b]) & (-d <= upper[b])]
+        i.append(at + d)
+        j.append(at)
+    i, j = np.concatenate(i), np.concatenate(j)
+    for lo, hi in _row_blocks(i.size, max(1, budget // F.shape[0])):
+        band[w + i[lo:hi] - j[lo:hi], j[lo:hi]] = gather(i[lo:hi], j[lo:hi])
     if is_real:
         band[w] = band[w].real
         for d in range(1, w + 1):
             band[w - d, d:] = band[w + d, :dim - d].conj()
-        for D in dense:
+    dense = []
+    for lo, hi in zip(bounds[widths.size:-1], bounds[widths.size + 1:]):
+        n = hi - lo
+        D = np.empty((n, n), dtype=dtype)
+        for top, end in _row_blocks(n, max(1, budget // (F.shape[0] * n))):
+            cols = end if is_real else n
+            D[top:end, :cols] = gather(np.arange(lo + top, lo + end)[:, None],
+                                       np.arange(lo, lo + cols)[None, :])
+        if is_real:
             _mirror_lower(D)
-            D[np.diag_indices(D.shape[0])] = D.diagonal().real
+            D[np.diag_indices(n)] = D.diagonal().real
+        dense.append(D)
     return BlockLayout(perm=perm, bounds=bounds, widths=widths, band=band,
                        dense=tuple(dense),
                        phase=None if sector.phase is None
@@ -891,8 +901,7 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     Real amplitudes give an exactly Hermitian operator; complex ones are
     assembled as-is with the hermitian flag cleared.  When the periodic
     axes of the grid rotate the points, T is summed by Fourier sectors
-    straight into its charge blocks, or into one dense matrix when the
-    charges link into one wide block.  Otherwise T is one dense matrix
+    straight into its charge blocks; otherwise it is one dense matrix
     summed node by node (module notes).
     """
     wa = quad.weights * amp_values(a, quad)
@@ -902,18 +911,17 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
         wa = wa.real
     axes = _sector_axes(quad)
     sector = None if axes is None else _sector(trunc, quad, wa, *axes, is_real)
-    blocks = None if sector is None else _charge_blocks(sector, trunc.dim,
-                                                          is_real)
-    if blocks is not None:
-        flushed, offblock = sector.zero_and_flush(~sector.keep)
-        stored = {"layout": _fill_blocks(sector, *blocks, is_real=is_real)}
-        norm2, dropped2 = sector.norm2, sector.dropped2
+    if sector is None:
+        T, norm2, dropped2 = _assemble_dense(trunc, quad, wa, is_real)
+        stored, flushed, offblock = {"matrix": T}, 0.0, 0.0
     else:
-        T, norm2, dropped2, flushed, offblock = _assemble_dense(
-            trunc, quad, wa, sector, is_real)
-        gauged = sector is not None and sector.gauged
-        stored = ({"layout": BlockLayout.of_matrix(T, sector.phase)}
-                  if gauged else {"matrix": T})
+        blocks = _charge_blocks(sector, trunc.dim, is_real)
+        _, bounds, widths, _, _ = blocks
+        # only one dense block of the whole basis leaves no entry out
+        flushed, offblock = sector.gauge_and_flush(
+            outside=len(bounds) > 2 or widths.size > 0)
+        stored = {"layout": _fill(sector, *blocks, is_real=is_real)}
+        norm2, dropped2 = sector.norm2, sector.dropped2
     dC = math.sqrt(dropped2)
     op = HermitianOperator(**stored, trunc=trunc, normalization="raw_T",
                            hermitian=is_real, manifold_dim=sub.dim,
@@ -926,13 +934,10 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
 
 
 def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
-                    sector: Optional[_Sector], is_real: bool):
-    """T as one dense matrix: the sector sum when there is a sector, zherk
-    or zgemm node by node otherwise.  Coefficients are zeroed only when
-    every charge but 0 lies within the rounding floor (module notes).
+                    is_real: bool):
+    """T as one dense matrix, by zherk or zgemm node by node.
 
-    Returns T, ||C'||^2, the bound on ||Delta C||^2 and the sector's flush
-    and zeroing bounds.
+    Returns T, ||C'||^2 and the bound on ||Delta C||^2.
     """
     # scipy.linalg costs more to import than the whole package, so it is
     # loaded on first assembly rather than with the module
@@ -942,18 +947,9 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     # basis values come in Fortran order, so C and C^T pass to BLAS uncopied
     # and X accumulates in Fortran order: T^T for zgemm, the upper triangle
     # of T for zherk
-    X = np.zeros((dim, dim), order="F",
-                 dtype=complex if sector is None else sector.V.dtype)
-    norm2 = dropped2 = flushed = offblock = 0.0
-    if sector is not None:
-        drop = ~sector.keep
-        if sector.keep[1:].any():
-            drop[:] = False
-        flushed, offblock = sector.zero_and_flush(drop)
-        sector.fill_dense(X.T, is_real)
-        norm2, dropped2 = sector.norm2, sector.dropped2
-        passes = ()  # the sector sum covers every node
-    elif is_real:
+    X = np.zeros((dim, dim), dtype=complex, order="F")
+    norm2 = dropped2 = 0.0
+    if is_real:
         passes = ((1.0, np.flatnonzero(wa > 0)), (-1.0, np.flatnonzero(wa < 0)))
     else:
         passes = ((1.0, np.flatnonzero(wa != 0)),)
@@ -979,7 +975,7 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
         # its transpose holds conj(T): mirror it, then conjugate once
         _mirror_lower(T)
         np.conjugate(T, out=T)
-    return T, norm2, dropped2, flushed, offblock
+    return T, norm2, dropped2
 
 
 def _warn_if_truncated(op: HermitianOperator) -> None:

@@ -82,11 +82,15 @@ CONFIG_SCHEMA = {
             {"type": "array", "items": {"type": "integer", "minimum": 1}},
         ]},
         "test_function": {"type": "string"},
-        "interval": {"type": "array", "items": {"type": "number"},
+        # weyl counts in [lo, hi] within (0, 1]; lo <= hi in load_config
+        "interval": {"type": "array",
+                     "items": {"type": "number", "exclusiveMinimum": 0,
+                               "maximum": 1},
                      "minItems": 2, "maxItems": 2},
         "schatten_p": {"type": "array", "items": {"type": "number",
                                                   "exclusiveMinimum": 0}},
-        "density_grid": {"type": "array", "items": {"type": "number"}},
+        "density_grid": {"type": "array", "items": {"type": "number",
+                                                    "exclusiveMinimum": 0}},
         "theta": {"type": "string"},
         "alpha": {"type": "string"},
     },
@@ -135,6 +139,9 @@ def load_config(args) -> dict:
         _CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
         raise SchemaError(f"config schema violation: {error.message}")
+    lo, hi = config.get("interval", (0, 0))
+    if lo > hi:
+        raise SchemaError(f"config interval {config['interval']} is reversed")
     return config
 
 
@@ -144,7 +151,10 @@ def parse_test_function(name: str) -> spectral.TestFunction:
         return spectral.entropy_function()
     try:
         if name.startswith("power:"):
-            return spectral.power_function(float(name.split(":", 1)[1]))
+            n = float(name.split(":", 1)[1])
+            if not n > 0:
+                raise SchemaError("power needs a positive exponent")
+            return spectral.power_function(n)
         if name.startswith("trapezoid:"):
             parts = [float(x) for x in name.split(":", 1)[1].split(",")]
             if len(parts) != 4:

@@ -1,4 +1,4 @@
-"""Charge-block operators: layout, block-by-block spectra, dense-path rule."""
+"""Charge-block operators: layout, block-by-block spectra, stored pattern."""
 
 import math
 import warnings
@@ -99,17 +99,21 @@ def test_wrap_around_charge_links_stay_in_the_block():
     assert np.abs(T[block] - expect[block]).max() <= 1e-13 * scale
 
 
-def test_one_wide_component_keeps_the_dense_path():
+def test_one_wide_component_is_one_dense_block_of_every_coefficient():
     # support {0, +-e1, +-e2, +-(e1 + e2)}: one component of bandwidth
     # M + 1, and a phase around the charge cycle that no gauge removes
     trunc, sub, quad = torus_case()
-    a = cycle_phase
-    op = assemble(trunc, sub, a, quad)
+    op = assemble(trunc, sub, cycle_phase, quad)
     layout = op.layout
     assert len(layout.widths) == 0 and len(layout.dense) == 1
-    assert np.array_equal(layout.perm, np.arange(trunc.dim))
-    assert op.matrix is layout.dense[0]
+    (D,) = layout.dense
+    assert D.shape == (trunc.dim, trunc.dim) and layout.phase is None
+    # the block keeps the coefficients of every charge, linked or not, so
+    # no entry is an exact zero and nothing is left out
+    assert np.all(D != 0)
     assert op.offblock_bound == 0
+    expect = quadrature_sum(trunc, quad, cycle_phase)
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_split_operator_never_builds_the_matrix(monkeypatch):
@@ -287,6 +291,43 @@ def test_layout_applies_the_phase_vector():
     fro = [np.linalg.norm(R) for R in refs]
     bound = math.sqrt(trunc.dim) * (ta * fro[1] + tb * fro[0] + ta * tb)
     assert abs(trace_product(A, B) - np.sum(RA.T * RB)) <= bound
+
+
+def test_non_hermitian_band_stays_zero_on_its_unlinked_side():
+    # e^{it}(1 + cos t)/2 = 1/4 + e^{it}/2 + e^{2it}/4 links each charge to
+    # the next two on one side only; the band is filled between the block's
+    # own extents, so the other side stays exactly zero and the dilation
+    # keeps width 3 instead of 5
+    trunc, sub, quad = circle_case(20.0)
+    a = lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0])) / 2
+    op = assemble(trunc, sub, a, quad)
+    layout = op.layout
+    assert layout.widths.tolist() == [2] and not layout.dense
+    w = layout.half_width
+    filled = [d for d in range(-w, w + 1) if layout.band[w + d].any()]
+    assert filled in ([-2, -1, 0], [0, 1, 2])
+    assert asm._dilation_width(max(filled), -min(filled)) == 3
+    expect = quadrature_sum(trunc, quad, a)
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("case, a, several_blocks, gauged", [
+    (torus_case, lambda t: 1.0 + 0.5 * np.cos(t[:, 0] + 0.3), True, True),
+    (sphere_case, lambda t: 1.0 + 0.5 * np.cos(t[:, 1] + 0.7), True, False),
+    (torus_case, dsl_real, False, True),
+    (torus_case, cycle_phase, False, False),
+], ids=["bands-gauged", "aliased-cycle-complex", "dense-gauged",
+        "dense-complex"])
+def test_eigenvalues_stay_within_the_recorded_bounds(case, a, several_blocks,
+                                                     gauged):
+    trunc, sub, quad = case()
+    op = assemble(trunc, sub, a, quad)
+    layout = op.layout
+    assert (len(layout.bounds) > 2) == several_blocks
+    assert (layout.band.dtype == np.float64) == gauged
+    expect = np.linalg.eigvalsh(quadrature_sum(trunc, quad, a))[::-1]
+    tol = op.flush_bound + op.offblock_bound + op.dim * EPS * expect[0]
+    assert np.abs(eigensolve(op).eigenvalues - expect).max() <= tol
 
 
 CASES = {"circle": circle_case, "torus": torus_case, "sphere3": sphere_case}

@@ -139,6 +139,14 @@ def test_bad_config_exits_2(tmp_path):
      "manifold coords lists 1 entries, not 2"),
     ({"manifold": {"kind": "plane_patch", "ranges": [[-1, 1]] * 3}},
      ["geometry"], 2, "plane_patch lists 3 ranges, not 2N"),
+    # values outside the domain of a prediction exit 2 as well
+    ({"density_grid": [0.5, 0.0]}, ["density"], 2,
+     "0.0 is less than or equal to the minimum of 0"),
+    ({"interval": [0.0, 0.9]}, ["weyl"], 2,
+     "0.0 is less than or equal to the minimum of 0"),
+    ({"interval": [0.9, 0.2]}, ["weyl"], 2, "interval [0.9, 0.2] is reversed"),
+    ({}, ["szego", "--phi", "power:-1"], 2,
+     "bad test function 'power:-1': power needs a positive exponent"),
 ])
 def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
                                    message):
