@@ -18,7 +18,7 @@ from .manifold import (
     quadrature,
     manifold_from_spec,
 )
-from .assembly import HermitianOperator, assemble_T, scale_to_S, exact_trace
+from .assembly import HermitianOperator, assemble_T, exact_trace
 from .spectral import SpectralSummary, TestFunction, eigensolve
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "manifold_from_spec",
     "HermitianOperator",
     "assemble_T",
-    "scale_to_S",
     "exact_trace",
     "SpectralSummary",
     "TestFunction",

@@ -195,7 +195,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,8 +209,6 @@ __all__ = [
     "TruncationWarning",
     "CostLimitError",
     "assemble_T",
-    "s_factor",
-    "scale_to_S",
     "exact_trace",
     "trace_product",
     "pair_trace_integral",
@@ -272,21 +270,11 @@ class BlockLayout:
     def half_width(self) -> int:
         return self.band.shape[0] // 2
 
-    def banded_blocks(self):
-        """(lo, hi, width) of each banded block."""
-        b = self.bounds
-        for i, width in enumerate(self.widths.tolist()):
-            yield int(b[i]), int(b[i + 1]), width
-
     def dense_blocks(self):
         """(lo, hi, matrix) of each dense block."""
         b = self.bounds[len(self.widths):]
         for i, D in enumerate(self.dense):
             yield int(b[i]), int(b[i + 1]), D
-
-    def scaled(self, factor: float) -> "BlockLayout":
-        return replace(self, band=factor * self.band,
-                       dense=tuple(factor * D for D in self.dense))
 
     def _to_basis(self, values: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
@@ -362,34 +350,25 @@ class BlockLayout:
 
 
 class HermitianOperator:
-    """T_{a dsigma} or S in charge blocks, tagged with its truncation.
+    """T_{a dsigma} in charge blocks, tagged with its truncation.
 
     `layout` holds the blocks (see `BlockLayout`); every spectral function
     reads them block by block.  `matrix` builds the dense dim x dim matrix
-    on first request and keeps it.  HermitianOperator(matrix=A, ...) is
-    the operator of one dense block holding A.  The `hermitian` flag is
-    cleared for complex amplitudes, whose T is not Hermitian.
+    on first request and keeps it.  The `hermitian` flag is cleared for
+    complex amplitudes, whose T is not Hermitian.  Rescalings such as the
+    Szego operator S = s T act on spectra, not here (`asymptotics`).
     """
 
-    def __init__(self, matrix: Optional[np.ndarray] = None,
+    def __init__(self, layout: BlockLayout,
                  trunc: Optional[FockTruncation] = None,
-                 normalization: str = "raw_T",  # raw_T | scaled_S
                  hermitian: bool = True,
-                 manifold_dim: Optional[int] = None,
                  symbol_mass: Optional[complex] = None,  # integral of a dsigma
                  flush_bound: float = 0.0,  # bound on ||T - T_unflushed||_2
-                 offblock_bound: float = 0.0,  # zeroed charges and gauge
-                 layout: Optional[BlockLayout] = None):
-        if (matrix is None) == (layout is None):
-            raise ValueError("give exactly one of matrix and layout")
-        if layout is None:
-            layout = BlockLayout.of_matrix(matrix)
+                 offblock_bound: float = 0.0):  # zeroed charges and gauge
         self.layout = layout
-        self._matrix = matrix
+        self._matrix = None
         self.trunc = trunc
-        self.normalization = normalization
         self.hermitian = hermitian
-        self.manifold_dim = manifold_dim
         self.symbol_mass = symbol_mass
         self.flush_bound = flush_bound
         self.offblock_bound = offblock_bound
@@ -901,7 +880,7 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     Real amplitudes give an exactly Hermitian operator; complex ones are
     assembled as-is with the hermitian flag cleared.  When the periodic
     axes of the grid rotate the points, T is summed by Fourier sectors
-    straight into its charge blocks; otherwise it is one dense matrix
+    straight into its charge blocks; otherwise it is one dense block
     summed node by node (module notes).
     """
     wa = quad.weights * amp_values(a, quad)
@@ -913,18 +892,17 @@ def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
     sector = None if axes is None else _sector(trunc, quad, wa, *axes, is_real)
     if sector is None:
         T, norm2, dropped2 = _assemble_dense(trunc, quad, wa, is_real)
-        stored, flushed, offblock = {"matrix": T}, 0.0, 0.0
+        layout, flushed, offblock = BlockLayout.of_matrix(T), 0.0, 0.0
     else:
         blocks = _charge_blocks(sector, trunc.dim, is_real)
         _, bounds, widths, _, _ = blocks
         # only one dense block of the whole basis leaves no entry out
         flushed, offblock = sector.gauge_and_flush(
             outside=len(bounds) > 2 or widths.size > 0)
-        stored = {"layout": _fill(sector, *blocks, is_real=is_real)}
+        layout = _fill(sector, *blocks, is_real=is_real)
         norm2, dropped2 = sector.norm2, sector.dropped2
     dC = math.sqrt(dropped2)
-    op = HermitianOperator(**stored, trunc=trunc, normalization="raw_T",
-                           hermitian=is_real, manifold_dim=sub.dim,
+    op = HermitianOperator(layout, trunc=trunc, hermitian=is_real,
                            symbol_mass=mass,
                            flush_bound=dC * (2.0 * math.sqrt(norm2) + dC)
                            + flushed,
@@ -994,31 +972,8 @@ def _warn_if_truncated(op: HermitianOperator) -> None:
             TruncationWarning, stacklevel=3)
 
 
-def s_factor(k: float, N: int, d: int, d_prime: int) -> float:
-    """Factor 2^{-d'/2} (pi/k)^{N - d/2} taking T to S."""
-    return 2.0 ** (-0.5 * d_prime) * (math.pi / k) ** (N - 0.5 * d)
-
-
-def scale_to_S(op: HermitianOperator, d_prime: int) -> HermitianOperator:
-    """S = s_factor * T, block by block."""
-    if op.normalization != "raw_T":
-        raise ValueError("operator is already scaled")
-    if op.manifold_dim is None:
-        raise ValueError("operator lacks the manifold dimension tag")
-    factor = s_factor(op.trunc.k, op.trunc.ambient_dim, op.manifold_dim,
-                      d_prime)
-    return HermitianOperator(layout=op.layout.scaled(factor), trunc=op.trunc,
-                             normalization="scaled_S", hermitian=op.hermitian,
-                             manifold_dim=op.manifold_dim,
-                             symbol_mass=op.symbol_mass,
-                             flush_bound=factor * op.flush_bound,
-                             offblock_bound=factor * op.offblock_bound)
-
-
 def exact_trace(op: HermitianOperator) -> tuple[float, float, float]:
     """(matrix trace, prediction (k/pi)^N * integral a dsigma, relative gap)."""
-    if op.normalization != "raw_T":
-        raise ValueError("exact trace identity applies to the raw T operator")
     if op.symbol_mass is None:
         raise ValueError("operator lacks the recorded amplitude mass")
     k, N = op.trunc.k, op.trunc.ambient_dim

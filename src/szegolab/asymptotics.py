@@ -1,6 +1,7 @@
 """Closed-form spectral predictions.
 
-The Szego functional, the Mellin-log averaging operator O_{-alpha}, the
+The Szego factors (s of S = s T and the normalization of Tr phi(S)),
+the Szego functional, the Mellin-log averaging operator O_{-alpha}, the
 limiting eigenvalue density, Weyl interval counts, Schatten and entropy
 limits, and the general moment asymptotics with the pointwise Hessian
 factor Delta_n.
@@ -9,7 +10,6 @@ factor Delta_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .manifold import (
 from .spectral import TestFunction
 
 __all__ = [
-    "SzegoPrediction",
+    "s_factor",
     "szego_scaling",
     "mellin_log",
     "szego_functional",
@@ -42,11 +42,13 @@ __all__ = [
 _LAGUERRE_NODES = 64
 
 
-@dataclass(frozen=True)
-class SzegoPrediction:
-    value: float
-    d_prime: int
-    manifold_dim: int
+def s_factor(k: float, N: int, d: int, d_prime: int) -> float:
+    """Factor 2^{-d'/2} (pi/k)^{N - d/2} taking T to S = s T.
+
+    S is only ever read through its spectrum: callers multiply the
+    eigenvalues or singular values of T by s, never the operator.
+    """
+    return 2.0 ** (-0.5 * d_prime) * (math.pi / k) ** (N - 0.5 * d)
 
 
 def szego_scaling(k: float, d: int, dp: int) -> float:
@@ -100,12 +102,11 @@ def _real_values(a, quad: Quadrature) -> np.ndarray:
 
 def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
                      quad: Quadrature,
-                     cls: Optional[Classification] = None) -> SzegoPrediction:
+                     cls: Optional[Classification] = None) -> float:
     """F(phi) = integral over Gamma of O_{-d'/2}(phi)(a(w)) dsigma."""
     _, dp = _szego_dim(sub, cls)
     av = _real_values(a, quad)
-    total = float(np.sum(quad.weights * mellin_log(phi, 0.5 * dp, av)))
-    return SzegoPrediction(value=total, d_prime=dp, manifold_dim=sub.dim)
+    return float(np.sum(quad.weights * mellin_log(phi, 0.5 * dp, av)))
 
 
 def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
@@ -172,9 +173,8 @@ def schatten_prediction(sub: ChartedSubmanifold, a, p: float, quad: Quadrature,
 
 
 def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
-                       cls: Optional[Classification] = None
-                       ) -> tuple[float, float]:
-    """Limit of H(rho_a) + log(C_d k^{-d/2}); returns (value, C_d).
+                       cls: Optional[Classification] = None) -> float:
+    """Limit of H(rho_a) + log(szego_scaling(k, d, d')).
 
     The amplitude must be a probability density on Gamma.  The value is
     -F(s log s) with F the Szego functional.
@@ -190,6 +190,4 @@ def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
         raise ValueError(f"amplitude integrates to {mass}, not 1")
     from .spectral import entropy_function
 
-    pred = szego_functional(sub, a, entropy_function(), quad, cls=cls)
-    C_d = 2.0 ** (0.5 * dp) * math.pi ** (0.5 * sub.dim)
-    return -pred.value, C_d
+    return -szego_functional(sub, a, entropy_function(), quad, cls=cls)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import acceptance, asymptotics, dsl, hessian, spectral, states
 from .acceptance import verdict
-from .assembly import assemble_T, scale_to_S
+from .assembly import assemble_T
 from .fock import FockTruncation
 from .manifold import (
     amp_values,
@@ -236,10 +236,12 @@ class Experiment:
         return assemble_T(trunc, self.sub, self.amplitude, quad), quad
 
     def scaled(self, k: float):
-        """S at k, its Szego normalization and its row provenance."""
+        """T at k, the factor s of S = s T, the Szego normalization and
+        the row provenance."""
         op, _ = self.operator(k)
-        return (scale_to_S(op, self.dp),
-                asymptotics.szego_scaling(k, self.sub.dim, self.dp),
+        N, d = self.sub.ambient_dim, self.sub.dim
+        return (op, asymptotics.s_factor(k, N, d, self.dp),
+                asymptotics.szego_scaling(k, d, self.dp),
                 self.provenance(k, op.trunc))
 
     def provenance(self, k: float, trunc) -> dict:
@@ -329,7 +331,7 @@ def cmd_spectrum(exp: Experiment, args) -> int:
             column, values = "singular_value", spectral.singular_values(op)
         prov = exp.provenance(k, op.trunc)
         return [{"index": i, column: float(v),
-                 "normalization": op.normalization, **prov}
+                 "normalization": "raw_T", **prov}
                 for i, v in enumerate(values)]
 
     rows = [row for chunk in exp.sweep(one) for row in chunk]
@@ -342,11 +344,12 @@ def cmd_szego(exp: Experiment, args) -> int:
         args.phi or exp.config.get("test_function", "power:2"))
     pred = asymptotics.szego_functional(
         exp.sub, exp.amplitude, phi, exp.quad(exp.k_sweep[0]),
-        cls=exp.classification).value
+        cls=exp.classification)
 
     def one(k):
-        S, norm, prov = exp.scaled(k)
-        val = norm * spectral.trace_phi(spectral.eigensolve(S), phi)
+        T, s, norm, prov = exp.scaled(k)
+        spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
+        val = norm * spectral.trace_phi(spec, phi)
         return {"scaled_trace": val, "phi": phi.name, **prov,
                 "prediction": pred, "abs_error": abs(val - pred)}
 
@@ -372,8 +375,9 @@ def cmd_weyl(exp: Experiment, args) -> int:
                                        exp.dp, (lo, hi))
 
     def one(k):
-        S, norm, prov = exp.scaled(k)
-        count = spectral.weyl_count(spectral.eigensolve(S), (lo, hi))
+        T, s, norm, prov = exp.scaled(k)
+        spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
+        count = spectral.weyl_count(spec, (lo, hi))
         return {"count": count, "scaled_count": norm * count,
                 "prediction": pred, **prov}
 
@@ -394,8 +398,9 @@ def cmd_schatten(exp: Experiment, args) -> int:
 
     def one(k):
         # one assembly and one SVD per k serve every p
-        S, norm, prov = exp.scaled(k)
-        return [norm * total for total in spectral.schatten_sum(S, ps)], prov
+        T, s, norm, prov = exp.scaled(k)
+        return [norm * s ** p * total
+                for p, total in zip(ps, spectral.schatten_sum(T, ps))], prov
 
     per_k = exp.sweep(one)
     rows, verdicts = [], []
@@ -410,7 +415,7 @@ def cmd_schatten(exp: Experiment, args) -> int:
 
 
 def cmd_entropy(exp: Experiment, args) -> int:
-    pred, _ = asymptotics.entropy_prediction(
+    pred = asymptotics.entropy_prediction(
         exp.sub, exp.amplitude, exp.quad(exp.k_sweep[0]),
         cls=exp.classification)
     N = exp.sub.ambient_dim
@@ -420,7 +425,7 @@ def cmd_entropy(exp: Experiment, args) -> int:
         # the density matrix is (pi/k)^N T
         eigs = (math.pi / k) ** N * spectral.eigensolve(op).eigenvalues
         H = spectral.entropy(spectral.SpectralSummary(eigs))
-        # log(C_d k^{-d/2}), C_d k^{-d/2} = 2^{d'/2} (pi/k)^{d/2}
+        # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}
         shifted = H + math.log(
             asymptotics.szego_scaling(k, exp.sub.dim, exp.dp))
         return {"entropy": H, "shifted": shifted, "prediction": pred,

@@ -380,7 +380,13 @@ def default_periodic_nodes(k: float, radius: float) -> int:
 
 
 def default_max_degree(k: float, quad: Quadrature) -> int:
-    """Truncation M = ceil(4 k R^2) with R the largest node radius."""
+    """Truncation M = ceil(4 k R^2), R = `quad.max_radius()`.
+
+    R is the largest coordinate modulus |z_j| over the nodes, not the
+    largest |z|: on the (1, 0.7) torus it gives M = 4k where |z| would give
+    about 6k.  ROADMAP item 3 replaces the rule by a Poisson tail bound on
+    the Euclidean radius.
+    """
     target = 4.0 * k * quad.max_radius() ** 2
     return math.ceil(target * (1.0 - 1e-12))
 

@@ -122,25 +122,18 @@ def _band_eigvals(ab: np.ndarray) -> np.ndarray:
     return eig_banded(ab, lower=True, eigvals_only=True)
 
 
-def _dense_eigvals(D: np.ndarray) -> np.ndarray:
-    diag = np.diagonal(D).real
-    if np.count_nonzero(D) == np.count_nonzero(diag):
-        return np.sort(diag)  # an exactly diagonal block is its own spectrum
-    return np.linalg.eigvalsh(D)
-
-
-def _runs(layout, merged: tuple):
-    """(lo, hi, width) over the banded blocks.  The blocks of each width in
-    `merged` form one run, which a band solver splits at the exact zeros
-    between them; the others come one by one."""
+def _runs(layout, merged: int):
+    """(lo, hi, width) over the banded blocks, which come sorted by width.
+    The blocks of each width up to `merged` form one run, which a band
+    solver splits at the exact zeros between them; wider ones come one by
+    one."""
     b, widths = layout.bounds, layout.widths
-    for width in merged:
-        sel = np.flatnonzero(widths == width)
-        if sel.size:
-            yield int(b[sel[0]]), int(b[sel[-1] + 1]), width
-    for lo, hi, width in layout.banded_blocks():
-        if width not in merged:
-            yield lo, hi, width
+    edges = np.searchsorted(widths, np.arange(merged + 2)).tolist()
+    for width in range(merged + 1):
+        if edges[width + 1] > edges[width]:
+            yield int(b[edges[width]]), int(b[edges[width + 1]]), width
+    for i in range(edges[-1], widths.size):
+        yield int(b[i]), int(b[i + 1]), int(widths[i])
 
 
 def _descending(parts: list[np.ndarray]) -> np.ndarray:
@@ -154,8 +147,8 @@ def eigensolve(op: HermitianOperator) -> SpectralSummary:
     layout = op.layout
     w = layout.half_width
     parts = [_band_eigvals(layout.band[w:w + width + 1, lo:hi])
-             for lo, hi, width in _runs(layout, (0, 1))]
-    parts += [_dense_eigvals(D) for _, _, D in layout.dense_blocks()]
+             for lo, hi, width in _runs(layout, 1)]
+    parts += [np.linalg.eigvalsh(D) for _, _, D in layout.dense_blocks()]
     return SpectralSummary(_descending(parts))
 
 
@@ -205,7 +198,7 @@ def singular_values(op: HermitianOperator) -> np.ndarray:
     """Descending singular values, block by block.
 
     They come from the blocks themselves, never from the eigenvalues of
-    S^H S, which would square the condition number and lose the small
+    T^H T, which would square the condition number and lose the small
     singular values that dominate Schatten sums with p < 2.  Hermitian
     banded blocks give |eigenvalues|, non-Hermitian ones their dilation,
     dense blocks an SVD.
@@ -214,11 +207,11 @@ def singular_values(op: HermitianOperator) -> np.ndarray:
     w = layout.half_width
     if op.hermitian:
         parts = [np.abs(_band_eigvals(layout.band[w:w + width + 1, lo:hi]))
-                 for lo, hi, width in _runs(layout, (0, 1))]
+                 for lo, hi, width in _runs(layout, 1)]
     else:
         parts = [np.abs(layout.band[w, lo:hi]) if width == 0 else
                  _dilation_singular_values(layout.band[:, lo:hi])
-                 for lo, hi, width in _runs(layout, (0,))]
+                 for lo, hi, width in _runs(layout, 0)]
     parts += [np.linalg.svd(D, compute_uv=False)
               for _, _, D in layout.dense_blocks()]
     return _descending(parts)

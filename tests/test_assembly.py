@@ -18,7 +18,6 @@ from szegolab.assembly import (
     exact_trace,
     nfold_trace_integral,
     pair_trace_integral,
-    scale_to_S,
 )
 from szegolab.fock import FockTruncation, eval_basis_matrix
 from szegolab.spectral import eigensolve
@@ -71,27 +70,6 @@ def test_torus_matrix_diagonal_product_formula():
         assert diag[i] == pytest.approx(expect, rel=1e-12)
     off = op.matrix - np.diag(np.diag(op.matrix))
     assert np.abs(off).max() <= 1e-10 * diag.max()
-
-
-def test_scale_to_S_factors():
-    sub, trunc, quad = circle_setup(1.0, M=6, order=32)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        op = assemble_T(trunc, sub, None, quad)
-    S = scale_to_S(op, 1)
-    factor = 2 ** -0.5 * math.sqrt(math.pi)
-    assert np.allclose(S.matrix, factor * op.matrix, rtol=1e-15, atol=0)
-    assert S.normalization == "scaled_S"
-    with pytest.raises(ValueError):
-        scale_to_S(S, 1)
-    # plane: d = 2N, d' = 0 gives factor 1
-    plane = mfd.plane_patch([[-0.8, 0.8]] * 4)
-    pq = mfd.quadrature(plane, 6)
-    pt = FockTruncation(2, 4.0, 12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        pop = assemble_T(pt, plane, None, pq)
-    assert np.array_equal(scale_to_S(pop, 0).matrix, pop.matrix)
 
 
 def test_exact_trace_circle_and_torus():
@@ -272,9 +250,6 @@ def test_circle_k400_has_no_subnormals_and_tiny_flush_bound():
     # the largest diagonal entry is a lower bound of lambda_max
     lam = np.abs(np.diag(op.matrix)).max()
     assert 0 < op.flush_bound <= 1e-60 * lam
-    S = scale_to_S(op, 1)
-    assert S.flush_bound == pytest.approx(asm.s_factor(k, 1, 1, 1)
-                                          * op.flush_bound)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -10,6 +10,7 @@ from szegolab.asymptotics import (
     limiting_density,
     mellin_log,
     moment_prediction,
+    s_factor,
     schatten_prediction,
     szego_functional,
     szego_scaling,
@@ -63,19 +64,54 @@ def test_szego_functional_powers_on_circle():
     for n in (1, 2, 3):
         pred = szego_functional(sub, a, power_function(n), quad)
         expect = np.sum(quad.weights * a(quad.nodes) ** n)
-        assert pred.value == pytest.approx(expect / n ** 0.5, rel=1e-10)
-        assert pred.d_prime == 1
+        assert pred == pytest.approx(expect / n ** 0.5, rel=1e-10)
     # unit amplitude with s log s gives -|Gamma|/2 = -pi
     pred = szego_functional(sub, None, entropy_function(), quad)
-    assert pred.value == pytest.approx(-math.pi, rel=1e-10)
+    assert pred == pytest.approx(-math.pi, rel=1e-10)
 
 
 def test_szego_scaling_factor():
     sub = mfd.circle(1.0)
-    quad = mfd.quadrature(sub, 64)
-    pred = szego_functional(sub, None, power_function(1), quad)
-    scaling = szego_scaling(4.0, pred.manifold_dim, pred.d_prime)
+    scaling = szego_scaling(4.0, sub.dim, mfd.d_prime(sub))
     assert scaling == pytest.approx(math.sqrt(2.0) * math.sqrt(math.pi / 4.0))
+
+
+def test_s_factor_values():
+    # circle, N = d = d' = 1, at k = 1: 2^{-1/2} sqrt(pi)
+    assert s_factor(1.0, 1, 1, 1) == pytest.approx(2 ** -0.5 * math.sqrt(math.pi),
+                                                   rel=1e-15)
+    # plane: d = 2N, d' = 0 gives factor 1 at every k
+    assert s_factor(4.0, 2, 4, 0) == 1.0
+    # s times the Szego normalization is (pi/k)^N, whatever d and d'
+    for N, d, dp in ((1, 1, 1), (2, 3, 1), (2, 2, 2), (3, 4, 2)):
+        assert (s_factor(7.0, N, d, dp) * szego_scaling(7.0, d, dp)
+                == pytest.approx((math.pi / 7.0) ** N, rel=1e-14))
+
+
+def test_szego_normalization_on_sphere3_where_d_differs_from_d_prime():
+    # sphere3 in C^2 has N = 2, d = 3, d' = 1, so a factor that reads d
+    # for d' (or the reverse) is off by a power of 2; the circle checks,
+    # where d = d' = 1, cannot see that.  The Lab's k = 10 operator, a = 1.
+    from szegolab.acceptance import Lab
+    from szegolab.spectral import eigensolve
+
+    k, lab = 10.0, Lab()
+    sub = lab.sphere
+    N, d, dp = sub.ambient_dim, sub.dim, mfd.d_prime(sub)
+    assert (N, d, dp) == (2, 3, 1)
+    mu = s_factor(k, N, d, dp) * eigensolve(lab.sphere_op(k)).eigenvalues
+    norm = szego_scaling(k, d, dp)
+    # phi = s: the trace identity, norm * s * Tr T = |S^3| = 2 pi^2
+    assert norm * math.fsum(mu.tolist()) == pytest.approx(2 * math.pi ** 2,
+                                                          rel=1e-10)
+    # phi = s^2: F = 2^{-d'/2} |S^3| = sqrt(2) pi^2, and the scaled trace
+    # is within its O(1/k) gap of it
+    M = int(round(4 * k)) + 4
+    quad = mfd.quadrature(sub, [M // 2 + 1, M + 1, M + 1])
+    pred = szego_functional(sub, None, power_function(2), quad)
+    assert pred == pytest.approx(math.sqrt(2) * math.pi ** 2, rel=1e-10)
+    assert norm * math.fsum((mu ** 2).tolist()) == pytest.approx(pred,
+                                                                 rel=0.05)
 
 
 def test_szego_rejects_symplectic():
@@ -182,9 +218,8 @@ def test_entropy_prediction_uniform_circle():
     sub = mfd.circle(1.0)
     quad = mfd.quadrature(sub, 128)
     uniform = 1.0 / (2 * math.pi)
-    value, C_d = entropy_prediction(sub, uniform, quad)
+    value = entropy_prediction(sub, uniform, quad)
     assert value == pytest.approx(math.log(2 * math.pi) + 0.5, rel=1e-12)
-    assert C_d == pytest.approx(math.sqrt(2 * math.pi), rel=1e-12)
     with pytest.raises(ValueError):
         entropy_prediction(sub, 1.0, quad)  # mass 2 pi, not 1
 
@@ -203,7 +238,7 @@ def test_density_functional_consistency():
     dens = np.array([limiting_density(sub, a, si, quad) for si in s])
     # the density has integrable sqrt singularities at the amplitude extremes,
     # so a global Gauss rule in s converges slowly; percent level is enough here
-    assert float(np.sum(w * phi(s) * dens)) == pytest.approx(pred.value, rel=1e-2)
+    assert float(np.sum(w * phi(s) * dens)) == pytest.approx(pred, rel=1e-2)
 
 
 def test_limiting_density_trapezoid_count_consistency():

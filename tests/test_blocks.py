@@ -14,7 +14,6 @@ from szegolab.assembly import (
     TruncationWarning,
     assemble_T,
     exact_trace,
-    scale_to_S,
     trace_product,
 )
 from szegolab.fock import FockTruncation, eval_basis_matrix
@@ -129,18 +128,39 @@ def test_split_operator_never_builds_the_matrix(monkeypatch):
     schatten_sum(op, [1.0, 2.0])
     exact_trace(op)
     op.trace()
-    S = scale_to_S(op, 2)
-    eigensolve(S)
     rayleigh_lower_bound(op, np.ones(trunc.dim))
-    trace_product(op, S)
+    trace_product(op, op)
     ctrunc, circle, cquad = circle_case()
     cop = assemble(ctrunc, circle,
                    lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0])),
                    cquad)
     assert not cop.hermitian
     singular_values(cop)
-    schatten_sum(scale_to_S(cop, 1), 1.0)
+    schatten_sum(cop, 1.0)
     exact_trace(cop)
+
+
+@pytest.mark.parametrize("merged", [0, 1])
+@pytest.mark.parametrize("widths", [[0, 0, 1, 1, 2, 3, 3], [0, 2, 2], [1],
+                                    [4, 5], []])
+def test_runs_match_a_walk_over_every_banded_block(widths, merged):
+    from szegolab.spectral import _runs
+
+    widths = np.array(widths, dtype=np.int64)
+    # banded blocks of sizes 1, 2, 3, ... and one dense block of 2
+    bounds = np.cumsum([0, *range(1, widths.size + 1), 2])
+    layout = asm.BlockLayout(perm=np.arange(bounds[-1]), bounds=bounds,
+                             widths=widths,
+                             band=np.zeros((9, bounds[-1])),
+                             dense=(np.zeros((2, 2)),))
+    expect = []
+    for width in range(merged + 1):
+        sel = np.flatnonzero(widths == width)
+        if sel.size:
+            expect.append((bounds[sel[0]], bounds[sel[-1] + 1], width))
+    expect += [(bounds[i], bounds[i + 1], w)
+               for i, w in enumerate(widths) if w > merged]
+    assert list(_runs(layout, merged)) == expect
 
 
 def test_spectra_do_not_depend_on_the_matrix_cache():
@@ -158,8 +178,8 @@ def test_trace_product_matches_dense_product():
     ops = [assemble(trunc, sub, a, quad) for a in
            (None, lambda t: 1.0 + np.cos(t[:, 0]),
             lambda t: np.exp(1j * t[:, 0]) * np.sin(t[:, 0]) ** 2)]
-    ops.append(asm.HermitianOperator(matrix=ops[1].matrix.copy(),
-                                     trunc=trunc))
+    ops.append(asm.HermitianOperator(
+        asm.BlockLayout.of_matrix(ops[1].matrix.copy()), trunc=trunc))
     for A in ops:
         for B in ops:
             expect = np.sum(A.matrix.T * B.matrix)

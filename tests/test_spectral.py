@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szegolab.assembly import HermitianOperator
+from szegolab.assembly import BlockLayout, HermitianOperator
 from szegolab.fock import FockTruncation
 from szegolab.spectral import (
     SpectralSummary,
@@ -20,12 +20,11 @@ from szegolab.spectral import (
 )
 
 
-def make_op(matrix, k=5.0, hermitian=True, normalization="scaled_S"):
+def make_op(matrix, k=5.0, hermitian=True):
     M = matrix.shape[0] - 1
     trunc = FockTruncation(1, k, M)
-    return HermitianOperator(matrix=np.asarray(matrix, dtype=complex),
-                             trunc=trunc, normalization=normalization,
-                             hermitian=hermitian, manifold_dim=1,
+    layout = BlockLayout.of_matrix(np.asarray(matrix, dtype=complex))
+    return HermitianOperator(layout, trunc=trunc, hermitian=hermitian,
                              symbol_mass=1.0)
 
 
@@ -130,9 +129,12 @@ def test_eigensolve_of_diagonal_matrix_equals_eigvalsh():
     diag = rng.normal(size=40) * np.logspace(0, -200, 40)
     diag[::7] = 0.0
     op = make_op(np.diag(diag))
+    # a dense block goes to eigvalsh even when it is exactly diagonal, and
+    # eigvalsh returns that diagonal sorted, bit for bit
     expect = np.linalg.eigvalsh(op.matrix)[::-1]
     assert np.array_equal(eigensolve(op).eigenvalues, expect)
-    # one off-diagonal entry sends it to the eigensolver
+    assert np.array_equal(expect, np.sort(diag)[::-1])
+    # and with one off-diagonal entry it still matches eigvalsh
     tilted = np.diag(diag).astype(complex)
     tilted[0, 1] = tilted[1, 0] = 1e-3
     assert eigensolve(make_op(tilted)).eigenvalues == pytest.approx(
@@ -180,14 +182,13 @@ def test_trapezoid_function_shape():
 @pytest.mark.parametrize("k", [25.0, 50.0, 100.0, 200.0])
 def test_dilation_singular_values_keep_the_frobenius_norm(k):
     # the Schatten check's complex circle operators, whose tridiagonal
-    # blocks take the banded dilation: sum sigma^2 = ||S||_F^2 to 1e-14
-    # relative (2.2e-15 at worst in float64, 3.6e-15 in complex128)
+    # blocks take the banded dilation: sum sigma^2 = ||T||_F^2 to 1e-14
+    # relative (1.3e-15 at worst, at k = 200)
     from szegolab.acceptance import Lab
-    from szegolab.assembly import scale_to_S
 
-    S = scale_to_S(Lab().circle_op(k, "complex"), 1)
-    assert S.layout.widths.max() > 0 and not S.layout.dense
-    sv = singular_values(S)
-    parts = S.matrix.view(np.float64).ravel()
+    T = Lab().circle_op(k, "complex")
+    assert T.layout.widths.max() > 0 and not T.layout.dense
+    sv = singular_values(T)
+    parts = T.matrix.view(np.float64).ravel()
     frobenius2 = math.fsum((parts * parts).tolist())
     assert abs(math.fsum((sv * sv).tolist()) - frobenius2) <= 1e-14 * frobenius2
