@@ -61,29 +61,42 @@ kept, and for a real amplitude q and -q are kept or dropped together.
 The kept charges are the support, and they decide only which entries T
 stores.  Basis functions n and m are linked when q_m - q_n mod L is in
 the support; the connected components of the links are the diagonal
-blocks of T, each ordered by charge.  A block is banded, stored between
-its own lower and upper extents (its widest links below and above the
-diagonal), when the band its solver takes (the block's own if
-Hermitian, else the band of its dilation, `spectral` module notes) is at
-most _BAND_MAX = 8 wide, and dense otherwise.  A support so wide that a
-row may link to more than dim/4 others and more than 2 _BAND_MAX + 1 is
-not linked at all: T is one dense block.  Every stored entry is the full
-sector sum, with the coefficients of every charge, noise included.  One
-gather fills band diagonals and dense blocks alike: with the charge grid
-tiled twice along each rotation axis, (q_m - q_n) mod L is read at the
-flat index col_m - row_n of the tiled grid, one subtraction and one
-lookup per entry for all explicit nodes at once.  Entries outside the
-pattern are zero, and only noise charges reach them; the bound of that
-change, mult max|V_theta|^2 sum |F_theta[noise q]| / S_theta, is
-recorded as `HermitianOperator.offblock_bound`, with the imaginary parts
-a gauge drops (below), not in flush_bound: at circle k=400 with a = 1 it
-is about 2e-14 lambda_max, the size of the FFT's own rounding, where
-flush_bound is about 2e-74.  One dense block leaves nothing out.  An
-invariant amplitude on the circle, sphere3 or the tori at the acceptance
-orders gives 1x1 blocks, which no solver touches; a = 1 + 0.5 cos(t1 +
-phi) on the torus gives one tridiagonal block per n2; the DSL torus
-amplitude 1 + cos(t1)/4 + cos(t2)/4, support {0, +-e1, +-e2}, links the
-whole basis into one dense block of bandwidth M + 1 in charge order.
+blocks of T.  A block is banded, stored between its own lower and upper
+extents (its widest links below and above the diagonal), when a band
+solver pays for its width (bandwidth crossover below), and dense
+otherwise.  The width that counts is the block's own for a Hermitian
+block, which eig_banded takes, and lower + upper for a non-Hermitian
+one, which ?gbbrd takes (`spectral` module notes).  Each block is
+ordered by charge, unless a level order is narrower.  No order is
+narrower than half the most links of one node, so a block tries one
+only when its width in charge order exceeds twice that: the search
+costs one numpy pass per level, 27 ms for the 530 levels of the chain
+1 + 0.3 cos t + 0.2 cos 3t at circle k=400, which gains nothing at
+width 3.  It is searched breadth first from a pseudo-peripheral node
+(Cuthill and McKee 1969; the start as George and Liu find it), each
+level in the order of the least-ranked neighbour its nodes have in the
+level before, ties broken by least charge, and the narrower of the two
+orders is kept if a band solver pays for it.  1x1 blocks, chains, the
+blocks of verify-all and every dense block keep their charge order.  A
+support so wide that a row may link to more than dim/4 others is not
+linked at all: T is one dense block.  Every stored entry is the full
+sector sum, with the coefficients of every charge, noise included.  One gather fills band diagonals and dense blocks alike:
+with the charge grid tiled twice along each rotation axis, (q_m - q_n)
+mod L is read at the flat index col_m - row_n of the tiled grid, one
+subtraction and one lookup per entry for all explicit nodes at once.
+Entries outside the pattern are zero, and only noise charges reach them;
+the bound of that change, mult max|V_theta|^2 sum |F_theta[noise q]| /
+S_theta, is recorded as `HermitianOperator.offblock_bound`, with the
+imaginary parts a gauge drops (below), not in flush_bound: at circle
+k=400 with a = 1 it is about 2e-14 lambda_max, the size of the FFT's own
+rounding, where flush_bound is about 2e-74.  One dense block leaves
+nothing out.  An invariant amplitude on the circle, sphere3 or the tori
+at the acceptance orders gives 1x1 blocks, which no solver touches; a =
+1 + 0.5 cos(t1 + phi) on the torus gives one tridiagonal block per n2;
+the DSL torus amplitude 1 + cos(t1)/4 + cos(t2)/4, support {0, +-e1,
++-e2}, links the whole basis into one block of bandwidth M + 1 in charge
+order and about half that in level order: 9, 17 and 25 at k = 4, 8 and
+12 (dim 153, 561 and 1225) for both amplitudes of the benchmark.
 
 Dense blocks keep the noise because LAPACK runs faster on it than on
 exact zeros, in real blocks as in complex ones.  Measured with eigvalsh
@@ -92,18 +105,23 @@ exp(-8 (1 - cos t)) at k=200, one real block of dim 801 with 93% of it
 unlinked, takes 0.036-0.049 s with the noise and 0.072-0.093 s with
 zeros; the complex cycle torus 1 + cos(t1)/4 + cos(t2)/4 + cos(t1 + t2 +
 1)/5 at k=12, dim 1225 with 99.5% unlinked, 0.54-0.62 s against
-0.59-0.67 s; earlier, the complex DSL torus at k=12 took 0.45 s against
-1.34 s in eigvalsh and 0.78 s against 2.59 s in the SVD.  A banded
-block holds noise only between its own extents: the full +-w band would
-put it on the unlinked side of a one-sided non-Hermitian block, such as
-e^{it}(1 + cos t)/2 on the circle, and widen its dilation from 3 to 5.
+0.59-0.67 s.  A banded block holds noise only between its own extents.
+In level order that band also spans unlinked pairs, 87-92% of it on
+the DSL torus at k = 8 and 12, and they keep their noise as dense blocks
+do; to the band solvers it makes little difference: with those entries
+zeroed eig_banded and dgbbrd + dbdsqr took 6% longer to 22% less time
+there (medians of 7).
+The full +-w band would put noise on the unlinked side of a one-sided
+non-Hermitian block, such as e^{it}(1 + cos t)/2 on the circle, and
+give ?gbbrd 4 diagonals off the main one to reduce instead of 2.
 
 Links wrap around mod L.  With L = M + 1 nodes on a rotation axis,
 charges 0 and M meet: on sphere3 at k=8, M = 36 and the Lab's order
 [M//2 + 1, M + 1, M + 1], a = 1 + 0.5 cos(t2) links n1 = 0 to n1 = 36 at
-n2 = 0 through an aliased entry of 1.7e-8, and that chain is one cyclic,
-dense block equal to the dense quadrature sum.  The Lab's sphere order
-[M//2 + 1, M + 1, M + 1] is exact only for invariant amplitudes.
+n2 = 0 through an aliased entry of 1.7e-8, and that chain is one cyclic
+block equal to the dense quadrature sum, width 36 in charge order and 2
+in level order.  The Lab's sphere order [M//2 + 1, M + 1, M + 1] is
+exact only for invariant amplitudes.
 
 Gauge: T is often real up to a diagonal unitary.  If the phases of V
 split as alpha_theta + beta_n and some turn c, one angle per rotation
@@ -123,9 +141,9 @@ an aliased cycle, as on sphere3 at L = M + 1 with a = 1 + 0.5 cos(t2 +
 0.7), or around a cycle of charges, as with a = 1 + cos(t1)/4 +
 cos(t2)/4 + cos(t1 + t2 + 1)/5, admits none, and T stays complex.  A
 gauged sector fills float64 blocks, whose solvers run in real arithmetic
-(`spectral` module notes), and `BlockLayout.phase` holds g: at k=12 the
-real dense block of the DSL torus takes 0.14 s in eigvalsh and 0.51 s in
-the SVD, against 0.54 s and 0.97 s for the complex T.  The imaginary
+(`spectral` module notes), and `BlockLayout.phase` holds g: the DSL
+torus at k=12, held as one dense block, takes 0.14 s in eigvalsh and
+0.51 s in the SVD real, against 0.54 s and 0.97 s for the complex T.  The imaginary
 parts a kept charge drops, |F_theta[q] e^{i c . d} - B coefficient|
 summed over the reachable d, join the noise charges in `offblock_bound`
 with the same bound mult max|V_theta|^2 sum|dropped| / S_theta.  A noise
@@ -142,21 +160,29 @@ any amplitude with a(c - t) = conj a(c + t) about some centre c, such as
 the Schatten check's e^{it}(1 + cos t)/2 with c = 0.  Grids without
 rotation axes go node by node in complex arithmetic, as before.
 
-Bandwidth crossover: _BAND_MAX was measured as the ratio of banded to
-dense solver time on random blocks of n rows (2-vCPU Xeon, OpenBLAS,
-best of 7).  Hermitian blocks, eig_banded against eigvalsh: complex,
-0.16-0.51 at width 8 for n = 100 to 1600 (1.04 at n = 50, 0.1 ms either
-way), and 0.32-0.96 at width 16 for n >= 200; real, 0.42-0.82 at width 8
-for n = 100 to 1600 (0.97 at n = 50) and 0.43-1.13 at width 16.  At
-width 49 and n = 1225, the bandwidth of the DSL torus at k=12: 0.85-1.04
-complex, 0.93 real.  Non-Hermitian blocks, the dilation against the SVD:
-complex, 0.28-0.57 at width 3 for n >= 800 and 0.9-2.5 below, 0.41-0.78
-at width 7 for n >= 800 and 1.4-3.9 below, 4.3 at width 99 and n = 1225;
-real, 0.24-0.85 at width 3 for n >= 400 and 1.1-1.7 below, 0.39-1.01 at
-width 7 for n >= 400 and 1.5-2.7 below.  At 8 the Hermitian solver wins
-at every size but the smallest in either arithmetic, and the dilation
-wins on blocks of some hundreds of rows or more and loses a few
-milliseconds on small ones, so _BAND_MAX stays 8 for real blocks.
+Bandwidth crossover: a band solver pays while its width is at most
+_BAND_ROOT sqrt(n) on a block of n rows, _BAND_ROOT = 1.5.  The widest
+band at which it still beat the dense solver, on random blocks (2-vCPU
+Xeon, OpenBLAS with 2 threads, median of 7, bisection on the width):
+
+    n      eig_banded / eigvalsh    ?gbbrd + dbdsqr / SVD
+           real      complex        real      complex
+    40     18        4              5         4
+    80     9         10             6         17
+    160    18        16             25        25
+    320    25        27             27        30
+    640    45        40             55        45
+    1225   53        48             105       64-96
+
+The band routines run on one thread and the dense ones on both, and the
+crossover grows about as sqrt(n): from n = 160 on, width / sqrt(n) lies
+between 1.3 and 3.0 with median 1.6, which _BAND_ROOT rounds down.
+Below n = 100 both sides take well under a millisecond.  On the DSL
+torus blocks (widths above; 2 x that for the non-Hermitian amplitude,
+against 18.6, 35.5 and 52.5 allowed) eig_banded takes 0.016 and 0.087 s
+at k = 8 and 12 against 0.019 and 0.133 s in eigvalsh, and dgbbrd +
+dbdsqr 0.047 and 0.276 s against 0.061 and 0.478 s in the SVD (medians
+of 5).
 
 Paths: the sector sum is used when the grid has at least _SECTOR_NODES =
 64 rotation nodes per explicit node.  That crossover was timed against a
@@ -222,7 +248,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
 _SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
 _SECTOR_NODES = 64  # rotation nodes per explicit node for the sector sum
-_BAND_MAX = 8  # widest band given to a banded solver; module notes
+_BAND_ROOT = 1.5  # band solvers pay to this width over sqrt(rows)
 _NFOLD_BUDGET = 4e9  # bytes of the n complex node-coupling matrices
 
 
@@ -326,8 +352,16 @@ class BlockLayout:
         return self.perm[rows], self.perm[cols], vals
 
     def densify(self) -> np.ndarray:
-        """T as a dim x dim complex matrix in basis order."""
+        """T as a dim x dim complex matrix in basis order.
+
+        One dense block in basis order, as `of_matrix` makes, is returned
+        itself, uncopied when it is complex already.
+        """
         dim = self.perm.size
+        if (len(self.dense) == 1 and self.dense[0].shape[0] == dim
+                and self.phase is None
+                and np.array_equal(self.perm, np.arange(dim))):
+            return self.dense[0].astype(complex, copy=False)
         B = np.zeros((dim, dim), dtype=self.band.dtype)
         d, j = np.nonzero(self.band)
         B[self.perm[j + d - self.half_width], self.perm[j]] = self.band[d, j]
@@ -354,7 +388,8 @@ class HermitianOperator:
 
     `layout` holds the blocks (see `BlockLayout`); every spectral function
     reads them block by block.  `matrix` builds the dense dim x dim matrix
-    on first request and keeps it.  The `hermitian` flag is cleared for
+    on first request and keeps it; a node-by-node T, one block in basis
+    order, is its own matrix.  The `hermitian` flag is cleared for
     complex amplitudes, whose T is not Hermitian.  Rescalings such as the
     Szego operator S = s T act on spectra, not here (`asymptotics`).
     """
@@ -760,43 +795,147 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def _dilation_width(lower, upper):
-    """Bandwidth of the interleaved dilation [[0, B], [B^H, 0]] of a block
-    B with these lower and upper bandwidths, or of B^H's if narrower:
-    max(2l - 1, 2u + 1) for l >= u (`spectral` module notes)."""
-    hi, lo = np.maximum(lower, upper), np.minimum(lower, upper)
-    return np.maximum(2 * hi - 1, 2 * lo + 1)
+def _band_pays(width, rows):
+    """Whether a band solver of this width beats the dense solver on a
+    block of this many rows: width <= _BAND_ROOT sqrt(rows) (module
+    notes)."""
+    return width <= _BAND_ROOT * np.sqrt(rows)
+
+
+def _extents(order: np.ndarray, comp: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bandwidth of each component, its nodes placed in
+    `order`: the widest link below and above the diagonal."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    step = pos[rows] - pos[cols]
+    lower = np.zeros(comp.max() + 1, dtype=np.int64)
+    upper = np.zeros_like(lower)
+    np.maximum.at(lower, comp[rows], step)
+    np.maximum.at(upper, comp[rows], -step)
+    return lower, upper
+
+
+def _level_order(a: np.ndarray, b: np.ndarray, comp: np.ndarray,
+                 charge: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """A Cuthill-McKee key for the nodes of the components `wide`.
+
+    (a, b) are the links, each once.  Each component is searched breadth
+    first from a pseudo-peripheral node; the nodes of each level follow
+    the least-ranked neighbour they have in the level before, ties broken
+    by least charge.  The start is found as George and Liu do: from the
+    least charge, the end of the last level with fewest links (then least
+    charge), while that lengthens the search.  Returns, per node, a key
+    that sorts each wide component into that order.
+    """
+    n = comp.size
+    link = wide[comp[a]]
+    src = np.concatenate([a[link], b[link]])
+    dst = np.concatenate([b[link], a[link]])
+    # the neighbours of each node in a row, least charge first: a level
+    # then lists each child first under its least-ranked parent
+    by_src = np.lexsort((dst, charge[dst], src))
+    src, dst = src[by_src], dst[by_src]
+    degree = np.bincount(src, minlength=n)
+    first = np.cumsum(degree) - degree
+
+    def search(start):
+        level = np.full(n, -1, dtype=np.int64)
+        level[start] = 0
+        fronts = [start]
+        while fronts[-1].size:
+            front = fronts[-1]
+            count = degree[front]
+            at = (np.repeat(first[front] - np.cumsum(count) + count, count)
+                  + np.arange(count.sum()))
+            child = dst[at]
+            child = child[level[child] < 0]
+            child = child[np.sort(np.unique(child, return_index=True)[1])]
+            level[child] = len(fronts)
+            fronts.append(child)
+        rank = np.full(n, -1, dtype=np.int64)
+        order = np.concatenate(fronts)
+        rank[order] = np.arange(order.size)
+        return level, rank
+
+    def least(mask, *keys):
+        """Per component, the node of `mask` least in `keys`, then index."""
+        nodes = np.flatnonzero(mask)
+        nodes = nodes[np.lexsort(tuple(k[nodes] for k in keys[::-1]))]
+        return nodes[np.unique(comp[nodes], return_index=True)[1]]
+
+    members = wide[comp]
+    start = least(members, charge)
+    level, rank = search(start)
+    ecc = np.zeros(wide.size, dtype=np.int64)
+    np.maximum.at(ecc, comp[members], level[members])
+    while True:
+        last = members & (level == ecc[comp])
+        level2, rank2 = search(least(last, degree, charge))
+        ecc2 = np.zeros_like(ecc)
+        np.maximum.at(ecc2, comp[members], level2[members])
+        longer = ecc2 > ecc
+        if not longer.any():
+            return rank
+        take = longer[comp]
+        level[take], rank[take] = level2[take], rank2[take]
+        ecc[longer] = ecc2[longer]
 
 
 def _charge_blocks(sector: _Sector, dim: int, is_real: bool):
     """The stored pattern: blocks of the charge graph and their extents.
 
     Basis functions n and m are linked when q_m - q_n mod L is a kept
-    charge.  Each component is ordered by charge; a block whose solver
-    width exceeds _BAND_MAX is dense, and so is the one block of a support
-    too wide to link.  Returns perm, bounds and widths in `BlockLayout`
-    order, and the lower and upper bandwidths of the banded blocks.
+    charge.  Each component is ordered by charge, or by levels when they
+    give a narrower band that a band solver pays for; a block is dense
+    when no band solver pays for its width (`_band_pays`), and so is the
+    one block of a support too wide to link.  Returns perm, bounds and
+    widths in `BlockLayout` order, and the lower and upper bandwidths of
+    the banded blocks.
     """
     none = np.zeros(0, dtype=np.int64)
-    # a row links to at most (kept charges) * mult others: past a quarter of
-    # dim, and past the rows of a band of width _BAND_MAX, the support is
-    # too wide for blocks to pay
-    if (np.count_nonzero(sector.keep) * sector.mult
-            > max(dim / 4, 2 * _BAND_MAX + 1)):
+    # a row links to at most (kept charges) * mult others: past a quarter
+    # of dim the support is too wide for blocks to pay
+    if np.count_nonzero(sector.keep) * sector.mult > dim / 4:
         return np.arange(dim), np.array([0, dim]), none, none, none
     rows, cols = sector.pairs()
     _, comp = np.unique(_components(dim, rows, cols), return_inverse=True)
-    order = np.lexsort((sector.flat_q, comp))  # by component, then charge
-    pos = np.empty(dim, dtype=np.int64)
-    pos[order] = np.arange(dim)
-    step = pos[rows] - pos[cols]
-    lower = np.zeros(comp.max() + 1, dtype=np.int64)
-    upper = np.zeros_like(lower)
-    np.maximum.at(lower, comp[rows], step)
-    np.maximum.at(upper, comp[rows], -step)
+    size = np.bincount(comp)
+
+    def solver_width(lower, upper):
+        # eig_banded takes the block's own band, ?gbbrd both extents
+        return np.maximum(lower, upper) if is_real else lower + upper
+
+    key = sector.flat_q
+    order = np.lexsort((key, comp))  # by component, then charge
+    lower, upper = _extents(order, comp, rows, cols)
+    # each link once; no order narrows a band below half the most links
+    # of one node, so a level order is tried only on blocks wider than
+    # twice that, where it can save more than it costs
+    other = rows != cols
+    edge = np.unique(np.minimum(rows, cols)[other] * dim
+                     + np.maximum(rows, cols)[other])
+    a, b = edge // dim, edge % dim
+    most = np.zeros_like(lower)
+    np.maximum.at(most, comp, np.bincount(a, minlength=dim)
+                  + np.bincount(b, minlength=dim))
+    wide = solver_width(lower, upper) > most
+    if wide.any():
+        levels = np.where(wide[comp], _level_order(a, b, comp, key, wide),
+                          key)
+        lower2, upper2 = _extents(np.lexsort((levels, comp)), comp, rows,
+                                  cols)
+        level_width = solver_width(lower2, upper2)
+        # a block that stays dense keeps its charge order
+        narrower = (wide & (level_width < solver_width(lower, upper))
+                    & _band_pays(level_width, size))
+        if narrower.any():
+            key = np.where(narrower[comp], levels, key)
+            order = np.lexsort((key, comp))
+            lower = np.where(narrower, lower2, lower)
+            upper = np.where(narrower, upper2, upper)
     width = np.maximum(lower, upper)
-    # the band each block's solver takes: its own, or its dilation's
-    dense = (width if is_real else _dilation_width(lower, upper)) > _BAND_MAX
+    dense = ~_band_pays(solver_width(lower, upper), size)
     # banded blocks by bandwidth, then dense blocks; each keeps its order
     rank = np.empty_like(width)
     rank[np.lexsort((width, dense))] = np.arange(width.size)

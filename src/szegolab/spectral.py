@@ -7,30 +7,37 @@ log-log rate regressions used to check O(1/k) claims.
 Eigenvalues and singular values are computed block by block from the
 operator's `BlockLayout`: 1x1 blocks are their own spectrum, the
 tridiagonal blocks go to one `eigvalsh_tridiagonal` call (the couplings
-between blocks are exact zeros, where it splits), wider banded blocks to
-`eig_banded`, and dense blocks to LAPACK's dense solvers.  A non-Hermitian
-banded block B gives its singular values as the nonnegative eigenvalues of
-the Hermitian dilation [[0, B], [B^H, 0]] with rows and columns
-interleaved, itself banded; this does not square the condition number as
-the eigenvalues of B^H B would.
+between blocks are exact zeros, where it splits), wider Hermitian bands
+to `eig_banded`, and dense blocks to LAPACK's dense solvers.  A
+non-Hermitian banded block B, with l diagonals below the main one and u
+above, is reduced to an upper bidiagonal matrix with the same singular
+values by orthogonal transformations on its band (Golub and Kahan 1965),
+in LAPACK's ?gbbrd, which never forms B^H B, a dilation or a dense copy;
+dbdsqr then gives the singular values of the bidiagonal to high
+relative accuracy.  Both are bound from the function capsules of
+`scipy.linalg.cython_lapack` through ctypes on first use, after their C
+signatures are checked against `_PROTOTYPES`.  Like `eig_banded`, they
+run on one thread.  On the Schatten check's complex circle operators
+sum sigma^2 meets ||T||_F^2 to 1e-15 relative, as the dense SVD does.
 
 Every solver follows the dtype of the blocks.  An operator that a
 diagonal phase makes real (the gauge, `assembly` module notes) stores
 T = G B G^H with B real and G = diag(g) unitary; T and B share their
-eigenvalues and singular values, so its blocks go to dsyevd, dgesdd and a
-real `eig_banded`, the dilation included, and the phases are never read.
-Complex blocks take zheevd, zgesdd and the complex band solver as before.
+eigenvalues and singular values, so its blocks go to dsyevd, dgesdd, a
+real `eig_banded` and dgbbrd, and the phases are never read.  Complex
+blocks take zheevd, zgesdd, the complex band solver and zgbbrd.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .assembly import HermitianOperator, _dilation_width
+from .assembly import HermitianOperator
 
 __all__ = [
     "SpectralSummary",
@@ -169,29 +176,113 @@ def weyl_count(spec: SpectralSummary, interval) -> int:
     return int(np.count_nonzero((eigs >= lo) & (eigs <= hi)))
 
 
-def _dilation_singular_values(ab: np.ndarray) -> np.ndarray:
-    """Singular values of the block B with general band form ab, from its
-    interleaved dilation (module notes)."""
+# the C arguments of each LAPACK routine bound from scipy's cython_lapack:
+# c char *, i int *, d double *, z double complex *
+_PROTOTYPES = {
+    "dgbbrd": "c i i i i i d i d d d i d i d i d i",
+    "zgbbrd": "c i i i i i z i d d z i z i z i z d i",
+    "dbdsqr": "c i i i i d d d i d i d i d i",
+}
+
+
+def _kinds(signature: str) -> str:
+    """The C signature of a cython_lapack capsule in `_PROTOTYPES` form;
+    an argument of any other type is kept as written."""
+    known = {"char *": "c", "int *": "i"}
+    kinds = []
+    for arg in signature[signature.index("(") + 1:-1].split(", "):
+        if arg.endswith("_d *"):
+            arg = "d"
+        elif arg.endswith("double_complex *") or arg.endswith("_z *"):
+            arg = "z"
+        kinds.append(known.get(arg, arg))
+    return " ".join(kinds)
+
+
+def _capsule(name: str):
+    """(C signature, function pointer) of a cython_lapack routine."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = api.PyCapsule_GetName(capsule)
+    return signature.decode(), api.PyCapsule_GetPointer(capsule, signature)
+
+
+@functools.cache
+def _lapack(name: str):
+    """The routine as a ctypes function, built on first use; raises if
+    scipy's C signature differs from `_PROTOTYPES`."""
+    import ctypes
+
+    signature, pointer = _capsule(name)
+    if _kinds(signature) != _PROTOTYPES[name]:
+        raise RuntimeError(f"scipy's {name} is {signature}, not "
+                           f"{_PROTOTYPES[name]}")
+    ctype = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+             "d": ctypes.c_void_p, "z": ctypes.c_void_p}
+    proto = ctypes.CFUNCTYPE(None, *(ctype[k] for k in
+                                     _PROTOTYPES[name].split()))
+    return proto(pointer)
+
+
+def _band_extents(ab: np.ndarray) -> tuple[int, int]:
+    """The outermost nonzero diagonals below and above the diagonal of
+    the block with general band form ab."""
     w, n = ab.shape[0] // 2, ab.shape[1]
     reach = min(w, n - 1)  # the band of the whole layout may be wider
     lower = max((d for d in range(1, reach + 1) if ab[w + d, :n - d].any()),
                 default=0)
     upper = max((u for u in range(1, reach + 1) if ab[w - u, u:].any()),
                 default=0)
-    if upper > lower:  # B^H has the same singular values, a narrower band
-        flipped = np.zeros_like(ab)
-        for d in range(reach + 1):
-            flipped[w + d, :n - d] = ab[w - d, d:].conj()
-            flipped[w - d, d:] = ab[w + d, :n - d].conj()
-        ab, lower, upper = flipped, upper, lower
-    # B_ij sits at (2i, 2j + 1) of the dilation and conj(B_ij) at (2j + 1, 2i)
-    width = int(_dilation_width(lower, upper))
-    hb = np.zeros((width + 1, 2 * n), dtype=ab.dtype)
-    for d in range(1, lower + 1):
-        hb[2 * d - 1, 1:2 * (n - d):2] = ab[w + d, :n - d]
-    for u in range(upper + 1):
-        hb[2 * u + 1, 0:2 * (n - u):2] = ab[w - u, u:].conj()
-    return np.abs(np.sort(_band_eigvals(hb))[n:])
+    return lower, upper
+
+
+def _band_singular_values(ab: np.ndarray) -> np.ndarray:
+    """Descending singular values of the block B with general band form
+    ab (band[w + i - j, j] = B_ij), by ?gbbrd and dbdsqr."""
+    import ctypes
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    lower, upper = _band_extents(ab)
+    real = ab.dtype == np.float64
+    # LAPACK's band storage, B_ij at row upper + i - j; ?gbbrd overwrites it
+    band = np.array(ab[w - upper:w + lower + 1],
+                    dtype=np.float64 if real else complex, order="F")
+    d, e = np.empty(n), np.empty(n)
+    unused = np.zeros(1, dtype=band.dtype)  # Q, P^T, C and U, V^T
+    rows, none, one, info = ref(n), ref(0), ref(1), ctypes.c_int(0)
+    args = (b"N", rows, rows, none, ref(lower), ref(upper), band.ctypes.data,
+            ref(band.shape[0]), d.ctypes.data, e.ctypes.data,
+            unused.ctypes.data, one, unused.ctypes.data, one,
+            unused.ctypes.data, one)
+    if real:
+        work = np.empty(2 * n)
+        _lapack("dgbbrd")(*args, work.ctypes.data, ctypes.byref(info))
+    else:
+        work, rwork = np.empty(n, dtype=complex), np.empty(n)
+        _lapack("zgbbrd")(*args, work.ctypes.data, rwork.ctypes.data,
+                          ctypes.byref(info))
+    if info.value:
+        raise RuntimeError(f"?gbbrd failed with info {info.value}")
+    # d and e are the real upper bidiagonal; its singular values overwrite d
+    work = np.empty(4 * n)
+    _lapack("dbdsqr")(b"U", rows, none, none, none, d.ctypes.data,
+                      e.ctypes.data, unused.ctypes.data, one,
+                      unused.ctypes.data, one, unused.ctypes.data, one,
+                      work.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise RuntimeError(f"dbdsqr failed with info {info.value}")
+    return d
 
 
 def singular_values(op: HermitianOperator) -> np.ndarray:
@@ -200,8 +291,8 @@ def singular_values(op: HermitianOperator) -> np.ndarray:
     They come from the blocks themselves, never from the eigenvalues of
     T^H T, which would square the condition number and lose the small
     singular values that dominate Schatten sums with p < 2.  Hermitian
-    banded blocks give |eigenvalues|, non-Hermitian ones their dilation,
-    dense blocks an SVD.
+    banded blocks give |eigenvalues|, non-Hermitian ones their
+    bidiagonal form, dense blocks an SVD.
     """
     layout = op.layout
     w = layout.half_width
@@ -210,7 +301,7 @@ def singular_values(op: HermitianOperator) -> np.ndarray:
                  for lo, hi, width in _runs(layout, 1)]
     else:
         parts = [np.abs(layout.band[w, lo:hi]) if width == 0 else
-                 _dilation_singular_values(layout.band[:, lo:hi])
+                 _band_singular_values(layout.band[:, lo:hi])
                  for lo, hi, width in _runs(layout, 0)]
     parts += [np.linalg.svd(D, compute_uv=False)
               for _, _, D in layout.dense_blocks()]

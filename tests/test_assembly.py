@@ -340,28 +340,44 @@ def test_invariant_operators_are_exactly_diagonal():
     assert sop.offblock_bound <= 1e-12 * np.abs(np.diag(sop.matrix)).max()
 
 
+def band_pattern(dim, width):
+    """Positions at most `width` off the diagonal."""
+    steps = np.subtract.outer(np.arange(dim), np.arange(dim))
+    return np.abs(steps) <= width
+
+
 def test_non_invariant_amplitude_keeps_every_coefficient():
     # charges 1 and 12 link the circle's basis into one block of bandwidth
-    # 12, which keeps the dense path and every coefficient the FFT gives;
-    # the phase 1 at charge 12 and none at charge 1 admit no gauge, so the
-    # coefficients stay complex too
+    # 12, a band that pays at dim 81 (12 <= 1.5 sqrt(81)); every entry in
+    # it keeps every coefficient the FFT gives, and only noise charges
+    # reach the entries outside; the phase 1 at charge 12 and none at
+    # charge 1 admit no gauge, so the coefficients stay complex too
     trunc, sub, quad, _ = reference_cases()["signed_cos"]
     a = lambda t: np.cos(t[:, 0]) + 0.5 * np.cos(12 * t[:, 0] + 1.0)
     op = assemble_T(trunc, sub, a, quad)
-    assert op.offblock_bound == 0
-    assert op.layout.dense[0].dtype == complex
-    assert off_diagonal_count(op.matrix) == trunc.dim * (trunc.dim - 1)
+    assert op.layout.widths.tolist() == [12] and not op.layout.dense
+    assert op.layout.band.dtype == complex
+    inside = band_pattern(trunc.dim, 12)
+    assert np.all(op.matrix[inside] != 0)
+    assert not np.any(op.matrix[~inside])
+    expect = gemm_reference(trunc, quad, a)
+    lam = np.abs(expect).max()
+    assert 0 < op.offblock_bound <= 1e-13 * lam
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * lam
 
 
 def test_gauged_amplitude_keeps_every_charge_and_bounds_the_imaginary_dust():
-    # cos t + 0.5 cos 12t has real coefficients: the same dense block, real,
-    # with only the imaginary rounding of the FFT dropped into offblock_bound
+    # cos t + 0.5 cos 12t has real coefficients: the same band, real, with
+    # the noise charges outside it and the imaginary rounding of the FFT
+    # dropped into offblock_bound
     trunc, sub, quad, _ = reference_cases()["signed_cos"]
     a = lambda t: np.cos(t[:, 0]) + 0.5 * np.cos(12 * t[:, 0])
     op = assemble_T(trunc, sub, a, quad)
-    (D,) = op.layout.dense
-    assert D.dtype == np.float64 and op.layout.phase is None
-    assert off_diagonal_count(op.matrix) == trunc.dim * (trunc.dim - 1)
+    assert op.layout.widths.tolist() == [12] and not op.layout.dense
+    assert op.layout.band.dtype == np.float64 and op.layout.phase is None
+    inside = band_pattern(trunc.dim, 12)
+    assert np.all(op.matrix[inside] != 0)
+    assert not np.any(op.matrix[~inside])
     expect = gemm_reference(trunc, quad, a)
     lam = np.abs(expect).max()
     assert 0 < op.offblock_bound <= 1e-13 * lam
@@ -396,9 +412,8 @@ def test_charge_collisions_give_exact_blocks():
 
 
 def test_wide_charge_support_gives_one_dense_block(monkeypatch):
-    # exp(cos t) keeps 27 charges on 169 nodes, more than
-    # max(dim / 4, 2 _BAND_MAX + 1) = 20.25 at M = 80: the charge graph
-    # is never built
+    # exp(cos t) keeps 27 charges on 169 nodes, more than dim / 4 = 20.25
+    # at M = 80: the charge graph is never built
     def no_pairs(self):
         raise AssertionError("charge pairs built for a wide support")
 
@@ -465,3 +480,14 @@ def test_pair_trace_forms_no_kernel_wider_than_an_axis(monkeypatch):
     quad = mfd.quadrature(sub, 64)
     assert pair_trace_integral(sub, None, None, quad, 50.0) > 0
     assert shapes and max(max(s) for s in shapes) <= 64
+
+
+@pytest.mark.parametrize("case", ["complex_no_rotation", "sphere3_dense_grid"])
+def test_node_by_node_matrix_is_the_assembled_block(case):
+    # one block in basis order: `.matrix` is that block, not a copy
+    trunc, sub, quad, a = reference_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        op = assemble_T(trunc, sub, a, quad)
+    (D,) = op.layout.dense
+    assert np.shares_memory(op.matrix, D) and np.array_equal(op.matrix, D)

@@ -16,7 +16,7 @@ from szegolab.asymptotics import (
     szego_scaling,
     weyl_prediction,
 )
-from szegolab.spectral import entropy_function, power_function, trapezoid_function
+from szegolab.spectral import entropy_function, power_function
 
 
 def test_mellin_alpha_zero_is_identity():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 import szegolab.assembly as asm
 import szegolab.manifold as mfd
+import szegolab.spectral as spectral
 from szegolab.assembly import (
     TruncationWarning,
     assemble_T,
@@ -17,7 +19,12 @@ from szegolab.assembly import (
     trace_product,
 )
 from szegolab.fock import FockTruncation, eval_basis_matrix
-from szegolab.spectral import eigensolve, schatten_sum, singular_values
+from szegolab.spectral import (
+    _band_extents,
+    eigensolve,
+    schatten_sum,
+    singular_values,
+)
 from szegolab.states import rayleigh_lower_bound
 
 EPS = np.finfo(np.float64).eps
@@ -88,8 +95,12 @@ def test_wrap_around_charge_links_stay_in_the_block():
     chain = np.flatnonzero(E[:, 1] == 0)
     first = chain[E[chain, 0] == 0][0]
     last = chain[E[chain, 0] == 36][0]
-    (cyclic,) = op.layout.dense
-    assert cyclic.shape == (37, 37)
+    layout = op.layout
+    pos = np.empty_like(layout.perm)
+    pos[layout.perm] = np.arange(trunc.dim)
+    which = np.searchsorted(layout.bounds, pos[first], side="right") - 1
+    lo, hi = layout.bounds[which], layout.bounds[which + 1]
+    assert sorted(layout.perm[lo:hi]) == sorted(chain)
     T = op.matrix
     assert 1e-8 < abs(T[first, last]) < 3e-8
     expect = quadrature_sum(trunc, quad, a)
@@ -98,21 +109,30 @@ def test_wrap_around_charge_links_stay_in_the_block():
     assert np.abs(T[block] - expect[block]).max() <= 1e-13 * scale
 
 
-def test_one_wide_component_is_one_dense_block_of_every_coefficient():
+def stored_count(n, lower, upper):
+    """Entries of an n-row block between its lower and upper extents."""
+    return sum(n - abs(d) for d in range(-upper, lower + 1))
+
+
+def test_one_wide_component_is_one_level_ordered_band():
     # support {0, +-e1, +-e2, +-(e1 + e2)}: one component of bandwidth
-    # M + 1, and a phase around the charge cycle that no gauge removes
+    # M + 2 in charge order, and a phase around the charge cycle that no
+    # gauge removes; its level order is a band of half that width
     trunc, sub, quad = torus_case()
     op = assemble(trunc, sub, cycle_phase, quad)
     layout = op.layout
-    assert len(layout.widths) == 0 and len(layout.dense) == 1
-    (D,) = layout.dense
-    assert D.shape == (trunc.dim, trunc.dim) and layout.phase is None
-    # the block keeps the coefficients of every charge, linked or not, so
-    # no entry is an exact zero and nothing is left out
-    assert np.all(D != 0)
-    assert op.offblock_bound == 0
+    assert layout.bounds.tolist() == [0, trunc.dim] and not layout.dense
+    (width,) = layout.widths
+    assert 2 * width <= trunc.max_degree + 2
+    assert layout.band.dtype == complex and layout.phase is None
+    # every stored entry keeps the coefficients of every charge, linked or
+    # not, so none is an exact zero; only noise charges fall outside
+    assert (np.count_nonzero(op.matrix)
+            == stored_count(trunc.dim, width, width))
     expect = quadrature_sum(trunc, quad, cycle_phase)
-    assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
+    scale = np.abs(expect).max()
+    assert 0 < op.offblock_bound <= 1e-13 * scale
+    assert np.abs(op.matrix - expect).max() <= 1e-13 * scale
 
 
 def test_split_operator_never_builds_the_matrix(monkeypatch):
@@ -205,6 +225,11 @@ def dsl_complex(t):
     return 1.0 + 0.5 * np.cos(t[:, 0] + 0.4) + 0.5j * np.sin(t[:, 1] + 3.9)
 
 
+def real_blocks(layout):
+    """Whether the band and every dense block are stored real."""
+    return all(x.dtype == np.float64 for x in (layout.band, *layout.dense))
+
+
 def spectra_match(op, expect):
     """Blocked spectra against the dense complex solvers on `expect`,
     within offblock_bound + dim eps sigma_max; returns that tolerance."""
@@ -226,8 +251,8 @@ def test_symmetric_torus_amplitudes_give_real_blocks(a, order):
     if order is not None:
         quad = mfd.quadrature(sub, order)
     op = assemble(trunc, sub, a, quad)
-    (D,) = op.layout.dense
-    assert D.dtype == np.float64 and op.layout.phase is not None
+    assert op.layout.bounds.tolist() == [0, trunc.dim]
+    assert real_blocks(op.layout) and op.layout.phase is not None
     assert op.hermitian == (a is dsl_real)
     expect = quadrature_sum(trunc, quad, a)
     tol = spectra_match(op, expect)
@@ -245,8 +270,8 @@ def test_complex_base_point_splits_off_its_phases():
                                   "0.7*sin(t2)"], [True, True], start)
     quad = mfd.quadrature(sub, quad.shape[0])
     op = assemble(trunc, sub, dsl_real, quad)
-    (D,) = op.layout.dense
-    assert D.dtype == np.float64 and op.layout.phase is not None
+    assert op.layout.bounds.tolist() == [0, trunc.dim]
+    assert real_blocks(op.layout) and op.layout.phase is not None
     expect = quadrature_sum(trunc, quad, dsl_real)
     tol = spectra_match(op, expect)
     assert np.abs(op.matrix - expect).max() <= tol
@@ -255,13 +280,16 @@ def test_complex_base_point_splits_off_its_phases():
 def test_cycle_phase_stays_complex_and_solves_as_before():
     trunc, sub, quad = torus_case()
     op = assemble(trunc, sub, cycle_phase, quad)
-    (D,) = op.layout.dense
-    assert D.dtype == complex and op.layout.phase is None
-    # the dense complex solvers on the very block
-    assert np.array_equal(eigensolve(op).eigenvalues,
-                          np.linalg.eigvalsh(D)[::-1])
+    layout = op.layout
+    assert layout.band.dtype == complex and layout.phase is None
+    # the complex band solver on the very block, its one band
+    (width,) = layout.widths
+    w = layout.half_width
+    eigs = eig_banded(layout.band[w:w + width + 1], lower=True,
+                      eigvals_only=True)
+    assert np.array_equal(eigensolve(op).eigenvalues, eigs[::-1])
     assert np.array_equal(singular_values(op),
-                          np.linalg.svd(D, compute_uv=False))
+                          np.sort(np.abs(eigs))[::-1])
     spectra_match(op, quadrature_sum(trunc, quad, cycle_phase))
 
 
@@ -276,8 +304,7 @@ def test_aliased_cyclic_block_gauges_consistently_or_stays_complex(shift):
     quad = mfd.quadrature(sub, [19, 37, 37])
     a = lambda t: 1.0 + 0.5 * np.cos(t[:, 1] + shift)
     op = assemble(trunc, sub, a, quad)
-    (cyclic,) = op.layout.dense
-    assert cyclic.dtype == (np.float64 if shift == 0 else complex)
+    assert real_blocks(op.layout) == (shift == 0)
     spectra_match(op, op.matrix)
 
 
@@ -316,8 +343,8 @@ def test_layout_applies_the_phase_vector():
 def test_non_hermitian_band_stays_zero_on_its_unlinked_side():
     # e^{it}(1 + cos t)/2 = 1/4 + e^{it}/2 + e^{2it}/4 links each charge to
     # the next two on one side only; the band is filled between the block's
-    # own extents, so the other side stays exactly zero and the dilation
-    # keeps width 3 instead of 5
+    # own extents, so the other side stays exactly zero and ?gbbrd reduces
+    # a band of 2 diagonals off the main one instead of 4
     trunc, sub, quad = circle_case(20.0)
     a = lambda t: np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0])) / 2
     op = assemble(trunc, sub, a, quad)
@@ -326,7 +353,7 @@ def test_non_hermitian_band_stays_zero_on_its_unlinked_side():
     w = layout.half_width
     filled = [d for d in range(-w, w + 1) if layout.band[w + d].any()]
     assert filled in ([-2, -1, 0], [0, 1, 2])
-    assert asm._dilation_width(max(filled), -min(filled)) == 3
+    assert _band_extents(layout.band) in ((2, 0), (0, 2))
     expect = quadrature_sum(trunc, quad, a)
     assert np.abs(op.matrix - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -401,3 +428,22 @@ def test_blocked_spectra_match_dense_solvers(drawn, k):
     if symmetric:
         assert gauged
     spectra_match(op, op.matrix)
+
+
+def test_ungauged_non_hermitian_band_takes_the_complex_reduction(monkeypatch):
+    # e^{it}(1 + cos t)/2 + i e^{2it}/5 is symmetric about no centre, so no
+    # gauge makes its coefficients real: one complex one-sided band
+    called = []
+    bound = spectral._lapack
+    monkeypatch.setattr(spectral, "_lapack",
+                        lambda name: called.append(name) or bound(name))
+    trunc, sub, quad = circle_case(20.0)
+    a = lambda t: (np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0])) / 2
+                   + 0.2j * np.exp(2j * t[:, 0]))
+    op = assemble(trunc, sub, a, quad)
+    layout = op.layout
+    assert not op.hermitian and not layout.dense
+    assert layout.widths.tolist() == [2] and layout.band.dtype == complex
+    assert layout.phase is None
+    spectra_match(op, quadrature_sum(trunc, quad, a))
+    assert called == ["zgbbrd", "dbdsqr"]
