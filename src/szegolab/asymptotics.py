@@ -9,6 +9,7 @@ factor Delta_n.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -56,6 +57,18 @@ def szego_scaling(k: float, d: int, dp: int) -> float:
     return 2.0 ** (0.5 * dp) * (math.pi / k) ** (0.5 * d)
 
 
+@functools.cache
+def _laguerre_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre rule of `mellin_log` for one alpha, as
+    (e^{-x}, w e^{x}) at the nodes x; read-only, since calls share it."""
+    x, w = roots_genlaguerre(_LAGUERRE_NODES, alpha - 1.0)
+    # the Laguerre weight x^{alpha-1} e^{-x} is in w; reinstate e^{x}
+    rule = np.exp(-x), w * np.exp(x)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def mellin_log(phi: TestFunction, alpha: float, t):
     """O_{-alpha}(phi)(t) = (1/Gamma(alpha)) int_0^t phi(s) log(t/s)^{alpha-1} ds/s.
 
@@ -71,13 +84,11 @@ def mellin_log(phi: TestFunction, alpha: float, t):
     if alpha == 0:
         out = np.where(t_arr > 0, phi(t_arr), 0.0)
         return float(out[0]) if np.isscalar(t) else out
-    x, w = roots_genlaguerre(_LAGUERRE_NODES, alpha - 1.0)
-    # the Laguerre weight x^{alpha-1} e^{-x} is in w; reinstate e^{x}
-    wexp = w * np.exp(x)
+    decay, wexp = _laguerre_rule(alpha)
     out = np.zeros_like(t_arr)
     pos = t_arr > 0
     if np.any(pos):
-        s = t_arr[pos, None] * np.exp(-x)[None, :]
+        s = t_arr[pos, None] * decay[None, :]
         out[pos] = (phi(s) @ wexp) / gamma_fn(alpha)
     return float(out[0]) if np.isscalar(t) else out
 

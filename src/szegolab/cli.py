@@ -457,11 +457,15 @@ def cmd_density(exp: Experiment, args) -> int:
 
 def cmd_hessian_check(args) -> int:
     rng = np.random.default_rng(args.seed)
+    G = np.empty((args.trials, args.d, args.d))
+    H = np.empty_like(G)
+    for trial in range(args.trials):
+        G[trial], H[trial] = hessian.random_spd_skew(args.d, rng)
+    stack = hessian.verify_sqrt_det(G, H, args.q)
     worst = 0.0
     rows = []
     for trial in range(args.trials):
-        G, H = hessian.random_spd_skew(args.d, rng)
-        rep = hessian.verify_sqrt_det(G, H, args.q)
+        rep = stack.member(trial)
         worst = max(worst, rep.rel_err_det, rep.rel_err_sqrt)
         rows.append({"trial": trial, "d": args.d, "q": args.q,
                      "rel_err_det": rep.rel_err_det,

@@ -32,22 +32,19 @@ __all__ = [
 ]
 
 
-def _graded_lex_indices(ambient_dim: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |n| <= max_degree, graded then lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for degree in range(max_degree + 1):
-        block = sorted(compositions(degree, ambient_dim), reverse=True)
-        out.extend(block)
-    return out
+def _graded_lex_exponents(ambient_dim: int, max_degree: int) -> np.ndarray:
+    """All multi-indices with |n| <= max_degree as rows, graded (degree
+    ascending) then lexicographically descending within a degree."""
+    E = np.arange(max_degree + 1, dtype=np.int64)[:, None]
+    for _ in range(ambient_dim - 1):
+        # each row n continues with every n_next in 0..max_degree - |n|
+        count = max_degree + 1 - E.sum(axis=1)
+        start = np.cumsum(count) - count
+        rows = np.repeat(E, count, axis=0)
+        nxt = np.arange(rows.shape[0]) - np.repeat(start, count)
+        E = np.column_stack([rows, nxt])
+    # np.lexsort sorts by its last key first
+    return E[np.lexsort((*(-E.T[::-1]), E.sum(axis=1)))]
 
 
 @dataclass(frozen=True)
@@ -68,16 +65,17 @@ class FockTruncation:
 
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_graded_lex_indices(self.ambient_dim, self.max_degree))
+        """Basis exponents as tuples, in the rows' order of exponent_matrix."""
+        return tuple(map(tuple, self.exponent_matrix.tolist()))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.exponent_matrix.shape[0]
 
     @cached_property
     def exponent_matrix(self) -> np.ndarray:
         """(dim, N) integer array of basis exponents, graded-lex order."""
-        return np.array(self.basis, dtype=np.int64)
+        return _graded_lex_exponents(self.ambient_dim, self.max_degree)
 
     @cached_property
     def _half_lgamma(self) -> np.ndarray:

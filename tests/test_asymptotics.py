@@ -6,6 +6,7 @@ from scipy.special import gamma as gamma_fn
 
 import szegolab.manifold as mfd
 from szegolab.asymptotics import (
+    _laguerre_rule,
     entropy_prediction,
     limiting_density,
     mellin_log,
@@ -24,6 +25,19 @@ def test_mellin_alpha_zero_is_identity():
     ts = np.array([0.0, 0.2, 1.0, 2.5])
     assert mellin_log(phi, 0.0, ts) == pytest.approx(ts ** 3)
     assert mellin_log(phi, 0.0, 0.7) == pytest.approx(0.343)
+
+
+def test_cached_laguerre_rule_is_read_only():
+    decay, wexp = _laguerre_rule(0.5)
+    assert _laguerre_rule(0.5)[0] is decay
+    for a in (decay, wexp):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # a caller's result is its own array, not a view of the rule
+    out = mellin_log(power_function(2), 0.5, np.array([0.5, 1.0]))
+    out[:] = 0.0
+    assert mellin_log(power_function(2), 0.5, 1.0) == pytest.approx(2 ** -0.5)
 
 
 def test_mellin_powers_closed_form():

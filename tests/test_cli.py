@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from szegolab import acceptance, cli
+from szegolab import acceptance, cli, hessian
 from szegolab.assembly import TruncationWarning
 from szegolab.manifold import quadrature
 
@@ -234,6 +234,21 @@ def test_hessian_check_exits_zero(tmp_path):
     assert verdicts[0]["pass"] is True
     with open(out / "hessian_check.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 5
+
+
+def test_hessian_check_rows_are_the_per_trial_reports(tmp_path):
+    # one stacked check gives each trial the report of its own 2-D call
+    out = tmp_path / "out"
+    cli.main(["--out", str(out), "hessian-check", "--d", "3", "--q", "4",
+              "--trials", "6", "--seed", "7"])
+    with open(out / "hessian_check.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    rng = np.random.default_rng(7)
+    for row in rows:
+        rep = hessian.verify_sqrt_det(*hessian.random_spd_skew(3, rng), 4)
+        assert row["rel_err_det"] == repr(rep.rel_err_det)
+        assert row["rel_err_sqrt"] == repr(rep.rel_err_sqrt)
+        assert row["pass"] == str(rep.ok)
 
 
 def test_density_svg(tmp_path):

@@ -181,3 +181,36 @@ def test_factorized_basis_matches_log_magnitude_formula(N, k, M, spread):
     assert rel.max() <= 1e-10
     assert np.abs(vals[~normal]).max(initial=0.0) <= 1e-240
     assert np.array_equal(vals[expect == 0], expect[expect == 0])
+
+
+def recursive_exponents(N, M):
+    """Graded, then lexicographically descending, by recursive compositions."""
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total, -1, -1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    out = []
+    for degree in range(M + 1):
+        out.extend(sorted(compositions(degree, N), reverse=True))
+    return out
+
+
+@pytest.mark.parametrize("N,M", [(1, 1600), (2, 48), (3, 12), (4, 6)])
+def test_exponents_match_recursive_compositions(N, M):
+    trunc = FockTruncation(ambient_dim=N, k=1.0, max_degree=M)
+    E = trunc.exponent_matrix
+    assert E.dtype == np.int64
+    assert E.tolist() == [list(n) for n in recursive_exponents(N, M)]
+    assert trunc.dim == E.shape[0]
+
+
+def test_basis_tuples_are_built_only_when_read():
+    trunc = FockTruncation(ambient_dim=2, k=3.0, max_degree=6)
+    eval_basis_matrix(trunc, np.array([[0.1 + 0.2j, -0.3j]]))
+    assert trunc.dim == 28
+    assert "basis" not in vars(trunc)
+    assert trunc.basis == tuple(map(tuple, trunc.exponent_matrix.tolist()))

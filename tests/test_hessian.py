@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from szegolab import acceptance
 from szegolab.hessian import (
     build_hessian,
     det_closed_form,
@@ -151,3 +152,90 @@ def test_det_eigenvalue_form():
         for l in lam:
             expect *= (((1 + l) ** n - (1 - l) ** n) / (2 * l)) ** 2
         assert detM == pytest.approx(expect, rel=1e-8)
+
+
+def stack_of(d, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [random_spd_skew(d, rng) for _ in range(m)]
+    return np.stack([G for G, _ in pairs]), np.stack([H for _, H in pairs])
+
+
+def test_stacked_oracle_matches_a_per_trial_loop_bit_for_bit():
+    # the suite's 200 draws, checked one (G, H) at a time through 2-D calls
+    rng = np.random.default_rng(20260823)
+    worst = 0.0
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        q = int(rng.integers(1, 7))
+        G, H = random_spd_skew(d, rng)
+        rep = verify_sqrt_det(G, H, q)
+        closed = det_closed_form(rep.W, q)
+        scale = max(float(np.abs(rep.det_m).max()), 1e-300)
+        worst = max(worst, float(np.abs(rep.det_m - closed).max()) / scale,
+                    rep.rel_err_det, rep.rel_err_sqrt)
+    stacked = acceptance.check_hessian_oracle(acceptance.Lab())
+    assert stacked["observed"] == worst
+
+
+@pytest.mark.parametrize("bad", ["G not symmetric", "G not positive definite",
+                                 "H not skew"])
+def test_a_bad_last_member_rejects_the_stack(bad):
+    G, H = stack_of(2, 5, seed=3)
+    if bad == "G not symmetric":
+        G[-1, 0, 1] += 0.5
+    elif bad == "G not positive definite":
+        G[-1] = -G[-1]
+    else:
+        H[-1] = np.eye(2)
+    for entry in (build_hessian, det_recursion, verify_sqrt_det):
+        entry(G[:-1], H[:-1], 3)  # the good members pass
+        with pytest.raises(ValueError):
+            entry(G, H, 3)
+
+
+def test_tolerances_stay_per_matrix():
+    # an asymmetry of 1e-9 fails at scale 1; a neighbour of scale 1e6
+    # would let it pass if the stack shared one tolerance
+    G_bad = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    H_bad = np.array([[1e-9, 0.0], [0.0, 0.0]])
+    assert np.allclose(G_bad, G_bad.T, atol=1e-12 * 1e6)
+    assert np.allclose(H_bad, -H_bad.T, atol=1e-12 * 1e6)
+    big_G, big_H = 1e6 * np.eye(2), 1e6 * H2
+    cases = [(np.stack([G_bad, big_G]), np.stack([H2, big_H])),
+             (np.stack([G2, big_G]), np.stack([H_bad, big_H]))]
+    for G, H in cases:
+        for entry in (build_hessian, det_recursion, verify_sqrt_det):
+            with pytest.raises(ValueError):
+                entry(G, H, 2)
+
+
+def test_stacked_results_equal_their_members():
+    G, H = stack_of(3, 6, seed=11)
+    for q in (1, 2, 5):
+        report = verify_sqrt_det(G, H, q)
+        hess = build_hessian(G, H, q)
+        rec = det_recursion(G, H, q)
+        closed = det_closed_form(report.W, q)
+        assert hess.shape == (6, 3 * q, 3 * q) and rec.shape == (6, 3, 3)
+        for i in range(6):
+            alone = verify_sqrt_det(G[i], H[i], q)
+            member = report.member(i)
+            assert member == alone
+            assert type(member.rel_err_det) is float
+            assert type(member.ok) is bool
+            assert np.array_equal(member.det_m, alone.det_m)
+            assert np.array_equal(member.W, alone.W)
+            assert np.array_equal(hess[i], build_hessian(G[i], H[i], q))
+            assert np.array_equal(rec[i], det_recursion(G[i], H[i], q))
+            assert np.array_equal(closed[i], det_closed_form(alone.W, q))
+
+
+def test_factored_determinant_is_the_scalar_formula():
+    # det(G)^q * det(Det(M_q)) as one pair's Python floats give it, bit for bit
+    G, H = stack_of(3, 50, seed=0)
+    for q in (3, 4, 6):
+        report = verify_sqrt_det(G, H, q)
+        for i in range(50):
+            expect = (float(np.linalg.det(G[i])) ** q
+                      * float(np.linalg.det(report.det_m[i])))
+            assert report.det_factored[i] == expect
