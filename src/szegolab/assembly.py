@@ -31,11 +31,16 @@ rotations z_j -> e^{i theta} z_j, which the monomial basis diagonalises.
 A periodic axis with L nodes is a rotation axis when, for every
 coordinate j, z_j at the next node along it (wrapping around) equals
 omega^{c_j} z_j on every node, omega = e^{2 pi i / L} and c_j an integer
-mod L, to 64 eps max|z|.  The check reads only the quadrature points, so
-DSL charts qualify as the built-in ones do.  It reads them in blocks of
-slabs along the axis, each block a view of about _SLAB_BYTES paired with
-the view one slab further on, the last slab with the first: no shifted
-copy of the grid is made, and one numpy operation covers a whole block.  A basis function n then has
+mod L, to 64 eps max|z|.  The check reads only the quadrature's
+coordinates, so DSL charts qualify as the built-in ones do.  It reads
+each z_j at the shape of the axes it varies along (`Quadrature.coords`),
+which holds every value the grid holds: on sphere3 at k=10 that is 23 x
+45 values a coordinate instead of 46,575.  A coordinate of extent 1 along
+an axis is constant along it and has charge 0 exactly.  The others are
+read in blocks of slabs along the axis, each block a view of about
+_SLAB_BYTES paired with the view one slab further on, the last slab with
+the first: no shifted copy is made, and one numpy operation covers a
+whole block.  A basis function n then has
 charge q_n = sum_j c_j n_j mod L on each rotation axis, and its value at
 rotation index phi is omega^{phi . q_n} times its value U_n at phi = 0.
 The quadrature sum becomes
@@ -185,17 +190,18 @@ dbdsqr 0.047 and 0.276 s against 0.061 and 0.478 s in the SVD (medians
 of 5).
 
 Paths: the sector sum is used when the grid has at least _SECTOR_NODES =
-64 rotation nodes per explicit node.  That crossover was timed against a
-sector sum that filled all of the dim^2 matrix at every explicit node;
-summed into the stored pattern it wins far below 64.  On sphere3 at k=10
-(dim 1035, 2-vCPU Xeon, OpenBLAS, three runs each of a = 1 and a = 1 +
-cos(t2)/2) it takes 0.04-0.14 s against 1.3-2.2 s node by node at 64
-([200, 8, 8]), 0.06-0.17 s against 1.6-2.9 s at 48 ([300, 6, 8]),
-0.22-0.48 s against 1.6-2.8 s at 24 ([600, 4, 6]) and 0.31-1.33 s
-against 1.6-1.9 s at 16 ([900, 4, 4]).  No workload has a rotation grid
-below 64 and the tests pin a 48-node grid to the node-by-node path, so
-the constant stays.  Grids without rotation axes (parabola, plane
-patches, non-rotation DSL charts) always go node by node.
+16 rotation nodes per explicit node, and node by node below.  Summed
+into the stored pattern, the sector sum won at every grid timed down to
+16.  On sphere3 at k=10 (dim 1035, 2-vCPU Xeon, OpenBLAS, three runs
+each of a = 1 and a = 1 + cos(t2)/2) it takes 0.04-0.14 s against
+1.3-2.2 s node by node at 64 rotation nodes ([200, 8, 8]), 0.06-0.17 s
+against 1.6-2.9 s at 48 ([300, 6, 8]), 0.22-0.48 s against 1.6-2.8 s at
+24 ([600, 4, 6]) and 0.31-1.33 s against 1.6-1.9 s at 16 ([900, 4, 4]).
+Below 16 no grid was timed, and the tests pin a 12-node grid to the
+node-by-node path.  Every benchmark grid has at least 64 rotation nodes
+per explicit node or no rotation axis.  Grids without rotation axes
+(parabola, plane patches, non-rotation DSL charts) always go node by
+node.
 
 Pair traces: Tr(T_a T_b) is the double sum of (w a)_s e^{-k|z_s - z_t|^2}
 (w b)_t over m nodes.  On the tensor grid of the quadrature, two chart axes are
@@ -247,7 +253,7 @@ _FILL_ROWS = 256  # row block for mirroring and for the sector sum
 _EPS = float(np.finfo(np.float64).eps)
 _ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
 _SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
-_SECTOR_NODES = 64  # rotation nodes per explicit node for the sector sum
+_SECTOR_NODES = 16  # rotation nodes per explicit node for the sector sum
 _BAND_ROOT = 1.5  # band solvers pay to this width over sqrt(rows)
 _NFOLD_BUDGET = 4e9  # bytes of the n complex node-coupling matrices
 
@@ -478,22 +484,25 @@ def _sector_axes(quad: Quadrature):
     or None when there is no such axis, or fewer than _SECTOR_NODES
     rotation nodes per explicit node (module notes).
     """
-    grid = quad.points.reshape(quad.shape + (-1,))
-    # the `here` blocks along any axis hold every point once
-    tol = _ROTATION_TOL * max(float(np.abs(here).max(initial=0.0))
-                              for here, _ in _slab_pairs(grid, 0))
-    idx = list(range(grid.ndim))
+    coords = quad.coords
+    tol = _ROTATION_TOL * quad.max_radius()
     axes, charges = [], []
     for axis, (L, periodic) in enumerate(zip(quad.shape, quad.sub.periodic)):
         if not periodic:
             continue
+        # a coordinate of extent 1 along the axis is constant: charge 0
+        moving = [j for j, z in enumerate(coords) if z.shape[axis] > 1]
         # sum of ahead conj(here) over the nodes, one value per coordinate
-        turn = sum(np.einsum(ahead, idx, here.conj(), idx, idx[-1:])
-                   for here, ahead in _slab_pairs(grid, axis))
-        c = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(np.int64) % L
+        turn = np.array([sum(np.vdot(here, ahead)
+                             for here, ahead in _slab_pairs(coords[j], axis))
+                         for j in moving], dtype=complex)
+        c = np.zeros(len(coords), dtype=np.int64)
+        c[moving] = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(
+            np.int64) % L
         phase = np.exp(2j * math.pi * c / L)
-        if all(np.abs(ahead - phase * here).max() <= tol
-               for here, ahead in _slab_pairs(grid, axis)):
+        if all(np.abs(ahead - phase[j] * here).max() <= tol
+               for j in moving
+               for here, ahead in _slab_pairs(coords[j], axis)):
             axes.append(axis)
             charges.append(c)
     if math.prod(quad.shape[a] for a in axes) < _SECTOR_NODES:

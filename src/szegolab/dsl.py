@@ -7,6 +7,15 @@ are immutable trees; evaluate and derive are pure.  evaluate walks a tree
 once for all m rows of an (m, d) array of points, one numpy operation per
 node; a domain violation or an overflow at any row raises DomainError
 naming the subexpression.
+
+Both evaluators walk the tree over columns, one array per variable, that
+broadcast together.  `evaluate` passes the d columns of its rows;
+`evaluate_columns` takes them as given, so on the axis vectors of a tensor
+grid (n_j along axis j, 1 elsewhere) each subexpression is computed at the
+shape of the variables it reads, and a constant stays 0-d.  Every value is
+the same operation on the same operands as on the stacked grid, so the
+two agree bit for bit, and a domain check sees every value the grid
+would hold.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ __all__ = [
     "DomainError",
     "parse",
     "evaluate",
+    "evaluate_columns",
     "derive",
     "to_string",
 ]
@@ -284,16 +294,18 @@ _UNARY = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
           "sqrt": np.sqrt}
 
 
-def _eval(e: Expr, t: np.ndarray):
-    """Values of e at the rows of t: an (m,) array, or a 0-d one if constant."""
+def _eval(e: Expr, t):
+    """Values of e on the columns t, one array per variable, broadcasting
+    together: an array at the broadcast shape of the columns e reads, or a
+    0-d one if constant."""
     if isinstance(e, Num):
         return np.float64(e.value)
     if isinstance(e, Const):
         return np.float64(_CONSTANTS[e.name])
     if isinstance(e, Var):
-        if e.index >= t.shape[1]:
+        if e.index >= len(t):
             raise UnknownVariableError(f"point has no component t{e.index + 1}")
-        return t[:, e.index]
+        return t[e.index]
     if isinstance(e, Neg):
         return -_eval(e.arg, t)
     if isinstance(e, BinOp):
@@ -332,11 +344,22 @@ def evaluate(e: Expr, t):
     t = np.asarray(t, dtype=float)
     rows = np.atleast_2d(t)
     out = np.empty(rows.shape[0])
+    out[:] = evaluate_columns(e, list(rows.T))
+    return float(out[0]) if t.ndim < 2 else out
+
+
+def evaluate_columns(e: Expr, t) -> np.ndarray:
+    """IEEE double values of e on the columns t, one array per variable,
+    all broadcasting together (module notes).
+
+    Returns an array at the broadcast shape of the columns e reads, 0-d if
+    e is constant.  A domain violation or an overflow at any value raises
+    DomainError naming the offending subexpression.
+    """
     # an overflow shows as a non-finite value, which _eval turns into a
     # DomainError; no other floating-point warning is silenced
     with np.errstate(over="ignore"):
-        out[:] = _eval(e, rows)
-    return float(out[0]) if t.ndim < 2 else out
+        return np.asarray(_eval(e, t), dtype=float)
 
 
 # --- differentiation -------------------------------------------------------

@@ -10,20 +10,38 @@ place that computes the W spectrum of a chart: it takes a stack of
 parameter points and returns a GeometryFrame of arrays, which `classify`,
 `delta_n` and `Quadrature.frame` read.
 
-Quadrature in node chunks: a quadrature is a tensor grid whose weights are
-the cell volumes times the surface density sqrt(det G).  The nodes and
-cell volumes are broadcast from the per-axis rules into preallocated
-arrays; the chart's jacobian and points are then evaluated over chunks of
-nodes, each holding about _CHUNK_BYTES of jacobian and metric, and
-written into the preallocated weights and points.  So memory holds the
-nodes, weights and points of the grid and the jacobian of one chunk, never
-the (m, 2N, d) jacobians or (m, d, d) metrics of all m nodes.
-sqrt(det G) comes from
-a Cholesky elimination of G = J^T J written as O(d^2) operations on
-vectors over the nodes of a chunk (`_sqrt_det_metric`), for any d; a
-pivot that is not positive raises SingularMetricError.  `frame_at`, and
-with it `Quadrature.frame`, computes the W spectrum over the same chunks.
-Each node is independent, so the chunking changes no value.
+Quadrature by axis: a quadrature is a tensor grid whose weights are the
+cell volumes times the surface density sqrt(det G).  The chart is never
+called node by node.  `quadrature()` passes it the d axis vectors of the
+grid, shaped to broadcast (n_j along axis j, 1 elsewhere), and the chart
+returns each real coordinate and each jacobian entry at the shape of the
+axes it reads: on sphere3, z1 = r sqrt(1 - s) e^{ia} comes back as an
+(n_s, n_a, 1) array, and a constant entry may be 0-d.  The N complex
+coordinates are kept at those shapes in `Quadrature.coords`, which the
+rotation check of `assembly` and `max_radius` read; `points` is filled
+from them by broadcasting.  Only G = J^T J and its Cholesky pivots are
+formed on the full grid, block by block: each block is a C-order run of
+the grid whose metric and jacobian take at most _CHUNK_BYTES, the chart's
+jacobian is evaluated on the block's axis vectors, and sqrt(det G) comes
+from a Cholesky elimination of G written as O(d^2) broadcast operations
+(`_sqrt_det_metric`), for any d; a pivot that is not positive raises
+SingularMetricError.  So memory holds the nodes, weights and points of
+the grid, its coordinates at their own shapes, and the metric of one
+block, never the (m, 2N, d) jacobians or (m, d, d) metrics of all m
+nodes.  Every value is the same operation on the same operands as node
+by node, and each entry of G sums its 2N products in row order, as
+numpy's einsum does over the strided rows of an (m, 2N, d) stack when
+d > 1, so weights and points keep the bits of a node-by-node pass.  A
+curve (d = 1) has contiguous rows, which einsum sums in SIMD lanes, so
+with N >= 2 its weights can differ from an einsum pass by one ulp.  A
+chart whose entries read every axis holds its coordinates on the full
+grid, as the points are.
+
+Stacks of parameter points, (m, d), reach the chart as their d columns
+through `chart_rows`, which puts the values back as (m, 2N) coordinates
+or (m, 2N, d) jacobians.  `frame_at`, and with it `Quadrature.frame`,
+computes the W spectrum that way over blocks of the same size, runs of
+its m points.
 
 The weights stay per node, also along the axes that `assembly` finds to
 act on the points as rotations.  That an axis rotates the points at the
@@ -36,6 +54,8 @@ alternate between 0.130 and 0.067.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +75,7 @@ __all__ = [
     "d_prime",
     "delta_n",
     "quadrature",
+    "chart_rows",
     "real_to_complex",
     "circle",
     "torus_product",
@@ -70,7 +91,7 @@ __all__ = [
 ]
 
 LAMBDA_TOL = 1e-8
-_CHUNK_BYTES = 1 << 20  # jacobian and metric working set of a node chunk
+_CHUNK_BYTES = 1 << 20  # jacobian and metric working set of a node block
 
 
 def real_to_complex(x: np.ndarray) -> np.ndarray:
@@ -83,16 +104,20 @@ def real_to_complex(x: np.ndarray) -> np.ndarray:
 class ChartedSubmanifold:
     """Submanifold given by one parametrization t in a box of R^d -> R^{2N}.
 
-    gamma and jacobian are vectorized: gamma maps (m, d) -> (m, 2N) and
-    jacobian maps (m, d) -> (m, 2N, d) with columns d(gamma)/dt_j.
+    gamma and jacobian take the parameters as d columns t_1..t_d, arrays
+    that broadcast together: the axis vectors of a tensor grid, or the
+    columns of a stack of points (module notes).  gamma returns the 2N real
+    coordinates (x1, y1, ..., xN, yN) and jacobian the 2N rows of d entries
+    d(gamma_a)/dt_j, each value at the broadcast shape of the columns it
+    reads; a constant may be a 0-d value.
     """
 
     dim: int
     ambient_dim: int
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[bool, ...]
-    gamma: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    gamma: Callable[[list], list]
+    jacobian: Callable[[list], list]
     label: str = "manifold"
 
     def __post_init__(self):
@@ -129,37 +154,89 @@ class ClassificationError(ValueError):
     pass
 
 
-def _node_chunks(sub: ChartedSubmanifold, m: int):
-    """(lo, hi) ranges over m nodes, each about _CHUNK_BYTES of jacobian
-    and metric."""
+def _block_nodes(sub: ChartedSubmanifold) -> int:
+    """Nodes whose jacobian and metric take about _CHUNK_BYTES."""
     d = sub.dim
-    rows = max(1, _CHUNK_BYTES // (8 * d * (2 * sub.ambient_dim + d)))
-    for lo in range(0, m, rows):
-        yield lo, min(m, lo + rows)
+    return max(1, _CHUNK_BYTES // (8 * d * (2 * sub.ambient_dim + d)))
 
 
-def _sqrt_det_metric(J: np.ndarray) -> np.ndarray:
-    """sqrt(det G), G = J^T J, of stacked jacobians J (m, 2N, d).
+def _grid_blocks(shape: tuple, nodes: int):
+    """Blocks of a grid of `shape` as tuples of slices over its leading
+    axes, each a C-order run of at most `nodes` nodes, one at least."""
+    # the first axis whose trailing grid fits is cut into runs of rows;
+    # the axes before it are walked one index at a time
+    lead = next(a for a in range(len(shape))
+                if math.prod(shape[a + 1:]) <= nodes)
+    rows = max(1, nodes // math.prod(shape[lead + 1:]))
+    for index in itertools.product(*map(range, shape[:lead])):
+        for lo in range(0, shape[lead], rows):
+            yield (tuple(slice(i, i + 1) for i in index)
+                   + (slice(lo, lo + rows),))
 
-    G = L D L^T is factored by Cholesky elimination with the nodes as the
-    vector dimension: each entry of G is one dot product of two columns
-    of J, and each elimination step one Schur-complement update over the
-    nodes, O(d^2) vector operations in all for any d.  det G is the
+
+def _axis_columns(xs: Sequence[np.ndarray], block: tuple = ()) -> list:
+    """The axis vectors xs, restricted to a block, shaped to broadcast:
+    n_j along axis j and 1 along the others."""
+    d = len(xs)
+    return [(x[block[j]] if j < len(block) else x).reshape(
+        (1,) * j + (-1,) + (1,) * (d - j - 1)) for j, x in enumerate(xs)]
+
+
+def _on_grid(values, shape: tuple):
+    """Chart values, a (nested) sequence, as float arrays that broadcast
+    to a grid of `shape`."""
+    if isinstance(values, (list, tuple)):
+        return [_on_grid(v, shape) for v in values]
+    v = np.asarray(values, dtype=float)
+    if v.ndim and (v.ndim != len(shape) or any(
+            n not in (1, L) for n, L in zip(v.shape, shape))):
+        raise ValueError(f"chart value of shape {v.shape} does not "
+                         f"broadcast to the grid {shape}")
+    return v
+
+
+def chart_rows(f: Callable, t) -> np.ndarray:
+    """A chart callable f (`gamma` or `jacobian`) at the rows of t, (m, d):
+    (m, 2N) coordinates or (m, 2N, d) jacobians."""
+    t = np.asarray(t, dtype=float)
+
+    def stack(values):
+        if isinstance(values, (list, tuple)):
+            return np.stack([stack(v) for v in values], axis=1)
+        return np.broadcast_to(np.asarray(values, dtype=float), t.shape[:1])
+
+    return stack(f(list(t.T)))
+
+
+def _sqrt_det_metric(J) -> np.ndarray:
+    """sqrt(det G), G = J^T J, for a jacobian given as 2N rows J[a] of d
+    entries J[a][j] that broadcast together.
+
+    A stacked (m, 2N, d) array passes as np.moveaxis(J, 0, -1).  G = L D
+    L^T is factored by Cholesky elimination with the nodes as the vector
+    dimension: each entry of G sums the products of two columns over the
+    rows in order, and each elimination step is one Schur-complement
+    update, O(d^2) vector operations in all for any d.  det G is the
     product of the pivots D; a pivot that is not positive means a
     singular metric.
     """
-    m, _, d = J.shape
-    G = np.empty((d, d, m))
+    d = len(J[0])
+    G = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1):
-            G[i, j] = G[j, i] = np.einsum("ma,ma->m", J[:, :, i], J[:, :, j])
-    det = np.ones(m)
+            g = J[0][i] * J[0][j]
+            for row in J[1:]:
+                g = g + row[i] * row[j]
+            G[i][j] = G[j][i] = g
+    det = 1.0
     for j in range(d):
-        pivot = G[j, j]
+        pivot = G[j][j]
         if not np.all(pivot > 0):
             raise SingularMetricError("non-positive metric pivot at a node")
-        det *= pivot
-        G[j + 1:, j + 1:] -= G[j + 1:, j, None] * (G[j, j + 1:] / pivot)
+        det = det * pivot
+        for a in range(j + 1, d):
+            for b in range(j + 1, d):
+                G[a][b] = G[a][b] - G[a][j] * (G[j][b] / pivot)
     return np.sqrt(det)
 
 
@@ -204,13 +281,13 @@ def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray
 
 def frame_at(sub: ChartedSubmanifold, t) -> GeometryFrame:
     """Geometry frame at the parameter points t, (m, d) or one point,
-    computed in node chunks (module notes)."""
+    computed in node blocks (module notes)."""
     t = np.asarray(t, dtype=float).reshape(-1, sub.dim)
     lam = np.empty(t.shape)
     is_lambda = np.empty(t.shape, dtype=bool)
-    for lo, hi in _node_chunks(sub, t.shape[0]):
-        J = np.asarray(sub.jacobian(t[lo:hi]), dtype=float)
-        lam[lo:hi], is_lambda[lo:hi] = _geometry(J)
+    for rows, in _grid_blocks(t.shape[:1], _block_nodes(sub)):
+        J = chart_rows(sub.jacobian, t[rows])
+        lam[rows], is_lambda[rows] = _geometry(J)
     return GeometryFrame(lam=lam, is_lambda=is_lambda)
 
 
@@ -301,6 +378,8 @@ class Quadrature:
     weights: np.ndarray      # (m,) includes sqrt(det G) * cell volume
     points: np.ndarray       # (m, N) complex ambient points
     shape: tuple[int, ...]   # nodes per axis
+    # z_1..z_N on the grid, each of extent 1 along the axes it does not read
+    coords: tuple[np.ndarray, ...]
 
     @property
     def size(self) -> int:
@@ -320,7 +399,17 @@ class Quadrature:
         return frame_at(self.sub, self.nodes)
 
     def max_radius(self) -> float:
-        return float(np.abs(self.points).max())
+        return max(float(np.abs(z).max()) for z in self.coords)
+
+
+@functools.cache
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1]; read-only,
+    since calls share them."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
@@ -330,7 +419,7 @@ def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
         x = lo + (hi - lo) * np.arange(n) / n
         w = np.full(n, (hi - lo) / n)
     else:
-        x0, w0 = np.polynomial.legendre.leggauss(n)
+        x0, w0 = _gauss_rule(n)
         x = 0.5 * (hi - lo) * (x0 + 1.0) + lo
         w = 0.5 * (hi - lo) * w0
     return x, w
@@ -342,9 +431,9 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
     order: nodes per axis, an integer or a sequence with one entry per axis.
     Periodic axes use the trapezoid rule, the rest Gauss-Legendre.  Weights
     include the surface density sqrt(det G), one value per node.  The
-    chart's jacobian and points are evaluated in node chunks (module
-    notes), so neither the jacobians nor the metrics of the whole grid are
-    ever held at once.
+    chart is evaluated on the axis vectors of the grid, its jacobian block
+    by block (module notes), so neither the jacobians nor the metrics of
+    the whole grid are ever held at once.
     """
     if np.isscalar(order):
         per_axis = [int(order)] * sub.dim
@@ -354,26 +443,32 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
             raise ValueError("per-axis order list must match chart dimension")
     shape, d = tuple(per_axis), sub.dim
     m = math.prod(shape)
+    xs, ws = zip(*(_axis_rule(lo, hi, per, n) for (lo, hi), per, n
+                   in zip(sub.domain, sub.periodic, per_axis)))
     nodes = np.empty(shape + (d,))
     weights = np.ones(shape)
-    for j, ((lo, hi), per, n) in enumerate(zip(sub.domain, sub.periodic,
-                                               per_axis)):
-        x, w = _axis_rule(lo, hi, per, n)
-        along = (1,) * j + (n,) + (1,) * (d - j - 1)
-        nodes[..., j] = x.reshape(along)
-        weights *= w.reshape(along)  # the cell volume
-    nodes, weights = nodes.reshape(m, d), weights.reshape(m)
-    coords = np.empty((m, 2 * sub.ambient_dim))  # interleaved (x1, y1, ...)
-    for lo, hi in _node_chunks(sub, m):
-        t = nodes[lo:hi]
-        weights[lo:hi] *= _sqrt_det_metric(
-            np.asarray(sub.jacobian(t), dtype=float))
-        coords[lo:hi] = sub.gamma(t)
-    # (x_j, y_j) pairs are the memory layout of complex z_j = x_j + i y_j
-    return Quadrature(sub=sub, nodes=nodes, weights=weights,
-                      points=coords.view(complex), shape=shape)
-
-
+    for j, (x, w) in enumerate(zip(_axis_columns(xs), _axis_columns(ws))):
+        nodes[..., j] = x
+        weights *= w  # the cell volume
+    for block in _grid_blocks(shape, _block_nodes(sub)):
+        J = sub.jacobian(_axis_columns(xs, block))
+        weights[block] *= _sqrt_det_metric(
+            _on_grid(J, weights[block].shape))
+    xy = _on_grid(sub.gamma(_axis_columns(xs)), shape)
+    N = sub.ambient_dim
+    points = np.empty(shape + (N,), dtype=complex)
+    coords = []
+    for j in range(N):
+        x, y = xy[2 * j], xy[2 * j + 1]
+        z = np.empty(np.broadcast_shapes(x.shape, y.shape, (1,) * d),
+                     dtype=complex)
+        z.real, z.imag = x, y
+        points[..., j] = z
+        # a coordinate that reads every axis shares the points' memory
+        coords.append(points[..., j] if z.shape == shape else z)
+    return Quadrature(sub=sub, nodes=nodes.reshape(m, d),
+                      weights=weights.reshape(m), points=points.reshape(m, N),
+                      shape=shape, coords=tuple(coords))
 def default_periodic_nodes(k: float, radius: float) -> int:
     """Trapezoid nodes per periodic axis resolving the e^{ik omega} phase."""
     return max(64, 8 * math.ceil(math.sqrt(k)) * math.ceil(radius))
@@ -398,12 +493,12 @@ def circle(radius: float = 1.0) -> ChartedSubmanifold:
     r = float(radius)
 
     def gamma(t):
-        th = t[:, 0]
-        return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        th = t[0]
+        return [r * np.cos(th), r * np.sin(th)]
 
     def jac(t):
-        th = t[:, 0]
-        return np.stack([-r * np.sin(th), r * np.cos(th)], axis=1)[:, :, None]
+        th = t[0]
+        return [[-r * np.sin(th)], [r * np.cos(th)]]
 
     return ChartedSubmanifold(dim=1, ambient_dim=1,
                               domain=((0.0, 2.0 * math.pi),), periodic=(True,),
@@ -419,17 +514,17 @@ def torus_product(radii: Sequence[float], ambient_dim: Optional[int] = None) -> 
         raise ValueError("ambient_dim must be at least the number of circles")
 
     def gamma(t):
-        out = np.zeros((t.shape[0], 2 * N))
+        out = [0.0] * (2 * N)
         for j, r in enumerate(radii):
-            out[:, 2 * j] = r * np.cos(t[:, j])
-            out[:, 2 * j + 1] = r * np.sin(t[:, j])
+            out[2 * j] = r * np.cos(t[j])
+            out[2 * j + 1] = r * np.sin(t[j])
         return out
 
     def jac(t):
-        out = np.zeros((t.shape[0], 2 * N, d))
+        out = [[0.0] * d for _ in range(2 * N)]
         for j, r in enumerate(radii):
-            out[:, 2 * j, j] = -r * np.sin(t[:, j])
-            out[:, 2 * j + 1, j] = r * np.cos(t[:, j])
+            out[2 * j][j] = -r * np.sin(t[j])
+            out[2 * j + 1][j] = r * np.cos(t[j])
         return out
 
     return ChartedSubmanifold(dim=d, ambient_dim=N,
@@ -443,17 +538,11 @@ def parabola_patch(x1_range=(-1.0, 1.0), y1_range=(-1.0, 1.0)) -> ChartedSubmani
     """Surface (z1, z2) = (x1 + i y1, x1^2/2) in C^2; symplectic."""
 
     def gamma(t):
-        x1, y1 = t[:, 0], t[:, 1]
-        return np.stack([x1, y1, 0.5 * x1 ** 2, np.zeros_like(x1)], axis=1)
+        x1, y1 = t
+        return [x1, y1, 0.5 * x1 ** 2, 0.0]
 
     def jac(t):
-        x1 = t[:, 0]
-        m = t.shape[0]
-        out = np.zeros((m, 4, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 2, 0] = x1
-        out[:, 1, 1] = 1.0
-        return out
+        return [[1.0, 0.0], [0.0, 1.0], [t[0], 0.0], [0.0, 0.0]]
 
     return ChartedSubmanifold(dim=2, ambient_dim=2,
                               domain=(tuple(map(float, x1_range)),
@@ -471,10 +560,10 @@ def plane_patch(ranges: Sequence[Sequence[float]]) -> ChartedSubmanifold:
     d = 2 * N
 
     def gamma(t):
-        return np.array(t, dtype=float, copy=True)
+        return list(t)
 
     def jac(t):
-        return np.broadcast_to(np.eye(d), (t.shape[0], d, d)).copy()
+        return [[float(a == j) for j in range(d)] for a in range(d)]
 
     return ChartedSubmanifold(dim=d, ambient_dim=N, domain=tuple(ranges),
                               periodic=tuple(False for _ in range(d)),
@@ -493,27 +582,19 @@ def sphere3(radius: float = 1.0) -> ChartedSubmanifold:
     r = float(radius)
 
     def gamma(t):
-        s, a, b = t[:, 0], t[:, 1], t[:, 2]
+        s, a, b = t
         c1 = r * np.sqrt(1.0 - s)
         c2 = r * np.sqrt(s)
-        return np.stack([c1 * np.cos(a), c1 * np.sin(a),
-                         c2 * np.cos(b), c2 * np.sin(b)], axis=1)
+        return [c1 * np.cos(a), c1 * np.sin(a), c2 * np.cos(b), c2 * np.sin(b)]
 
     def jac(t):
-        s, a, b = t[:, 0], t[:, 1], t[:, 2]
-        m = t.shape[0]
+        s, a, b = t
         c1 = r * np.sqrt(1.0 - s)
         c2 = r * np.sqrt(s)
-        out = np.zeros((m, 4, 3))
-        out[:, 0, 0] = -0.5 * r * np.cos(a) / np.sqrt(1.0 - s)
-        out[:, 1, 0] = -0.5 * r * np.sin(a) / np.sqrt(1.0 - s)
-        out[:, 2, 0] = 0.5 * r * np.cos(b) / np.sqrt(s)
-        out[:, 3, 0] = 0.5 * r * np.sin(b) / np.sqrt(s)
-        out[:, 0, 1] = -c1 * np.sin(a)
-        out[:, 1, 1] = c1 * np.cos(a)
-        out[:, 2, 2] = -c2 * np.sin(b)
-        out[:, 3, 2] = c2 * np.cos(b)
-        return out
+        return [[-0.5 * r * np.cos(a) / np.sqrt(1.0 - s), -c1 * np.sin(a), 0.0],
+                [-0.5 * r * np.sin(a) / np.sqrt(1.0 - s), c1 * np.cos(a), 0.0],
+                [0.5 * r * np.cos(b) / np.sqrt(s), 0.0, -c2 * np.sin(b)],
+                [0.5 * r * np.sin(b) / np.sqrt(s), 0.0, c2 * np.cos(b)]]
 
     return ChartedSubmanifold(dim=3, ambient_dim=2,
                               domain=((0.0, 1.0), (0.0, 2.0 * math.pi),
@@ -532,11 +613,10 @@ def custom_chart(dim: int, ambient_dim: int, coords: Sequence[str],
     derivs = [[dsl.derive(e, j) for j in range(dim)] for e in exprs]
 
     def gamma(t):
-        return np.stack([dsl.evaluate(e, t) for e in exprs], axis=1)
+        return [dsl.evaluate_columns(e, t) for e in exprs]
 
     def jac(t):
-        return np.stack([np.stack([dsl.evaluate(de, t) for de in row], axis=1)
-                         for row in derivs], axis=1)
+        return [[dsl.evaluate_columns(de, t) for de in row] for row in derivs]
 
     return ChartedSubmanifold(dim=dim, ambient_dim=ambient_dim,
                               domain=tuple(tuple(map(float, r)) for r in domain),

@@ -32,8 +32,8 @@ import numpy as np
 
 from .assembly import HermitianOperator, _rotation_grid, _sector_axes
 from .fock import FockTruncation, eval_basis_matrix
-from .manifold import (ChartedSubmanifold, Quadrature, amp_values, classify,
-                       real_to_complex)
+from .manifold import (ChartedSubmanifold, Quadrature, amp_values,
+                       chart_rows, classify, real_to_complex)
 from .spectral import RateFit, rate_regression
 
 __all__ = [
@@ -91,8 +91,8 @@ def verify_bohr_sommerfeld(sub: ChartedSubmanifold, bs: BohrSommerfeldData,
     frac = (np.arange(BS_SAMPLES) + 0.5) / BS_SAMPLES
     axes = [lo + (hi - lo) * frac for lo, hi in sub.domain]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sub.dim)
-    z = real_to_complex(sub.gamma(grid))
-    J = np.asarray(sub.jacobian(grid), dtype=float)
+    z = real_to_complex(chart_rows(sub.gamma, grid))
+    J = chart_rows(sub.jacobian, grid)
     cols = J[:, 0::2, :] + 1j * J[:, 1::2, :]  # (m, N, d)
     h = 1e-5
     for j in range(sub.dim):

@@ -195,10 +195,10 @@ def reference_cases():
         "dsl_wobbly_dense": (FockTruncation(1, k, M), wobbly_circle(),
                              mfd.quadrature(wobbly_circle(), 2 * M + 9),
                              lambda t: 1.0 + np.cos(t[:, 0])),
-        # 48 rotation nodes per radial node take the dense path, 144 the
+        # 12 rotation nodes per radial node take the dense path, 144 the
         # sector sum
         "sphere3_dense_grid": (FockTruncation(2, 4.0, 20), sphere,
-                               mfd.quadrature(sphere, [30, 6, 8]), sphere_amp),
+                               mfd.quadrature(sphere, [30, 3, 4]), sphere_amp),
         "sphere3_sector_grid": (FockTruncation(2, 4.0, 20), sphere,
                                 mfd.quadrature(sphere, [12, 12, 12]),
                                 sphere_amp),
@@ -285,6 +285,61 @@ def test_rotation_charges_read_from_points():
     assert asm._sector_axes(flat)[1].tolist() == [[1, 0], [0, 1], [0, 0]]
     assert asm._sector_axes(mfd.quadrature(wobbly_circle(), 64)) is None
     assert asm._sector_axes(mfd.quadrature(mfd.parabola_patch(), 8)) is None
+
+
+def reference_sector_axes(quad):
+    """Rotation axes and charges by the slab check over the materialized
+    points of the whole grid."""
+    grid = quad.points.reshape(quad.shape + (-1,))
+    tol = asm._ROTATION_TOL * max(float(np.abs(here).max(initial=0.0))
+                                  for here, _ in asm._slab_pairs(grid, 0))
+    idx = list(range(grid.ndim))
+    axes, charges = [], []
+    for axis, (L, periodic) in enumerate(zip(quad.shape, quad.sub.periodic)):
+        if not periodic:
+            continue
+        turn = sum(np.einsum(ahead, idx, here.conj(), idx, idx[-1:])
+                   for here, ahead in asm._slab_pairs(grid, axis))
+        c = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(np.int64) % L
+        phase = np.exp(2j * math.pi * c / L)
+        if all(np.abs(ahead - phase * here).max() <= tol
+               for here, ahead in asm._slab_pairs(grid, axis)):
+            axes.append(axis)
+            charges.append(c)
+    if math.prod(quad.shape[a] for a in axes) < asm._SECTOR_NODES:
+        return None
+    return tuple(axes), np.stack(charges, axis=1)
+
+
+SECTOR_AXES_CASES = {
+    "circle": (mfd.circle(1.3), 40),
+    "torus_zero_coordinate": (mfd.torus_product([1.0, 0.7], ambient_dim=3), 8),
+    "dsl_torus": (dsl_torus(), 16),
+    "dsl_torus_backwards": (dsl_torus(("cos(2*t1)", "-sin(2*t1)",
+                                       "0.7*cos(t2)", "0.7*sin(t2)")), 16),
+    # the second coordinate reads both axes
+    "dsl_coupled": (dsl_torus(("cos(t1)", "sin(t1)", "0.7*cos(t1 + t2)",
+                               "0.7*sin(t1 + t2)")), [8, 12]),
+    "wobbly": (wobbly_circle(), 64),
+    "sphere3": (mfd.sphere3(1.0), [23, 45, 45]),
+    "sphere3_dense_grid": (mfd.sphere3(1.0), [30, 3, 4]),
+    "parabola": (mfd.parabola_patch(), 8),
+}
+
+
+@pytest.mark.parametrize("case", list(SECTOR_AXES_CASES))
+def test_sector_axes_match_the_check_over_every_point(monkeypatch, case):
+    sub, order = SECTOR_AXES_CASES[case]
+    quad = mfd.quadrature(sub, order)
+    # small slabs: blocks of several slabs, and one slab a block
+    for slab_bytes in (asm._SLAB_BYTES, 64):
+        monkeypatch.setattr(asm, "_SLAB_BYTES", slab_bytes)
+        got, want = asm._sector_axes(quad), reference_sector_axes(quad)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            assert got[1].dtype == want[1].dtype
+            assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")

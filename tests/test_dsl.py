@@ -227,3 +227,44 @@ def test_roundtrip_random_trees():
     for _ in range(200):
         e = _random_expr(rng, 4)
         assert dsl.parse(dsl.to_string(e), 2) == e
+
+
+COLUMN_CASES = ["1 + t1*t2 - t3/2", "2.5", "exp(-t1) * sin(3*t2) + cos(t3)",
+                "sqrt(t1 + 1) ^ 3 - log(t2 + 2)", "t2 ^ 2 / (1 + t1 ^ 2)",
+                "bump(t1, -0.5, 1.5) * t3", "bump_d1(t2, 0, 2) + pi * e",
+                "-t1 ^ 0.5", "t3"]
+
+
+@pytest.mark.parametrize("text", COLUMN_CASES)
+def test_axis_columns_match_stacked_rows(text):
+    axes = [np.linspace(0.1, 1.9, 5), np.linspace(0.0, 2.0, 4),
+            np.linspace(-1.0, 1.0, 3)]
+    expr = dsl.parse(text, 3)
+    cols = [x.reshape((1,) * j + (-1,) + (1,) * (2 - j))
+            for j, x in enumerate(axes)]
+    grid = dsl.evaluate_columns(expr, cols)
+    shape = (5, 4, 3)
+    assert grid.ndim in (0, 3)
+    rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    stacked = dsl.evaluate(expr, rows)
+    assert np.broadcast_to(grid, shape).reshape(-1).tobytes() == \
+        stacked.tobytes()
+    # a value reads only its own variables
+    read = {j for j in range(3) if f"t{j + 1}" in text}
+    assert all(n == (shape[j] if j in read else 1)
+               for j, n in enumerate(np.shape(grid) or (1, 1, 1)))
+
+
+def test_axis_columns_raise_the_stacked_domain_errors():
+    expr = dsl.parse("log(t1 - 1) + t2", 2)
+    axes = [np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 3)]
+    cols = [axes[0][:, None], axes[1][None, :]]
+    rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    for values in (lambda: dsl.evaluate_columns(expr, cols),
+                   lambda: dsl.evaluate(expr, rows)):
+        with pytest.raises(dsl.DomainError, match="log"):
+            values()
+    # the upper half of the t1 axis is inside the domain in both forms
+    cols[0], rows = cols[0][3:], rows[rows[:, 0] > 1.0]
+    assert np.broadcast_to(dsl.evaluate_columns(expr, cols), (2, 3)).reshape(
+        -1).tobytes() == dsl.evaluate(expr, rows).tobytes()

@@ -19,9 +19,54 @@ from szegolab.spectral import eigensolve
 def metric_and_form(sub, t):
     """G = J^T J and H_ij = omega(col_i, col_j) = sum over the complex
     coordinates of y_i x_j - x_i y_j, from the chart's jacobian at t."""
-    J = np.asarray(sub.jacobian(np.asarray(t, dtype=float)[None]))[0]
+    J = mfd.chart_rows(sub.jacobian, np.asarray(t, dtype=float)[None])[0]
     X, Y = J[0::2], J[1::2]
     return J.T @ J, Y.T @ X - X.T @ Y
+
+
+def reference_sqrt_det_metric(J):
+    """sqrt(det G) of stacked jacobians J (m, 2N, d), each entry of G one
+    dot product over the rows, then Cholesky pivots over the nodes."""
+    m, _, d = J.shape
+    G = np.empty((d, d, m))
+    for i in range(d):
+        for j in range(i + 1):
+            G[i, j] = G[j, i] = np.einsum("ma,ma->m", J[:, :, i], J[:, :, j])
+    det = np.ones(m)
+    for j in range(d):
+        pivot = G[j, j]
+        assert np.all(pivot > 0)
+        det *= pivot
+        G[j + 1:, j + 1:] -= G[j + 1:, j, None] * (G[j, j + 1:] / pivot)
+    return np.sqrt(det)
+
+
+def reference_quadrature(sub, order):
+    """Nodes, weights and points of the tensor grid with the chart called
+    on stacked (m, d) nodes in chunks of 1000."""
+    shape = tuple(order) if np.ndim(order) else (int(order),) * sub.dim
+    d, m = sub.dim, math.prod(shape)
+    nodes, weights = np.empty(shape + (d,)), np.ones(shape)
+    for j, ((lo, hi), per, n) in enumerate(zip(sub.domain, sub.periodic,
+                                               shape)):
+        if per:
+            x = lo + (hi - lo) * np.arange(n) / n
+            w = np.full(n, (hi - lo) / n)
+        else:
+            x0, w0 = np.polynomial.legendre.leggauss(n)
+            x = 0.5 * (hi - lo) * (x0 + 1.0) + lo
+            w = 0.5 * (hi - lo) * w0
+        along = (1,) * j + (n,) + (1,) * (d - j - 1)
+        nodes[..., j] = x.reshape(along)
+        weights *= w.reshape(along)
+    nodes, weights = nodes.reshape(m, d), weights.reshape(m)
+    coords = np.empty((m, 2 * sub.ambient_dim))
+    for lo in range(0, m, 1000):
+        t = nodes[lo:lo + 1000]
+        weights[lo:lo + 1000] *= reference_sqrt_det_metric(
+            mfd.chart_rows(sub.jacobian, t))
+        coords[lo:lo + 1000] = mfd.chart_rows(sub.gamma, t)
+    return nodes, weights, coords.view(complex)
 
 
 def test_circle_frame():
@@ -150,9 +195,62 @@ CHARTS = [
 
 @pytest.mark.parametrize("sub", CHARTS, ids=lambda sub: sub.label)
 def test_sqrt_det_metric_matches_lapack_det(sub):
-    J = np.asarray(sub.jacobian(mfd.quadrature(sub, 5).nodes), dtype=float)
+    J = mfd.chart_rows(sub.jacobian, mfd.quadrature(sub, 5).nodes)
     expect = np.sqrt(np.linalg.det(np.swapaxes(J, 1, 2) @ J))
-    assert np.abs(mfd._sqrt_det_metric(J) / expect - 1.0).max() <= 1e-13
+    got = mfd._sqrt_det_metric(np.moveaxis(J, 0, -1))
+    assert np.abs(got / expect - 1.0).max() <= 1e-13
+
+
+def wobbly_circle():
+    return mfd.custom_chart(1, 1, ["(1 + 0.1*cos(t1))*cos(t1)",
+                                   "(1 + 0.1*cos(t1))*sin(t1)"],
+                            [True], [[0.0, TWO_PI]], label="wobbly")
+
+
+@pytest.mark.parametrize("sub, order", [(sub, 5) for sub in CHARTS] + [
+    (wobbly_circle(), 64), (mfd.sphere3(1.0), [23, 45, 45]),
+    (mfd.parabola_patch((-1.0, 2.0), (0.5, 1.5)), [7, 9])],
+    ids=lambda v: getattr(v, "label", str(v)))
+def test_quadrature_by_axis_keeps_every_bit(sub, order):
+    quad = mfd.quadrature(sub, order)
+    nodes, weights, points = reference_quadrature(sub, order)
+    assert quad.nodes.tobytes() == nodes.tobytes()
+    assert quad.weights.tobytes() == weights.tobytes()
+    assert quad.points.tobytes() == points.tobytes()
+    # each coordinate, at its own shape, broadcasts to the points
+    grid = points.reshape(quad.shape + (-1,))
+    for j, z in enumerate(quad.coords):
+        assert z.ndim == sub.dim
+        assert all(n in (1, L) for n, L in zip(z.shape, quad.shape))
+        assert np.broadcast_to(z, quad.shape).tobytes() == \
+            np.ascontiguousarray(grid[..., j]).tobytes()
+    assert quad.max_radius() == float(np.abs(points).max())
+
+
+def test_sphere3_coordinates_keep_the_shape_of_their_axes():
+    quad = mfd.quadrature(mfd.sphere3(1.0), [3, 4, 5])
+    assert [z.shape for z in quad.coords] == [(3, 4, 1), (3, 1, 5)]
+
+
+def test_chart_values_must_broadcast_to_the_grid():
+    # a 1-d t1 coordinate would broadcast along the t2 axis of the grid
+    flat = dataclasses.replace(
+        mfd.torus_product([1.0, 0.7]),
+        gamma=lambda t: [np.cos(t[0]).ravel(), np.sin(t[0]).ravel(),
+                         np.cos(t[1]), np.sin(t[1])])
+    with pytest.raises(ValueError, match="broadcast"):
+        mfd.quadrature(flat, [4, 5])
+
+
+def test_gauss_rule_is_cached_read_only():
+    for n in (1, 19, 23):
+        x, w = mfd._gauss_rule(n)
+        x0, w0 = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == x0.tobytes() and w.tobytes() == w0.tobytes()
+        assert not x.flags.writeable and not w.flags.writeable
+        assert mfd._gauss_rule(n)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 @pytest.mark.parametrize("rows, d", [(6, 4), (8, 5), (10, 7), (6, 1)])
@@ -160,7 +258,13 @@ def test_sqrt_det_metric_any_dimension(rows, d):
     # tall Gaussian jacobians keep G well conditioned (cond below 2e3)
     J = np.random.default_rng(d).normal(size=(40, rows, d))
     expect = np.sqrt(np.linalg.det(np.swapaxes(J, 1, 2) @ J))
-    assert np.abs(mfd._sqrt_det_metric(J) / expect - 1.0).max() <= 1e-13
+    got = mfd._sqrt_det_metric(np.moveaxis(J, 0, -1))
+    assert np.abs(got / expect - 1.0).max() <= 1e-13
+    # the same bits as einsum's dot product over the rows of the stack,
+    # which sums them in row order when they are strided (d > 1); a
+    # contiguous row (d = 1) it sums in SIMD lanes
+    if d > 1:
+        assert got.tobytes() == reference_sqrt_det_metric(J).tobytes()
 
 
 def test_degenerate_chart_has_a_singular_metric():
@@ -177,21 +281,34 @@ def test_quadrature_chunks_bound_the_jacobian(monkeypatch):
     order = [11, 21, 21]
     monkeypatch.setattr(mfd, "_CHUNK_BYTES", 1 << 40)
     whole = mfd.quadrature(sphere, order)
-    calls = []
+    blocks, metrics = [], []
+    sqrt_det_metric = mfd._sqrt_det_metric
 
     def jacobian(t):
-        calls.append(t.shape[0])
+        blocks.append(math.prod(c.size for c in t))
         return sphere.jacobian(t)
 
-    # 8 bytes times d (2N + d) per node: 1500 nodes a chunk, 4 chunks
-    monkeypatch.setattr(mfd, "_CHUNK_BYTES", 1500 * 8 * 3 * 7)
-    chunked = mfd.quadrature(dataclasses.replace(sphere, jacobian=jacobian),
-                             order)
-    assert len(calls) >= 3 and sum(calls) == whole.size
-    assert max(calls) <= 1500
-    for field in ("nodes", "weights", "points"):
-        assert np.array_equal(getattr(chunked, field), getattr(whole, field))
-    assert chunked.shape == whole.shape
+    def recording(J):
+        out = sqrt_det_metric(J)
+        metrics.append(out.size)
+        return out
+
+    monkeypatch.setattr(mfd, "_sqrt_det_metric", recording)
+    chart = dataclasses.replace(sphere, jacobian=jacobian)
+    # 1500 nodes a block cuts the leading axis into runs of 3 rows of
+    # 21 x 21 nodes; 100 cuts each leading row into runs of 4 x 21 nodes
+    for nodes in (1500, 100):
+        blocks.clear()
+        metrics.clear()
+        # 8 bytes times d (2N + d) per node of jacobian and metric
+        monkeypatch.setattr(mfd, "_CHUNK_BYTES", nodes * 8 * 3 * 7)
+        chunked = mfd.quadrature(chart, order)
+        assert len(blocks) >= 3 and sum(blocks) == whole.size
+        assert max(blocks) <= nodes and metrics == blocks
+        for field in ("nodes", "weights", "points"):
+            assert getattr(chunked, field).tobytes() == \
+                getattr(whole, field).tobytes()
+        assert chunked.shape == whole.shape
 
 
 @pytest.mark.parametrize("sub, order", [(mfd.parabola_patch(), 24),
@@ -200,8 +317,7 @@ def test_quadrature_chunks_bound_the_jacobian(monkeypatch):
 def test_w_spectrum_in_chunks_matches_one_geometry_pass(monkeypatch, sub,
                                                         order):
     quad = mfd.quadrature(sub, order)
-    lam, is_lambda = mfd._geometry(
-        np.asarray(sub.jacobian(quad.nodes), dtype=float))
+    lam, is_lambda = mfd._geometry(mfd.chart_rows(sub.jacobian, quad.nodes))
     monkeypatch.setattr(mfd, "_CHUNK_BYTES", 50 * 8 * sub.dim
                         * (2 * sub.ambient_dim + sub.dim))
     chunked = quad.frame  # frame_at over chunks of 50 nodes
@@ -237,7 +353,7 @@ def test_classify_reads_one_stacked_frame(monkeypatch):
 
 def test_sphere3_quadrature_memory_is_bounded():
     # the k = 20 Lab order, 310,675 nodes: the stored nodes, weights and
-    # points take 20 MB, and the peak grows by about 21 MB; with full-grid
+    # points take 20 MB, and the peak grows by about 20 MB; with full-grid
     # jacobians and metrics it grew by 75-104 MB
     code = ("import resource, szegolab.manifold as m\n"
             "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
@@ -299,12 +415,12 @@ def test_jacobians_match_finite_differences():
         for _ in range(3):
             t = np.array([lo + (hi - lo) * rng.uniform(0.2, 0.8)
                           for lo, hi in sub.domain])
-            J = sub.jacobian(t[None])[0]
+            J = mfd.chart_rows(sub.jacobian, t[None])[0]
             for j in range(sub.dim):
                 step = np.zeros(sub.dim)
                 step[j] = h
-                fd = (sub.gamma((t + step)[None])[0]
-                      - sub.gamma((t - step)[None])[0]) / (2 * h)
+                fd = (mfd.chart_rows(sub.gamma, (t + step)[None])[0]
+                      - mfd.chart_rows(sub.gamma, (t - step)[None])[0]) / (2 * h)
                 assert np.abs(fd - J[:, j]).max() <= 1e-6
 
 
@@ -342,21 +458,22 @@ def test_custom_dsl_chart_matches_builtin_circle():
 
 def test_custom_chart_evaluates_each_expression_once(monkeypatch):
     calls = []
-    evaluate = dsl.evaluate
+    evaluate = dsl.evaluate_columns
 
     def counting(e, t):
-        calls.append(len(t))
+        calls.append([c.shape for c in t])
         return evaluate(e, t)
 
-    monkeypatch.setattr(dsl, "evaluate", counting)
+    monkeypatch.setattr(dsl, "evaluate_columns", counting)
     torus = mfd.custom_chart(2, 2, ["cos(t1)", "sin(t1)", "0.7*cos(t2)",
                                     "0.7*sin(t2)"], [True, True],
                              [[0.0, 2 * math.pi]] * 2)
     for order in (4, 40):
         calls.clear()
-        q = mfd.quadrature(torus, order)
-        # 2N coordinates and 2N * d derivatives, each over all nodes at once
-        assert calls == [q.size] * (2 * 2 * (1 + 2))
+        mfd.quadrature(torus, order)
+        # 2N coordinates and 2N * d derivatives, each once on the axis
+        # vectors of the grid
+        assert calls == [[(order, 1), (1, order)]] * (2 * 2 * (1 + 2))
 
 
 @settings(max_examples=20, deadline=None)

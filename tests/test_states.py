@@ -186,9 +186,9 @@ def spy_basis_points(monkeypatch) -> list:
 
 
 def test_few_node_circle_keeps_node_sum(monkeypatch):
-    # fewer than 64 rotation nodes: every node is evaluated, as before
+    # fewer than 16 rotation nodes: every node is evaluated, as before
     sub = mfd.circle(1.0)
-    quad = mfd.quadrature(sub, 40)
+    quad = mfd.quadrature(sub, 12)
     trunc = FockTruncation(1, 4.0, 16)
     seen = spy_basis_points(monkeypatch)
     bs = BohrSommerfeldData(theta=circle_theta(1.0))
