@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import asymptotics, hessian, spectral, states
+from ._blas import single_threaded
 from .assembly import (
     HermitianOperator,
     assemble_T,
@@ -388,6 +389,7 @@ CHECKS = [
 ]
 
 
+@single_threaded()
 def run_all(lab: Lab = None, checks=None) -> list[dict]:
     """Run the full verification suite; returns one verdict per check."""
     lab = lab or Lab()

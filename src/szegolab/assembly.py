@@ -166,9 +166,11 @@ the Schatten check's e^{it}(1 + cos t)/2 with c = 0.  Grids without
 rotation axes go node by node in complex arithmetic, as before.
 
 Bandwidth crossover: a band solver pays while its width is at most
-_BAND_ROOT sqrt(n) on a block of n rows, _BAND_ROOT = 1.5.  The widest
-band at which it still beat the dense solver, on random blocks (2-vCPU
-Xeon, OpenBLAS with 2 threads, median of 7, bisection on the width):
+_BAND_ROOT sqrt(n) on a block of n rows, _BAND_ROOT = 1.5.  It was set
+from the widest band at which a band solver still beat the dense solver
+on random blocks, measured while the band routines ran on one thread and
+the dense ones on both OpenBLAS threads (2-vCPU Xeon, median of 7,
+bisection on the width):
 
     n      eig_banded / eigvalsh    ?gbbrd + dbdsqr / SVD
            real      complex        real      complex
@@ -179,9 +181,25 @@ Xeon, OpenBLAS with 2 threads, median of 7, bisection on the width):
     640    45        40             55        45
     1225   53        48             105       64-96
 
-The band routines run on one thread and the dense ones on both, and the
-crossover grows about as sqrt(n): from n = 160 on, width / sqrt(n) lies
-between 1.3 and 3.0 with median 1.6, which _BAND_ROOT rounds down.
+The crossover grows about as sqrt(n): from n = 160 on, width / sqrt(n)
+lies between 1.3 and 3.0 with median 1.6, which _BAND_ROOT rounds down.
+Dense blocks below `_blas._THREAD_ROWS` = 512 rows now run on one thread
+(module notes, Threads).  Against the dense solvers as they now run, the
+same bisection gives, as the range over three runs (the ?gbbrd width is
+lower + upper, with lower = ceil(width / 2)):
+
+    n      eig_banded / eigvalsh    ?gbbrd + dbdsqr / SVD
+           real      complex        real      complex
+    40     36-39     7-12           0-4       2-7
+    80     2-14      10-17          2-8       7-15
+    160    5-14      10-20          14        10-22
+    320    25-45     14-26          21-28     27-34
+    640    14-60     32-44          54-58     60-70
+
+At n = 160 the one-thread dense solvers win narrower bands than before
+(width / sqrt(n) 0.9-1.3 in the medians of the three runs); from n = 160
+on the median of width / sqrt(n) is 1.45, so _BAND_ROOT stays at 1.5.
+A new value would move layouts, and needs its own check of the verdicts.
 Below n = 100 both sides take well under a millisecond.  On the DSL
 torus blocks (widths above; 2 x that for the non-Hermitian amplitude,
 against 18.6, 35.5 and 52.5 allowed) eig_banded takes 0.016 and 0.087 s
@@ -220,6 +238,24 @@ instead of 0.28-0.40 s with the 4096 x 4096 kernel, and 0.01-0.02 s at
 Xeon, OpenBLAS); the parabola_moments pair traces move by 2e-16
 relative.  `nfold_trace_integral` keeps the dense kernel: its phase
 Im(z_s . conj z_t) couples the parabola's x1 and y1 axes.
+
+Threads: `assemble_T`, `pair_trace_integral` and `nfold_trace_integral`
+run on one BLAS thread (`_blas` module notes).  The zherk or zgemm
+updates of a dense T of at least `_blas._THREAD_ROWS` = 512 rows, the
+kernel products of a node chunk of that many rows and the chain products
+of `nfold_trace_integral` on that many nodes get the thread count the
+caller had.  zherk would pay a second thread from smaller T, but shares
+the one crossover; ms per update of T by C^H C, C of nodes x dim, 1 / 2
+threads (scipy's OpenBLAS, median of 7): 0.28 / 0.35 at 512 x 64,
+0.61 / 0.79 at 4096 x 32, 1.9 / 1.3 at 256 x 256, 9.6 / 5.8 at
+4096 x 128, 2.9 / 1.9 at 128 x 512, 65 / 32 at 2048 x 512.
+
+Cost budget: a dense T, the dense blocks of a sector operator together,
+and the n node-coupling matrices of `nfold_trace_integral` may take at
+most _DENSE_BUDGET = 4 GB at 16 bytes an entry.  Past it CostLimitError
+is raised before any of them is allocated: the real circle (cos t, 0,
+sin t, 0) in C^2 at k = 80 and M = 320 would be one dense T of dim
+51,681, 43 GB.
 """
 
 from __future__ import annotations
@@ -232,6 +268,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._blas import single_threaded, threaded
 from .fock import FockTruncation, eval_basis_matrix
 from .manifold import ChartedSubmanifold, Quadrature, amp_values
 
@@ -255,7 +292,7 @@ _ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
 _SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
 _SECTOR_NODES = 16  # rotation nodes per explicit node for the sector sum
 _BAND_ROOT = 1.5  # band solvers pay to this width over sqrt(rows)
-_NFOLD_BUDGET = 4e9  # bytes of the n complex node-coupling matrices
+_DENSE_BUDGET = 4e9  # bytes of a dense T, or of nfold's n kernel matrices
 
 
 class TruncationWarning(UserWarning):
@@ -264,6 +301,14 @@ class TruncationWarning(UserWarning):
 
 class CostLimitError(RuntimeError):
     pass
+
+
+def _within_budget(nbytes: float, what: str) -> None:
+    """Raise CostLimitError, before anything is allocated, when `what`
+    would take more than _DENSE_BUDGET bytes."""
+    if nbytes > _DENSE_BUDGET:
+        raise CostLimitError(f"{what} would take {nbytes / 1e9:.3g} GB, "
+                             f"over the {_DENSE_BUDGET / 1e9:g} GB budget")
 
 
 @dataclass(frozen=True)
@@ -961,6 +1006,9 @@ def _fill(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
     """Sum the sector into the stored pattern: every entry of each dense
     block, and each banded block between its own lower and upper extents;
     for real amplitudes the lower triangle, mirrored."""
+    sizes = np.diff(bounds[widths.size:])
+    _within_budget(16.0 * float(np.sum(sizes.astype(float) ** 2)),
+                   f"dense blocks up to {sizes.max(initial=0)} rows")
     F, L = sector.F, np.array(sector.shape)
     dim, nband = perm.size, int(bounds[len(widths)])
     # the charges tiled twice along each rotation axis, where (q_m - q_n)
@@ -1020,6 +1068,7 @@ def _fill(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
                        else sector.phase[perm])
 
 
+@single_threaded()
 def assemble_T(trunc: FockTruncation, sub: ChartedSubmanifold, a,
                quad: Quadrature) -> HermitianOperator:
     """Assemble T_{a dsigma} as a Gram matrix over the quadrature.
@@ -1070,6 +1119,7 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     from scipy.linalg.blas import zgemm, zherk
 
     dim = trunc.dim
+    _within_budget(16.0 * dim * dim, f"a dense {dim} x {dim} T")
     # basis values come in Fortran order, so C and C^T pass to BLAS uncopied
     # and X accumulates in Fortran order: T^T for zgemm, the upper triangle
     # of T for zherk
@@ -1088,13 +1138,16 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
             norm2 += n2
             dropped2 += d2
             if is_real:
-                X = zherk(alpha, C, beta=1.0, c=X, trans=2, overwrite_c=1)
+                with threaded(dim):
+                    X = zherk(alpha, C, beta=1.0, c=X, trans=2,
+                              overwrite_c=1)
                 continue
             # X += C^T (phase * conj C), with phase = wa / |wa|
             phased = C.conj()
             phased *= (wa[chunk] / np.abs(wa[chunk]))[:, None]
-            X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
-                      overwrite_c=1)
+            with threaded(dim):
+                X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
+                          overwrite_c=1)
     T = X.T
     if is_real:
         # zherk filled the upper triangle of X, so the lower triangle of
@@ -1114,10 +1167,12 @@ def _warn_if_truncated(op: HermitianOperator) -> None:
     boundary = degrees == trunc.max_degree
     share = float(np.abs(diag)[boundary].sum()) / total
     if share > 1e-8:
+        # past this function, assemble_T and its single_threaded wrapper,
+        # so that the warning names the line that called assemble_T
         warnings.warn(
             f"top-degree basis functions carry {share:.2e} of the trace; "
             f"increase max_degree beyond {trunc.max_degree}",
-            TruncationWarning, stacklevel=3)
+            TruncationWarning, stacklevel=4)
 
 
 def exact_trace(op: HermitianOperator) -> tuple[float, float, float]:
@@ -1199,10 +1254,13 @@ def _kernel_rows(coords: np.ndarray, Y: np.ndarray, k: float):
         K *= -k
         np.exp(K, out=K)
         # K is real: apply it to the real and imaginary parts separately
-        yield lo, hi, (K @ Y.real + 1j * (K @ Y.imag) if np.iscomplexobj(Y)
-                       else K @ Y)
+        with threaded(hi - lo):
+            KY = (K @ Y.real + 1j * (K @ Y.imag) if np.iscomplexobj(Y)
+                  else K @ Y)
+        yield lo, hi, KY
 
 
+@single_threaded()
 def pair_trace_integral(sub: ChartedSubmanifold, a, b, quad: Quadrature,
                         k: float) -> float:
     """(k/pi)^{2N} double integral of e^{-k|z-w|^2} a(z) b(w) dsigma^2.
@@ -1233,6 +1291,7 @@ def pair_trace_integral(sub: ChartedSubmanifold, a, b, quad: Quadrature,
     return float(value.real) if abs(value.imag) < 1e-10 * abs(value) else complex(value)
 
 
+@single_threaded()
 def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Quadrature,
                          k: float) -> complex:
     """Direct quadrature of the cyclic trace integral for n factors.
@@ -1248,8 +1307,7 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
         raise ValueError("need at least two amplitudes")
     pts = quad.points
     m = pts.shape[0]
-    if float(m) ** 2 * n * 16 > _NFOLD_BUDGET:
-        raise CostLimitError(f"{m} nodes with n={n} exceeds the cost budget")
+    _within_budget(16.0 * m * m * n, f"{n} kernels on {m} nodes")
     x = pts.view(np.float64)  # interleaved reals (x1, y1, ...)
     d2 = _sq_dists(x, x)
     om = np.imag(pts @ pts.conj().T)  # omega(w_u, w_v) = Im(w_u . conj(w_v))
@@ -1258,7 +1316,9 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
                for a in amplitudes)
     chain = next(factors)
     for _ in range(n - 2):
-        chain = chain @ next(factors)
+        factor = next(factors)
+        with threaded(m):
+            chain = chain @ factor
     N = sub.ambient_dim
     trace = np.einsum("ij,ji->", chain, next(factors))
     return (k / math.pi) ** (N * n) * complex(trace)

@@ -22,8 +22,9 @@ import jsonschema
 import numpy as np
 
 from . import acceptance, asymptotics, dsl, hessian, spectral, states
+from ._blas import single_threaded
 from .acceptance import verdict
-from .assembly import assemble_T
+from .assembly import CostLimitError, assemble_T
 from .fock import FockTruncation
 from .manifold import (
     amp_values,
@@ -560,8 +561,10 @@ def _steady_heap() -> None:
             mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
+@single_threaded()
 def main(argv=None) -> int:
-    """Run one subcommand; malformed input exits 2, a failed computation 1."""
+    """Run one subcommand; malformed input exits 2, and a failed
+    computation, or one over the cost budget of `assembly`, exits 1."""
     _steady_heap()
     args = build_parser().parse_args(argv)
     try:
@@ -569,7 +572,7 @@ def main(argv=None) -> int:
     except (SchemaError, dsl.DslSyntaxError, dsl.UnknownVariableError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, dsl.DslError) as exc:
+    except (ValueError, dsl.DslError, CostLimitError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

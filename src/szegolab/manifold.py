@@ -64,6 +64,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dsl
+from ._blas import single_threaded
 
 __all__ = [
     "ChartedSubmanifold",
@@ -279,6 +280,7 @@ def _lambda_pairs(gl: np.ndarray, gv: np.ndarray, H: np.ndarray
     return np.sqrt(np.clip(lam2, 0.0, None)), is_lambda
 
 
+@single_threaded()
 def frame_at(sub: ChartedSubmanifold, t) -> GeometryFrame:
     """Geometry frame at the parameter points t, (m, d) or one point,
     computed in node blocks (module notes)."""
@@ -425,6 +427,7 @@ def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
     return x, w
 
 
+@single_threaded()
 def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
     """Tensor-product quadrature over the parameter box.
 

@@ -16,9 +16,14 @@ in LAPACK's ?gbbrd, which never forms B^H B, a dilation or a dense copy;
 dbdsqr then gives the singular values of the bidiagonal to high
 relative accuracy.  Both are bound from the function capsules of
 `scipy.linalg.cython_lapack` through ctypes on first use, after their C
-signatures are checked against `_PROTOTYPES`.  Like `eig_banded`, they
-run on one thread.  On the Schatten check's complex circle operators
-sum sigma^2 meets ||T||_F^2 to 1e-15 relative, as the dense SVD does.
+signatures are checked against `_PROTOTYPES`.  On the Schatten check's
+complex circle operators sum sigma^2 meets ||T||_F^2 to 1e-15 relative,
+as the dense SVD does.
+
+Threads: `eigensolve`, `singular_values` and `schatten_sum` run on one
+BLAS thread, band solvers and small dense blocks alike; a dense block of
+at least `_blas._THREAD_ROWS` = 512 rows gets the thread count the caller
+had (`_blas` module notes, with the 1- and 2-thread timings).
 
 Every solver follows the dtype of the blocks.  An operator that a
 diagonal phase makes real (the gauge, `assembly` module notes) stores
@@ -37,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._blas import single_threaded, threaded
 from .assembly import HermitianOperator
 
 __all__ = [
@@ -147,6 +153,7 @@ def _descending(parts: list[np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(parts + [np.zeros(0)]))[::-1].copy()
 
 
+@single_threaded()
 def eigensolve(op: HermitianOperator) -> SpectralSummary:
     """Full descending spectrum of a Hermitian operator, block by block."""
     if not op.hermitian:
@@ -155,7 +162,9 @@ def eigensolve(op: HermitianOperator) -> SpectralSummary:
     w = layout.half_width
     parts = [_band_eigvals(layout.band[w:w + width + 1, lo:hi])
              for lo, hi, width in _runs(layout, 1)]
-    parts += [np.linalg.eigvalsh(D) for _, _, D in layout.dense_blocks()]
+    for _, _, D in layout.dense_blocks():
+        with threaded(D.shape[0]):
+            parts.append(np.linalg.eigvalsh(D))
     return SpectralSummary(_descending(parts))
 
 
@@ -285,6 +294,7 @@ def _band_singular_values(ab: np.ndarray) -> np.ndarray:
     return d
 
 
+@single_threaded()
 def singular_values(op: HermitianOperator) -> np.ndarray:
     """Descending singular values, block by block.
 
@@ -303,11 +313,13 @@ def singular_values(op: HermitianOperator) -> np.ndarray:
         parts = [np.abs(layout.band[w, lo:hi]) if width == 0 else
                  _band_singular_values(layout.band[:, lo:hi])
                  for lo, hi, width in _runs(layout, 0)]
-    parts += [np.linalg.svd(D, compute_uv=False)
-              for _, _, D in layout.dense_blocks()]
+    for _, _, D in layout.dense_blocks():
+        with threaded(D.shape[0]):
+            parts.append(np.linalg.svd(D, compute_uv=False))
     return _descending(parts)
 
 
+@single_threaded()
 def schatten_sum(op: HermitianOperator, p):
     """Sum of singular values to the p-th power.
 

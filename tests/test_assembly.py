@@ -143,9 +143,52 @@ def test_nfold_trace_matches_identity_started_chain():
 
 def test_nfold_cost_budget(monkeypatch):
     sub, trunc, quad = circle_setup(10.0)
-    monkeypatch.setattr(asm, "_NFOLD_BUDGET", 10.0)
+    monkeypatch.setattr(asm, "_DENSE_BUDGET", 10.0)
     with pytest.raises(CostLimitError):
         nfold_trace_integral(sub, [None, None], quad, 10.0)
+
+
+def bump(t):
+    return np.exp(-8.0 * (1.0 - np.cos(t[:, 0])))
+
+
+def test_dense_budget_stops_a_sector_block_before_its_fill(monkeypatch):
+    # the bump's support links the whole circle basis into one dense block
+    sub, trunc, quad = circle_setup(10.0)
+    monkeypatch.setattr(asm, "_assemble_dense", None)  # the sector path only
+    monkeypatch.setattr(asm, "_DENSE_BUDGET", 16.0 * trunc.dim ** 2)
+    layout = assemble_T(trunc, sub, bump, quad).layout
+    assert [D.shape for D in layout.dense] == [(trunc.dim, trunc.dim)]
+
+    def no_gather(*args, **kwargs):
+        raise AssertionError("filled past the budget")
+
+    monkeypatch.setattr(asm, "_DENSE_BUDGET", 16.0 * trunc.dim ** 2 - 1.0)
+    monkeypatch.setattr(np, "take", no_gather)
+    with pytest.raises(CostLimitError, match=f"{trunc.dim} rows"):
+        assemble_T(trunc, sub, bump, quad)
+
+
+def test_dense_budget_stops_node_by_node_assembly_before_evaluation(
+        monkeypatch):
+    sub = mfd.parabola_patch()
+    quad = mfd.quadrature(sub, [6, 6])
+    trunc = FockTruncation(2, 2.0, 12)
+    monkeypatch.setattr(asm, "_DENSE_BUDGET", 16.0 * trunc.dim ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert assemble_T(trunc, sub, None, quad).dim == trunc.dim
+    monkeypatch.setattr(asm, "_DENSE_BUDGET", 16.0 * trunc.dim ** 2 - 1.0)
+    monkeypatch.setattr(asm, "eval_basis_matrix", None)
+    with pytest.raises(CostLimitError, match=f"{trunc.dim} x {trunc.dim}"):
+        assemble_T(trunc, sub, None, quad)
+
+
+def test_truncation_warning_names_the_caller():
+    sub, trunc, quad = circle_setup(5.0, M=20)
+    with pytest.warns(TruncationWarning) as caught:
+        assemble_T(trunc, sub, bump, quad)
+    assert caught[0].filename == __file__
 
 
 def test_complex_amplitude_not_hermitian():

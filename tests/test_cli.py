@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,28 @@ def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
     assert cli.main(["--config", cfg, "--out", str(out), *argv]) == code
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dense_operator_over_budget_exits_1_before_allocating(tmp_path,
+                                                              capsys):
+    # the real circle (cos t, 0, sin t, 0) in C^2 has no rotation axis, and
+    # at k = 80 the default M = 320 gives dim 51,681: a 43 GB dense T
+    real_circle = {**CUSTOM_CIRCLE, "ambient_dim": 2,
+                   "coords": ["cos(t1)", "0", "sin(t1)", "0"]}
+    cfg = write_config(tmp_path, {"manifold": real_circle,
+                                  "k_sweep": [80.0]})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["--config", cfg, "--out", str(out), "spectrum"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "51681 x 51681" in err and err.count("\n") == 1
+    assert peak < 100e6
     assert not out.exists()
 
 
