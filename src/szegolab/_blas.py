@@ -18,15 +18,18 @@ The policy, in two scopes:
   `nfold_trace_integral`, `spectral.eigensolve`, `singular_values` and
   `schatten_sum`).  Scopes nest; only the outermost one reads and restores
   the counts, so a nested entry costs a lock and a length check.
-- `threaded(rows)`, inside it, gives a dense call of at least
-  _THREAD_ROWS rows the counts the outermost scope saved, and sets one
-  thread again after it: `spectral`'s dense-block `eigvalsh` and `svd`,
-  `assembly._assemble_dense`'s zherk and zgemm, the chain products of
-  `nfold_trace_integral` and the kernel products of `_kernel_rows`.
+- `threaded(size, from_size)`, inside it, gives a call of `size` the
+  counts the outermost scope saved when size >= from_size, and sets one
+  thread again after it.  Two kinds of call get it, each from its own
+  crossover (below): `spectral`'s dense-block `eigvalsh` and `svd` from
+  SOLVE_ROWS rows, and the kernel products of `assembly._kernel_rows` and
+  the chain products of `nfold_trace_integral` from PRODUCT_SIZE on the
+  smaller side of the product, so that a kernel applied to one column
+  stays on one thread.  The zherk and zgemm updates of a dense T stay on
+  one thread at every size.
 
 No option changes this: a threaded call uses the count the process had on
-entry, so `OPENBLAS_NUM_THREADS=1` still holds, and BLAS calls outside
-szegolab's functions run as the caller set them.
+entry, so `OPENBLAS_NUM_THREADS=1` still holds.
 
 Binding: every mapped file of the process whose path contains "openblas"
 (`/proc/self/maps`) is opened with ctypes and its thread-count setter and
@@ -39,8 +42,64 @@ that appears inside a scope is saved and set to one thread as it is
 found.  Where no library is found (another BLAS, no `/proc`), every scope
 is a no-op.
 
-Crossover: numpy's OpenBLAS at 1 and 2 threads, ms per call on random
-matrices, median of 5 (2-vCPU Xeon VM shared with other work):
+Crossover, end to end: the public call timed whole, wall seconds, median
+of 7-11 runs alternating in one process (2-vCPU Xeon VM shared with other
+work).  "one" runs every call on one thread, "policy" this module, "two"
+binds nothing, so every call runs on OpenBLAS's default two threads, as
+before this module.  Dense T: the `szegolab spectrum` (real T: zherk,
+dsyevd) and `schatten` (complex T: zgemm, zgesdd) commands on the real
+circle (cos t, 0, sin t, 0) in C^2, whose T is one dense block of dim
+rows, k = M / 4:
+
+    dim    spectrum                   schatten
+           one     policy  two        one     policy  two
+    231    0.021   0.025   0.039      0.024   0.018   0.055
+    325    0.041   0.044   0.093      0.036   0.041   0.081
+    435    0.074   0.067   0.130      0.089   0.092   0.171
+    496    0.090   0.086   0.189      0.121   0.105   0.179
+    561    0.115   0.106   0.182      0.159   0.127   0.205
+    703    0.173   0.151   0.232      0.305   0.228   0.341
+    861    0.301   0.242   0.325      0.567   0.392   0.502
+    1225   0.847   0.627   0.695      1.635   0.975   1.052
+
+Below SOLVE_ROWS "one" and "policy" make the same calls, so their gap
+there, up to 15% at 231 rows, is the box's noise.  SOLVE_ROWS = 480 came
+from the solve alone on two threads against one: 0.038 / 0.035 s,
+0.065 / 0.060 and 0.086 / 0.104 on spectrum at 325, 435 and 496 rows,
+0.047 / 0.041, 0.076 / 0.081 and 0.100 / 0.130 on schatten.  The zherk
+on two threads as well (a first design, one 512-row cutoff for every
+call) lost at every dim measured: 0.185, 0.231, 0.330 and 0.637 s on
+spectrum at 561, 703, 861 and 1225 rows, against 0.104, 0.141, 0.260 and
+0.568 with the solve alone on two.  scipy's pool, woken for the zherk,
+spins on the core that numpy's second thread then needs for the solve.
+
+Products: `nfold_trace_integral` with three amplitudes on the circle (one
+m x m complex chain product) and `pair_trace_integral` on the torus (per
+axis a real m x m kernel against m x m columns), m nodes per axis:
+
+    m      nfold                      pair
+           one     policy  two        one     policy  two
+    200    0.0084  0.0082  0.0076     0.0067  0.0066  0.0063
+    256    0.0130  0.0119  0.0127     0.0107  0.0108  0.0110
+    300    0.0166  0.0170  0.0174     0.0132  0.0113  0.0127
+    400    0.0376  0.0293  0.0299     0.0295  0.0247  0.0241
+    512    0.0558  0.0502  0.0546     0.0367  0.0359  0.0379
+    800    0.1502  0.1190  0.1206     0.1274  0.0911  0.1087
+    1000   -       -       -          0.2012  0.1705  0.1614
+    1200   0.4518  0.3160  0.2837     -       -       -
+
+With every product on two threads, they paid 17% on nfold and lost 9%
+on pair at m = 256, and paid 13-19% on both at 320, so PRODUCT_SIZE is
+300.  On the circle, whose pair trace applies a kernel of m rows to one
+column, two threads change nothing up to m = 3000 but the CPU time,
+0.15 against 0.10 s.  No benchmark workload makes a call at either
+cutoff: verify_all's largest kernel product has 169 rows, and its dense
+blocks, like sphere_nodes' and dsl_config's, are band solves.  Every
+threaded call still leaves numpy's pool spinning for a while after it
+returns.
+
+Per call, numpy's OpenBLAS at 1 and 2 threads, ms on random matrices,
+median of 5 (same machine):
 
     n      eigvalsh real   eigvalsh complex   SVD real       SVD complex
            1      2        1      2           1      2       1       2
@@ -52,13 +111,18 @@ matrices, median of 5 (2-vCPU Xeon VM shared with other work):
     800    73.2   50.3     287.6  195.5       194.6  173.9   477.8   341.8
     1225   233.5  136.8    873.7  628.0       723.8  531.6   1668.7  1011.1
 
-A second thread loses or ties up to n = 400 (up to twice the time at
-n = 128), splits the routines at 512 and gains 10-45% from 640 on, so
-_THREAD_ROWS is 512.  Every threaded call still leaves the pool spinning
-for a while after it returns; none of the benchmark's workloads makes one.
+Alone, a second thread loses up to twice the time at n = 128 and ties
+at 400, where only the complex SVD gains, 10%; at 512 it gains 2-20%,
+except on the real SVD, which loses 26% and ties at 640.  End to end the
+solves of the circle's T pay from 496 rows in both dtypes (above), so one
+cutoff serves eigvalsh and SVD alike; a real dense SVD block, which the
+circle's commands do not make, may lose between 480 and 640 rows.
 
 The counts are process-wide, so the scope state is too: module variables
-under one lock, shared by every Python thread.
+under one lock.  Concurrent host threads share the setting: while one
+thread is inside a szegolab call, BLAS calls from every other thread of
+the process also run on one thread, and the lock covers the bookkeeping,
+not BLAS calls already running when a count changes.
 """
 
 from __future__ import annotations
@@ -68,7 +132,8 @@ import ctypes
 import sys
 import threading
 
-_THREAD_ROWS = 512  # rows from which a dense call runs on the saved counts
+SOLVE_ROWS = 480  # rows from which a dense eigvalsh or SVD runs threaded
+PRODUCT_SIZE = 300  # smaller side from which a kernel product runs threaded
 
 # (setter, getter) names, the first pair a library exports is bound
 _SYMBOLS = (
@@ -172,13 +237,13 @@ class single_threaded(contextlib.ContextDecorator):
 
 
 @contextlib.contextmanager
-def threaded(rows: int):
-    """The saved thread counts for a dense call of `rows` rows, when it
-    has at least _THREAD_ROWS of them and a single_threaded scope is
-    open; otherwise nothing changes."""
+def threaded(size: int, from_size: int):
+    """The saved thread counts for a call of `size`, when it is at least
+    `from_size` and a single_threaded scope is open; otherwise nothing
+    changes."""
     global _wide
     with _lock:
-        wide = rows >= _THREAD_ROWS and _depth > 0
+        wide = size >= from_size and _depth > 0
         if wide:
             _save_new()
             _wide += 1

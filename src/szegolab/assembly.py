@@ -183,7 +183,7 @@ bisection on the width):
 
 The crossover grows about as sqrt(n): from n = 160 on, width / sqrt(n)
 lies between 1.3 and 3.0 with median 1.6, which _BAND_ROOT rounds down.
-Dense blocks below `_blas._THREAD_ROWS` = 512 rows now run on one thread
+Dense blocks below `_blas.SOLVE_ROWS` = 480 rows now run on one thread
 (module notes, Threads).  Against the dense solvers as they now run, the
 same bisection gives, as the range over three runs (the ?gbbrd width is
 lower + upper, with lower = ceil(width / 2)):
@@ -240,15 +240,19 @@ relative.  `nfold_trace_integral` keeps the dense kernel: its phase
 Im(z_s . conj z_t) couples the parabola's x1 and y1 axes.
 
 Threads: `assemble_T`, `pair_trace_integral` and `nfold_trace_integral`
-run on one BLAS thread (`_blas` module notes).  The zherk or zgemm
-updates of a dense T of at least `_blas._THREAD_ROWS` = 512 rows, the
-kernel products of a node chunk of that many rows and the chain products
-of `nfold_trace_integral` on that many nodes get the thread count the
-caller had.  zherk would pay a second thread from smaller T, but shares
-the one crossover; ms per update of T by C^H C, C of nodes x dim, 1 / 2
+run on one BLAS thread (`_blas` module notes).  The kernel products of
+`_kernel_rows` and the chain products of `nfold_trace_integral` get the
+thread count the caller had from `_blas.PRODUCT_SIZE` = 300 on the
+smaller side of the product; the circle's pair trace, whose kernel meets
+one column, stays on one thread.  The zherk and zgemm updates of a dense
+T stay on one thread at every size.  Alone, zherk pays a second thread
+from smaller T; ms per update of T by C^H C, C of nodes x dim, 1 / 2
 threads (scipy's OpenBLAS, median of 7): 0.28 / 0.35 at 512 x 64,
 0.61 / 0.79 at 4096 x 32, 1.9 / 1.3 at 256 x 256, 9.6 / 5.8 at
-4096 x 128, 2.9 / 1.9 at 128 x 512, 65 / 32 at 2048 x 512.
+4096 x 128, 2.9 / 1.9 at 128 x 512, 65 / 32 at 2048 x 512.  But end to
+end, a threaded zherk before a threaded dense solve loses at every dim
+measured, 561 to 1225 rows: scipy's pool then spins on the core numpy's
+second thread needs (the `_blas` tables).
 
 Cost budget: a dense T, the dense blocks of a sector operator together,
 and the n node-coupling matrices of `nfold_trace_integral` may take at
@@ -268,7 +272,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._blas import single_threaded, threaded
+from ._blas import PRODUCT_SIZE, single_threaded, threaded
 from .fock import FockTruncation, eval_basis_matrix
 from .manifold import ChartedSubmanifold, Quadrature, amp_values
 
@@ -1138,16 +1142,13 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
             norm2 += n2
             dropped2 += d2
             if is_real:
-                with threaded(dim):
-                    X = zherk(alpha, C, beta=1.0, c=X, trans=2,
-                              overwrite_c=1)
+                X = zherk(alpha, C, beta=1.0, c=X, trans=2, overwrite_c=1)
                 continue
             # X += C^T (phase * conj C), with phase = wa / |wa|
             phased = C.conj()
             phased *= (wa[chunk] / np.abs(wa[chunk]))[:, None]
-            with threaded(dim):
-                X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
-                          overwrite_c=1)
+            X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
+                      overwrite_c=1)
     T = X.T
     if is_real:
         # zherk filled the upper triangle of X, so the lower triangle of
@@ -1254,7 +1255,7 @@ def _kernel_rows(coords: np.ndarray, Y: np.ndarray, k: float):
         K *= -k
         np.exp(K, out=K)
         # K is real: apply it to the real and imaginary parts separately
-        with threaded(hi - lo):
+        with threaded(min(hi - lo, Y.shape[1]), PRODUCT_SIZE):
             KY = (K @ Y.real + 1j * (K @ Y.imag) if np.iscomplexobj(Y)
                   else K @ Y)
         yield lo, hi, KY
@@ -1317,7 +1318,7 @@ def nfold_trace_integral(sub: ChartedSubmanifold, amplitudes: Sequence, quad: Qu
     chain = next(factors)
     for _ in range(n - 2):
         factor = next(factors)
-        with threaded(m):
+        with threaded(m, PRODUCT_SIZE):
             chain = chain @ factor
     N = sub.ambient_dim
     trace = np.einsum("ij,ji->", chain, next(factors))

@@ -22,8 +22,9 @@ as the dense SVD does.
 
 Threads: `eigensolve`, `singular_values` and `schatten_sum` run on one
 BLAS thread, band solvers and small dense blocks alike; a dense block of
-at least `_blas._THREAD_ROWS` = 512 rows gets the thread count the caller
-had (`_blas` module notes, with the 1- and 2-thread timings).
+at least `_blas.SOLVE_ROWS` = 480 rows gets the thread count the caller
+had, where two threads pay end to end (`_blas` module notes, with the
+1- and 2-thread timings).
 
 Every solver follows the dtype of the blocks.  An operator that a
 diagonal phase makes real (the gauge, `assembly` module notes) stores
@@ -42,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._blas import single_threaded, threaded
+from ._blas import SOLVE_ROWS, single_threaded, threaded
 from .assembly import HermitianOperator
 
 __all__ = [
@@ -163,7 +164,7 @@ def eigensolve(op: HermitianOperator) -> SpectralSummary:
     parts = [_band_eigvals(layout.band[w:w + width + 1, lo:hi])
              for lo, hi, width in _runs(layout, 1)]
     for _, _, D in layout.dense_blocks():
-        with threaded(D.shape[0]):
+        with threaded(D.shape[0], SOLVE_ROWS):
             parts.append(np.linalg.eigvalsh(D))
     return SpectralSummary(_descending(parts))
 
@@ -314,7 +315,7 @@ def singular_values(op: HermitianOperator) -> np.ndarray:
                  _band_singular_values(layout.band[:, lo:hi])
                  for lo, hi, width in _runs(layout, 0)]
     for _, _, D in layout.dense_blocks():
-        with threaded(D.shape[0]):
+        with threaded(D.shape[0], SOLVE_ROWS):
             parts.append(np.linalg.svd(D, compute_uv=False))
     return _descending(parts)
 

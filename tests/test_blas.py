@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import sys
 import threading
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg  # noqa: F401  loads scipy's OpenBLAS next to numpy's
 
 import szegolab._blas as blas
+import szegolab.assembly as asm
 from szegolab import acceptance, cli
 from szegolab.assembly import (
     BlockLayout,
@@ -16,7 +18,13 @@ from szegolab.assembly import (
     pair_trace_integral,
 )
 from szegolab.fock import FockTruncation
-from szegolab.manifold import circle, frame_at, quadrature
+from szegolab.manifold import (
+    circle,
+    custom_chart,
+    frame_at,
+    quadrature,
+    torus_product,
+)
 from szegolab.spectral import eigensolve, schatten_sum, singular_values
 
 
@@ -144,9 +152,9 @@ def test_entry_points_run_on_one_thread(counts, monkeypatch, entry):
 
 
 @pytest.mark.parametrize("rows, seen", [
-    (blas._THREAD_ROWS - 1, {1}), (blas._THREAD_ROWS, {2})])
-def test_dense_block_of_thread_rows_sees_callers_count(counts, monkeypatch,
-                                                       rows, seen):
+    (blas.SOLVE_ROWS - 1, {1}), (blas.SOLVE_ROWS, {2})])
+def test_dense_block_of_solve_rows_sees_callers_count(counts, monkeypatch,
+                                                      rows, seen):
     record = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         spy(record, lambda D: np.zeros(D.shape[0])))
@@ -156,11 +164,67 @@ def test_dense_block_of_thread_rows_sees_callers_count(counts, monkeypatch,
     assert counts() == {2}
 
 
+def test_dense_T_updates_stay_on_one_thread(counts, monkeypatch):
+    # the real circle in C^2 has no rotation axis: T is assembled node by
+    # node, here a dense T of at least SOLVE_ROWS rows
+    import scipy.linalg.blas as sblas
+    record = []
+    monkeypatch.setattr(sblas, "zherk", spy(record, sblas.zherk))
+    sub = custom_chart(1, 2, ["cos(t1)", "0", "sin(t1)", "0"], [True],
+                       [[0.0, 2 * np.pi]])
+    trunc = FockTruncation(2, 7.5, 30)
+    assert trunc.dim >= blas.SOLVE_ROWS
+    assemble_T(trunc, sub, None, quadrature(sub, 64))
+    assert record and all(seen == {1} for seen in record)
+    assert counts() == {2}
+
+
+def recording_threaded(monkeypatch, counts):
+    """Record (size, thread counts inside) of each of assembly's threaded
+    scopes."""
+    seen, real = [], asm.threaded
+
+    @contextlib.contextmanager
+    def spy_threaded(size, from_size):
+        with real(size, from_size):
+            seen.append((size, counts()))
+            yield
+
+    monkeypatch.setattr(asm, "threaded", spy_threaded)
+    return seen
+
+
+def test_kernel_products_thread_by_their_smaller_side(counts, monkeypatch):
+    seen = recording_threaded(monkeypatch, counts)
+    m = blas.PRODUCT_SIZE
+    # the circle's kernel of 2m rows meets one column: one thread
+    pair_trace_integral(circle(), None, None, quadrature(circle(), 2 * m),
+                        4.0)
+    assert seen and all(s == (1, {1}) for s in seen)
+    seen.clear()
+    # on the torus each axis kernel of m rows meets m columns
+    torus = torus_product([1.0, 0.7])
+    pair_trace_integral(torus, None, None, quadrature(torus, [m, m]), 4.0)
+    assert seen and all(s == (m, {2}) for s in seen)
+    assert counts() == {2}
+
+
+@pytest.mark.parametrize("m, seen", [
+    (blas.PRODUCT_SIZE - 1, {1}), (blas.PRODUCT_SIZE, {2})])
+def test_nfold_chain_products_of_product_size_see_callers_count(
+        counts, monkeypatch, m, seen):
+    record = recording_threaded(monkeypatch, counts)
+    sub = circle()
+    nfold_trace_integral(sub, [None] * 3, quadrature(sub, m), 4.0)
+    assert record == [(m, seen)]
+    assert counts() == {2}
+
+
 def test_counts_come_back_after_an_exception(counts):
     with pytest.raises(RuntimeError):
         with blas.single_threaded():
             assert counts() == {1}
-            with blas.threaded(blas._THREAD_ROWS):
+            with blas.threaded(1, 1):
                 assert counts() == {2}
                 raise RuntimeError
     assert counts() == {2}
@@ -175,8 +239,8 @@ def test_nested_scopes_restore_only_at_the_outermost(counts):
         with blas.single_threaded():
             assert counts() == {1}
         assert counts() == {1}
-        with blas.threaded(blas._THREAD_ROWS):
-            with blas.threaded(blas._THREAD_ROWS):
+        with blas.threaded(1, 1):
+            with blas.threaded(1, 1):
                 assert counts() == {2}
             assert counts() == {2}
         assert counts() == {1}
@@ -184,7 +248,7 @@ def test_nested_scopes_restore_only_at_the_outermost(counts):
 
 
 def test_threaded_outside_a_scope_changes_nothing(counts):
-    with blas.threaded(blas._THREAD_ROWS):
+    with blas.threaded(1, 1):
         assert counts() == {2}
     assert counts() == {2}
 
@@ -193,7 +257,7 @@ def test_caller_at_one_thread_stays_at_one(counts):
     for path in blas.bound():
         blas._set(path, 1)
     with blas.single_threaded():
-        with blas.threaded(10 * blas._THREAD_ROWS):
+        with blas.threaded(10, 1):
             assert counts() == {1}
     assert counts() == {1}
 
@@ -211,7 +275,7 @@ def hide_libraries(monkeypatch):
 def test_scopes_are_no_ops_without_a_library(counts, monkeypatch):
     real = hide_libraries(monkeypatch)
     with blas.single_threaded():
-        with blas.threaded(blas._THREAD_ROWS):
+        with blas.threaded(1, 1):
             assert blas.thread_counts() == {}
             assert real() == {2}
         eigensolve(dense_op(4))
@@ -246,7 +310,7 @@ def test_scopes_from_many_threads_leave_the_counts_as_found(counts):
     def work():
         for _ in range(200):
             with blas.single_threaded():
-                with blas.threaded(blas._THREAD_ROWS):
+                with blas.threaded(1, 1):
                     with blas.single_threaded():
                         pass
 
