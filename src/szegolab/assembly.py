@@ -28,37 +28,42 @@ Hermitian T.  At circle k=400 node by node it is about 1e-72.
 
 Sector sum: the circle, the tori and sphere3 are swept out by coordinate
 rotations z_j -> e^{i theta} z_j, which the monomial basis diagonalises.
-A periodic axis with L nodes is a rotation axis when, for every
-coordinate j, z_j at the next node along it (wrapping around) equals
-omega^{c_j} z_j on every node, omega = e^{2 pi i / L} and c_j an integer
-mod L, to 64 eps max|z|.  The check reads only the quadrature's
-coordinates, so DSL charts qualify as the built-in ones do.  It reads
-each z_j at the shape of the axes it varies along (`Quadrature.coords`),
-which holds every value the grid holds: on sphere3 at k=10 that is 23 x
-45 values a coordinate instead of 46,575.  A coordinate of extent 1 along
-an axis is constant along it and has charge 0 exactly.  The others are
-read in blocks of slabs along the axis, each block a view of about
-_SLAB_BYTES paired with the view one slab further on, the last slab with
-the first: no shifted copy is made, and one numpy operation covers a
-whole block.  A basis function n then has
-charge q_n = sum_j c_j n_j mod L on each rotation axis, and its value at
-rotation index phi is omega^{phi . q_n} times its value U_n at phi = 0.
-The quadrature sum becomes
+`quadrature()` records the periodic axes that act on the points as
+rotations, z_j turning by omega^{c_j} a node, omega = e^{2 pi i / L} and
+c_j an integer mod L (`manifold` module notes).  A basis function n then
+has charge q_n = sum_j c_j n_j mod L on each rotation axis, and its value
+at rotation index phi is omega^{phi . q_n} times its value U_n at
+phi = 0.  The quadrature sum becomes
     T_nm = sum_theta conj(U_theta,n) U_theta,m F_theta[q_m - q_n],
     F_theta[q] = sum_phi w a(theta, phi) e^{2 pi i phi . q / L},
 over the explicit nodes theta of the remaining axes; F is an L-scaled
-inverse FFT.  The node ordering by (theta, phi), the base points and the
-charges q_n come from one helper, `_rotation_grid`, which the test states
-of `states` share.  It is the same sum as node by node, reordered: the circle
-at k=400 needs one base point instead of 3209 nodes, sphere3 at k=10
-needs 23 instead of 46,575.  Real amplitudes fill one triangle and mirror
-it, so T == T^H still holds exactly.  With S_theta = sum_phi |w a|, the
-flush floor applies to V = sqrt(S_theta) U and to the parts of
-F / S_theta; since the node-by-node C has sum_phi |C|^2 = |V|^2 per
-basis function, ||Delta C|| and ||C'|| are read exactly from V.  A
-flushed coefficient adds at most mult max|V_theta|^2 |Delta F| / S_theta
-to flush_bound, mult being the largest number of basis functions that
-share a charge.
+inverse FFT.  The grid ordered by (theta, phi) comes from `_by_sector`,
+the base points from `Quadrature.base_points` and the charges q_n from
+`_basis_charges`, which the test states of `states` share.  It is the same
+sum as node by node, reordered: the circle at k=400 needs one base point
+instead of 3209 nodes, sphere3 at k=10 needs 23 instead of 46,575.
+
+Along a rotation axis where w a takes the same value on every node,
+tested by exact comparison of the values, the sum over phi factors: F is
+L times the base value at charge 0 and exactly zero at every other
+charge of that axis, and the L cancels against S_theta.  So the gather
+and the FFT run only along the axes where w a varies, and F is kept on
+its support, the charges that are 0 along every invariant axis.  The
+weights are invariant along a rotation axis on which the chart is
+proven equivariant (`manifold` module notes), so an amplitude that does
+not read an axis leaves no FFT there: sphere3 with a = 1 at k=10 runs
+none, with a = 1 + 0.5 cos(t2 + phi) at k=8 one along t2, and the DSL
+torus amplitudes, which read both angles, two as before.  There F has no
+rounding noise to drop: the circle and sphere3 with a = 1 have
+offblock_bound 0.
+
+Real amplitudes fill one triangle and mirror it, so T == T^H still holds
+exactly.  With S_theta = sum_phi |w a|, the flush floor applies to
+V = sqrt(S_theta) U and to the parts of F / S_theta; since the
+node-by-node C has sum_phi |C|^2 = |V|^2 per basis function, ||Delta C||
+and ||C'|| are read exactly from V.  A flushed coefficient adds at most
+mult max|V_theta|^2 |Delta F| / S_theta to flush_bound, mult being the
+largest number of basis functions that share a charge.
 
 Stored pattern: a charge whose coefficients all lie within the FFT's
 rounding floor, ceil(log2 L) eps S_theta, is noise; charge 0 is always
@@ -292,8 +297,6 @@ _CHUNK_BYTES = 64 << 20  # target working-set size for node chunks
 _FLUSH = float(np.finfo(np.float64).tiny) ** 0.25  # see the module notes
 _FILL_ROWS = 256  # row block for mirroring and for the sector sum
 _EPS = float(np.finfo(np.float64).eps)
-_ROTATION_TOL = 64 * _EPS  # rotation check, relative to max |z|
-_SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
 _SECTOR_NODES = 16  # rotation nodes per explicit node for the sector sum
 _BAND_ROOT = 1.5  # band solvers pay to this width over sqrt(rows)
 _DENSE_BUDGET = 4e9  # bytes of a dense T, or of nfold's n kernel matrices
@@ -512,77 +515,40 @@ def _mirror_lower(T: np.ndarray) -> None:
         diag[upper] = diag.T[upper].conj()
 
 
-def _slab_pairs(grid: np.ndarray, axis: int):
-    """(here, ahead) views over blocks of slabs of grid along axis, ahead
-    one slab further on, wrapping around: each slab meets its successor
-    once, without a copy of the grid."""
-    g = np.moveaxis(grid, axis, 0)
-    L = g.shape[0]
-    rows = max(1, _SLAB_BYTES // max(1, g[0].nbytes))
-    for lo in range(0, L - 1, rows):
-        hi = min(L - 1, lo + rows)
-        yield g[lo:hi], g[lo + 1:hi + 1]
-    yield g[L - 1:], g[:1]
-
-
 def _sector_axes(quad: Quadrature):
-    """Periodic axes of the grid that act on its points as rotations.
+    """The rotation axes `quadrature` recorded and their charges, as
+    (axes, charges), or None when the grid has fewer than _SECTOR_NODES
+    rotation nodes per explicit node, also when it has no rotation axis
+    (module notes)."""
+    if math.prod(quad.shape[a] for a in quad.rotation_axes) < _SECTOR_NODES:
+        return None
+    return quad.rotation_axes, quad.charges
 
-    Returns (axes, charges), charges[j, i] the integer c with
-    z_j(next node along axes[i]) = e^{2 pi i c / L} z_j(node) on every node,
-    or None when there is no such axis, or fewer than _SECTOR_NODES
-    rotation nodes per explicit node (module notes).
+
+def _by_sector(grid: np.ndarray, axes: tuple) -> np.ndarray:
+    """Values on the grid, extent 1 allowed along any axis, as
+    (explicit node theta, rotation multi-index phi): the explicit nodes in
+    C order, so that the base points are those of `Quadrature.base_points`.
     """
-    coords = quad.coords
-    tol = _ROTATION_TOL * quad.max_radius()
-    axes, charges = [], []
-    for axis, (L, periodic) in enumerate(zip(quad.shape, quad.sub.periodic)):
-        if not periodic:
-            continue
-        # a coordinate of extent 1 along the axis is constant: charge 0
-        moving = [j for j, z in enumerate(coords) if z.shape[axis] > 1]
-        # sum of ahead conj(here) over the nodes, one value per coordinate
-        turn = np.array([sum(np.vdot(here, ahead)
-                             for here, ahead in _slab_pairs(coords[j], axis))
-                         for j in moving], dtype=complex)
-        c = np.zeros(len(coords), dtype=np.int64)
-        c[moving] = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(
-            np.int64) % L
-        phase = np.exp(2j * math.pi * c / L)
-        if all(np.abs(ahead - phase[j] * here).max() <= tol
-               for j in moving
-               for here, ahead in _slab_pairs(coords[j], axis)):
-            axes.append(axis)
-            charges.append(c)
-    if math.prod(quad.shape[a] for a in axes) < _SECTOR_NODES:
-        return None  # also when axes is empty
-    return tuple(axes), np.stack(charges, axis=1)
+    explicit = [a for a in range(grid.ndim) if a not in axes]
+    return grid.transpose(explicit + list(axes)).reshape(
+        (-1,) + tuple(grid.shape[a] for a in axes))
 
 
-def _rotation_grid(trunc: FockTruncation, quad: Quadrature,
-                   axes: tuple, charges: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the grid by rotation sector, and the charges of the basis.
-
-    axes and charges are those `_sector_axes` found.  Returns (order, q):
-    order[theta, phi] is the index of the node at explicit node theta and
-    rotation multi-index phi, so order[:, 0, ..., 0] are the base points,
-    and q[n] is the charge of basis function n on each rotation axis, so
-    that u_n at phi is omega^{phi . q_n} times u_n at the base point.
-    """
-    shape = quad.shape
-    rot_shape = tuple(shape[a] for a in axes)
-    explicit = [a for a in range(len(shape)) if a not in axes]
-    order = np.arange(quad.size).reshape(shape).transpose(explicit + list(axes))
-    q = trunc.exponent_matrix @ charges % np.array(rot_shape)
-    return order.reshape((-1,) + rot_shape), q
+def _basis_charges(trunc: FockTruncation, charges: np.ndarray,
+                   rot_shape: tuple) -> np.ndarray:
+    """q[n], the charge of basis function n on each rotation axis, so that
+    u_n at rotation index phi is omega^{phi . q_n} times u_n at the base
+    point."""
+    return trunc.exponent_matrix @ charges % np.array(rot_shape)
 
 
 @dataclass
 class _Sector:
     """Fourier-sector data of a rotation grid (module notes)."""
 
-    F: np.ndarray  # (explicit node theta, charge): coefficients / S_theta
+    # (explicit node theta, charge of the support): coefficients / S_theta
+    F: np.ndarray
     V: np.ndarray  # sqrt(S_theta) U at the base points, flushed (Y if gauged)
     q: np.ndarray  # (dim, rotation axes) charge of each basis function
     shape: tuple  # nodes per rotation axis
@@ -591,6 +557,9 @@ class _Sector:
     norm2: float  # ||C'||^2
     dropped2: float  # bound on ||Delta C||^2
     keep: np.ndarray  # charges with a coefficient above the rounding floor
+    # the charge of each column of F, ascending: those that are 0 along
+    # every rotation axis where w a is invariant; F is zero at the others
+    support: np.ndarray
     turn: Optional[np.ndarray] = None  # charge phase of the gauge, per axis
     spread: Optional[np.ndarray] = None  # widest charge difference, per axis
     phase: Optional[np.ndarray] = None  # gauge phase g_n, None if all 1
@@ -603,6 +572,10 @@ class _Sector:
     def gauged(self) -> bool:
         return self.turn is not None
 
+    def at(self, charges: np.ndarray) -> np.ndarray:
+        """The columns of F at the given charges of the support."""
+        return self.F[:, np.searchsorted(self.support, charges)]
+
     def gauge_and_flush(self, outside: bool) -> tuple[float, float]:
         """Make F real if gauged, and flush it, in place.
 
@@ -610,22 +583,22 @@ class _Sector:
         Returns the bounds on what the flush changes, and on what the
         pattern leaves out together with what the gauge drops.
         """
-        F, noise = self.F, ~self.keep
+        cols = self.support  # F is zero at every other charge
+        F, noise = self.F, ~self.keep[cols]
         # a noise charge's entries are off by |F| outside the pattern and
         # exact inside it; gauged, by at most |F| inside it when a charge
         # difference has one integer value, else by |F| + |real part|
         off = np.zeros(F.shape[0])
         if self.gauged:
             L = np.array(self.shape)
-            d = _signed(np.array(np.unravel_index(np.arange(F.shape[1]),
-                                                  self.shape)).T, L)
+            d = _signed(np.array(np.unravel_index(cols, self.shape)).T, L)
             real = (F * np.exp(1j * (d @ self.turn))).real
             size = np.abs(F)
             if np.any(2 * self.spread >= L):
                 size += np.abs(real)
-            kept = _turned(F, np.flatnonzero(self.keep), self.shape,
-                           self.turn, self.spread)[1]
-            off = size @ noise + kept.sum(axis=1)
+            kept = np.flatnonzero(self.keep)
+            off = size @ noise + _turned(self.at(kept), kept, self.shape,
+                                         self.turn, self.spread)[1].sum(axis=1)
             F = self.F = real
         elif outside:
             off = np.abs(F) @ noise
@@ -641,7 +614,7 @@ class _Sector:
         dim = self.q.shape[0]
         flat = self.flat_q
         members = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.F.shape[1])
+        counts = np.bincount(flat, minlength=math.prod(self.shape))
         starts = np.cumsum(counts) - counts
         rows, cols = [], []
         for c in np.flatnonzero(self.keep):
@@ -661,26 +634,46 @@ def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     """Fourier coefficients and base-point basis values of the grid, and
     the gauge that makes them real when there is one.
 
-    None when w a vanishes on every node.
+    None when w a vanishes on every node.  Along a rotation axis where w a
+    takes the same value on every node, compared exactly, F is a delta
+    at charge 0; the gather and the FFT run only along the other axes.
     """
-    order, q = _rotation_grid(trunc, quad, axes, charges)
-    rot_shape = order.shape[1:]
-    wa_grid = wa[order]
-    scale = np.abs(wa_grid).reshape(order.shape[0], -1).sum(axis=1)
+    rot_shape = tuple(quad.shape[a] for a in axes)
+    q = _basis_charges(trunc, charges, rot_shape)
+    grid = wa.reshape(quad.shape)
+    varying = []
+    for a in axes:
+        base = grid[(slice(None),) * a + (slice(0, 1),)]
+        if np.array_equal(grid, np.broadcast_to(base, grid.shape)):
+            grid = base
+        else:
+            varying.append(a)
+    wa_grid = _by_sector(grid, axes)
+    scale = np.abs(wa_grid).reshape(wa_grid.shape[0], -1).sum(axis=1)
     live = scale > 0
     wa_grid, scale = wa_grid[live], scale[live]
     if not scale.size:
         return None
-    rot = wa_grid[0].size
+    rot = math.prod(rot_shape)
     # F[theta, q] = sum_phi w a e^{2 pi i phi . q / L}, relative to scale
     from numpy.fft import ifftn
-    F = ifftn(wa_grid, axes=tuple(range(1, len(axes) + 1))).reshape(-1, rot)
-    F *= (rot / scale)[:, None]
+    fft_axes = tuple(1 + i for i, a in enumerate(axes) if a in varying)
+    F = (ifftn(wa_grid, axes=fft_axes) if fft_axes
+         else wa_grid.astype(complex))
+    F *= (wa_grid[0].size / scale).reshape((-1,) + (1,) * len(axes))
+    F = np.ascontiguousarray(F.reshape(F.shape[0], -1))
     if is_real:
         F[:, 0] = F[:, 0].real  # exact for real w a; keeps diag(T) real
     # charges whose coefficients all lie within the FFT's rounding floor
     floor = max(1, math.ceil(math.log2(rot))) * _EPS
-    keep = np.abs(F).max(axis=0) > floor
+    # sum_phi over an invariant axis is L times the base value: F is zero
+    # off charge 0 there, and the L cancels against the scale
+    support = np.arange(rot).reshape(rot_shape)[
+        tuple(slice(None) if a in varying else slice(0, 1)
+              for a in axes)].reshape(-1)
+    scale *= rot // wa_grid[0].size
+    keep = np.zeros(rot, dtype=bool)
+    keep[support] = np.abs(F).max(axis=0) > floor
     keep[0] = True
     if is_real:  # F[-q] = conj F[q] up to rounding: keep both or neither
         grid = np.arange(rot).reshape(rot_shape)
@@ -688,12 +681,12 @@ def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
         keep |= keep[minus.reshape(-1)]
     mult = int(np.bincount(np.ravel_multi_index(q.T, rot_shape)).max())
     # V = sqrt(sum_phi |w a|) U at the base points phi = 0
-    V = eval_basis_matrix(trunc, quad.points[order.reshape(-1, rot)[live, 0]])
+    V = eval_basis_matrix(trunc, quad.base_points[live])
     V *= np.sqrt(scale)[:, None]
     norm2, dropped2 = _flush(V)
     sector = _Sector(F=F, V=V, q=q, shape=rot_shape, mult=mult,
                      peak=mult * np.abs(V).max(axis=1) ** 2, norm2=norm2,
-                     dropped2=dropped2, keep=keep)
+                     dropped2=dropped2, keep=keep, support=support)
     # the integer charges, from coordinate charges in (-L/2, L/2]
     Q = trunc.exponent_matrix @ _signed(charges, np.array(rot_shape))
     spread = Q.max(axis=0) - Q.min(axis=0)
@@ -701,14 +694,16 @@ def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     if split is None:
         return sector
 
+    kept = np.flatnonzero(keep)
+
     def real_to_floor(turn):
-        worst = _turned(F, np.flatnonzero(keep), rot_shape, turn, spread)[2]
+        worst = _turned(sector.at(kept), kept, rot_shape, turn, spread)[2]
         return worst.max(initial=0.0) <= floor
 
     # no turn at all where F is real already, else the one its charges ask
     turn = np.zeros(len(axes))
     if not real_to_floor(turn):
-        turn = _charge_turn(F, keep, rot_shape)
+        turn = _charge_turn(sector.at(kept[1:]), kept[1:], rot_shape)
         if not real_to_floor(turn):
             return sector
     Y, p, imag2 = split
@@ -754,22 +749,22 @@ def _split_phases(V: np.ndarray, floor: float):
     return X.real.copy(), p, float(np.vdot(X.imag, X.imag))
 
 
-def _charge_turn(F: np.ndarray, keep: np.ndarray, shape: tuple) -> np.ndarray:
-    """The turn c, one angle per rotation axis, that the kept charges ask
-    for: F_theta[q] e^{i c . q} real means 2 c . q = -2 arg F_theta[q]
+def _charge_turn(F: np.ndarray, cols: np.ndarray, shape: tuple) -> np.ndarray:
+    """The turn c, one angle per rotation axis, that the kept charges
+    `cols` other than 0, with coefficients F (theta, len(cols)), ask for:
+    F_theta[q] e^{i c . q} real means 2 c . q = -2 arg F_theta[q]
     mod 2 pi.  The charges, strongest first, are brought to integer
     echelon form by Euclid's algorithm down each axis, with the angles
     following the row operations, and the echelon rows are solved for c.
     Whether c makes F real is checked by `_turned`.
     """
-    cols = np.flatnonzero(keep[1:]) + 1
-    strength = np.abs(F[:, cols])
+    strength = np.abs(F)
     by_strength = np.argsort(-strength.max(axis=0), kind="stable")
     cols = cols[by_strength]
     at = strength[:, by_strength].argmax(axis=0)
     L = np.array(shape)
     charge = _signed(np.array(np.unravel_index(cols, shape)).T, L)
-    coef = F[at, cols]
+    coef = F[at, by_strength]
     A, angle = charge.copy(), -2.0 * np.angle(coef)
     row = 0
     for axis in range(len(shape)):
@@ -802,9 +797,10 @@ def _charge_turn(F: np.ndarray, keep: np.ndarray, shape: tuple) -> np.ndarray:
                                   rcond=None)[0]
 
 
-def _turned(F: np.ndarray, cols: np.ndarray, shape: tuple,
+def _turned(Fc: np.ndarray, cols: np.ndarray, shape: tuple,
             turn: np.ndarray, spread: np.ndarray):
-    """The gauged coefficients of the charges `cols` and what they drop.
+    """The gauged coefficients Fc (theta, len(cols)) of the charges `cols`
+    and what they drop.
 
     Returns R = Re(F e^{i c . d}) at the representative d in (-L/2, L/2]
     of each charge, and the sum and the largest of
@@ -813,7 +809,6 @@ def _turned(F: np.ndarray, cols: np.ndarray, shape: tuple,
     """
     L = np.array(shape)
     d = _signed(np.array(np.unravel_index(cols, shape)).T, L)
-    Fc = F[:, cols]
     real = (Fc * np.exp(1j * (d @ turn))).real
     total, worst = np.zeros(Fc.shape), np.zeros(Fc.shape)
     # |d| <= L/2, so d + wrap L is within the spread only for these wraps
@@ -901,6 +896,7 @@ def _level_order(a: np.ndarray, b: np.ndarray, comp: np.ndarray,
         level = np.full(n, -1, dtype=np.int64)
         level[start] = 0
         fronts = [start]
+        seen = np.empty(n, dtype=np.int64)
         while fronts[-1].size:
             front = fronts[-1]
             count = degree[front]
@@ -908,7 +904,11 @@ def _level_order(a: np.ndarray, b: np.ndarray, comp: np.ndarray,
                   + np.arange(count.sum()))
             child = dst[at]
             child = child[level[child] < 0]
-            child = child[np.sort(np.unique(child, return_index=True)[1])]
+            # each child once, at its first occurrence: scattered in
+            # reverse, the first position of a child is written last
+            place = np.arange(child.size)
+            seen[child[::-1]] = place[::-1]
+            child = child[seen[child] == place]
             level[child] = len(fronts)
             fronts.append(child)
         rank = np.full(n, -1, dtype=np.int64)
@@ -1015,11 +1015,14 @@ def _fill(sector: _Sector, perm: np.ndarray, bounds: np.ndarray,
                    f"dense blocks up to {sizes.max(initial=0)} rows")
     F, L = sector.F, np.array(sector.shape)
     dim, nband = perm.size, int(bounds[len(widths)])
+    # the column of F of each charge; off the support, a zero column
+    column = np.full(L.prod(), F.shape[1])
+    column[sector.support] = np.arange(F.shape[1])
+    F = np.concatenate([F, np.zeros((F.shape[0], 1), F.dtype)], axis=1)
     # the charges tiled twice along each rotation axis, where (q_m - q_n)
     # mod L sits at the flat index col_m - row_n: one subtraction, no
     # remainder, and one lookup per entry for every explicit node
-    tiled = np.tile(np.arange(F.shape[1]).reshape(sector.shape),
-                    (2,) * L.size).ravel()
+    tiled = np.tile(column.reshape(sector.shape), (2,) * L.size).ravel()
     q = sector.q[perm].T
     row, col = (np.ravel_multi_index(x, 2 * L) for x in (q, q + L[:, None]))
     V = sector.V[:, perm]

@@ -18,38 +18,64 @@ returns each real coordinate and each jacobian entry at the shape of the
 axes it reads: on sphere3, z1 = r sqrt(1 - s) e^{ia} comes back as an
 (n_s, n_a, 1) array, and a constant entry may be 0-d.  The N complex
 coordinates are kept at those shapes in `Quadrature.coords`, which the
-rotation check of `assembly` and `max_radius` read; `points` is filled
-from them by broadcasting.  Only G = J^T J and its Cholesky pivots are
-formed on the full grid, block by block: each block is a C-order run of
-the grid whose metric and jacobian take at most _CHUNK_BYTES, the chart's
-jacobian is evaluated on the block's axis vectors, and sqrt(det G) comes
-from a Cholesky elimination of G written as O(d^2) broadcast operations
+rotation check and `max_radius` read; `points` is filled from them by
+broadcasting on first use, and `base_points` reads them without it.
+
+Rotation axes: a periodic axis with L nodes is a rotation axis when, for
+every coordinate j, z_j at the next node along it (wrapping around)
+equals omega^{c_j} z_j on every node, omega = e^{2 pi i / L} and c_j an
+integer mod L, to _ROTATION_TOL = 64 eps max|z|.  The check reads only
+the coordinates, so DSL charts qualify as the built-in ones do, and each
+z_j at the shape of the axes it varies along: on sphere3 at k=10 that is
+23 x 45 values a coordinate instead of 46,575.  A coordinate of extent 1
+along an axis is constant along it and has charge 0 exactly.  The others
+are read in blocks of slabs along the axis, each block a view of about
+_SLAB_BYTES paired with the view one slab further on, the last slab with
+the first: no shifted copy is made.  `quadrature()` records the axes and
+the charges c_j, which `assembly` and `states` read.
+
+Weights: that an axis rotates the points at the nodes does not make the
+chart equivariant, so the weights are shared along a rotation axis only
+where the jacobian proves it: the complex tangents dz_j/dt_i at the next
+node must be omega^{c_j} times those at the node, to _ROTATION_TOL of
+the largest |dz_j/dt_i| of the block checked.  Then G, and with it
+sqrt(det G), is the same along the axis, and it is formed once per base
+node, at index 0 along the axis, and broadcast: the weights are exactly
+invariant there, and a base node's weight has the bits of a node-by-node
+pass.  The DSL chart (cos(t + 0.01 sin 32t), sin(t + 0.01 sin 32t)) at
+64 nodes puts every node on the unit circle one step of 2 pi / 64 apart,
+yet |gamma'| alternates between 1.32 and 0.68: its tangents do not turn,
+and its weights, 0.130 and 0.067, stay per node.
+
+Blocks: the jacobian is evaluated block by block, each block a C-order
+run of the grid whose jacobian and metric take at most _CHUNK_BYTES,
+on the block's axis vectors, so each chart expression is evaluated once
+a block.  The blocks of one run along the axis the blocks cut are joined
+while their jacobian values fit in _CHUNK_BYTES, and each joined run is
+settled at once: the tangent check along the rotation axes it holds
+whole, then sqrt(det G) on the nodes left, in blocks.  On sphere3 the
+jacobian entries read two of the three axes, so at k = 10 the whole grid
+is one run, and at k = 40 each s node is one run of five blocks; a chart
+whose entries read every axis fills the budget block by block, and an
+axis its blocks cut keeps per-node weights.  sqrt(det G) comes from a
+Cholesky elimination of G written as O(d^2) broadcast operations
 (`_sqrt_det_metric`), for any d; a pivot that is not positive raises
-SingularMetricError.  So memory holds the nodes, weights and points of
-the grid, its coordinates at their own shapes, and the metric of one
-block, never the (m, 2N, d) jacobians or (m, d, d) metrics of all m
-nodes.  Every value is the same operation on the same operands as node
-by node, and each entry of G sums its 2N products in row order, as
-numpy's einsum does over the strided rows of an (m, 2N, d) stack when
-d > 1, so weights and points keep the bits of a node-by-node pass.  A
-curve (d = 1) has contiguous rows, which einsum sums in SIMD lanes, so
-with N >= 2 its weights can differ from an einsum pass by one ulp.  A
-chart whose entries read every axis holds its coordinates on the full
-grid, as the points are.
+SingularMetricError.  So memory holds the nodes and weights of the
+grid, its coordinates at their own shapes, and the jacobian and metric
+of one run, never the (m, 2N, d) jacobians or (m, d, d) metrics of all
+m nodes.  Every metric value is the same operation on the same operands
+as node by node, and each entry of G sums its 2N products in row order,
+as numpy's einsum does over the strided rows of an (m, 2N, d) stack when
+d > 1, so the weights of base nodes, and of every node where no weight
+is shared, keep the bits of a node-by-node pass.  A curve (d = 1) has
+contiguous rows, which einsum sums in SIMD lanes, so with N >= 2 its
+weights can differ from an einsum pass by one ulp.
 
 Stacks of parameter points, (m, d), reach the chart as their d columns
 through `chart_rows`, which puts the values back as (m, 2N) coordinates
 or (m, 2N, d) jacobians.  `frame_at`, and with it `Quadrature.frame`,
 computes the W spectrum that way over blocks of the same size, runs of
 its m points.
-
-The weights stay per node, also along the axes that `assembly` finds to
-act on the points as rotations.  That an axis rotates the points at the
-nodes does not make the chart equivariant: the tangents, and with them
-sqrt(det G), can still vary along it.  The DSL chart
-(cos(t + 0.01 sin 32t), sin(t + 0.01 sin 32t)) at 64 nodes puts every
-node on the unit circle one step of 2 pi / 64 apart, yet its weights
-alternate between 0.130 and 0.067.
 """
 
 from __future__ import annotations
@@ -93,6 +119,8 @@ __all__ = [
 
 LAMBDA_TOL = 1e-8
 _CHUNK_BYTES = 1 << 20  # jacobian and metric working set of a node block
+_ROTATION_TOL = 64 * float(np.finfo(np.float64).eps)  # relative, module notes
+_SLAB_BYTES = 1 << 20  # points compared per operation in the rotation check
 
 
 def real_to_complex(x: np.ndarray) -> np.ndarray:
@@ -372,20 +400,46 @@ def d_prime(obj) -> int:
 @dataclass(frozen=True)
 class Quadrature:
     """Tensor-grid quadrature of a submanifold; nodes run in C order (last
-    axis fastest) over a grid of `shape`.  Every node carries its own
-    weight (module notes)."""
+    axis fastest) over a grid of `shape`.
+
+    Every node has a weight, but along a rotation axis on which the chart
+    is proven equivariant the nodes share the weight of their base node,
+    bit for bit (module notes).  `points` is built from `coords` on first
+    use; `base_points` reads them without it.
+    """
 
     sub: ChartedSubmanifold
     nodes: np.ndarray        # (m, d)
     weights: np.ndarray      # (m,) includes sqrt(det G) * cell volume
-    points: np.ndarray       # (m, N) complex ambient points
     shape: tuple[int, ...]   # nodes per axis
     # z_1..z_N on the grid, each of extent 1 along the axes it does not read
     coords: tuple[np.ndarray, ...]
+    rotation_axes: tuple[int, ...]  # periodic axes that rotate the points
+    # (N, len(rotation_axes)): z_j turns by e^{2 pi i c / L} a node along
+    # each rotation axis, c mod L
+    charges: np.ndarray
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(m, N) complex ambient points, built on first use."""
+        points = np.empty(self.shape + (len(self.coords),), dtype=complex)
+        for j, z in enumerate(self.coords):
+            points[..., j] = z
+        return points.reshape(self.size, -1)
+
+    @property
+    def base_points(self) -> np.ndarray:
+        """(n, N) points at index 0 along every rotation axis, one per
+        node of the other axes, in C order."""
+        rest = tuple(1 if a in self.rotation_axes else n
+                     for a, n in enumerate(self.shape))
+        return np.stack([np.broadcast_to(_at_base(z, self.rotation_axes),
+                                         rest).reshape(-1)
+                         for z in self.coords], axis=1)
 
     @property
     def total_mass(self) -> float:
@@ -427,16 +481,179 @@ def _axis_rule(lo: float, hi: float, periodic: bool, n: int):
     return x, w
 
 
+def _slab_pairs(grid: np.ndarray, axis: int):
+    """(here, ahead) views over blocks of slabs of grid along axis, ahead
+    one slab further on, wrapping around: each slab meets its successor
+    once, without a copy of the grid."""
+    g = np.moveaxis(grid, axis, 0)
+    L = g.shape[0]
+    rows = max(1, _SLAB_BYTES // max(1, g[0].nbytes))
+    for lo in range(0, L - 1, rows):
+        hi = min(L - 1, lo + rows)
+        yield g[lo:hi], g[lo + 1:hi + 1]
+    yield g[L - 1:], g[:1]
+
+
+def _rotation_axes(coords: Sequence[np.ndarray], shape: tuple,
+                   periodic: Sequence[bool]) -> tuple[tuple, np.ndarray]:
+    """Periodic axes of the grid that act on its points as rotations.
+
+    Returns (axes, charges), charges[j, i] the integer c with
+    z_j(next node along axes[i]) = e^{2 pi i c / L} z_j(node) on every
+    node to _ROTATION_TOL max|z| (module notes); charges is (N, 0) when
+    no axis qualifies.
+    """
+    tol = _ROTATION_TOL * max(float(np.abs(z).max()) for z in coords)
+    axes, charges = [], []
+    for axis, (L, per) in enumerate(zip(shape, periodic)):
+        if not per:
+            continue
+        # a coordinate of extent 1 along the axis is constant: charge 0
+        moving = [j for j, z in enumerate(coords) if z.shape[axis] > 1]
+        # sum of ahead conj(here) over the nodes, one value per coordinate
+        turn = np.array([sum(np.vdot(here, ahead)
+                             for here, ahead in _slab_pairs(coords[j], axis))
+                         for j in moving], dtype=complex)
+        c = np.zeros(len(coords), dtype=np.int64)
+        c[moving] = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(
+            np.int64) % L
+        phase = np.exp(2j * math.pi * c / L)
+        if all(np.abs(ahead - phase[j] * here).max() <= tol
+               for j in moving
+               for here, ahead in _slab_pairs(coords[j], axis)):
+            axes.append(axis)
+            charges.append(c)
+    return tuple(axes), np.array(charges, dtype=np.int64).reshape(
+        len(axes), len(coords)).T
+
+
+def _tangents_turn(J: list, axes: Sequence[int], phases: Sequence,
+                   ahead: Sequence[np.ndarray]) -> list:
+    """The axes among `axes`, each held whole by the block of jacobian J,
+    along which the complex tangents dz_j/dt_i turn as the points do: at
+    the next node, ahead[i] along axes[i], they are phases[i][j] times
+    those at the node, to _ROTATION_TOL of the block's largest |dz_j/dt_i|.
+    """
+    off = dict.fromkeys(axes, 0.0)
+    size = 0.0
+    for j, (re, im) in enumerate(zip(J[0::2], J[1::2])):
+        for x, y in zip(re, im):
+            z = x + 1j * y  # dz_j/dt_i at the shape of the axes it reads
+            top = float(np.abs(z).max())
+            size = max(size, top)
+            for a, phase, nxt in zip(axes, phases, ahead):
+                if np.ndim(z) and z.shape[a] > 1:
+                    step = float(np.abs(z.take(nxt, axis=a)
+                                        - phase[j] * z).max())
+                else:  # constant along the axis: the turn must fix it
+                    step = abs(phase[j] - 1.0) * top
+                off[a] = max(off[a], step)
+    return [a for a in axes if off[a] <= _ROTATION_TOL * size]
+
+
+def _at_base(v: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """A chart value at index 0 along `axes`, keeping their extent of 1."""
+    if not np.ndim(v):
+        return v
+    return v[tuple(slice(0, 1) if a in axes else slice(None)
+                   for a in range(v.ndim))]
+
+
+def _restrict(v: np.ndarray, block: tuple) -> np.ndarray:
+    """A chart value restricted to a block of the grid it broadcasts to;
+    along an axis of extent 1 it is kept whole."""
+    if not np.ndim(v):
+        return v
+    return v[tuple(s if n > 1 else slice(None)
+                   for s, n in zip(block, v.shape))]
+
+
+def _joined(values: list, axis: int, extents: list, d: int) -> np.ndarray:
+    """One chart value from runs of blocks along `axis`, each given at its
+    block's extent there or at extent 1, joined in order; a value of
+    extent 1 that every block gives alike is kept once."""
+    first = values[0]
+    if all(not v.ndim or v.shape[axis] == 1 for v in values) and all(
+            np.array_equal(v, first) for v in values[1:]):
+        return first
+    parts = []
+    for v, n in zip(values, extents):
+        if not v.ndim:
+            v = v.reshape((1,) * d)
+        parts.append(v if v.shape[axis] == n else v.repeat(n, axis))
+    return np.concatenate(parts, axis=axis)
+
+
+def _densities(sub: ChartedSubmanifold, xs: Sequence[np.ndarray],
+               weights: np.ndarray, axes: tuple, charges: np.ndarray) -> None:
+    """Multiply the cell volumes `weights` by sqrt(det G), in place.
+
+    The jacobian is evaluated block by block (`_grid_blocks`).  The blocks
+    of one run along the axis the blocks cut are joined while their
+    jacobian values fit in _CHUNK_BYTES, and each joined run is settled at
+    once: along each rotation axis it holds whole and on which its
+    tangents turn with the points (`_tangents_turn`), its nodes share the
+    metric of their base node; the metric is formed in blocks of the
+    nodes left.
+    """
+    shape, d = weights.shape, sub.dim
+    nodes = _block_nodes(sub)
+    phases = [np.exp(2j * math.pi * c / shape[a])
+              for a, c in zip(axes, charges.T)]
+    ahead = [(np.arange(shape[a]) + 1) % shape[a] for a in axes]
+    run, held = [], 0
+
+    def settle():
+        cut = len(run[0][0]) - 1  # the axis the blocks cut into runs
+        region = run[0][0][:-1] + (slice(run[0][0][-1].start,
+                                         run[-1][0][-1].stop),)
+        cells = weights[region]
+        J = run[0][1]
+        if len(run) > 1:
+            extents = [weights[block].shape[cut] for block, _ in run]
+            J = [[_joined([J_b[r][i] for _, J_b in run], cut, extents, d)
+                  for i in range(d)] for r in range(len(J))]
+        whole = [i for i, a in enumerate(axes) if cells.shape[a] == shape[a]]
+        shared = whole and _tangents_turn(
+            J, *zip(*((axes[i], phases[i], ahead[i]) for i in whole)))
+        base = tuple(1 if a in shared else n for a, n in enumerate(cells.shape))
+        for block in _grid_blocks(base, nodes):
+            part = [[_restrict(_at_base(v, shared), block) for v in row]
+                    for row in J]
+            cells[tuple(slice(None) if a in shared else s
+                        for a, s in enumerate(block))] *= _sqrt_det_metric(part)
+        run.clear()
+
+    for block in _grid_blocks(shape, nodes):
+        extent = weights[block].shape
+        J = _on_grid(sub.jacobian(_axis_columns(xs, block)), extent)
+        cut = len(block) - 1
+        # bytes of the values once joined along the cut axis
+        size = 8 * extent[cut] * sum(v.size // v.shape[cut] if v.ndim else 1
+                                     for row in J for v in row)
+        if run and (block[:-1] != run[0][0][:-1]
+                    or held + size > _CHUNK_BYTES):
+            settle()
+            held = 0
+        run.append((block, J))
+        held += size
+    settle()
+
+
 @single_threaded()
 def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
     """Tensor-product quadrature over the parameter box.
 
     order: nodes per axis, an integer or a sequence with one entry per axis.
-    Periodic axes use the trapezoid rule, the rest Gauss-Legendre.  Weights
-    include the surface density sqrt(det G), one value per node.  The
+    Periodic axes use the trapezoid rule, the rest Gauss-Legendre.  The
     chart is evaluated on the axis vectors of the grid, its jacobian block
     by block (module notes), so neither the jacobians nor the metrics of
-    the whole grid are ever held at once.
+    the whole grid are ever held at once.  The periodic axes that rotate
+    the points are found from the coordinates and recorded.  Weights
+    include the surface density sqrt(det G): along a rotation axis that a
+    joined run of blocks holds whole and on which the chart's tangents
+    turn with its points, it is formed once per base node and shared;
+    elsewhere once per node (module notes).
     """
     if np.isscalar(order):
         per_axis = [int(order)] * sub.dim
@@ -453,25 +670,21 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
     for j, (x, w) in enumerate(zip(_axis_columns(xs), _axis_columns(ws))):
         nodes[..., j] = x
         weights *= w  # the cell volume
-    for block in _grid_blocks(shape, _block_nodes(sub)):
-        J = sub.jacobian(_axis_columns(xs, block))
-        weights[block] *= _sqrt_det_metric(
-            _on_grid(J, weights[block].shape))
     xy = _on_grid(sub.gamma(_axis_columns(xs)), shape)
-    N = sub.ambient_dim
-    points = np.empty(shape + (N,), dtype=complex)
     coords = []
-    for j in range(N):
-        x, y = xy[2 * j], xy[2 * j + 1]
+    for x, y in zip(xy[0::2], xy[1::2]):
         z = np.empty(np.broadcast_shapes(x.shape, y.shape, (1,) * d),
                      dtype=complex)
         z.real, z.imag = x, y
-        points[..., j] = z
-        # a coordinate that reads every axis shares the points' memory
-        coords.append(points[..., j] if z.shape == shape else z)
+        coords.append(z)
+    axes, charges = _rotation_axes(coords, shape, sub.periodic)
+    _densities(sub, xs, weights, axes, charges)
     return Quadrature(sub=sub, nodes=nodes.reshape(m, d),
-                      weights=weights.reshape(m), points=points.reshape(m, N),
-                      shape=shape, coords=tuple(coords))
+                      weights=weights.reshape(m), shape=shape,
+                      coords=tuple(coords), rotation_axes=axes,
+                      charges=charges)
+
+
 def default_periodic_nodes(k: float, radius: float) -> int:
     """Trapezoid nodes per periodic axis resolving the e^{ik omega} phase."""
     return max(64, 8 * math.ceil(math.sqrt(k)) * math.ceil(radius))

@@ -17,9 +17,10 @@ one forward FFT over the rotation axes.  The basis is evaluated at the
 base points only: on the circle at k=200 at one point instead of 1609
 nodes, which drops the 1609 x 801 complex basis matrix and its conjugate
 copy, and the Bohr-Sommerfeld check falls from about 0.1 s to 0.01 s.
-The node ordering and the charges come from the helper that assembly's
-sector sum uses.  Grids without rotation axes, or with fewer than 64
-rotation nodes per explicit node, keep the node-by-node sum.
+The node ordering and the charges come from the helpers that assembly's
+sector sum uses, the rotation axes from the quadrature and the base
+points from its coordinates.  Grids without rotation axes, or with fewer
+than 16 rotation nodes per explicit node, keep the node-by-node sum.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import HermitianOperator, _rotation_grid, _sector_axes
+from .assembly import (HermitianOperator, _basis_charges, _by_sector,
+                       _sector_axes)
 from .fock import FockTruncation, eval_basis_matrix
 from .manifold import (ChartedSubmanifold, Quadrature, amp_values,
                        chart_rows, classify, real_to_complex)
@@ -134,12 +136,13 @@ def build_test_state(trunc: FockTruncation, sub: ChartedSubmanifold,
     if rotations is None:
         return eval_basis_matrix(trunc, quad.points).conj().T @ g
     # c_n = sum_theta conj(U_theta,n) FFT_phi(g)[theta, q_n]
-    order, q = _rotation_grid(trunc, quad, *rotations)
-    sectors = order.reshape(order.shape[0], -1)
-    G = np.fft.fftn(g[order], axes=tuple(range(1, order.ndim)))
-    G = G.reshape(sectors.shape)
-    U = eval_basis_matrix(trunc, quad.points[sectors[:, 0]])
-    flat_q = np.ravel_multi_index(q.T, order.shape[1:])
+    axes, charges = rotations
+    grid = _by_sector(g.reshape(quad.shape), axes)
+    G = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim)))
+    G = G.reshape(grid.shape[0], -1)
+    U = eval_basis_matrix(trunc, quad.base_points)
+    q = _basis_charges(trunc, charges, grid.shape[1:])
+    flat_q = np.ravel_multi_index(q.T, grid.shape[1:])
     return np.einsum("tn,tn->n", U.conj(), G[:, flat_q])
 
 

@@ -334,19 +334,19 @@ def reference_sector_axes(quad):
     """Rotation axes and charges by the slab check over the materialized
     points of the whole grid."""
     grid = quad.points.reshape(quad.shape + (-1,))
-    tol = asm._ROTATION_TOL * max(float(np.abs(here).max(initial=0.0))
-                                  for here, _ in asm._slab_pairs(grid, 0))
+    tol = mfd._ROTATION_TOL * max(float(np.abs(here).max(initial=0.0))
+                                  for here, _ in mfd._slab_pairs(grid, 0))
     idx = list(range(grid.ndim))
     axes, charges = [], []
     for axis, (L, periodic) in enumerate(zip(quad.shape, quad.sub.periodic)):
         if not periodic:
             continue
         turn = sum(np.einsum(ahead, idx, here.conj(), idx, idx[-1:])
-                   for here, ahead in asm._slab_pairs(grid, axis))
+                   for here, ahead in mfd._slab_pairs(grid, axis))
         c = np.rint(np.angle(turn) * L / (2.0 * math.pi)).astype(np.int64) % L
         phase = np.exp(2j * math.pi * c / L)
         if all(np.abs(ahead - phase * here).max() <= tol
-               for here, ahead in asm._slab_pairs(grid, axis)):
+               for here, ahead in mfd._slab_pairs(grid, axis)):
             axes.append(axis)
             charges.append(c)
     if math.prod(quad.shape[a] for a in axes) < asm._SECTOR_NODES:
@@ -373,10 +373,10 @@ SECTOR_AXES_CASES = {
 @pytest.mark.parametrize("case", list(SECTOR_AXES_CASES))
 def test_sector_axes_match_the_check_over_every_point(monkeypatch, case):
     sub, order = SECTOR_AXES_CASES[case]
-    quad = mfd.quadrature(sub, order)
     # small slabs: blocks of several slabs, and one slab a block
-    for slab_bytes in (asm._SLAB_BYTES, 64):
-        monkeypatch.setattr(asm, "_SLAB_BYTES", slab_bytes)
+    for slab_bytes in (mfd._SLAB_BYTES, 64):
+        monkeypatch.setattr(mfd, "_SLAB_BYTES", slab_bytes)
+        quad = mfd.quadrature(sub, order)
         got, want = asm._sector_axes(quad), reference_sector_axes(quad)
         assert (got is None) == (want is None)
         if got is not None:
@@ -406,6 +406,58 @@ def test_sector_sum_keeps_the_weights_of_every_node():
     assert np.abs(gemm_reference(trunc, base, None) - expect).max() > 0.25 * scale
 
 
+def reference_sector_coefficients(quad, wa, axes):
+    """F of the sector sum by one inverse FFT over every rotation axis."""
+    explicit = [a for a in range(len(quad.shape)) if a not in axes]
+    grid = wa.reshape(quad.shape).transpose(explicit + list(axes))
+    grid = grid.reshape((-1,) + tuple(quad.shape[a] for a in axes))
+    rot = grid[0].size
+    scale = np.abs(grid).reshape(grid.shape[0], -1).sum(axis=1)
+    F = np.fft.ifftn(grid, axes=tuple(range(1, grid.ndim))).reshape(-1, rot)
+    F *= (rot / scale)[:, None]
+    F[:, 0] = F[:, 0].real
+    return F
+
+
+@pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")
+@pytest.mark.parametrize("case, fft_axes", [
+    ("sphere3_one", []), ("sphere3_cos", [(1,)]), ("dsl_torus", [(1, 2)])])
+def test_sector_fft_runs_only_along_axes_where_wa_varies(monkeypatch, case,
+                                                         fft_axes):
+    sphere, torus = mfd.sphere3(1.0), dsl_torus()
+    trunc, sub, quad, a = {
+        "sphere3_one": (FockTruncation(2, 4.0, 20), sphere,
+                        mfd.quadrature(sphere, [11, 21, 21]), None),
+        "sphere3_cos": (FockTruncation(2, 4.0, 20), sphere,
+                        mfd.quadrature(sphere, [11, 21, 21]),
+                        lambda t: 1.0 + 0.5 * np.cos(t[:, 1] + 0.7)),
+        "dsl_torus": (FockTruncation(2, 4.0, 16), torus,
+                      mfd.quadrature(torus, 24),
+                      lambda t: 1.0 + np.cos(t[:, 0]) / 4
+                      + np.cos(t[:, 1]) / 4)}[case]
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def recording(x, axes=None):
+        calls.append(axes)
+        return ifftn(x, axes=axes)
+
+    monkeypatch.setattr(np.fft, "ifftn", recording)
+    wa = quad.weights * mfd.amp_values(a, quad)
+    axes, charges = asm._sector_axes(quad)
+    sector = asm._sector(trunc, quad, wa, axes, charges, True)
+    assert calls == fft_axes
+    # F holds the charges of its support, and is zero at the others
+    expect = reference_sector_coefficients(quad, wa, axes)
+    off = np.ones(expect.shape[1], dtype=bool)
+    off[sector.support] = False
+    assert np.abs(sector.F - expect[:, sector.support]).max() <= 1e-15
+    assert np.abs(expect[:, off]).max(initial=0.0) <= 1e-15
+    # the base points come from the coordinates: no full-grid points
+    assemble_T(trunc, sub, a, quad)
+    assert "points" not in vars(quad)
+
+
 @pytest.mark.filterwarnings("ignore::szegolab.assembly.TruncationWarning")
 def test_dsl_torus_matches_builtin_torus():
     trunc = FockTruncation(2, 4.0, 16)
@@ -427,15 +479,15 @@ def test_invariant_operators_are_exactly_diagonal():
     sub, trunc, quad = circle_setup(k)
     op = assemble_T(trunc, sub, None, quad)
     assert off_diagonal_count(op.matrix) == 0
-    # the zeroed coefficients were FFT rounding: their bound is tiny
-    lam = np.abs(np.diag(op.matrix)).max()
-    assert 0 < op.offblock_bound <= 1e-12 * lam
+    # w a is the same on every node of each rotation axis, so its Fourier
+    # coefficients are exactly zero off charge 0 and nothing is dropped
+    assert op.offblock_bound == 0
     sphere = mfd.sphere3(1.0)
     M = 44
     sop = assemble_T(FockTruncation(2, 10.0, M), sphere, None,
                      mfd.quadrature(sphere, [M // 2 + 1, M + 1, M + 1]))
     assert off_diagonal_count(sop.matrix) == 0
-    assert sop.offblock_bound <= 1e-12 * np.abs(np.diag(sop.matrix)).max()
+    assert sop.offblock_bound == 0
 
 
 def band_pattern(dim, width):

@@ -207,6 +207,20 @@ def wobbly_circle():
                             [True], [[0.0, TWO_PI]], label="wobbly")
 
 
+def wiggly_circle():
+    """The unit circle traced at a speed 1 + 0.32 cos(32 t): at 64 nodes the
+    points turn by one node per step, the tangents do not."""
+    return mfd.custom_chart(1, 1, ["cos(t1 + 0.01*sin(32*t1))",
+                                   "sin(t1 + 0.01*sin(32*t1))"],
+                            [True], [[0.0, TWO_PI]], label="wiggly")
+
+
+def at_base(grid, axes):
+    """The grid at index 0 along `axes`."""
+    return grid[tuple(slice(0, 1) if a in axes else slice(None)
+                      for a in range(grid.ndim))]
+
+
 @pytest.mark.parametrize("sub, order", [(sub, 5) for sub in CHARTS] + [
     (wobbly_circle(), 64), (mfd.sphere3(1.0), [23, 45, 45]),
     (mfd.parabola_patch((-1.0, 2.0), (0.5, 1.5)), [7, 9])],
@@ -215,8 +229,18 @@ def test_quadrature_by_axis_keeps_every_bit(sub, order):
     quad = mfd.quadrature(sub, order)
     nodes, weights, points = reference_quadrature(sub, order)
     assert quad.nodes.tobytes() == nodes.tobytes()
-    assert quad.weights.tobytes() == weights.tobytes()
+    # the points, built on first use, are those of a node-by-node pass
+    assert "points" not in vars(quad)
     assert quad.points.tobytes() == points.tobytes()
+    # every chart here is one block, and equivariant along each of its
+    # rotation axes: they share the base node's weight, which keeps its
+    # bits; on the other charts every weight keeps its own
+    shared = quad.rotation_axes
+    got, want = (w.reshape(quad.shape) for w in (quad.weights, weights))
+    assert at_base(got, shared).tobytes() == at_base(want, shared).tobytes()
+    assert np.array_equal(got, np.broadcast_to(at_base(got, shared),
+                                               quad.shape))
+    assert np.abs(got / want - 1.0).max() <= 1e-13
     # each coordinate, at its own shape, broadcasts to the points
     grid = points.reshape(quad.shape + (-1,))
     for j, z in enumerate(quad.coords):
@@ -225,6 +249,63 @@ def test_quadrature_by_axis_keeps_every_bit(sub, order):
         assert np.broadcast_to(z, quad.shape).tobytes() == \
             np.ascontiguousarray(grid[..., j]).tobytes()
     assert quad.max_radius() == float(np.abs(points).max())
+
+
+@pytest.mark.parametrize("sub, order, axes", [
+    (mfd.circle(1.3), 40, (0,)), (mfd.sphere3(1.0), [23, 45, 45], (1, 2)),
+    (mfd.sphere3(0.9), [12, 12, 12], (1, 2)), (dsl_torus(), 16, (0, 1)),
+    (dsl_torus(), [24, 40], (0, 1))], ids=["circle", "sphere3_k10",
+                                            "sphere3", "dsl_torus",
+                                            "dsl_torus_24x40"])
+def test_weights_are_shared_along_equivariant_rotation_axes(sub, order,
+                                                           axes):
+    quad = mfd.quadrature(sub, order)
+    assert quad.rotation_axes == axes
+    w = quad.weights.reshape(quad.shape)
+    base = at_base(w, axes)
+    assert np.array_equal(w, np.broadcast_to(base, quad.shape))
+    # within 1e-13 of the metric formed at every node, and the base
+    # nodes' weights are those of a node-by-node pass
+    _, weights, _ = reference_quadrature(sub, order)
+    want = weights.reshape(quad.shape)
+    assert np.abs(w / want - 1.0).max() <= 1e-13
+    assert base.tobytes() == at_base(want, axes).tobytes()
+
+
+def test_a_turning_curve_with_unequal_tangents_keeps_per_node_weights():
+    quad = mfd.quadrature(wiggly_circle(), 64)
+    assert quad.rotation_axes == (0,)  # the points turn
+    _, weights, _ = reference_quadrature(wiggly_circle(), 64)
+    assert quad.weights.tobytes() == weights.tobytes()
+    assert quad.weights[1] < 0.55 * quad.weights[0]
+
+
+def test_runs_of_small_blocks_are_joined_and_full_blocks_are_not(
+        monkeypatch):
+    # 100 nodes a block cut the t2 axis of a 6 x 15 x 15 grid into runs of
+    # 6 rows; sphere3's jacobian values read few axes, so the blocks of a
+    # run are joined, t2 is held whole and shares its weights as t3 does
+    monkeypatch.setattr(mfd, "_CHUNK_BYTES", 100 * 8 * 3 * 7)
+    sphere = mfd.sphere3(1.0)
+    _, weights, _ = reference_quadrature(sphere, [6, 15, 15])
+    want = weights.reshape(6, 15, 15)
+    w = mfd.quadrature(sphere, [6, 15, 15]).weights.reshape(6, 15, 15)
+    assert np.array_equal(w, np.broadcast_to(at_base(w, (1, 2)), w.shape))
+    assert at_base(w, (1, 2)).tobytes() == at_base(want, (1, 2)).tobytes()
+
+    # a jacobian whose values read every axis fills the budget block by
+    # block: t2 stays cut and keeps per-node weights
+    def jacobian(t):
+        shape = np.broadcast_shapes(*map(np.shape, t))
+        return [[np.broadcast_to(v, shape) for v in row]
+                for row in sphere.jacobian(t)]
+
+    chart = dataclasses.replace(sphere, jacobian=jacobian)
+    w = mfd.quadrature(chart, [6, 15, 15]).weights.reshape(6, 15, 15)
+    assert np.array_equal(w, np.broadcast_to(at_base(w, (2,)), w.shape))
+    assert at_base(w, (2,)).tobytes() == at_base(want, (2,)).tobytes()
+    assert not np.array_equal(w, np.broadcast_to(at_base(w, (1,)), w.shape))
+    assert np.abs(w / want - 1.0).max() <= 1e-13
 
 
 def test_sphere3_coordinates_keep_the_shape_of_their_axes():
@@ -277,7 +358,8 @@ def test_degenerate_chart_has_a_singular_metric():
 
 
 def test_quadrature_chunks_bound_the_jacobian(monkeypatch):
-    sphere = mfd.sphere3(1.0)
+    # no periodic axis, so no weight is shared: every node has its metric
+    sphere = dataclasses.replace(mfd.sphere3(1.0), periodic=(False,) * 3)
     order = [11, 21, 21]
     monkeypatch.setattr(mfd, "_CHUNK_BYTES", 1 << 40)
     whole = mfd.quadrature(sphere, order)
@@ -352,9 +434,9 @@ def test_classify_reads_one_stacked_frame(monkeypatch):
 
 
 def test_sphere3_quadrature_memory_is_bounded():
-    # the k = 20 Lab order, 310,675 nodes: the stored nodes, weights and
-    # points take 20 MB, and the peak grows by about 20 MB; with full-grid
-    # jacobians and metrics it grew by 75-104 MB
+    # the k = 20 Lab order, 310,675 nodes: the stored nodes and weights
+    # take 10 MB, the points are built only when asked for; with full-grid
+    # jacobians and metrics the peak grew by 75-104 MB
     code = ("import resource, szegolab.manifold as m\n"
             "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "before = peak()\n"
