@@ -4,7 +4,10 @@ Each check assembles operators, computes the matching closed-form
 prediction, and returns a verdict dict {check_id, observed, predicted,
 tolerance, pass, detail}.  A Lab instance caches assembled operators and
 spectra so overlapping checks share work; `cli` uses the same verdicts,
-tolerances and memo.
+tolerances and memo.  The Szego-family checks (s log s, Weyl counts,
+Schatten sums, entropy) and the matching `cli` commands run their sweep
+through `szego_sweep`, one pass rule for both front ends, against a
+Szego functional F(phi) as prediction.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .manifold import (
 )
 from .spectral import eigensolve, entropy_function, schatten_sum, weyl_count
 
-__all__ = ["Lab", "run_all", "CHECKS", "verdict"]
+__all__ = ["Lab", "run_all", "CHECKS", "verdict", "szego_sweep"]
 
 CIRCLE_SWEEP = (25.0, 50.0, 100.0, 200.0)
 # eigenvalue counts are integers, so the count error carries quantization
@@ -69,6 +72,33 @@ def verdict(check_id, observed, predicted, tolerance, passed=None,
     if detail is not None:
         out["detail"] = detail
     return out
+
+
+def szego_sweep(sweep, statistic, prediction, tolerance,
+                continuous: bool = True) -> list[dict]:
+    """Run a Szego-family statistic over a sweep and judge it by one rule.
+
+    `sweep` is the k values, or an object with them as `k_sweep` that maps
+    a function over them by `sweep(fn)`, as `cli.Experiment`.  statistic(k)
+    is the scaled value, or one per entry of `prediction` and `tolerance`
+    (an absolute bound).  An entry passes when its last error is within
+    the tolerance and, for a continuous phi, its errors strictly decrease,
+    where the O(1/k) rate of the Szego limit holds.  Returns one {values,
+    errors, pass, rate_slope (None below 4 points)} per entry.
+    """
+    ks = getattr(sweep, "k_sweep", sweep)
+    values = np.array(sweep.sweep(statistic) if ks is not sweep
+                      else [statistic(k) for k in ks], float)
+    values = values.reshape(len(ks), -1)
+    errors = np.abs(values - prediction)
+    passed = errors[-1] <= tolerance
+    if continuous:
+        passed &= np.all(errors[1:] < errors[:-1], axis=0)
+    preds = np.broadcast_to(prediction, passed.shape)
+    return [{"values": v.tolist(), "errors": e.tolist(), "pass": bool(ok),
+             "rate_slope": spectral.rate_regression(ks, v, pred).slope
+             if len(ks) >= 4 else None}
+            for v, e, pred, ok in zip(values.T, errors.T, preds, passed)]
 
 
 def _poisson_lambdas(k: float, M: int) -> np.ndarray:
@@ -190,83 +220,81 @@ def check_moment_asymptotics(lab: Lab):
                    ok, detail=slopes)
 
 
+def _circle_S(lab: Lab, k: float) -> spectral.SpectralSummary:
+    """Spectrum of S = s T on the unit circle with amplitude 1."""
+    return spectral.SpectralSummary(s_factor(k, 1, 1, 1) * lab.circle_eigs(k))
+
+
 def check_szego_entropy_function(lab: Lab):
     """5: scaled Tr(phi(S)) for phi = s log s converges to F(phi)."""
     phi = entropy_function()
     pred = asymptotics.szego_functional(lab.circle, None, phi,
                                         lab.circle_quad(25.0))
-    errors = []
-    for k in CIRCLE_SWEEP:
-        mu = s_factor(k, 1, 1, 1) * lab.circle_eigs(k)
-        val = szego_scaling(k, 1, 1) * float(np.sum(phi(mu)))
-        errors.append(abs(val - pred))
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    final_rel = errors[-1] / abs(pred)
-    return verdict("szego_slogs", final_rel, 0.0, SZEGO_TOL,
-                   decreasing and final_rel <= SZEGO_TOL,
-                   detail={"errors": errors, "functional": pred})
+    (run,) = szego_sweep(CIRCLE_SWEEP, lambda k: szego_scaling(k, 1, 1)
+                         * spectral.trace_phi(_circle_S(lab, k), phi),
+                         pred, SZEGO_TOL * abs(pred))
+    return verdict("szego_slogs", run["errors"][-1] / abs(pred), 0.0,
+                   SZEGO_TOL, run["pass"],
+                   detail={"errors": run["errors"], "functional": pred})
 
 
 def check_weyl_counts(lab: Lab):
     """6: scaled eigenvalue count in [0.2, 0.9] matches the Weyl law."""
     interval = (0.2, 0.9)
     pred = asymptotics.weyl_prediction(2.0 * math.pi, 1, interval)
-    errors = []
-    for k in WEYL_SWEEP:
-        mu = s_factor(k, 1, 1, 1) * lab.circle_eigs(k)
-        count = weyl_count(spectral.SpectralSummary(mu), interval)
-        errors.append(abs(szego_scaling(k, 1, 1) * count - pred))
-    decreasing = all(b <= a for a, b in zip(errors, errors[1:]))
-    final_rel = errors[-1] / pred
-    return verdict("weyl_counts", final_rel, 0.0, WEYL_TOL,
-                   decreasing and final_rel <= WEYL_TOL,
+    (run,) = szego_sweep(WEYL_SWEEP, lambda k: szego_scaling(k, 1, 1)
+                         * weyl_count(_circle_S(lab, k), interval),
+                         pred, WEYL_TOL * pred, continuous=False)
+    errors = run["errors"]  # on this sweep they also never grow
+    steady = all(b <= a for a, b in zip(errors, errors[1:]))
+    return verdict("weyl_counts", errors[-1] / pred, 0.0, WEYL_TOL,
+                   steady and run["pass"],
                    detail={"errors": errors, "prediction": pred})
 
 
 def check_schatten(lab: Lab):
     """7: scaled Schatten sums for a complex amplitude."""
-    detail = {}
-    ok = True
-    pred_quad = lab.circle_quad(25.0)
     ps = (1.0, 2.0)
+    preds = [asymptotics.schatten_prediction(lab.circle, _amp_complex, p,
+                                             lab.circle_quad(25.0))
+             for p in ps]
     # one SVD of T per operator serves every p; S = s T scales each sum
     # by s^p
-    sums = [schatten_sum(lab.circle_op(k, "complex"), ps)
-            for k in CIRCLE_SWEEP]
-    for i, p in enumerate(ps):
-        pred = asymptotics.schatten_prediction(lab.circle, _amp_complex, p,
-                                               pred_quad)
-        vals = [szego_scaling(k, 1, 1) * s_factor(k, 1, 1, 1) ** p * s[i]
-                for k, s in zip(CIRCLE_SWEEP, sums)]
-        rel = abs(vals[-1] - pred) / pred
-        detail[f"p={p:g}"] = {"final_rel": rel, "prediction": pred}
-        ok = ok and rel <= SCHATTEN_TOL
+    runs = szego_sweep(
+        CIRCLE_SWEEP,
+        lambda k: [szego_scaling(k, 1, 1) * s_factor(k, 1, 1, 1) ** p * total
+                   for p, total in zip(ps, schatten_sum(
+                       lab.circle_op(k, "complex"), ps))],
+        preds, [SCHATTEN_TOL * pred for pred in preds])
+    detail = {f"p={p:g}": {"final_rel": run["errors"][-1] / pred,
+                           "prediction": pred}
+              for p, pred, run in zip(ps, preds, runs)}
     worst = max(v["final_rel"] for v in detail.values())
-    return verdict("schatten", worst, 0.0, SCHATTEN_TOL, ok, detail=detail)
+    return verdict("schatten", worst, 0.0, SCHATTEN_TOL,
+                   all(run["pass"] for run in runs), detail=detail)
 
 
 def check_entropy(lab: Lab):
     """8: density-matrix entropy limit with the Poisson cross-check."""
-    sub = lab.circle
-    quad = lab.circle_quad(25.0)
-    pred = asymptotics.entropy_prediction(sub, 1.0 / (2.0 * math.pi), quad)
-    gaps = []
-    cross_ok = True
-    for k in CIRCLE_SWEEP:
+    pred = asymptotics.entropy_prediction(lab.circle, 1.0 / (2.0 * math.pi),
+                                          lab.circle_quad(25.0))
+    cross = []
+
+    def shifted_entropy(k):
         rho = lab.circle_eigs(k) / (2.0 * k)  # (pi/k) * (1/2pi) * T spectrum
-        spec = spectral.SpectralSummary(rho)
-        H = spectral.entropy(spec)
-        n = np.arange(int(round(4 * k)) + 1)
-        logp = n * math.log(k) - k - gammaln(n + 1.0)
-        H_poisson = float(-np.sum(np.exp(logp) * logp))
-        cross_ok = cross_ok and abs(H - H_poisson) <= 1e-8
+        H = spectral.entropy(spectral.SpectralSummary(rho))
+        poisson = _poisson_lambdas(k, int(round(4 * k))) / (2.0 * k)
+        cross.append(abs(H - spectral.entropy(
+            spectral.SpectralSummary(poisson))) <= 1e-8)
         # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}
-        gaps.append(abs(H + math.log(szego_scaling(k, 1, 1)) - pred))
-    decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
-    return verdict("entropy_limit", gaps[-1], 0.0, ENTROPY_TOL,
-                   cross_ok and decreasing and gaps[-1] <= ENTROPY_TOL,
-                   detail={"gaps": gaps, "prediction": pred,
-                           "poisson_cross_check": cross_ok})
+        return H + math.log(szego_scaling(k, 1, 1))
+
+    (run,) = szego_sweep(CIRCLE_SWEEP, shifted_entropy, pred,
+                         ENTROPY_TOL)
+    return verdict("entropy_limit", run["errors"][-1], 0.0, ENTROPY_TOL,
+                   all(cross) and run["pass"],
+                   detail={"gaps": run["errors"], "prediction": pred,
+                           "poisson_cross_check": all(cross)})
 
 
 def check_norm_scaling(lab: Lab):
@@ -327,7 +355,7 @@ def check_mellin_identity(lab: Lab):
             phi = spectral.power_function(p)
             for t in (0.5, 1.0, 2.0):
                 value = asymptotics.mellin_log(phi, alpha, t)
-                exact = t ** p / p ** alpha
+                exact = phi.mellin(t, alpha)
                 worst = max(worst, abs(value - exact) / exact)
     return verdict("mellin_identity", worst, 0.0, 1e-8)
 

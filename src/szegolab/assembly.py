@@ -563,6 +563,7 @@ class _Sector:
     turn: Optional[np.ndarray] = None  # charge phase of the gauge, per axis
     spread: Optional[np.ndarray] = None  # widest charge difference, per axis
     phase: Optional[np.ndarray] = None  # gauge phase g_n, None if all 1
+    gauge_drop: Optional[np.ndarray] = None  # what the turn drops (`_turned`)
 
     @property
     def flat_q(self) -> np.ndarray:
@@ -596,9 +597,7 @@ class _Sector:
             size = np.abs(F)
             if np.any(2 * self.spread >= L):
                 size += np.abs(real)
-            kept = np.flatnonzero(self.keep)
-            off = size @ noise + _turned(self.at(kept), kept, self.shape,
-                                         self.turn, self.spread)[1].sum(axis=1)
+            off = size @ noise + self.gauge_drop
             F = self.F = real
         elif outside:
             off = np.abs(F) @ noise
@@ -697,7 +696,9 @@ def _sector(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
     kept = np.flatnonzero(keep)
 
     def real_to_floor(turn):
-        worst = _turned(sector.at(kept), kept, rot_shape, turn, spread)[2]
+        _, total, worst = _turned(sector.at(kept), kept, rot_shape, turn,
+                                  spread)
+        sector.gauge_drop = total.sum(axis=1)
         return worst.max(initial=0.0) <= floor
 
     # no turn at all where F is real already, else the one its charges ask

@@ -1,10 +1,11 @@
 """Closed-form spectral predictions.
 
 The Szego factors (s of S = s T and the normalization of Tr phi(S)),
-the Szego functional, the Mellin-log averaging operator O_{-alpha}, the
-limiting eigenvalue density, Weyl interval counts, Schatten and entropy
-limits, and the general moment asymptotics with the pointwise Hessian
-factor Delta_n.
+the Szego functional F(phi) with the Mellin-log averaging operator
+O_{-alpha} (a test function's closed form of it where there is one),
+the limiting eigenvalue density, the Weyl, Schatten and entropy limits
+as F of an indicator, of s^p and of s log s, and the general moment
+asymptotics with the pointwise Hessian factor Delta_n.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from .manifold import (
     d_prime,
     delta_n,
 )
-from .spectral import TestFunction
+from .spectral import (
+    TestFunction,
+    entropy_function,
+    indicator_function,
+    power_function,
+)
 
 __all__ = [
     "s_factor",
@@ -93,14 +99,14 @@ def mellin_log(phi: TestFunction, alpha: float, t):
     return float(out[0]) if np.isscalar(t) else out
 
 
-def _szego_dim(sub: ChartedSubmanifold, cls: Optional[Classification]
-               ) -> tuple[Classification, int]:
-    """(classification, d') of an isotropic or coisotropic manifold."""
+def _szego_dim(sub: ChartedSubmanifold,
+               cls: Optional[Classification]) -> int:
+    """d' of an isotropic or coisotropic manifold."""
     cls = cls or classify(sub)
     if cls.tag not in ("isotropic", "lagrangian", "coisotropic"):
         raise ValueError(f"Szego-type predictions need isotropic or coisotropic "
                          f"geometry, got {cls.tag}")
-    return cls, d_prime(cls)
+    return d_prime(cls)
 
 
 def _real_values(a, quad: Quadrature) -> np.ndarray:
@@ -111,13 +117,25 @@ def _real_values(a, quad: Quadrature) -> np.ndarray:
     return av.real
 
 
+def _functional(values: np.ndarray, weights, phi: TestFunction,
+                dp: int) -> float:
+    """sum of weights * O_{-d'/2}(phi)(values), by phi's closed form of O
+    where it has one, else by `mellin_log`; O(phi) is 0 at values <= 0."""
+    alpha = 0.5 * dp
+    if phi.mellin is None or alpha == 0:
+        return float(np.sum(weights * mellin_log(phi, alpha, values)))
+    averaged = np.zeros_like(values)
+    pos = values > 0
+    averaged[pos] = phi.mellin(values[pos], alpha)
+    return float(np.sum(weights * averaged))
+
+
 def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
                      quad: Quadrature,
                      cls: Optional[Classification] = None) -> float:
     """F(phi) = integral over Gamma of O_{-d'/2}(phi)(a(w)) dsigma."""
-    _, dp = _szego_dim(sub, cls)
-    av = _real_values(a, quad)
-    return float(np.sum(quad.weights * mellin_log(phi, 0.5 * dp, av)))
+    dp = _szego_dim(sub, cls)
+    return _functional(_real_values(a, quad), quad.weights, phi, dp)
 
 
 def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
@@ -125,7 +143,7 @@ def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
     """Density D_a(s) = (1/(Gamma(d'/2) s)) int_{a >= s} log(a/s)^{d'/2-1} dsigma."""
     if s <= 0:
         raise ValueError("s must be positive")
-    _, dp = _szego_dim(sub, cls)
+    dp = _szego_dim(sub, cls)
     if dp <= 0:
         raise ValueError("the limiting density needs d' > 0")
     expo = 0.5 * dp - 1.0
@@ -141,14 +159,11 @@ def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
 
 def weyl_prediction(area: float, dp: int, interval) -> float:
     """Limit of the scaled eigenvalue count in [lo, hi] subset of (0, 1] for
-    a constant unit amplitude: |Gamma|/Gamma(1+d'/2) *
-    [(-log lo)^{d'/2} - (-log hi)^{d'/2}]."""
+    a constant unit amplitude: |Gamma| O_{-d'/2}(1_[lo, hi])(1)."""
     lo, hi = interval
     if not 0 < lo <= hi <= 1:
         raise ValueError("interval must satisfy 0 < lo <= hi <= 1")
-    half = 0.5 * dp
-    return area / gamma_fn(1.0 + half) * ((-math.log(lo)) ** half
-                                          - (-math.log(hi)) ** half)
+    return _functional(np.ones(1), area, indicator_function(lo, hi), dp)
 
 
 def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
@@ -175,22 +190,22 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
 
 def schatten_prediction(sub: ChartedSubmanifold, a, p: float, quad: Quadrature,
                         cls: Optional[Classification] = None) -> float:
-    """Limit of the scaled Schatten sum: int |a|^p / p^{d'/2} dsigma."""
+    """Limit of the scaled Schatten sum: F(s^p) on |a|, which is
+    int |a|^p / p^{d'/2} dsigma."""
     if p <= 0:
         raise ValueError("p must be positive")
-    _, dp = _szego_dim(sub, cls)
-    total = float(np.sum(quad.weights * np.abs(amp_values(a, quad)) ** p))
-    return total / p ** (0.5 * dp)
+    dp = _szego_dim(sub, cls)
+    return _functional(np.abs(amp_values(a, quad)), quad.weights,
+                       power_function(p), dp)
 
 
 def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
                        cls: Optional[Classification] = None) -> float:
-    """Limit of H(rho_a) + log(szego_scaling(k, d, d')).
+    """Limit of H(rho_a) + log(szego_scaling(k, d, d')): -F(s log s).
 
-    The amplitude must be a probability density on Gamma.  The value is
-    -F(s log s) with F the Szego functional.
+    The amplitude must be a probability density on Gamma.
     """
-    cls, dp = _szego_dim(sub, cls)
+    dp = _szego_dim(sub, cls)
     if dp <= 0:
         raise ValueError("the entropy limit needs d' > 0")
     av = _real_values(a, quad)
@@ -199,6 +214,4 @@ def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
     mass = float(np.sum(quad.weights * av))
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"amplitude integrates to {mass}, not 1")
-    from .spectral import entropy_function
-
-    return -szego_functional(sub, a, entropy_function(), quad, cls=cls)
+    return -_functional(av, quad.weights, entropy_function(), dp)

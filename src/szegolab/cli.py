@@ -27,7 +27,6 @@ from .acceptance import verdict
 from .assembly import CostLimitError, assemble_T
 from .fock import FockTruncation
 from .manifold import (
-    amp_values,
     amplitude_from_dsl,
     classify,
     d_prime,
@@ -245,6 +244,12 @@ class Experiment:
                 asymptotics.szego_scaling(k, d, self.dp),
                 self.provenance(k, op.trunc))
 
+    def predict(self, prediction, *args) -> float:
+        """An `asymptotics` prediction (sub, amplitude, *args, quad, cls)
+        on the quadrature of the first k; it checks the geometry."""
+        return prediction(self.sub, self.amplitude, *args,
+                          self.quad(self.k_sweep[0]), cls=self.classification)
+
     def provenance(self, k: float, trunc) -> dict:
         return {"k": k, "N": self.sub.ambient_dim, "d": self.sub.dim,
                 "d_prime": self.dp if self.dp is not None else "",
@@ -340,88 +345,86 @@ def cmd_spectrum(exp: Experiment, args) -> int:
     return 0
 
 
+def _judged(exp: Experiment, args, name: str, rows_at, key: str, checks,
+            continuous: bool = True) -> int:
+    """Run a Szego-family statistic over the sweep by
+    `acceptance.szego_sweep`: rows_at(k) gives one row per (check_id,
+    prediction, tolerance) of checks, with the value under key.  Writes
+    the rows, check by check, and one verdict per check."""
+    ids, preds, tols = zip(*checks)
+    per_k = []
+
+    def statistic(k):
+        per_k.append(rows_at(k))
+        return [row[key] for row in per_k[-1]]
+
+    runs = acceptance.szego_sweep(exp, statistic, preds, tols, continuous)
+    write_rows([rows[i] for i in range(len(ids)) for rows in per_k], args,
+               name)
+    verdicts = [verdict(check_id, run["values"][-1], pred, tol, run["pass"])
+                for check_id, pred, tol, run in zip(ids, preds, tols, runs)]
+    for out, run in zip(verdicts, runs):
+        if run["rate_slope"] is not None:
+            out["rate_slope"] = run["rate_slope"]
+    return write_verdicts(verdicts, args, name)
+
+
 def cmd_szego(exp: Experiment, args) -> int:
     phi = parse_test_function(
         args.phi or exp.config.get("test_function", "power:2"))
-    pred = asymptotics.szego_functional(
-        exp.sub, exp.amplitude, phi, exp.quad(exp.k_sweep[0]),
-        cls=exp.classification)
+    pred = exp.predict(asymptotics.szego_functional, phi)
 
-    def one(k):
+    def rows_at(k):
         T, s, norm, prov = exp.scaled(k)
         spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
         val = norm * spectral.trace_phi(spec, phi)
-        return {"scaled_trace": val, "phi": phi.name, **prov,
-                "prediction": pred, "abs_error": abs(val - pred)}
+        return [{"scaled_trace": val, "phi": phi.name, **prov,
+                 "prediction": pred, "abs_error": abs(val - pred)}]
 
-    rows = exp.sweep(one)
-    write_rows(rows, args, "szego")
-    values = [row["scaled_trace"] for row in rows]
-    out = verdict(f"szego:{phi.name}", values[-1], pred,
-                  acceptance.SZEGO_TOL * max(abs(pred), 1e-300))
-    if len(values) >= 4:
-        out["rate_slope"] = spectral.rate_regression(exp.k_sweep, values,
-                                                     pred).slope
-    return write_verdicts([out], args, "szego")
+    return _judged(exp, args, "szego", rows_at, "scaled_trace", [
+        (f"szego:{phi.name}", pred, acceptance.SZEGO_TOL * abs(pred))],
+        phi.continuous)
 
 
 def cmd_weyl(exp: Experiment, args) -> int:
-    if not all(np.all(amp_values(exp.amplitude, exp.quad(k)) == 1.0)
-               for k in exp.k_sweep):
-        print("weyl predicts counts for the unit amplitude only",
-              file=sys.stderr)
-        return 1
     lo, hi = exp.config.get("interval", [0.2, 0.9])
-    pred = asymptotics.weyl_prediction(exp.quad(exp.k_sweep[0]).total_mass,
-                                       exp.dp, (lo, hi))
+    phi = spectral.indicator_function(lo, hi)
+    pred = exp.predict(asymptotics.szego_functional, phi)
 
-    def one(k):
+    def rows_at(k):
         T, s, norm, prov = exp.scaled(k)
         spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
         count = spectral.weyl_count(spec, (lo, hi))
-        return {"count": count, "scaled_count": norm * count,
-                "prediction": pred, **prov}
+        return [{"count": count, "scaled_count": norm * count,
+                 "prediction": pred, **prov}]
 
-    rows = exp.sweep(one)
-    write_rows(rows, args, "weyl")
-    return write_verdicts([verdict(f"weyl:[{lo},{hi}]",
-                                   rows[-1]["scaled_count"], pred,
-                                   acceptance.WEYL_TOL * pred)],
-                          args, "weyl")
+    return _judged(exp, args, "weyl", rows_at, "scaled_count", [
+        (f"weyl:[{lo},{hi}]", pred, acceptance.WEYL_TOL * abs(pred))],
+        phi.continuous)
 
 
 def cmd_schatten(exp: Experiment, args) -> int:
     ps = exp.config.get("schatten_p", [1.0, 2.0])
-    quad = exp.quad(exp.k_sweep[0])
-    preds = [asymptotics.schatten_prediction(exp.sub, exp.amplitude, p, quad,
-                                             cls=exp.classification)
-             for p in ps]
+    preds = [exp.predict(asymptotics.schatten_prediction, p) for p in ps]
 
-    def one(k):
+    def rows_at(k):
         # one assembly and one SVD per k serve every p
         T, s, norm, prov = exp.scaled(k)
-        return [norm * s ** p * total
-                for p, total in zip(ps, spectral.schatten_sum(T, ps))], prov
+        return [{"p": p, "scaled_schatten": norm * s ** p * total,
+                 "prediction": pred, **prov}
+                for p, pred, total in zip(ps, preds,
+                                          spectral.schatten_sum(T, ps))]
 
-    per_k = exp.sweep(one)
-    rows, verdicts = [], []
-    for i, (p, pred) in enumerate(zip(ps, preds)):
-        # rows stay p-major
-        rows.extend({"p": p, "scaled_schatten": vals[i], "prediction": pred,
-                     **prov} for vals, prov in per_k)
-        verdicts.append(verdict(f"schatten:p={p:g}", per_k[-1][0][i], pred,
-                                acceptance.SCHATTEN_TOL * pred))
-    write_rows(rows, args, "schatten")
-    return write_verdicts(verdicts, args, "schatten")
+    return _judged(exp, args, "schatten", rows_at, "scaled_schatten", [
+        (f"schatten:p={p:g}", pred, acceptance.SCHATTEN_TOL * pred)
+        for p, pred in zip(ps, preds)])
 
 
 def cmd_entropy(exp: Experiment, args) -> int:
-    pred = asymptotics.entropy_prediction(
-        exp.sub, exp.amplitude, exp.quad(exp.k_sweep[0]),
-        cls=exp.classification)
+    pred = exp.predict(asymptotics.entropy_prediction)
     N = exp.sub.ambient_dim
 
-    def one(k):
+    def rows_at(k):
         op, _ = exp.operator(k)
         # the density matrix is (pi/k)^N T
         eigs = (math.pi / k) ** N * spectral.eigensolve(op).eigenvalues
@@ -429,22 +432,18 @@ def cmd_entropy(exp: Experiment, args) -> int:
         # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}
         shifted = H + math.log(
             asymptotics.szego_scaling(k, exp.sub.dim, exp.dp))
-        return {"entropy": H, "shifted": shifted, "prediction": pred,
-                "gap": abs(shifted - pred), **exp.provenance(k, op.trunc)}
+        return [{"entropy": H, "shifted": shifted, "prediction": pred,
+                 "gap": abs(shifted - pred), **exp.provenance(k, op.trunc)}]
 
-    rows = exp.sweep(one)
-    write_rows(rows, args, "entropy")
-    return write_verdicts([verdict("entropy", rows[-1]["shifted"], pred,
-                                   acceptance.ENTROPY_TOL)], args, "entropy")
+    return _judged(exp, args, "entropy", rows_at, "shifted",
+                   [("entropy", pred, acceptance.ENTROPY_TOL)])
 
 
 def cmd_density(exp: Experiment, args) -> int:
-    quad = exp.quad(exp.k_sweep[0])
     grid = exp.config.get("density_grid", np.linspace(0.02, 0.98, 49))
     rows = []
     for s in grid:
-        val = asymptotics.limiting_density(exp.sub, exp.amplitude, float(s),
-                                           quad, cls=exp.classification)
+        val = exp.predict(asymptotics.limiting_density, float(s))
         rows.append({"s": float(s), "density": val,
                      "d_prime": exp.dp, "N": exp.sub.ambient_dim,
                      "d": exp.sub.dim})
@@ -586,13 +585,6 @@ def _run(args) -> int:
         print("this subcommand requires --config", file=sys.stderr)
         return 2
     exp = Experiment(load_config(args))
-    # least d' the prediction needs; d' exists for (co)isotropic manifolds
-    least = {"szego": 0, "weyl": 0, "schatten": 0, "entropy": 1,
-             "density": 1}.get(args.command)
-    if least is not None and (exp.dp is None or exp.dp < least):
-        need = "d' > 0" if least else "an isotropic or coisotropic manifold"
-        print(f"{args.command} requires {need}", file=sys.stderr)
-        return 1
     handlers = {
         "geometry": cmd_geometry,
         "spectrum": cmd_spectrum,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
     "rate_regression",
     "power_function",
     "entropy_function",
+    "indicator_function",
     "trapezoid_function",
 ]
 
@@ -80,18 +81,23 @@ class SpectralSummary:
 @dataclass(frozen=True)
 class TestFunction:
     """phi on [0, R] with a declared exponent p such that phi(s)/s^p is
-    continuous; phi(0) = 0."""
+    bounded near 0; phi(0) = 0.  `mellin` is the closed form
+    (t, alpha) -> O_{-alpha}(phi)(t) of `asymptotics.mellin_log` for t > 0
+    and alpha > 0, if phi has one."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     p: float
     name: str = "phi"
+    mellin: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    continuous: bool = True  # False for a jump, whose counts jitter
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
 
 
 def power_function(n: float) -> TestFunction:
-    return TestFunction(fn=lambda s: s ** n, p=float(n), name=f"power:{n}")
+    return TestFunction(fn=lambda s: s ** n, p=float(n), name=f"power:{n}",
+                        mellin=lambda t, alpha: t ** n / n ** alpha)
 
 
 def entropy_function() -> TestFunction:
@@ -101,7 +107,21 @@ def entropy_function() -> TestFunction:
         out[mask] = s[mask] * np.log(s[mask])
         return out
 
-    return TestFunction(fn=slogs, p=0.5, name="entropy")
+    return TestFunction(fn=slogs, p=0.5, name="entropy",
+                        mellin=lambda t, alpha: t * np.log(t) - alpha * t)
+
+
+def indicator_function(lo: float, hi: float) -> TestFunction:
+    """1 on [lo, hi]; O_{-alpha} of it is
+    (log+(t/lo)^alpha - log+(t/hi)^alpha) / Gamma(1 + alpha)."""
+    if not 0 < lo <= hi:
+        raise ValueError("interval must satisfy 0 < lo <= hi")
+    return TestFunction(
+        fn=lambda s: ((s >= lo) & (s <= hi)).astype(float), p=1.0,
+        name=f"indicator:{lo},{hi}", continuous=False,
+        mellin=lambda t, alpha: (np.maximum(np.log(t / lo), 0.0) ** alpha
+                                 - np.maximum(np.log(t / hi), 0.0) ** alpha)
+        / math.gamma(1.0 + alpha))
 
 
 def trapezoid_function(l1: float, l2: float, m1: float, m2: float) -> TestFunction:
@@ -178,12 +198,9 @@ def trace_phi(spec: SpectralSummary, phi: TestFunction) -> float:
 
 
 def weyl_count(spec: SpectralSummary, interval) -> int:
-    """Number of eigenvalues in the closed interval [lo, hi]."""
-    lo, hi = interval
-    if not 0 < lo <= hi:
-        raise ValueError("interval must satisfy 0 < lo <= hi")
-    eigs = spec.eigenvalues
-    return int(np.count_nonzero((eigs >= lo) & (eigs <= hi)))
+    """Number of eigenvalues in the closed interval [lo, hi], the trace of
+    its indicator without clamping."""
+    return int(np.sum(indicator_function(*interval)(spec.eigenvalues)))
 
 
 # the C arguments of each LAPACK routine bound from scipy's cython_lapack:

@@ -87,3 +87,41 @@ def test_run_all_shape(lab):
         assert set(v) >= {"check_id", "observed", "predicted",
                           "tolerance", "pass"}
         assert v["pass"] is True
+
+
+def test_szego_sweep_pass_rule():
+    ks = (1.0, 2.0, 4.0, 8.0)
+    down = {k: 1.0 + 0.4 / k for k in ks}  # errors 0.4, 0.2, 0.1, 0.05
+    (run,) = acceptance.szego_sweep(ks, down.get, 1.0, 0.06)
+    assert run["pass"] is True
+    assert run["values"] == [down[k] for k in ks]
+    assert run["errors"] == pytest.approx([0.4, 0.2, 0.1, 0.05])
+    assert run["rate_slope"] == pytest.approx(-1.0)
+    # a continuous phi also needs strictly decreasing errors; a jump not
+    bump = {**down, 4.0: 0.99}  # errors 0.4, 0.2, 0.01, 0.05
+    assert acceptance.szego_sweep(ks, bump.get, 1.0, 0.06)[0]["pass"] is False
+    assert acceptance.szego_sweep(ks, bump.get, 1.0, 0.06,
+                                  continuous=False)[0]["pass"] is True
+    # the last error must be within the tolerance either way
+    for continuous in (True, False):
+        assert acceptance.szego_sweep(ks, down.get, 1.0, 0.04,
+                                      continuous)[0]["pass"] is False
+    # one value per prediction, each judged alone; no slope below 4 points
+    runs = acceptance.szego_sweep(ks[:3], lambda k: [down[k], 2.0],
+                                  [1.0, 2.5], [0.25, 0.6])
+    assert [r["pass"] for r in runs] == [True, False]  # 0.5 thrice
+    assert [r["rate_slope"] for r in runs] == [None, None]
+
+
+def test_szego_sweep_maps_through_the_sweep_object():
+    class Sweep:
+        k_sweep = (1.0, 2.0)
+        mapped = []
+
+        def sweep(self, fn):
+            self.mapped.append(fn)
+            return [fn(k) for k in self.k_sweep]
+
+    sweep = Sweep()
+    (run,) = acceptance.szego_sweep(sweep, lambda k: 1.0 / k, 0.0, 1.0)
+    assert len(sweep.mapped) == 1 and run["values"] == [1.0, 0.5]

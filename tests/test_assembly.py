@@ -470,6 +470,26 @@ def test_dsl_torus_matches_builtin_torus():
     assert np.abs(custom.matrix - expect.matrix).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("amplitude, turns", [
+    ("1 + 0.5*cos(t1) + 0.25*cos(t2)", 1),  # F is real already
+    ("1 + 0.25*cos(t1 + 2.1) + 0.25*cos(t2 + 5.3)", 2),  # the charge turn
+])
+def test_gauge_residual_is_computed_once_per_turn(monkeypatch, amplitude,
+                                                  turns):
+    # the check that a turn makes F real also sums what it drops, which
+    # the flush reuses instead of turning F again
+    calls = []
+    turned = asm._turned
+    monkeypatch.setattr(asm, "_turned",
+                        lambda *args: calls.append(1) or turned(*args))
+    torus = dsl_torus()
+    op = assemble_T(FockTruncation(2, 8.0, 48), torus,
+                    mfd.amplitude_from_dsl(amplitude, 2),
+                    mfd.quadrature(torus, 64))
+    assert op.layout.band.dtype == np.float64  # gauged
+    assert len(calls) == turns
+
+
 def off_diagonal_count(matrix):
     return np.count_nonzero(matrix) - np.count_nonzero(np.diag(matrix))
 

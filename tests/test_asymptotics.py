@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+import szegolab.asymptotics as asymptotics
 import szegolab.manifold as mfd
 from szegolab.asymptotics import (
     _laguerre_rule,
@@ -17,7 +20,12 @@ from szegolab.asymptotics import (
     szego_scaling,
     weyl_prediction,
 )
-from szegolab.spectral import entropy_function, power_function
+from szegolab.spectral import (
+    entropy_function,
+    indicator_function,
+    power_function,
+    trapezoid_function,
+)
 
 
 def test_mellin_alpha_zero_is_identity():
@@ -68,6 +76,56 @@ def test_mellin_zero_at_origin_and_rejects_bad_args():
     assert mellin_log(phi, 1.5, 0.0) == 0.0
     with pytest.raises(ValueError):
         mellin_log(phi, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_closed_forms_match_mellin_log(alpha):
+    # t^p / p^alpha and t log t - alpha t against Gauss-Laguerre
+    t = np.array([0.3, 0.5, 1.0, 2.0, 3.5])
+    for phi in (power_function(0.5), power_function(2), power_function(3),
+                entropy_function()):
+        assert phi.mellin(t, alpha) == pytest.approx(
+            mellin_log(phi, alpha, t), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_indicator_closed_form_matches_its_integral(alpha):
+    # (1/Gamma(alpha)) int_0^t phi(s) log(t/s)^{alpha-1} ds/s, by quadpack
+    lo, hi = 0.2, 0.9
+    phi = indicator_function(lo, hi)
+    for t in (0.1, 0.2, 0.5, 0.9, 1.0, 2.0):
+        top = min(t, hi)
+        direct = 0.0 if top <= lo else integrate.quad(
+            lambda s: math.log(t / s) ** (alpha - 1.0) / s, lo, top,
+            epsabs=1e-13, epsrel=1e-12)[0] / math.gamma(alpha)
+        assert phi.mellin(np.array([t]), alpha)[0] == pytest.approx(
+            direct, rel=1e-10, abs=1e-13)
+
+
+def test_weyl_prediction_is_area_times_the_indicator_at_one():
+    for dp in (1, 2, 3):
+        for lo, hi in ((0.2, 0.9), (0.05, 1.0), (0.5, 0.5)):
+            closed = indicator_function(lo, hi).mellin(np.ones(1), 0.5 * dp)
+            assert weyl_prediction(2 * math.pi, dp, (lo, hi)) == (
+                2 * math.pi * closed[0])
+
+
+def test_szego_functional_takes_the_closed_form_when_there_is_one(
+        monkeypatch):
+    sub = mfd.circle(1.0)
+    quad = mfd.quadrature(sub, 64)
+    a = lambda t: 1.0 + 0.5 * np.cos(t[:, 0])
+    calls = []
+    monkeypatch.setattr(asymptotics, "mellin_log",
+                        lambda *args: calls.append(1) or mellin_log(*args))
+    closed = szego_functional(sub, a, power_function(2), quad)
+    assert not calls
+    numeric = szego_functional(
+        sub, a, dataclasses.replace(power_function(2), mellin=None), quad)
+    assert calls and numeric == pytest.approx(closed, rel=1e-12)
+    # the trapezoid has no closed form
+    szego_functional(sub, a, trapezoid_function(0.2, 0.3, 0.6, 0.8), quad)
+    assert len(calls) == 2
 
 
 def test_szego_functional_powers_on_circle():

@@ -13,7 +13,9 @@ from scipy.stats import poisson
 
 from szegolab import acceptance, cli, hessian
 from szegolab.assembly import TruncationWarning
-from szegolab.manifold import quadrature
+from szegolab.asymptotics import szego_functional
+from szegolab.manifold import amplitude_from_dsl, circle, quadrature
+from szegolab.spectral import indicator_function
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -148,6 +150,12 @@ def test_bad_config_exits_2(tmp_path):
     ({"interval": [0.9, 0.2]}, ["weyl"], 2, "interval [0.9, 0.2] is reversed"),
     ({}, ["szego", "--phi", "power:-1"], 2,
      "bad test function 'power:-1': power needs a positive exponent"),
+    # geometry a prediction does not cover: each prediction checks it
+    ({"manifold": {"kind": "parabola_patch"}}, ["szego"], 1,
+     "szego: Szego-type predictions need isotropic or coisotropic "
+     "geometry, got symplectic"),
+    ({"manifold": {"kind": "plane_patch", "ranges": [[-1, 1], [-1, 1]]}},
+     ["density"], 1, "density: the limiting density needs d' > 0"),
 ])
 def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
                                    message):
@@ -352,14 +360,21 @@ def test_entropy_of_diagonal_operator_skips_lapack(tmp_path, monkeypatch):
             == (tmp_path / "b" / "entropy_verdicts.json").read_text())
 
 
-def test_weyl_refuses_non_unit_amplitude(tmp_path, capsys):
+def test_weyl_predicts_any_real_amplitude(tmp_path, capsys):
+    # the indicator's Szego functional gives the Weyl law for any real
+    # amplitude, not only the unit one
     base = {"manifold": {"kind": "circle", "radius": 1.0},
             "k_sweep": [100.0], "quad_order": 512}
     cfg = write_config(tmp_path, {**base, "amplitude": "1 + cos(t1)"})
     out = tmp_path / "out"
-    assert cli.main(["--config", cfg, "--out", str(out), "weyl"]) == 1
-    assert "unit amplitude" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main(["--config", cfg, "--out", str(out), "weyl"]) == 0
+    assert capsys.readouterr().err == ""
+    verdicts = json.loads((out / "weyl_verdicts.json").read_text())
+    sub = circle(1.0)
+    assert verdicts[0]["pass"] is True
+    assert verdicts[0]["predicted"] == pytest.approx(szego_functional(
+        sub, amplitude_from_dsl("1 + cos(t1)", 1),
+        indicator_function(0.2, 0.9), quadrature(sub, 512)), rel=1e-12)
     cfg = write_config(tmp_path, {**base, "amplitude": "2 - 1"}, "unit.json")
     cli.main(["--config", cfg, "--out", str(out), "weyl"])
     verdicts = json.loads((out / "weyl_verdicts.json").read_text())
@@ -384,22 +399,35 @@ def test_szego_builds_each_quadrature_once(tmp_path, monkeypatch):
     assert built == [8, 64]
 
 
-def test_schatten_agrees_with_acceptance_check(tmp_path):
-    detail = acceptance.check_schatten(acceptance.Lab())["detail"]
+@pytest.mark.parametrize("command", ["schatten", "szego_entropy"])
+def test_schatten_agrees_with_acceptance_check(tmp_path, command):
+    # the acceptance sweep and truncation on both sides, one pass rule
+    if command == "schatten":
+        check = acceptance.check_schatten(acceptance.Lab())
+        expected = [check["detail"][p] for p in ("p=1", "p=2")]
+        config = {"amplitude": ["0.5*cos(t1)*(1 + cos(t1))",
+                                "0.5*sin(t1)*(1 + cos(t1))"],
+                  "schatten_p": [1.0, 2.0]}
+        argv = ["schatten"]
+    else:
+        check = acceptance.check_szego_entropy_function(acceptance.Lab())
+        expected = [{"prediction": check["detail"]["functional"],
+                     "final_rel": check["observed"]}]
+        config, argv = {}, ["szego", "--phi", "entropy"]
     cfg = write_config(tmp_path, {
         "manifold": {"kind": "circle", "radius": 1.0},
-        "amplitude": ["0.5*cos(t1)*(1 + cos(t1))",
-                      "0.5*sin(t1)*(1 + cos(t1))"],
-        "k_sweep": [200.0], "schatten_p": [1.0, 2.0]})
+        "k_sweep": list(acceptance.CIRCLE_SWEEP), **config})
     out = tmp_path / "out"
-    cli.main(["--config", cfg, "--out", str(out), "--max-degree", "800",
-              "--quad-order", "1609", "schatten"])
-    verdicts = json.loads((out / "schatten_verdicts.json").read_text())
-    for v, p in zip(verdicts, ("p=1", "p=2")):
-        pred = detail[p]["prediction"]
-        assert v["predicted"] == pytest.approx(pred, rel=1e-12, abs=0)
-        rel = abs(v["observed"] - v["predicted"]) / v["predicted"]
-        assert rel == pytest.approx(detail[p]["final_rel"], rel=0, abs=1e-12)
+    code = cli.main(["--config", cfg, "--out", str(out), "--quad-order",
+                     "1609", *argv])
+    verdicts = json.loads((out / f"{argv[0]}_verdicts.json").read_text())
+    assert [v["pass"] for v in verdicts] == [check["pass"]] * len(expected)
+    assert code == (0 if check["pass"] else 1)
+    for v, want in zip(verdicts, expected):
+        assert v["predicted"] == pytest.approx(want["prediction"], rel=1e-12,
+                                               abs=0)
+        rel = abs(v["observed"] - v["predicted"]) / abs(v["predicted"])
+        assert rel == pytest.approx(want["final_rel"], rel=0, abs=1e-12)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")

@@ -12,6 +12,7 @@ from szegolab.spectral import (
     eigensolve,
     entropy,
     entropy_function,
+    indicator_function,
     power_function,
     rate_regression,
     schatten_sum,
@@ -179,6 +180,18 @@ def test_trapezoid_function_shape():
     assert vals[3] == 1.0
     assert vals[4] == pytest.approx(0.5)
     assert vals[5] == 0
+
+
+def test_indicator_function_counts_the_closed_interval():
+    phi = indicator_function(0.2, 0.7)
+    s = SpectralSummary(np.array([0.9, 0.7, 0.5, 0.2, 0.1, 0.0]))
+    assert trace_phi(s, phi) == weyl_count(s, (0.2, 0.7)) == 3
+    # a jump: the only test function without the decrease gate
+    assert not phi.continuous
+    assert all(f.continuous for f in (power_function(2), entropy_function(),
+                                      trapezoid_function(0.1, 0.2, 0.3, 0.4)))
+    with pytest.raises(ValueError, match="0 < lo <= hi"):
+        indicator_function(0.7, 0.2)
 
 
 @pytest.mark.parametrize("k", [25.0, 50.0, 100.0, 200.0])
