@@ -348,14 +348,14 @@ def cmd_spectrum(exp: Experiment, args) -> int:
 def _judged(exp: Experiment, args, name: str, rows_at, key: str, checks,
             continuous: bool = True) -> int:
     """Run a Szego-family statistic over the sweep by
-    `acceptance.szego_sweep`: rows_at(k) gives one row per (check_id,
-    prediction, tolerance) of checks, with the value under key.  Writes
-    the rows, check by check, and one verdict per check."""
+    `acceptance.szego_sweep`: rows_at(k, *exp.scaled(k)) gives one row per
+    (check_id, prediction, tolerance) of checks, with the value under key.
+    Writes the rows, check by check, and one verdict per check."""
     ids, preds, tols = zip(*checks)
     per_k = []
 
     def statistic(k):
-        per_k.append(rows_at(k))
+        per_k.append(rows_at(k, *exp.scaled(k)))
         return [row[key] for row in per_k[-1]]
 
     runs = acceptance.szego_sweep(exp, statistic, preds, tols, continuous)
@@ -374,8 +374,7 @@ def cmd_szego(exp: Experiment, args) -> int:
         args.phi or exp.config.get("test_function", "power:2"))
     pred = exp.predict(asymptotics.szego_functional, phi)
 
-    def rows_at(k):
-        T, s, norm, prov = exp.scaled(k)
+    def rows_at(k, T, s, norm, prov):
         spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
         val = norm * spectral.trace_phi(spec, phi)
         return [{"scaled_trace": val, "phi": phi.name, **prov,
@@ -391,8 +390,7 @@ def cmd_weyl(exp: Experiment, args) -> int:
     phi = spectral.indicator_function(lo, hi)
     pred = exp.predict(asymptotics.szego_functional, phi)
 
-    def rows_at(k):
-        T, s, norm, prov = exp.scaled(k)
+    def rows_at(k, T, s, norm, prov):
         spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
         count = spectral.weyl_count(spec, (lo, hi))
         return [{"count": count, "scaled_count": norm * count,
@@ -407,9 +405,8 @@ def cmd_schatten(exp: Experiment, args) -> int:
     ps = exp.config.get("schatten_p", [1.0, 2.0])
     preds = [exp.predict(asymptotics.schatten_prediction, p) for p in ps]
 
-    def rows_at(k):
+    def rows_at(k, T, s, norm, prov):
         # one assembly and one SVD per k serve every p
-        T, s, norm, prov = exp.scaled(k)
         return [{"p": p, "scaled_schatten": norm * s ** p * total,
                  "prediction": pred, **prov}
                 for p, pred, total in zip(ps, preds,
@@ -424,16 +421,14 @@ def cmd_entropy(exp: Experiment, args) -> int:
     pred = exp.predict(asymptotics.entropy_prediction)
     N = exp.sub.ambient_dim
 
-    def rows_at(k):
-        op, _ = exp.operator(k)
+    def rows_at(k, T, s, norm, prov):
         # the density matrix is (pi/k)^N T
-        eigs = (math.pi / k) ** N * spectral.eigensolve(op).eigenvalues
+        eigs = (math.pi / k) ** N * spectral.eigensolve(T).eigenvalues
         H = spectral.entropy(spectral.SpectralSummary(eigs))
         # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}
-        shifted = H + math.log(
-            asymptotics.szego_scaling(k, exp.sub.dim, exp.dp))
+        shifted = H + math.log(norm)
         return [{"entropy": H, "shifted": shifted, "prediction": pred,
-                 "gap": abs(shifted - pred), **exp.provenance(k, op.trunc)}]
+                 "gap": abs(shifted - pred), **prov}]
 
     return _judged(exp, args, "entropy", rows_at, "shifted",
                    [("entropy", pred, acceptance.ENTROPY_TOL)])
