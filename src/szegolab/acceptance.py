@@ -228,8 +228,7 @@ def _circle_S(lab: Lab, k: float) -> spectral.SpectralSummary:
 def check_szego_entropy_function(lab: Lab):
     """5: scaled Tr(phi(S)) for phi = s log s converges to F(phi)."""
     phi = entropy_function()
-    pred = asymptotics.szego_functional(lab.circle, None, phi,
-                                        lab.circle_quad(25.0))
+    pred = asymptotics.szego_functional(None, phi, lab.circle_quad(25.0))
     (run,) = szego_sweep(CIRCLE_SWEEP, lambda k: szego_scaling(k, 1, 1)
                          * spectral.trace_phi(_circle_S(lab, k), phi),
                          pred, SZEGO_TOL * abs(pred))
@@ -255,7 +254,7 @@ def check_weyl_counts(lab: Lab):
 def check_schatten(lab: Lab):
     """7: scaled Schatten sums for a complex amplitude."""
     ps = (1.0, 2.0)
-    preds = [asymptotics.schatten_prediction(lab.circle, _amp_complex, p,
+    preds = [asymptotics.schatten_prediction(_amp_complex, p,
                                              lab.circle_quad(25.0))
              for p in ps]
     # one SVD of T per operator serves every p; S = s T scales each sum
@@ -276,7 +275,7 @@ def check_schatten(lab: Lab):
 
 def check_entropy(lab: Lab):
     """8: density-matrix entropy limit with the Poisson cross-check."""
-    pred = asymptotics.entropy_prediction(lab.circle, 1.0 / (2.0 * math.pi),
+    pred = asymptotics.entropy_prediction(1.0 / (2.0 * math.pi),
                                           lab.circle_quad(25.0))
     cross = []
 

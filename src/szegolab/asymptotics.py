@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_genlaguerre
 
-from .manifold import (
-    ChartedSubmanifold,
-    Classification,
-    Quadrature,
-    amp_values,
-    classify,
-    d_prime,
-    delta_n,
-)
+from .manifold import (ChartedSubmanifold, Quadrature, amp_values, d_prime,
+                       delta_n)
 from .spectral import (
     TestFunction,
     entropy_function,
@@ -99,16 +92,6 @@ def mellin_log(phi: TestFunction, alpha: float, t):
     return float(out[0]) if np.isscalar(t) else out
 
 
-def _szego_dim(sub: ChartedSubmanifold,
-               cls: Optional[Classification]) -> int:
-    """d' of an isotropic or coisotropic manifold."""
-    cls = cls or classify(sub)
-    if cls.tag not in ("isotropic", "lagrangian", "coisotropic"):
-        raise ValueError(f"Szego-type predictions need isotropic or coisotropic "
-                         f"geometry, got {cls.tag}")
-    return d_prime(cls)
-
-
 def _real_values(a, quad: Quadrature) -> np.ndarray:
     """a at the nodes; the Szego-type limits need a self-adjoint T_a."""
     av = amp_values(a, quad)
@@ -130,20 +113,17 @@ def _functional(values: np.ndarray, weights, phi: TestFunction,
     return float(np.sum(weights * averaged))
 
 
-def szego_functional(sub: ChartedSubmanifold, a, phi: TestFunction,
-                     quad: Quadrature,
-                     cls: Optional[Classification] = None) -> float:
+def szego_functional(a, phi: TestFunction, quad: Quadrature) -> float:
     """F(phi) = integral over Gamma of O_{-d'/2}(phi)(a(w)) dsigma."""
-    dp = _szego_dim(sub, cls)
+    dp = d_prime(quad.classification)
     return _functional(_real_values(a, quad), quad.weights, phi, dp)
 
 
-def limiting_density(sub: ChartedSubmanifold, a, s: float, quad: Quadrature,
-                     cls: Optional[Classification] = None) -> float:
+def limiting_density(a, s: float, quad: Quadrature) -> float:
     """Density D_a(s) = (1/(Gamma(d'/2) s)) int_{a >= s} log(a/s)^{d'/2-1} dsigma."""
     if s <= 0:
         raise ValueError("s must be positive")
-    dp = _szego_dim(sub, cls)
+    dp = d_prime(quad.classification)
     if dp <= 0:
         raise ValueError("the limiting density needs d' > 0")
     expo = 0.5 * dp - 1.0
@@ -188,24 +168,22 @@ def moment_prediction(sub: ChartedSubmanifold, amplitudes: Sequence, n: int,
     return prefactor * total
 
 
-def schatten_prediction(sub: ChartedSubmanifold, a, p: float, quad: Quadrature,
-                        cls: Optional[Classification] = None) -> float:
+def schatten_prediction(a, p: float, quad: Quadrature) -> float:
     """Limit of the scaled Schatten sum: F(s^p) on |a|, which is
     int |a|^p / p^{d'/2} dsigma."""
     if p <= 0:
         raise ValueError("p must be positive")
-    dp = _szego_dim(sub, cls)
+    dp = d_prime(quad.classification)
     return _functional(np.abs(amp_values(a, quad)), quad.weights,
                        power_function(p), dp)
 
 
-def entropy_prediction(sub: ChartedSubmanifold, a, quad: Quadrature,
-                       cls: Optional[Classification] = None) -> float:
+def entropy_prediction(a, quad: Quadrature) -> float:
     """Limit of H(rho_a) + log(szego_scaling(k, d, d')): -F(s log s).
 
     The amplitude must be a probability density on Gamma.
     """
-    dp = _szego_dim(sub, cls)
+    dp = d_prime(quad.classification)
     if dp <= 0:
         raise ValueError("the entropy limit needs d' > 0")
     av = _real_values(a, quad)

@@ -28,7 +28,6 @@ from .assembly import CostLimitError, assemble_T
 from .fock import FockTruncation
 from .manifold import (
     amplitude_from_dsl,
-    classify,
     d_prime,
     default_max_degree,
     default_periodic_nodes,
@@ -188,6 +187,8 @@ class Experiment:
     """A validated config (`load_config`), resolved into assembly inputs.
 
     Quadratures are memoised by order; operators are built per k, not kept.
+    A command reads the classification of each quadrature it integrates
+    over, so a half rank that varies over its nodes exits 1.
     """
 
     def __init__(self, config: dict):
@@ -211,11 +212,6 @@ class Experiment:
             re_f = amplitude_from_dsl(amp[0], self.sub.dim)
             im_f = amplitude_from_dsl(amp[1], self.sub.dim)
             self.amplitude = lambda t: re_f(t) + 1j * im_f(t)
-        self.classification = classify(self.sub)
-        try:
-            self.dp = d_prime(self.classification)
-        except ValueError:
-            self.dp = None
         self.lab = acceptance.Lab()
 
     def quad(self, k: float, order=None):
@@ -228,6 +224,15 @@ class Experiment:
         return self.lab._get(("quad", *np.ravel(order).tolist()),
                              lambda: quadrature(self.sub, order))
 
+    def dp(self, k: float):
+        """d' of the quadrature for k, None where Gamma is neither
+        isotropic nor coisotropic."""
+        cls = self.quad(k).classification
+        try:
+            return d_prime(cls)
+        except ValueError:
+            return None
+
     def operator(self, k: float):
         quad = self.quad(k)
         M = (self.max_degree if self.max_degree is not None
@@ -239,20 +244,20 @@ class Experiment:
         """T at k, the factor s of S = s T, the Szego normalization and
         the row provenance."""
         op, _ = self.operator(k)
-        N, d = self.sub.ambient_dim, self.sub.dim
-        return (op, asymptotics.s_factor(k, N, d, self.dp),
-                asymptotics.szego_scaling(k, d, self.dp),
+        N, d, dp = self.sub.ambient_dim, self.sub.dim, self.dp(k)
+        return (op, asymptotics.s_factor(k, N, d, dp),
+                asymptotics.szego_scaling(k, d, dp),
                 self.provenance(k, op.trunc))
 
     def predict(self, prediction, *args) -> float:
-        """An `asymptotics` prediction (sub, amplitude, *args, quad, cls)
-        on the quadrature of the first k; it checks the geometry."""
-        return prediction(self.sub, self.amplitude, *args,
-                          self.quad(self.k_sweep[0]), cls=self.classification)
+        """An `asymptotics` prediction (amplitude, *args, quad) on the
+        quadrature of the first k; it checks the geometry."""
+        return prediction(self.amplitude, *args, self.quad(self.k_sweep[0]))
 
     def provenance(self, k: float, trunc) -> dict:
+        dp = self.dp(k)
         return {"k": k, "N": self.sub.ambient_dim, "d": self.sub.dim,
-                "d_prime": self.dp if self.dp is not None else "",
+                "d_prime": dp if dp is not None else "",
                 "M": trunc.max_degree,
                 "quad_order": self.quad_order if self.quad_order is not None
                 else "auto"}
@@ -315,12 +320,13 @@ def svg_polyline(xs, ys, width=640, height=400, margin=50) -> str:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_geometry(exp: Experiment, args) -> int:
-    cls = exp.classification
+    k = exp.k_sweep[0]
+    cls, dp = exp.quad(k).classification, exp.dp(k)
     lo, hi = cls.lambda_range
     rows = [{
         "manifold": exp.sub.label, "classification": cls.tag,
         "d": cls.dim, "N": cls.ambient_dim,
-        "d_prime": exp.dp if exp.dp is not None else "",
+        "d_prime": dp if dp is not None else "",
         "half_rank": cls.half_rank, "lambda_min": lo, "lambda_max": hi,
     }]
     write_rows(rows, args, "geometry")
@@ -436,11 +442,12 @@ def cmd_entropy(exp: Experiment, args) -> int:
 
 def cmd_density(exp: Experiment, args) -> int:
     grid = exp.config.get("density_grid", np.linspace(0.02, 0.98, 49))
+    dp = exp.dp(exp.k_sweep[0])
     rows = []
     for s in grid:
         val = exp.predict(asymptotics.limiting_density, float(s))
         rows.append({"s": float(s), "density": val,
-                     "d_prime": exp.dp, "N": exp.sub.ambient_dim,
+                     "d_prime": dp, "N": exp.sub.ambient_dim,
                      "d": exp.sub.dim})
     write_rows(rows, args, "density")
     if args.svg:

@@ -47,6 +47,15 @@ pass.  The DSL chart (cos(t + 0.01 sin 32t), sin(t + 0.01 sin 32t)) at
 yet |gamma'| alternates between 1.32 and 0.68: its tangents do not turn,
 and its weights, 0.130 and 0.067, stay per node.
 
+Classification: the axes shared in every run are `Quadrature.shared_axes`.
+Along them G and H, and with them the W spectrum, are those of the base
+node, so `classify` covers every node of a quadrature, the nodes its
+predictions integrate over, in one `frame_at` pass over the base nodes:
+one node on the circle and the DSL torus, the s nodes on sphere3, every
+node of the parabola.  A half rank that varies over them raises
+ClassificationError: (t1, 0.3 bump(t2, 0.02, 0.15), t2, 0) at order 48 is
+symplectic on 192 of its 2,304 nodes, all off a 5 x 5 sample grid.
+
 Blocks: the jacobian is evaluated block by block, each block a C-order
 run of the grid whose jacobian and metric take at most _CHUNK_BYTES,
 on the block's axis vectors, so each chart expression is evaluated once
@@ -347,24 +356,15 @@ class Classification:
     max_unit_deviation: float  # max |lambda - 1| when coisotropic-shaped
 
 
-SAMPLES_PER_AXIS = 5  # classification grid: nodes per axis
-
-
-def _sample_nodes(sub: ChartedSubmanifold) -> np.ndarray:
-    n = SAMPLES_PER_AXIS
-    axes = []
-    for (lo, hi), per in zip(sub.domain, sub.periodic):
-        if per:
-            axes.append(lo + (hi - lo) * (np.arange(n) + 0.5) / n)
-        else:
-            # keep strictly interior for non-periodic axes
-            axes.append(lo + (hi - lo) * (np.arange(1, n + 1)) / (n + 1))
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sub.dim)
-
-
-def classify(sub: ChartedSubmanifold) -> Classification:
-    """Classify by the K-endomorphism spectrum on a coarse interior grid."""
-    frame = frame_at(sub, _sample_nodes(sub))
+def classify(quad: Quadrature) -> Classification:
+    """Classify Gamma by the K-endomorphism spectrum at every node of the
+    quadrature, in one `frame_at` pass over its base nodes along
+    `quad.shared_axes`, where G, H and the spectrum are those of the base
+    node (module notes).  A half rank that varies over the nodes raises
+    ClassificationError."""
+    sub = quad.sub
+    frame = frame_at(sub, _at_base(quad.nodes.reshape(quad.shape + (-1,)),
+                                   quad.shared_axes))
     ranks = np.unique(frame.half_rank)
     if ranks.size != 1:
         raise ClassificationError(f"half rank varies across nodes: {ranks.tolist()}")
@@ -385,14 +385,14 @@ def classify(sub: ChartedSubmanifold) -> Classification:
                           lambda_range=lam_range, max_unit_deviation=unit_dev)
 
 
-def d_prime(obj) -> int:
+def d_prime(cls: Classification) -> int:
     """Effective Szego dimension: d if isotropic, 2N - d if coisotropic."""
-    cls = obj if isinstance(obj, Classification) else classify(obj)
     if cls.tag in ("isotropic", "lagrangian"):
         return cls.dim
     if cls.tag == "coisotropic":
         return 2 * cls.ambient_dim - cls.dim
-    raise ValueError(f"d' is undefined for a {cls.tag} submanifold")
+    raise ValueError(f"Szego-type predictions need isotropic or coisotropic "
+                     f"geometry, got {cls.tag}")
 
 
 # --- quadrature --------------------------------------------------------------
@@ -403,9 +403,9 @@ class Quadrature:
     axis fastest) over a grid of `shape`.
 
     Every node has a weight, but along a rotation axis on which the chart
-    is proven equivariant the nodes share the weight of their base node,
-    bit for bit (module notes).  `points` is built from `coords` on first
-    use; `base_points` reads them without it.
+    is proven equivariant, one of `shared_axes`, the nodes share the
+    weight of their base node, bit for bit (module notes).  `points` is
+    built from `coords` on first use; `base_points` reads them without it.
     """
 
     sub: ChartedSubmanifold
@@ -418,6 +418,7 @@ class Quadrature:
     # (N, len(rotation_axes)): z_j turns by e^{2 pi i c / L} a node along
     # each rotation axis, c mod L
     charges: np.ndarray
+    shared_axes: tuple[int, ...]  # where the tangents turn with the points
 
     @property
     def size(self) -> int:
@@ -453,6 +454,11 @@ class Quadrature:
         `_geometry`, whatever k and n are asked for.
         """
         return frame_at(self.sub, self.nodes)
+
+    @cached_property
+    def classification(self) -> Classification:
+        """`classify` of this quadrature, computed on first use."""
+        return classify(self)
 
     def max_radius(self) -> float:
         return max(float(np.abs(z).max()) for z in self.coords)
@@ -585,8 +591,9 @@ def _joined(values: list, axis: int, extents: list, d: int) -> np.ndarray:
 
 
 def _densities(sub: ChartedSubmanifold, xs: Sequence[np.ndarray],
-               weights: np.ndarray, axes: tuple, charges: np.ndarray) -> None:
-    """Multiply the cell volumes `weights` by sqrt(det G), in place.
+               weights: np.ndarray, axes: tuple, charges: np.ndarray) -> tuple:
+    """Multiply the cell volumes `weights` by sqrt(det G), in place, and
+    return the rotation axes shared in every run.
 
     The jacobian is evaluated block by block (`_grid_blocks`).  The blocks
     of one run along the axis the blocks cut are joined while their
@@ -601,7 +608,7 @@ def _densities(sub: ChartedSubmanifold, xs: Sequence[np.ndarray],
     phases = [np.exp(2j * math.pi * c / shape[a])
               for a, c in zip(axes, charges.T)]
     ahead = [(np.arange(shape[a]) + 1) % shape[a] for a in axes]
-    run, held = [], 0
+    run, held, common = [], 0, set(axes)
 
     def settle():
         cut = len(run[0][0]) - 1  # the axis the blocks cut into runs
@@ -616,6 +623,7 @@ def _densities(sub: ChartedSubmanifold, xs: Sequence[np.ndarray],
         whole = [i for i, a in enumerate(axes) if cells.shape[a] == shape[a]]
         shared = whole and _tangents_turn(
             J, *zip(*((axes[i], phases[i], ahead[i]) for i in whole)))
+        common.intersection_update(shared)
         base = tuple(1 if a in shared else n for a, n in enumerate(cells.shape))
         for block in _grid_blocks(base, nodes):
             part = [[_restrict(_at_base(v, shared), block) for v in row]
@@ -638,6 +646,7 @@ def _densities(sub: ChartedSubmanifold, xs: Sequence[np.ndarray],
         run.append((block, J))
         held += size
     settle()
+    return tuple(a for a in axes if a in common)
 
 
 @single_threaded()
@@ -678,11 +687,11 @@ def quadrature(sub: ChartedSubmanifold, order) -> Quadrature:
         z.real, z.imag = x, y
         coords.append(z)
     axes, charges = _rotation_axes(coords, shape, sub.periodic)
-    _densities(sub, xs, weights, axes, charges)
+    shared = _densities(sub, xs, weights, axes, charges)
     return Quadrature(sub=sub, nodes=nodes.reshape(m, d),
                       weights=weights.reshape(m), shape=shape,
                       coords=tuple(coords), rotation_axes=axes,
-                      charges=charges)
+                      charges=charges, shared_axes=shared)
 
 
 def default_periodic_nodes(k: float, radius: float) -> int:

@@ -111,6 +111,26 @@ def entropy_function() -> TestFunction:
                         mellin=lambda t, alpha: t * np.log(t) - alpha * t)
 
 
+def _ramp(t, a: float, b: float, alpha: float):
+    """O_{-alpha} of the ramp clip((s - a)/(b - a), 0, 1), a step at a when
+    a = b.  With x_c = log+(t/c) the ramp at s = t e^{-x} is 1 for x < x_b
+    and (t e^{-x} - a)/(b - a) on [x_b, x_a], which gives x_b^alpha /
+    Gamma(1 + alpha) + [t (P(alpha, x_a) - P(alpha, x_b)) - a (x_a^alpha -
+    x_b^alpha) / Gamma(1 + alpha)] / (b - a), P the regularized lower
+    incomplete gamma function."""
+    # imported here: scipy.special loads scipy's own OpenBLAS and adds
+    # about 0.2 s to importing this module
+    from scipy.special import gammainc
+
+    x_a, x_b = (np.maximum(np.log(t / c), 0.0) for c in (a, b))
+    g = math.gamma(1.0 + alpha)
+    if a == b:
+        return x_b ** alpha / g
+    P_a, P_b = gammainc(alpha, x_a), gammainc(alpha, x_b)
+    return x_b ** alpha / g + (t * (P_a - P_b)
+                               - a * (x_a ** alpha - x_b ** alpha) / g) / (b - a)
+
+
 def indicator_function(lo: float, hi: float) -> TestFunction:
     """1 on [lo, hi]; O_{-alpha} of it is
     (log+(t/lo)^alpha - log+(t/hi)^alpha) / Gamma(1 + alpha)."""
@@ -125,7 +145,9 @@ def indicator_function(lo: float, hi: float) -> TestFunction:
 
 
 def trapezoid_function(l1: float, l2: float, m1: float, m2: float) -> TestFunction:
-    """Piecewise-linear plateau: 0 before l1, 1 on [l2, m1], 0 after m2."""
+    """Piecewise-linear plateau: 0 before l1, 1 on [l2, m1], 0 after m2.
+    It is the ramp up from l1 to l2 less the ramp up from m1 to m2, and so
+    is O_{-alpha} of it (`_ramp`)."""
     if not 0 < l1 <= l2 <= m1 <= m2:
         raise ValueError("need 0 < l1 <= l2 <= m1 <= m2")
 
@@ -134,7 +156,9 @@ def trapezoid_function(l1: float, l2: float, m1: float, m2: float) -> TestFuncti
         down = np.clip((m2 - s) / max(m2 - m1, 1e-300), 0.0, 1.0)
         return np.minimum(up, down)
 
-    return TestFunction(fn=fn, p=1.0, name=f"trapezoid:{l1},{l2},{m1},{m2}")
+    return TestFunction(fn=fn, p=1.0, name=f"trapezoid:{l1},{l2},{m1},{m2}",
+                        mellin=lambda t, alpha: _ramp(t, l1, l2, alpha)
+                        - _ramp(t, m1, m2, alpha))
 
 
 def _clamped(eigs: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .assembly import (HermitianOperator, _basis_charges, _by_sector,
                        _sector_axes)
 from .fock import FockTruncation, eval_basis_matrix
 from .manifold import (ChartedSubmanifold, Quadrature, amp_values,
-                       chart_rows, classify, real_to_complex)
+                       chart_rows, real_to_complex)
 from .spectral import RateFit, rate_regression
 
 __all__ = [
@@ -125,7 +125,7 @@ def verify_bohr_sommerfeld(sub: ChartedSubmanifold, bs: BohrSommerfeldData,
 def build_test_state(trunc: FockTruncation, sub: ChartedSubmanifold,
                      bs: BohrSommerfeldData, quad: Quadrature) -> np.ndarray:
     """Coefficients c_n = int conj(u_n(w)) e^{ik theta(w)} alpha(w) dsigma."""
-    cls = classify(sub)
+    cls = quad.classification
     if cls.tag != "lagrangian":
         raise ValueError(f"test states need a Lagrangian submanifold, got {cls.tag}")
     k = trunc.k

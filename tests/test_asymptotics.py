@@ -118,14 +118,31 @@ def test_szego_functional_takes_the_closed_form_when_there_is_one(
     calls = []
     monkeypatch.setattr(asymptotics, "mellin_log",
                         lambda *args: calls.append(1) or mellin_log(*args))
-    closed = szego_functional(sub, a, power_function(2), quad)
+    closed = szego_functional(a, power_function(2), quad)
     assert not calls
     numeric = szego_functional(
-        sub, a, dataclasses.replace(power_function(2), mellin=None), quad)
+        a, dataclasses.replace(power_function(2), mellin=None), quad)
     assert calls and numeric == pytest.approx(closed, rel=1e-12)
-    # the trapezoid has no closed form
-    szego_functional(sub, a, trapezoid_function(0.2, 0.3, 0.6, 0.8), quad)
-    assert len(calls) == 2
+    # the trapezoid has one too, the ramp up less the ramp down
+    szego_functional(a, trapezoid_function(0.2, 0.3, 0.6, 0.8), quad)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_trapezoid_closed_form_matches_its_integral(alpha):
+    # (1/Gamma(alpha)) int_0^inf phi(t e^{-x}) x^{alpha-1} dx, by quadpack
+    # with the kinks x = log(t/c) as break points; the 64-node
+    # Gauss-Laguerre rule of `mellin_log` is off by up to 3e-2 here
+    corners = (0.2, 0.3, 0.6, 0.8)
+    phi = trapezoid_function(*corners)
+    for t in (0.1, 0.25, 0.5, 1.0, 1.5, 3.0):
+        kinks = [math.log(t / c) for c in corners if t > c]
+        direct = 0.0 if not kinks else integrate.quad(
+            lambda x: phi(t * math.exp(-x)) * x ** (alpha - 1.0),
+            0.0, kinks[0], points=kinks[1:] or None, epsabs=1e-14,
+            epsrel=1e-13, limit=200)[0] / math.gamma(alpha)
+        assert phi.mellin(np.array([t]), alpha)[0] == pytest.approx(
+            direct, rel=1e-12, abs=1e-14)
 
 
 def test_szego_functional_powers_on_circle():
@@ -134,17 +151,18 @@ def test_szego_functional_powers_on_circle():
     quad = mfd.quadrature(sub, 128)
     a = lambda t: 1.0 + 0.5 * np.cos(t[:, 0])
     for n in (1, 2, 3):
-        pred = szego_functional(sub, a, power_function(n), quad)
+        pred = szego_functional(a, power_function(n), quad)
         expect = np.sum(quad.weights * a(quad.nodes) ** n)
         assert pred == pytest.approx(expect / n ** 0.5, rel=1e-10)
     # unit amplitude with s log s gives -|Gamma|/2 = -pi
-    pred = szego_functional(sub, None, entropy_function(), quad)
+    pred = szego_functional(None, entropy_function(), quad)
     assert pred == pytest.approx(-math.pi, rel=1e-10)
 
 
 def test_szego_scaling_factor():
-    sub = mfd.circle(1.0)
-    scaling = szego_scaling(4.0, sub.dim, mfd.d_prime(sub))
+    quad = mfd.quadrature(mfd.circle(1.0), 16)
+    scaling = szego_scaling(4.0, quad.sub.dim,
+                            mfd.d_prime(quad.classification))
     assert scaling == pytest.approx(math.sqrt(2.0) * math.sqrt(math.pi / 4.0))
 
 
@@ -169,7 +187,9 @@ def test_szego_normalization_on_sphere3_where_d_differs_from_d_prime():
 
     k, lab = 10.0, Lab()
     sub = lab.sphere
-    N, d, dp = sub.ambient_dim, sub.dim, mfd.d_prime(sub)
+    M = int(round(4 * k)) + 4
+    quad = mfd.quadrature(sub, [M // 2 + 1, M + 1, M + 1])
+    N, d, dp = sub.ambient_dim, sub.dim, mfd.d_prime(quad.classification)
     assert (N, d, dp) == (2, 3, 1)
     mu = s_factor(k, N, d, dp) * eigensolve(lab.sphere_op(k)).eigenvalues
     norm = szego_scaling(k, d, dp)
@@ -178,9 +198,7 @@ def test_szego_normalization_on_sphere3_where_d_differs_from_d_prime():
                                                           rel=1e-10)
     # phi = s^2: F = 2^{-d'/2} |S^3| = sqrt(2) pi^2, and the scaled trace
     # is within its O(1/k) gap of it
-    M = int(round(4 * k)) + 4
-    quad = mfd.quadrature(sub, [M // 2 + 1, M + 1, M + 1])
-    pred = szego_functional(sub, None, power_function(2), quad)
+    pred = szego_functional(None, power_function(2), quad)
     assert pred == pytest.approx(math.sqrt(2) * math.pi ** 2, rel=1e-10)
     assert norm * math.fsum((mu ** 2).tolist()) == pytest.approx(pred,
                                                                  rel=0.05)
@@ -190,7 +208,7 @@ def test_szego_rejects_symplectic():
     sub = mfd.parabola_patch()
     quad = mfd.quadrature(sub, 8)
     with pytest.raises(ValueError):
-        szego_functional(sub, None, power_function(1), quad)
+        szego_functional(None, power_function(1), quad)
 
 
 def test_limiting_density_unit_circle():
@@ -198,13 +216,13 @@ def test_limiting_density_unit_circle():
     sub = mfd.circle(1.0)
     quad = mfd.quadrature(sub, 256)
     for s in (0.2, 0.5, 0.8):
-        val = limiting_density(sub, None, s, quad)
+        val = limiting_density(None, s, quad)
         expect = 2 * math.pi / (gamma_fn(0.5) * s * math.sqrt(-math.log(s)))
         assert val == pytest.approx(expect, rel=1e-10)
     # above the amplitude maximum the density vanishes
-    assert limiting_density(sub, None, 1.5, quad) == 0.0
+    assert limiting_density(None, 1.5, quad) == 0.0
     with pytest.raises(ValueError):
-        limiting_density(sub, None, 0.0, quad)
+        limiting_density(None, 0.0, quad)
 
 
 def test_weyl_prediction_examples():
@@ -273,27 +291,27 @@ def test_schatten_prediction_values():
     sub = mfd.circle(1.0)
     quad = mfd.quadrature(sub, 128)
     # unit amplitude: int 1 dsigma / p^{1/2}
-    assert schatten_prediction(sub, None, 2.0, quad) == pytest.approx(
+    assert schatten_prediction(None, 2.0, quad) == pytest.approx(
         2 * math.pi / math.sqrt(2.0), rel=1e-12)
-    assert schatten_prediction(sub, None, 1.0, quad) == pytest.approx(
+    assert schatten_prediction(None, 1.0, quad) == pytest.approx(
         2 * math.pi, rel=1e-12)
     # homogeneity: |c a|^p scales by |c|^p
     a = lambda t: 1.0 + 0.3 * np.sin(t[:, 0])
     a3 = lambda t: -3.0 * (1.0 + 0.3 * np.sin(t[:, 0]))
-    assert schatten_prediction(sub, a3, 2.0, quad) == pytest.approx(
-        9.0 * schatten_prediction(sub, a, 2.0, quad), rel=1e-12)
+    assert schatten_prediction(a3, 2.0, quad) == pytest.approx(
+        9.0 * schatten_prediction(a, 2.0, quad), rel=1e-12)
     with pytest.raises(ValueError):
-        schatten_prediction(sub, None, 0.0, quad)
+        schatten_prediction(None, 0.0, quad)
 
 
 def test_entropy_prediction_uniform_circle():
     sub = mfd.circle(1.0)
     quad = mfd.quadrature(sub, 128)
     uniform = 1.0 / (2 * math.pi)
-    value = entropy_prediction(sub, uniform, quad)
+    value = entropy_prediction(uniform, quad)
     assert value == pytest.approx(math.log(2 * math.pi) + 0.5, rel=1e-12)
     with pytest.raises(ValueError):
-        entropy_prediction(sub, 1.0, quad)  # mass 2 pi, not 1
+        entropy_prediction(1.0, quad)  # mass 2 pi, not 1
 
 
 def test_density_functional_consistency():
@@ -302,26 +320,31 @@ def test_density_functional_consistency():
     quad = mfd.quadrature(sub, 256)
     a = lambda t: 0.9 * np.exp(0.3 * np.cos(t[:, 0]))
     phi = power_function(2)
-    pred = szego_functional(sub, a, phi, quad)
+    pred = szego_functional(a, phi, quad)
     s_nodes, s_weights = np.polynomial.legendre.leggauss(400)
     lo, hi = 1e-6, 1.3
     s = 0.5 * (hi - lo) * (s_nodes + 1.0) + lo
     w = 0.5 * (hi - lo) * s_weights
-    dens = np.array([limiting_density(sub, a, si, quad) for si in s])
+    dens = np.array([limiting_density(a, si, quad) for si in s])
     # the density has integrable sqrt singularities at the amplitude extremes,
     # so a global Gauss rule in s converges slowly; percent level is enough here
     assert float(np.sum(w * phi(s) * dens)) == pytest.approx(pred, rel=1e-2)
 
 
-def test_limiting_density_trapezoid_count_consistency():
-    # integral of the density over [lo, hi] matches the Weyl prediction
-    sub = mfd.circle(1.0)
-    quad = mfd.quadrature(sub, 64)
+@pytest.mark.parametrize("radii", [(1.0,), (1.0, 0.7), (1.0, 0.7, 0.5)],
+                         ids=["circle", "torus2", "torus3"])
+def test_limiting_density_trapezoid_count_consistency(radii):
+    # integral of the density over [lo, hi] matches the Weyl prediction on
+    # Lagrangian tori with d' = 1, 2, 3; Gamma(d'/2) and Gamma(d'^2/2)
+    # agree at d' = 1 and 2, so only d' = 3 tells them apart
+    sub = mfd.torus_product(radii)
+    quad = mfd.quadrature(sub, 64 if len(radii) == 1 else 8)
+    area = (2 * math.pi) ** len(radii) * math.prod(radii)
     lo, hi = 0.2, 0.9
     s_nodes, s_weights = np.polynomial.legendre.leggauss(200)
     s = 0.5 * (hi - lo) * (s_nodes + 1.0) + lo
     w = 0.5 * (hi - lo) * s_weights
-    dens = np.array([limiting_density(sub, None, si, quad) for si in s])
+    dens = np.array([limiting_density(None, si, quad) for si in s])
     count = float(np.sum(w * dens))
-    assert count == pytest.approx(weyl_prediction(2 * math.pi, 1, (lo, hi)),
-                                  rel=1e-10)
+    assert count == pytest.approx(
+        weyl_prediction(area, len(radii), (lo, hi)), rel=1e-10)

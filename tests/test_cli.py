@@ -29,6 +29,10 @@ CIRCLE = {"manifold": {"kind": "circle", "radius": 1.0},
 CUSTOM_CIRCLE = {"kind": "custom", "dim": 1, "ambient_dim": 1,
                  "coords": ["cos(t1)", "sin(t1)"], "periodic": [True],
                  "domain": [[0.0, 2 * math.pi]]}
+# (t1, 0.3 bump(t2, 0.02, 0.15), t2, 0): symplectic where the bump varies
+BUMP_CHART = {"kind": "custom", "dim": 2, "ambient_dim": 2,
+              "coords": ["t1", "0.3*bump(t2, 0.02, 0.15)", "t2", "0"],
+              "periodic": [False, False], "domain": [[0.0, 1.0]] * 2}
 
 
 def test_geometry_csv(tmp_path):
@@ -156,6 +160,12 @@ def test_bad_config_exits_2(tmp_path):
      "geometry, got symplectic"),
     ({"manifold": {"kind": "plane_patch", "ranges": [[-1, 1], [-1, 1]]}},
      ["density"], 1, "density: the limiting density needs d' > 0"),
+    # a chart symplectic on a strip of its quadrature nodes and Lagrangian
+    # elsewhere is refused before any operator is built
+    ({"manifold": BUMP_CHART, "quad_order": 48}, ["geometry"], 1,
+     "geometry: half rank varies across nodes: [0, 1]"),
+    ({"manifold": BUMP_CHART, "quad_order": 48, "k_sweep": [4.0, 8.0]},
+     ["szego"], 1, "szego: half rank varies across nodes: [0, 1]"),
 ])
 def test_errors_exit_with_one_line(tmp_path, capsys, config, argv, code,
                                    message):
@@ -373,8 +383,8 @@ def test_weyl_predicts_any_real_amplitude(tmp_path, capsys):
     sub = circle(1.0)
     assert verdicts[0]["pass"] is True
     assert verdicts[0]["predicted"] == pytest.approx(szego_functional(
-        sub, amplitude_from_dsl("1 + cos(t1)", 1),
-        indicator_function(0.2, 0.9), quadrature(sub, 512)), rel=1e-12)
+        amplitude_from_dsl("1 + cos(t1)", 1), indicator_function(0.2, 0.9),
+        quadrature(sub, 512)), rel=1e-12)
     cfg = write_config(tmp_path, {**base, "amplitude": "2 - 1"}, "unit.json")
     cli.main(["--config", cfg, "--out", str(out), "weyl"])
     verdicts = json.loads((out / "weyl_verdicts.json").read_text())
@@ -399,9 +409,12 @@ def test_szego_builds_each_quadrature_once(tmp_path, monkeypatch):
     assert built == [8, 64]
 
 
-@pytest.mark.parametrize("command", ["schatten", "szego_entropy"])
+@pytest.mark.parametrize("command", ["schatten", "szego_entropy", "weyl",
+                                     "entropy"])
 def test_schatten_agrees_with_acceptance_check(tmp_path, command):
-    # the acceptance sweep and truncation on both sides, one pass rule
+    # the acceptance sweep, truncation and quadrature order on both sides,
+    # one pass rule, for each of the four Szego-family commands
+    sweep, order = acceptance.CIRCLE_SWEEP, 1609
     if command == "schatten":
         check = acceptance.check_schatten(acceptance.Lab())
         expected = [check["detail"][p] for p in ("p=1", "p=2")]
@@ -409,17 +422,30 @@ def test_schatten_agrees_with_acceptance_check(tmp_path, command):
                                 "0.5*sin(t1)*(1 + cos(t1))"],
                   "schatten_p": [1.0, 2.0]}
         argv = ["schatten"]
-    else:
+    elif command == "szego_entropy":
         check = acceptance.check_szego_entropy_function(acceptance.Lab())
         expected = [{"prediction": check["detail"]["functional"],
                      "final_rel": check["observed"]}]
         config, argv = {}, ["szego", "--phi", "entropy"]
+    elif command == "weyl":
+        check = acceptance.check_weyl_counts(acceptance.Lab())
+        expected = [{"prediction": check["detail"]["prediction"],
+                     "final_rel": check["observed"]}]
+        sweep, order = acceptance.WEYL_SWEEP, 3209
+        config, argv = {}, ["weyl"]
+    else:
+        # the entropy check gates the absolute gap
+        check = acceptance.check_entropy(acceptance.Lab())
+        pred = check["detail"]["prediction"]
+        expected = [{"prediction": pred,
+                     "final_rel": check["observed"] / abs(pred)}]
+        config, argv = {"amplitude": "1/(2*pi)"}, ["entropy"]
     cfg = write_config(tmp_path, {
         "manifold": {"kind": "circle", "radius": 1.0},
-        "k_sweep": list(acceptance.CIRCLE_SWEEP), **config})
+        "k_sweep": list(sweep), **config})
     out = tmp_path / "out"
     code = cli.main(["--config", cfg, "--out", str(out), "--quad-order",
-                     "1609", *argv])
+                     str(order), *argv])
     verdicts = json.loads((out / f"{argv[0]}_verdicts.json").read_text())
     assert [v["pass"] for v in verdicts] == [check["pass"]] * len(expected)
     assert code == (0 if check["pass"] else 1)

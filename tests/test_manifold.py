@@ -104,21 +104,25 @@ def test_plane_frame_all_lambdas_one():
     assert frame.lam[frame.is_lambda] == pytest.approx([1.0, 1.0, 1.0])
 
 
+def classified(sub, order=8):
+    return mfd.classify(mfd.quadrature(sub, order))
+
+
 def test_classification_catalog():
-    assert mfd.classify(mfd.circle(1.0)).tag == "lagrangian"
-    assert mfd.classify(mfd.sphere3(1.0)).tag == "coisotropic"
-    assert mfd.classify(mfd.parabola_patch()).tag == "symplectic"
-    assert mfd.classify(mfd.torus_product([1.0, 0.7])).tag == "lagrangian"
-    assert mfd.classify(mfd.torus_product([1.0], ambient_dim=2)).tag == "isotropic"
-    assert mfd.classify(mfd.plane_patch([[-1, 1]] * 4)).tag == "coisotropic"
+    assert classified(mfd.circle(1.0)).tag == "lagrangian"
+    assert classified(mfd.sphere3(1.0)).tag == "coisotropic"
+    assert classified(mfd.parabola_patch()).tag == "symplectic"
+    assert classified(mfd.torus_product([1.0, 0.7])).tag == "lagrangian"
+    assert classified(mfd.torus_product([1.0], ambient_dim=2)).tag == "isotropic"
+    assert classified(mfd.plane_patch([[-1, 1]] * 4)).tag == "coisotropic"
 
 
 def test_d_prime_values():
-    assert mfd.d_prime(mfd.circle(1.0)) == 1
-    assert mfd.d_prime(mfd.sphere3(1.0)) == 1
-    assert mfd.d_prime(mfd.plane_patch([[-1, 1]] * 4)) == 0
+    assert mfd.d_prime(classified(mfd.circle(1.0))) == 1
+    assert mfd.d_prime(classified(mfd.sphere3(1.0))) == 1
+    assert mfd.d_prime(classified(mfd.plane_patch([[-1, 1]] * 4))) == 0
     with pytest.raises(ValueError):
-        mfd.d_prime(mfd.parabola_patch())
+        mfd.d_prime(classified(mfd.parabola_patch()))
 
 
 def test_delta_n_values():
@@ -420,17 +424,50 @@ def test_stacked_frame_equals_per_point_frames(sub):
 
 
 def test_classify_reads_one_stacked_frame(monkeypatch):
+    # one frame_at pass per quadrature, over its base nodes along the axes
+    # whose weights are shared: G and H along them are the base node's, so
+    # every node is covered; without a shared axis every node is read
     calls = []
     frame_at = mfd.frame_at
 
     def counting(sub, t):
-        calls.append(np.shape(t))
+        calls.append(math.prod(np.shape(t)[:-1]))
         return frame_at(sub, t)
 
     monkeypatch.setattr(mfd, "frame_at", counting)
-    cls = mfd.classify(mfd.sphere3(1.0))
-    assert cls.tag == "coisotropic" and cls.half_rank == 1
-    assert calls == [(mfd.SAMPLES_PER_AXIS ** 3, 3)]
+    for sub, order, shared, nodes in [
+            (mfd.circle(1.0), 64, (0,), 1), (dsl_torus(), 16, (0, 1), 1),
+            (mfd.sphere3(1.0), [23, 45, 45], (1, 2), 23),
+            (wiggly_circle(), 64, (), 64),
+            (mfd.parabola_patch(), 12, (), 144)]:
+        quad = mfd.quadrature(sub, order)
+        assert quad.shared_axes == shared
+        calls.clear()
+        cls = quad.classification
+        assert quad.classification is cls and calls == [nodes]
+        full = frame_at(sub, quad.nodes)
+        assert np.unique(full.half_rank).tolist() == [cls.half_rank]
+        assert np.abs(full.lam[full.is_lambda] - 1.0).max(initial=0.0) \
+            <= 1e-13 + cls.max_unit_deviation
+    assert cls.tag == "symplectic" and cls.half_rank == 1
+
+
+def bump_chart():
+    """Lagrangian but for the strip where 0.3 bump(t2, 0.02, 0.15) varies,
+    which is symplectic."""
+    return mfd.custom_chart(2, 2, ["t1", "0.3*bump(t2, 0.02, 0.15)", "t2",
+                                   "0"], [False, False], [[0.0, 1.0]] * 2,
+                            label="bump")
+
+
+def test_a_half_rank_that_varies_over_the_nodes_is_refused():
+    # 192 of the 2,304 nodes at order 48 are symplectic, and the other
+    # nodes Lagrangian; no node of a 5 x 5 grid lies in the strip
+    quad = mfd.quadrature(bump_chart(), 48)
+    assert mfd.frame_at(quad.sub, quad.nodes).half_rank.sum() == 192
+    with pytest.raises(mfd.ClassificationError,
+                       match=r"half rank varies across nodes: \[0, 1\]"):
+        quad.classification
 
 
 def test_sphere3_quadrature_memory_is_bounded():
@@ -526,7 +563,8 @@ def test_custom_dsl_chart_matches_builtin_circle():
     }
     custom = mfd.manifold_from_spec(spec)
     builtin = mfd.circle(1.5)
-    assert mfd.classify(custom).tag == "lagrangian"
+    q = mfd.quadrature(custom, 32)
+    assert q.classification.tag == "lagrangian"
     for f, g in zip(metric_and_form(custom, (0.7,)),
                     metric_and_form(builtin, (0.7,))):
         assert np.allclose(f, g, rtol=1e-12, atol=0.0)
@@ -534,7 +572,6 @@ def test_custom_dsl_chart_matches_builtin_circle():
     fb = mfd.frame_at(builtin, (0.7,))
     assert np.array_equal(fc.lam, fb.lam)
     assert np.array_equal(fc.is_lambda, fb.is_lambda)
-    q = mfd.quadrature(custom, 32)
     assert q.total_mass == pytest.approx(2 * math.pi * 1.5, rel=1e-10)
 
 
