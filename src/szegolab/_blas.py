@@ -1,4 +1,5 @@
-"""Thread counts of the loaded OpenBLAS libraries.
+"""The loaded OpenBLAS libraries: their thread counts, and the LAPACK and
+BLAS routines szegolab calls.
 
 numpy and scipy each ship their own OpenBLAS, and each runs a pool of
 worker threads that busy-wait on a core after every call big enough to
@@ -37,10 +38,37 @@ getter looked up by the names OpenBLAS builds export (`_SYMBOLS`): the
 `scipy_openblas_*64_` of numpy's wheels, the `scipy_openblas_*` of
 scipy's, and the `openblas_*` names of older wheels and system builds.
 The maps are read again when a module has been imported since the last
-read, since scipy's library loads only with `scipy.linalg`; a library
-that appears inside a scope is saved and set to one thread as it is
-found.  Where no library is found (another BLAS, no `/proc`), every scope
-is a no-op.
+read, since scipy's library loads only with `scipy.linalg` or
+`scipy.special`; a library that appears inside a scope is saved and set
+to one thread as it is found.  Where no library is found (another BLAS,
+no `/proc`), every scope is a no-op.
+
+Routines: `routine(name)` gives every LAPACK and BLAS routine szegolab
+calls itself (`_PROTOTYPES`: the band solvers of `spectral` and of the
+Gauss-Laguerre rule of `asymptotics`, the zherk and zgemm updates of
+`assembly`'s dense T), from the first mapped OpenBLAS that exports it as
+`scipy_<name>_64_` (numpy 2's wheels), `<name>_64_` (numpy 1's),
+`scipy_<name>_` (scipy's) or `<name>_`, with the integer width that
+library reports in its own configuration string (USE64BITINT).  That is
+numpy's own OpenBLAS, which `import numpy` has already loaded, so no
+scipy module is imported and scipy's second OpenBLAS, about 23 MB of
+resident memory with the `scipy.linalg` and `scipy.special` import stack,
+loads only for the trapezoid's incomplete gamma function
+(`spectral._ramp`) or the fallback: where no mapped library exports the
+routine (another BLAS, no `/proc`), it comes from the function capsules
+of scipy's `cython_lapack` or `cython_blas`, after their C signatures are
+checked against `_PROTOTYPES`.  Either pointer goes through one calling
+path, `Routine`: arrays are passed by their data pointer, numbers and the
+work sizes as one-element arrays of the routine's types, and the hidden
+length of each character argument that gfortran's calling convention
+appends; a LAPACK routine's info is checked there.  The band solvers
+give what scipy's wrappers gave (`eig_banded`, `eigvalsh_tridiagonal`)
+bit for bit, and the dense updates what `scipy.linalg.blas` gave on one
+thread; the benchmark's DSL torus outputs kept every byte.  A cold
+`szegolab verify-all` went from 0.51 to 0.33 s and 74 to 50 MB peak
+resident memory, a torus `spectrum` sweep (k = 4, 8, 12) from 0.54 to
+0.33 s and 72 to 42 MB, most of the time interpreter start and imports
+(median of 7 alternating runs, 2-vCPU VM; BENCH_25.json).
 
 Crossover, end to end: the public call timed whole, wall seconds, median
 of 7-11 runs alternating in one process (2-vCPU Xeon VM shared with other
@@ -72,6 +100,9 @@ call) lost at every dim measured: 0.185, 0.231, 0.330 and 0.637 s on
 spectrum at 561, 703, 861 and 1225 rows, against 0.104, 0.141, 0.260 and
 0.568 with the solve alone on two.  scipy's pool, woken for the zherk,
 spins on the core that numpy's second thread then needs for the solve.
+These timings were taken while the zherk and zgemm updates ran in
+scipy's OpenBLAS; they now run in numpy's (`routine`), and the cutoffs
+have not been timed again since.
 
 Products: `nfold_trace_integral` with three amplitudes on the circle (one
 m x m complex chain product) and `pair_trace_integral` on the torus (per
@@ -129,8 +160,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import sys
 import threading
+
+import numpy as np
 
 SOLVE_ROWS = 480  # rows from which a dense eigvalsh or SVD runs threaded
 PRODUCT_SIZE = 300  # smaller side from which a kernel product runs threaded
@@ -163,11 +197,19 @@ def openblas_paths() -> list[str]:
                    if len(f) == 6 and "openblas" in f[5].lower()})
 
 
+@functools.cache
+def _open(path: str):
+    """The library at path, or None where it cannot be loaded."""
+    try:
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
 def _bind(path: str):
     """(setter, getter) of the library at path, or None."""
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
+    lib = _open(path)
+    if lib is None:
         return None
     for setter, getter in _SYMBOLS:
         if hasattr(lib, setter) and hasattr(lib, getter):
@@ -259,3 +301,150 @@ def threaded(size: int, from_size: int):
                 if not _wide and _depth:
                     for path in _saved:
                         _set(path, 1)
+
+
+# the C arguments of each routine szegolab calls: c char *, i int *,
+# d double *, z double complex *; a LAPACK routine ends in its info
+_PROTOTYPES = {
+    "dsbevd": "c c i i d i d d i d i i i i",
+    "zhbevd": "c c i i z i d z i z i d i i i i",
+    "dstevd": "c i d d d i d i i i i",
+    "dgbbrd": "c i i i i i d i d d d i d i d i d i",
+    "zgbbrd": "c i i i i i z i d d z i z i z i z d i",
+    "dbdsqr": "c i i i i d d d i d i d i d i",
+    "zherk": "c c i i d z i d z i",
+    "zgemm": "c c i i i z z i z i z z i",
+}
+_BLAS = ("zherk", "zgemm")  # no info argument; in cython_blas
+# the names a library may export a routine under, the first found is bound
+_EXPORTS = ("scipy_{}_64_", "{}_64_", "scipy_{}_", "{}_")
+_CONFIGS = ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+            "openblas_get_config64_", "openblas_get_config")
+
+
+class Routine:
+    """A LAPACK or BLAS routine called with the Fortran arguments of its
+    prototype: str for a character, a number for a scalar, or a
+    Fortran-contiguous array of the argument's type, passed by pointer
+    and written in place.  A LAPACK routine's trailing info is not
+    given: it is checked, and a nonzero one raises RuntimeError."""
+
+    def __init__(self, name: str, pointer: int, int_type):
+        kinds = _PROTOTYPES[name].split()
+        self.name, self.int_type = name, np.dtype(int_type)
+        self.kinds = kinds if name in _BLAS else kinds[:-1]
+        self._types = {"i": self.int_type, "d": np.dtype(np.float64),
+                       "z": np.dtype(np.complex128)}
+        # a number goes in a ctypes scalar, cheaper than a numpy array
+        self._int = np.ctypeslib.as_ctypes_type(self.int_type)
+        self._scalars = {"i": self._int, "d": ctypes.c_double,
+                         "z": lambda v: _Complex(v.real, v.imag)}
+        # gfortran appends the length of each character argument
+        self._lengths = (1,) * kinds.count("c")
+        args = [ctypes.c_char_p if k == "c" else ctypes.c_void_p
+                for k in kinds]
+        proto = ctypes.CFUNCTYPE(None, *args,
+                                 *[ctypes.c_size_t] * len(self._lengths))
+        self._fn = proto(pointer)
+
+    def __call__(self, *args) -> None:
+        if len(args) != len(self.kinds):
+            raise TypeError(f"{self.name} takes {len(self.kinds)} arguments")
+        held, pointers = [], []  # held: the numbers' scalars, for the call
+        for kind, arg in zip(self.kinds, args):
+            if kind == "c":
+                pointers.append(arg.encode())
+            elif isinstance(arg, np.ndarray):
+                dtype = self._types[kind]
+                if arg.dtype != dtype or not arg.flags.f_contiguous:
+                    raise TypeError(f"{self.name} takes Fortran-contiguous "
+                                    f"{dtype} arrays, not {arg.dtype}")
+                pointers.append(arg.ctypes.data)
+            else:
+                held.append(self._scalars[kind](arg))
+                pointers.append(ctypes.addressof(held[-1]))
+        info = self._int(0)
+        if self.name not in _BLAS:
+            pointers.append(ctypes.addressof(info))
+        self._fn(*pointers, *self._lengths)
+        if info.value:
+            raise RuntimeError(f"{self.name} failed with info {info.value}")
+
+
+_Complex = ctypes.c_double * 2  # a double complex
+
+
+def _int_type(lib):
+    """The integer type of a library's LAPACK and BLAS arguments, read
+    from its configuration string; None where it reports none."""
+    for name in _CONFIGS:
+        if hasattr(lib, name):
+            config = getattr(lib, name)
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            return np.int64 if b"USE64BITINT" in config().split() else np.intc
+    return None
+
+
+def _exported(name: str):
+    """(pointer, integer type) of the routine in the first mapped OpenBLAS
+    that exports it, or None."""
+    for path in openblas_paths():
+        lib = _open(path)
+        if lib is None:
+            continue
+        for export in _EXPORTS:
+            symbol = export.format(name)
+            if hasattr(lib, symbol):
+                int_type = _int_type(lib)
+                if int_type is not None:
+                    pointer = ctypes.cast(getattr(lib, symbol),
+                                          ctypes.c_void_p).value
+                    return pointer, int_type
+                break
+    return None
+
+
+def _kinds(signature: str) -> str:
+    """The C signature of a cython_lapack or cython_blas capsule in
+    `_PROTOTYPES` form; an argument of any other type is kept as
+    written."""
+    known = {"char *": "c", "int *": "i"}
+    kinds = []
+    for arg in signature[signature.index("(") + 1:-1].split(", "):
+        if arg.endswith("_d *"):
+            arg = "d"
+        elif arg.endswith("double_complex *") or arg.endswith("_z *"):
+            arg = "z"
+        kinds.append(known.get(arg, arg))
+    return " ".join(kinds)
+
+
+def _capsule(name: str):
+    """(C signature, function pointer) of the routine in scipy's
+    cython_lapack or cython_blas."""
+    if name in _BLAS:
+        from scipy.linalg import cython_blas as module
+    else:
+        from scipy.linalg import cython_lapack as module
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    capsule = module.__pyx_capi__[name]
+    signature = api.PyCapsule_GetName(capsule)
+    return signature.decode(), api.PyCapsule_GetPointer(capsule, signature)
+
+
+@functools.cache
+def routine(name: str) -> Routine:
+    """The routine, bound on first use from a mapped OpenBLAS or else from
+    scipy's capsule, whose C signature must be `_PROTOTYPES[name]`."""
+    found = _exported(name)
+    if found is not None:
+        return Routine(name, *found)
+    signature, pointer = _capsule(name)
+    if _kinds(signature) != _PROTOTYPES[name]:
+        raise RuntimeError(f"scipy's {name} is {signature}, not "
+                           f"{_PROTOTYPES[name]}")
+    return Routine(name, pointer, np.intc)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import asymptotics, hessian, spectral, states
 from ._blas import single_threaded
@@ -101,10 +100,12 @@ def szego_sweep(sweep, statistic, prediction, tolerance,
             for v, e, pred, ok in zip(values.T, errors.T, preds, passed)]
 
 
-def _poisson_lambdas(k: float, M: int) -> np.ndarray:
-    """Circle spectrum 2k k^n e^{-k} / n! for n = 0..M (radius 1)."""
-    n = np.arange(M + 1)
-    return 2.0 * k * np.exp(n * math.log(k) - k - gammaln(n + 1.0))
+def _poisson_lambdas(trunc: FockTruncation) -> np.ndarray:
+    """Circle spectrum 2k k^n e^{-k} / n! for n = 0..M (radius 1), on the
+    log-factorials the basis is normalized with."""
+    k = trunc.k
+    n = np.arange(trunc.max_degree + 1)
+    return 2.0 * k * np.exp(n * math.log(k) - k - trunc.log_factorials)
 
 
 class Lab:
@@ -165,9 +166,8 @@ def check_circle_spectrum(lab: Lab):
     """1: assembled circle eigenvalues match the closed-form spectrum."""
     worst = 0.0
     for k in (10.0, 20.0, 40.0):
-        M = int(round(4 * k))
         observed = lab.circle_eigs(k)
-        predicted = np.sort(_poisson_lambdas(k, M))[::-1]
+        predicted = np.sort(_poisson_lambdas(lab.circle_trunc(k)))[::-1]
         mask = predicted >= 1e-10 * predicted[0]
         rel = np.abs(observed[mask] - predicted[mask]) / predicted[mask]
         worst = max(worst, float(rel.max()))
@@ -282,7 +282,7 @@ def check_entropy(lab: Lab):
     def shifted_entropy(k):
         rho = lab.circle_eigs(k) / (2.0 * k)  # (pi/k) * (1/2pi) * T spectrum
         H = spectral.entropy(spectral.SpectralSummary(rho))
-        poisson = _poisson_lambdas(k, int(round(4 * k))) / (2.0 * k)
+        poisson = _poisson_lambdas(lab.circle_trunc(k)) / (2.0 * k)
         cross.append(abs(H - spectral.entropy(
             spectral.SpectralSummary(poisson))) <= 1e-8)
         # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}

@@ -250,14 +250,16 @@ run on one BLAS thread (`_blas` module notes).  The kernel products of
 thread count the caller had from `_blas.PRODUCT_SIZE` = 300 on the
 smaller side of the product; the circle's pair trace, whose kernel meets
 one column, stays on one thread.  The zherk and zgemm updates of a dense
-T stay on one thread at every size.  Alone, zherk pays a second thread
-from smaller T; ms per update of T by C^H C, C of nodes x dim, 1 / 2
-threads (scipy's OpenBLAS, median of 7): 0.28 / 0.35 at 512 x 64,
+T stay on one thread at every size; both come from `_blas.routine`,
+bound from numpy's OpenBLAS, so assembly imports no scipy module.
+Alone, zherk pays a second thread from smaller T; ms per update of T by
+C^H C, C of nodes x dim, 1 / 2 threads (scipy's OpenBLAS, median of 7): 0.28 / 0.35 at 512 x 64,
 0.61 / 0.79 at 4096 x 32, 1.9 / 1.3 at 256 x 256, 9.6 / 5.8 at
 4096 x 128, 2.9 / 1.9 at 128 x 512, 65 / 32 at 2048 x 512.  But end to
 end, a threaded zherk before a threaded dense solve loses at every dim
 measured, 561 to 1225 rows: scipy's pool then spins on the core numpy's
-second thread needs (the `_blas` tables).
+second thread needs (the `_blas` tables, timed while the updates ran in
+scipy's OpenBLAS).
 
 Cost budget: a dense T, the dense blocks of a sector operator together,
 and the n node-coupling matrices of `nfold_trace_integral` may take at
@@ -277,7 +279,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._blas import PRODUCT_SIZE, single_threaded, threaded
+from ._blas import PRODUCT_SIZE, routine, single_threaded, threaded
 from .fock import FockTruncation, eval_basis_matrix
 from .manifold import ChartedSubmanifold, Quadrature, amp_values
 
@@ -1122,10 +1124,6 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
 
     Returns T, ||C'||^2 and the bound on ||Delta C||^2.
     """
-    # scipy.linalg costs more to import than the whole package, so it is
-    # loaded on first assembly rather than with the module
-    from scipy.linalg.blas import zgemm, zherk
-
     dim = trunc.dim
     _within_budget(16.0 * dim * dim, f"a dense {dim} x {dim} T")
     # basis values come in Fortran order, so C and C^T pass to BLAS uncopied
@@ -1145,14 +1143,15 @@ def _assemble_dense(trunc: FockTruncation, quad: Quadrature, wa: np.ndarray,
             n2, d2 = _flush(C)
             norm2 += n2
             dropped2 += d2
+            m, ld = chunk.size, max(chunk.size, 1)
             if is_real:
-                X = zherk(alpha, C, beta=1.0, c=X, trans=2, overwrite_c=1)
+                routine("zherk")("U", "C", dim, m, alpha, C, ld, 1.0, X, dim)
                 continue
             # X += C^T (phase * conj C), with phase = wa / |wa|
             phased = C.conj()
             phased *= (wa[chunk] / np.abs(wa[chunk]))[:, None]
-            X = zgemm(alpha, C, phased, beta=1.0, c=X, trans_a=1,
-                      overwrite_c=1)
+            routine("zgemm")("T", "N", dim, dim, m, alpha, C, ld, phased, ld,
+                             1.0, X, dim)
     T = X.T
     if is_real:
         # zherk filled the upper triangle of X, so the lower triangle of

@@ -15,13 +15,12 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_genlaguerre
 
 from .manifold import (ChartedSubmanifold, Quadrature, amp_values, d_prime,
                        delta_n)
 from .spectral import (
     TestFunction,
+    _bevd,
     entropy_function,
     indicator_function,
     power_function,
@@ -56,11 +55,56 @@ def szego_scaling(k: float, d: int, dp: int) -> float:
     return 2.0 ** (0.5 * dp) * (math.pi / k) ** (0.5 * d)
 
 
+def _laguerre_ratios(n: int, a: float, x: np.ndarray) -> np.ndarray:
+    """L_n^a(x) / binom(n + a, n), by the recurrence scipy's
+    `eval_genlaguerre` runs before it multiplies by the binomial."""
+    if n == 0:
+        return np.ones_like(x)
+    d = -x / (a + 1.0)
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + a + 1.0) * p + (k / (k + a + 1.0)) * d
+        p = d + p
+    return p
+
+
+def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight
+    x^a e^{-x} on (0, inf), a > -1, built as scipy's `roots_genlaguerre`
+    builds them: the eigenvalues of the Jacobi matrix (Golub and Welsch
+    1969), one Newton step on L_n^a, and weights 1 / (L_{n-1}^a(x)
+    L_n^a'(x)) log-normalized and scaled to sum to Gamma(a + 1).  The
+    binomial factors of L_n^a and L_{n-1}^a are constant over the nodes,
+    so they cancel in the Newton step and in the scaling and are left
+    out.  Weights from the eigenvectors instead read `mellin_identity`
+    at 1.3e-4."""
+    mu0 = math.gamma(a + 1.0)
+    if n == 1:
+        return np.array([a + 1.0]), np.array([mu0])
+    k = np.arange(n, dtype=float)
+    jacobi = np.zeros((2, n))  # upper band form
+    jacobi[0, 1:] = -np.sqrt(k[1:] * (k[1:] + a))
+    jacobi[1] = 2.0 * k + a + 1.0
+    x = _bevd(jacobi, lower=False)
+    # with P_m = L_m^a / binom(m + a, m), L_n^a'(x) / (n binom(n + a, n))
+    # is (P_n - P_{n-1}) / x; like scipy, the weights keep it at the
+    # nodes before the Newton step
+    p = _laguerre_ratios(n, a, x)
+    dy = (p - _laguerre_ratios(n - 1, a, x)) / x
+    x -= p / (n * dy)
+    fm = _laguerre_ratios(n - 1, a, x)
+    for v in (fm, dy):
+        logs = np.log(np.abs(v))
+        v /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    return x, w * (mu0 / w.sum())
+
+
 @functools.cache
 def _laguerre_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalized Gauss-Laguerre rule of `mellin_log` for one alpha, as
     (e^{-x}, w e^{x}) at the nodes x; read-only, since calls share it."""
-    x, w = roots_genlaguerre(_LAGUERRE_NODES, alpha - 1.0)
+    x, w = _gauss_laguerre(_LAGUERRE_NODES, alpha - 1.0)
     # the Laguerre weight x^{alpha-1} e^{-x} is in w; reinstate e^{x}
     rule = np.exp(-x), w * np.exp(x)
     for a in rule:
@@ -88,7 +132,7 @@ def mellin_log(phi: TestFunction, alpha: float, t):
     pos = t_arr > 0
     if np.any(pos):
         s = t_arr[pos, None] * decay[None, :]
-        out[pos] = (phi(s) @ wexp) / gamma_fn(alpha)
+        out[pos] = (phi(s) @ wexp) / math.gamma(alpha)
     return float(out[0]) if np.isscalar(t) else out
 
 
@@ -134,7 +178,7 @@ def limiting_density(a, s: float, quad: Quadrature) -> float:
         # integrable endpoint singularity; keep boundary nodes finite
         logs = np.maximum(logs, 1e-15)
     total = float(np.sum(quad.weights[mask] * logs ** expo))
-    return total / (gamma_fn(0.5 * dp) * s)
+    return total / (math.gamma(0.5 * dp) * s)
 
 
 def weyl_prediction(area: float, dp: int, interval) -> float:

@@ -213,16 +213,34 @@ class Experiment:
             im_f = amplitude_from_dsl(amp[1], self.sub.dim)
             self.amplitude = lambda t: re_f(t) + 1j * im_f(t)
         self.lab = acceptance.Lab()
+        self._checked = set()  # k values whose quad_order was checked
 
     def quad(self, k: float, order=None):
         """Quadrature for k, built once per order."""
         if order is None:
-            # the default order depends on the radius of a coarse grid
-            order = (self.quad_order if self.quad_order is not None
-                     else default_periodic_nodes(
-                         k, self.quad(k, 8).max_radius()))
+            order = self.quad_order
+            if order is None:
+                order = self._auto_order(k)
+            elif k not in self._checked:
+                self._checked.add(k)
+                self._warn_if_short(k)
         return self.lab._get(("quad", *np.ravel(order).tolist()),
                              lambda: quadrature(self.sub, order))
+
+    def _auto_order(self, k: float) -> int:
+        # the default order depends on the radius of a coarse grid
+        return default_periodic_nodes(k, self.quad(k, 8).max_radius())
+
+    def _warn_if_short(self, k: float) -> None:
+        """One line on stderr when a periodic axis of the configured
+        quad_order has fewer nodes than the default order, which resolves
+        the phase e^{ik omega}."""
+        orders = np.broadcast_to(self.quad_order, (self.sub.dim,))
+        periodic = [int(o) for o, p in zip(orders, self.sub.periodic) if p]
+        if periodic and min(periodic) < (auto := self._auto_order(k)):
+            print(f"warning: quad_order {min(periodic)} on a periodic axis "
+                  f"is below default_periodic_nodes(k, R) = {auto} at "
+                  f"k = {k:g}", file=sys.stderr)
 
     def dp(self, k: float):
         """d' of the quadrature for k, None where Gamma is neither

@@ -78,10 +78,10 @@ class FockTruncation:
         return _graded_lex_exponents(self.ambient_dim, self.max_degree)
 
     @cached_property
-    def _half_lgamma(self) -> np.ndarray:
-        """lgamma(m + 1) / 2 for m = 0..M."""
-        return 0.5 * np.array([math.lgamma(m + 1.0)
-                               for m in range(self.max_degree + 1)])
+    def log_factorials(self) -> np.ndarray:
+        """log m! = lgamma(m + 1) for m = 0..M."""
+        return np.array([math.lgamma(m + 1.0)
+                         for m in range(self.max_degree + 1)])
 
 
 def _as_points(z, ambient_dim: int) -> np.ndarray:
@@ -97,7 +97,7 @@ def _coordinate_tables(trunc: FockTruncation, pts: np.ndarray) -> list:
     degrees = np.arange(trunc.max_degree + 1, dtype=float)
     # log|phi_n| = n log(sqrt(k)|zeta|) - k|zeta|^2/2 - lgamma(n+1)/2
     #              + log(k/pi)/2
-    offset = 0.5 * math.log(k / math.pi) - trunc._half_lgamma
+    offset = 0.5 * math.log(k / math.pi) - 0.5 * trunc.log_factorials
     tables = []
     for zeta in pts.T:
         rho = math.sqrt(k) * np.abs(zeta)

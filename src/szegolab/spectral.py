@@ -6,19 +6,24 @@ log-log rate regressions used to check O(1/k) claims.
 
 Eigenvalues and singular values are computed block by block from the
 operator's `BlockLayout`: 1x1 blocks are their own spectrum, the
-tridiagonal blocks go to one `eigvalsh_tridiagonal` call (the couplings
-between blocks are exact zeros, where it splits), wider Hermitian bands
-to `eig_banded`, and dense blocks to LAPACK's dense solvers.  A
+tridiagonal blocks go to one dstevd call (the couplings between blocks
+are exact zeros, where it splits), wider Hermitian bands to dsbevd or
+zhbevd, and dense blocks to LAPACK's dense solvers.  A
 non-Hermitian banded block B, with l diagonals below the main one and u
 above, is reduced to an upper bidiagonal matrix with the same singular
 values by orthogonal transformations on its band (Golub and Kahan 1965),
 in LAPACK's ?gbbrd, which never forms B^H B, a dilation or a dense copy;
 dbdsqr then gives the singular values of the bidiagonal to high
-relative accuracy.  Both are bound from the function capsules of
-`scipy.linalg.cython_lapack` through ctypes on first use, after their C
-signatures are checked against `_PROTOTYPES`.  On the Schatten check's
-complex circle operators sum sigma^2 meets ||T||_F^2 to 1e-15 relative,
-as the dense SVD does.
+relative accuracy.  On the Schatten check's complex circle operators
+sum sigma^2 meets ||T||_F^2 to 1e-15 relative, as the dense SVD does.
+
+Binding: every band routine comes from `_blas.routine`, bound on first
+use from numpy's own OpenBLAS (scipy's cython_lapack capsules only where
+no mapped OpenBLAS exports it), so no scipy module is imported.  The
+routines are the ones scipy's `eig_banded` and `eigvalsh_tridiagonal`
+call, with their workspace sizes, and give the same bits; non-finite
+input raises ValueError, as their `check_finite` did, and a nonzero
+info raises RuntimeError.
 
 Threads: `eigensolve`, `singular_values` and `schatten_sum` run on one
 BLAS thread, band solvers and small dense blocks alike; a dense block of
@@ -29,21 +34,20 @@ had, where two threads pay end to end (`_blas` module notes, with the
 Every solver follows the dtype of the blocks.  An operator that a
 diagonal phase makes real (the gauge, `assembly` module notes) stores
 T = G B G^H with B real and G = diag(g) unitary; T and B share their
-eigenvalues and singular values, so its blocks go to dsyevd, dgesdd, a
-real `eig_banded` and dgbbrd, and the phases are never read.  Complex
-blocks take zheevd, zgesdd, the complex band solver and zgbbrd.
+eigenvalues and singular values, so its blocks go to dsyevd, dgesdd,
+dsbevd and dgbbrd, and the phases are never read.  Complex blocks take
+zheevd, zgesdd, zhbevd and zgbbrd.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._blas import SOLVE_ROWS, single_threaded, threaded
+from ._blas import SOLVE_ROWS, routine, single_threaded, threaded
 from .assembly import HermitianOperator
 
 __all__ = [
@@ -169,15 +173,47 @@ def _clamped(eigs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_copy(ab: np.ndarray, dtype) -> np.ndarray:
+    """ab as a Fortran-ordered copy for LAPACK to overwrite; raises
+    ValueError on a non-finite entry, as scipy's `check_finite` did."""
+    band = np.array(ab, dtype=dtype, order="F")
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return band
+
+
+def _bevd(ab: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian band matrix with band form
+    ab, lower or upper, by ?sbevd or ?hbevd (what scipy's `eig_banded`
+    calls)."""
+    real = not np.iscomplexobj(ab)
+    band = _band_copy(ab, np.float64 if real else np.complex128)
+    n = band.shape[1]
+    w, unused = np.empty(n), np.zeros(1, dtype=band.dtype)
+    args = ("N", "L" if lower else "U", n, band.shape[0] - 1, band,
+            band.shape[0], w, unused, 1)
+    if real:
+        routine("dsbevd")(*args, np.empty(max(2 * n, 1)), max(2 * n, 1), 0, 1)
+    else:
+        routine("zhbevd")(*args, np.empty(max(n, 1), dtype=complex),
+                          max(n, 1), np.empty(max(n, 1)), max(n, 1), 0, 1)
+    return w
+
+
 def _band_eigvals(ab: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian band matrix with lower band form ab."""
     if ab.shape[0] == 1:
         return ab[0].real.copy()
-    from scipy.linalg import eig_banded, eigvalsh_tridiagonal
-    if ab.shape[0] == 2:
-        # a unitary diagonal similarity makes the off-diagonal |ab[1]|
-        return eigvalsh_tridiagonal(ab[0].real, np.abs(ab[1, :-1]))
-    return eig_banded(ab, lower=True, eigvals_only=True)
+    if ab.shape[0] > 2:
+        return _bevd(ab)
+    # tridiagonal, by dstevd (what scipy's `eigvalsh_tridiagonal` calls):
+    # a unitary diagonal similarity makes the off-diagonal |ab[1]|
+    n = ab.shape[1]
+    d = _band_copy(ab[0].real, np.float64)
+    e = np.zeros(max(n - 1, 1))
+    e[:n - 1] = np.abs(_band_copy(ab[1, :-1], ab.dtype))
+    routine("dstevd")("N", n, d, e, np.zeros(1), 1, np.empty(1), 1, 0, 1)
+    return d
 
 
 def _runs(layout, merged: int):
@@ -227,62 +263,6 @@ def weyl_count(spec: SpectralSummary, interval) -> int:
     return int(np.sum(indicator_function(*interval)(spec.eigenvalues)))
 
 
-# the C arguments of each LAPACK routine bound from scipy's cython_lapack:
-# c char *, i int *, d double *, z double complex *
-_PROTOTYPES = {
-    "dgbbrd": "c i i i i i d i d d d i d i d i d i",
-    "zgbbrd": "c i i i i i z i d d z i z i z i z d i",
-    "dbdsqr": "c i i i i d d d i d i d i d i",
-}
-
-
-def _kinds(signature: str) -> str:
-    """The C signature of a cython_lapack capsule in `_PROTOTYPES` form;
-    an argument of any other type is kept as written."""
-    known = {"char *": "c", "int *": "i"}
-    kinds = []
-    for arg in signature[signature.index("(") + 1:-1].split(", "):
-        if arg.endswith("_d *"):
-            arg = "d"
-        elif arg.endswith("double_complex *") or arg.endswith("_z *"):
-            arg = "z"
-        kinds.append(known.get(arg, arg))
-    return " ".join(kinds)
-
-
-def _capsule(name: str):
-    """(C signature, function pointer) of a cython_lapack routine."""
-    import ctypes
-
-    from scipy.linalg import cython_lapack
-
-    api = ctypes.pythonapi
-    api.PyCapsule_GetName.restype = ctypes.c_char_p
-    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
-    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
-    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = api.PyCapsule_GetName(capsule)
-    return signature.decode(), api.PyCapsule_GetPointer(capsule, signature)
-
-
-@functools.cache
-def _lapack(name: str):
-    """The routine as a ctypes function, built on first use; raises if
-    scipy's C signature differs from `_PROTOTYPES`."""
-    import ctypes
-
-    signature, pointer = _capsule(name)
-    if _kinds(signature) != _PROTOTYPES[name]:
-        raise RuntimeError(f"scipy's {name} is {signature}, not "
-                           f"{_PROTOTYPES[name]}")
-    ctype = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
-             "d": ctypes.c_void_p, "z": ctypes.c_void_p}
-    proto = ctypes.CFUNCTYPE(None, *(ctype[k] for k in
-                                     _PROTOTYPES[name].split()))
-    return proto(pointer)
-
-
 def _band_extents(ab: np.ndarray) -> tuple[int, int]:
     """The outermost nonzero diagonals below and above the diagonal of
     the block with general band form ab."""
@@ -298,41 +278,24 @@ def _band_extents(ab: np.ndarray) -> tuple[int, int]:
 def _band_singular_values(ab: np.ndarray) -> np.ndarray:
     """Descending singular values of the block B with general band form
     ab (band[w + i - j, j] = B_ij), by ?gbbrd and dbdsqr."""
-    import ctypes
-
-    def ref(value):
-        return ctypes.byref(ctypes.c_int(value))
-
     w, n = ab.shape[0] // 2, ab.shape[1]
     lower, upper = _band_extents(ab)
     real = ab.dtype == np.float64
     # LAPACK's band storage, B_ij at row upper + i - j; ?gbbrd overwrites it
-    band = np.array(ab[w - upper:w + lower + 1],
-                    dtype=np.float64 if real else complex, order="F")
+    band = _band_copy(ab[w - upper:w + lower + 1],
+                      np.float64 if real else np.complex128)
     d, e = np.empty(n), np.empty(n)
     unused = np.zeros(1, dtype=band.dtype)  # Q, P^T, C and U, V^T
-    rows, none, one, info = ref(n), ref(0), ref(1), ctypes.c_int(0)
-    args = (b"N", rows, rows, none, ref(lower), ref(upper), band.ctypes.data,
-            ref(band.shape[0]), d.ctypes.data, e.ctypes.data,
-            unused.ctypes.data, one, unused.ctypes.data, one,
-            unused.ctypes.data, one)
+    args = ("N", n, n, 0, lower, upper, band, band.shape[0], d, e,
+            unused, 1, unused, 1, unused, 1)
     if real:
-        work = np.empty(2 * n)
-        _lapack("dgbbrd")(*args, work.ctypes.data, ctypes.byref(info))
+        routine("dgbbrd")(*args, np.empty(2 * n))
     else:
-        work, rwork = np.empty(n, dtype=complex), np.empty(n)
-        _lapack("zgbbrd")(*args, work.ctypes.data, rwork.ctypes.data,
-                          ctypes.byref(info))
-    if info.value:
-        raise RuntimeError(f"?gbbrd failed with info {info.value}")
+        routine("zgbbrd")(*args, np.empty(n, dtype=complex), np.empty(n))
     # d and e are the real upper bidiagonal; its singular values overwrite d
-    work = np.empty(4 * n)
-    _lapack("dbdsqr")(b"U", rows, none, none, none, d.ctypes.data,
-                      e.ctypes.data, unused.ctypes.data, one,
-                      unused.ctypes.data, one, unused.ctypes.data, one,
-                      work.ctypes.data, ctypes.byref(info))
-    if info.value:
-        raise RuntimeError(f"dbdsqr failed with info {info.value}")
+    unused = np.zeros(1)
+    routine("dbdsqr")("U", n, 0, 0, 0, d, e, unused, 1, unused, 1, unused,
+                      1, np.empty(4 * n))
     return d
 
 

@@ -35,6 +35,28 @@ def test_mellin_alpha_zero_is_identity():
     assert mellin_log(phi, 0.0, 0.7) == pytest.approx(0.343)
 
 
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.0])
+def test_gauss_laguerre_matches_scipys_rule(a):
+    # the alpha - 1 of mellin_log at d' = 1, 2, 3, 4; the weights as the
+    # rule uses them, w e^x
+    from scipy.special import roots_genlaguerre
+
+    x, w = asymptotics._gauss_laguerre(64, a)
+    xs, ws = roots_genlaguerre(64, a)
+    assert np.abs(x / xs - 1.0).max() <= 1e-12
+    assert np.abs(w * np.exp(x) / (ws * np.exp(xs)) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("a", [-0.5, 0.0, 1.5])
+def test_gauss_laguerre_integrates_polynomials_exactly(n, a):
+    # int x^j x^a e^{-x} dx = Gamma(a + j + 1) for j <= 2n - 1
+    x, w = asymptotics._gauss_laguerre(n, a)
+    for j in range(2 * n):
+        assert np.sum(w * x ** j) == pytest.approx(math.gamma(a + j + 1.0),
+                                                   rel=1e-13)
+
+
 def test_cached_laguerre_rule_is_read_only():
     decay, wexp = _laguerre_rule(0.5)
     assert _laguerre_rule(0.5)[0] is decay

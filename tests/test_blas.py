@@ -9,7 +9,7 @@ import scipy.linalg  # noqa: F401  loads scipy's OpenBLAS next to numpy's
 
 import szegolab._blas as blas
 import szegolab.assembly as asm
-from szegolab import acceptance, cli
+from szegolab import acceptance, cli, spectral
 from szegolab.assembly import (
     BlockLayout,
     HermitianOperator,
@@ -167,9 +167,8 @@ def test_dense_block_of_solve_rows_sees_callers_count(counts, monkeypatch,
 def test_dense_T_updates_stay_on_one_thread(counts, monkeypatch):
     # the real circle in C^2 has no rotation axis: T is assembled node by
     # node, here a dense T of at least SOLVE_ROWS rows
-    import scipy.linalg.blas as sblas
-    record = []
-    monkeypatch.setattr(sblas, "zherk", spy(record, sblas.zherk))
+    record, bind = [], asm.routine
+    monkeypatch.setattr(asm, "routine", lambda name: spy(record, bind(name)))
     sub = custom_chart(1, 2, ["cos(t1)", "0", "sin(t1)", "0"], [True],
                        [[0.0, 2 * np.pi]])
     trunc = FockTruncation(2, 7.5, 30)
@@ -285,8 +284,8 @@ def test_scopes_are_no_ops_without_a_library(counts, monkeypatch):
 
 def test_library_found_inside_a_scope_is_saved_and_restored(counts,
                                                             monkeypatch):
-    # scipy's library loads with scipy.linalg, which assembly imports on
-    # first use, inside a scope
+    # scipy's library loads with scipy.linalg or scipy.special, which the
+    # trapezoid's closed form imports on first use, inside a scope
     paths = blas.openblas_paths
     real = hide_libraries(monkeypatch)
     with blas.single_threaded():
@@ -327,3 +326,161 @@ def test_scopes_from_many_threads_leave_the_counts_as_found(counts):
     assert not any(w.is_alive() for w in workers)
     assert (blas._depth, blas._wide, blas._saved) == (0, 0, {})
     assert counts() == {2}
+
+
+# --- routines ----------------------------------------------------------------
+
+@pytest.fixture(params=["maps", "capsule"])
+def source(request, monkeypatch):
+    """Every routine bound afresh from the mapped OpenBLAS, or, with the
+    maps reader stubbed to find nothing, from scipy's capsules."""
+    if request.param == "maps":
+        mapped_openblas()  # skips where there are no maps
+    else:
+        monkeypatch.setattr(blas, "openblas_paths", lambda: [])
+    blas.routine.cache_clear()
+    yield request.param
+    blas.routine.cache_clear()
+
+
+def test_routines_are_bound_from_the_source(source):
+    for name in blas._PROTOTYPES:
+        from_maps = blas._exported(name) is not None
+        assert from_maps == (source == "maps")
+        if source == "capsule":
+            assert blas.routine(name).int_type == np.intc
+
+
+def hermitian_band(n, kd, complex_):
+    """Lower band form of a random Hermitian band matrix."""
+    rng = np.random.default_rng(100 * n + kd)
+    ab = rng.standard_normal((kd + 1, n))
+    if complex_:
+        ab = ab + 1j * rng.standard_normal((kd + 1, n))
+        ab[0] = ab[0].real
+    return ab
+
+
+def upper_form(ab):
+    """The upper band form of the Hermitian matrix with lower form ab."""
+    kd = ab.shape[0] - 1
+    up = np.zeros_like(ab)
+    for d in range(kd + 1):
+        up[kd - d, d:] = ab[d, :ab.shape[1] - d].conj()
+    return up
+
+
+BANDS = [(n, kd, c) for n in (1, 2, 50) for kd in (0, 1, 5)
+         for c in (False, True)]
+
+
+@pytest.mark.parametrize("n, kd, complex_", BANDS)
+def test_band_eigvals_match_scipys_wrappers(source, n, kd, complex_):
+    from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dsbevd, zhbevd
+
+    ab = hermitian_band(n, kd, complex_)
+    bevd = zhbevd if complex_ else dsbevd
+    with blas.single_threaded():
+        assert np.array_equal(spectral._bevd(ab),
+                              bevd(ab, compute_v=0, lower=1)[0])
+        up = upper_form(ab)
+        assert np.array_equal(spectral._bevd(up, lower=False),
+                              bevd(up, compute_v=0, lower=0)[0])
+        # the blocks of an operator: tridiagonal ones go to dstevd
+        if kd == 0:
+            expected = ab[0].real
+        elif kd == 1:
+            expected = eigvalsh_tridiagonal(ab[0].real, np.abs(ab[1, :-1]))
+        else:
+            expected = eig_banded(ab, lower=True, eigvals_only=True)
+        assert np.array_equal(spectral._band_eigvals(ab), expected)
+
+
+def general_band(n, lower, upper, complex_):
+    """(general band form, dense matrix) of a random band matrix."""
+    rng = np.random.default_rng(10 * n + lower)
+    B = rng.standard_normal((n, n))
+    if complex_:
+        B = B + 1j * rng.standard_normal((n, n))
+    i, j = np.indices((n, n))
+    inside = (i - j <= lower) & (j - i <= upper)
+    B[~inside] = 0
+    w = max(lower, upper)
+    ab = np.zeros((2 * w + 1, n), dtype=B.dtype)
+    ab[w + i[inside] - j[inside], j[inside]] = B[inside]
+    return ab, B
+
+
+def capsule_routine(name):
+    """The routine from scipy's capsule, as the band SVD bound it before."""
+    return blas.Routine(name, blas._capsule(name)[1], np.intc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("lower, upper", [(0, 1), (1, 0), (2, 5), (5, 2),
+                                          (3, 3)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_band_singular_values_keep_their_bits(source, monkeypatch, n, lower,
+                                              upper, complex_):
+    ab, B = general_band(n, lower, upper, complex_)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "routine", capsule_routine)
+        expected = spectral._band_singular_values(ab)
+    assert np.array_equal(spectral._band_singular_values(ab), expected)
+    sv = np.linalg.svd(B, compute_uv=False)
+    assert np.abs(expected - sv).max() <= 4 * n * np.finfo(float).eps * sv[0]
+
+
+@pytest.mark.parametrize("m, dim", [(1, 1), (7, 5), (300, 60)])
+def test_dense_updates_match_scipys_wrappers(source, m, dim):
+    import scipy.linalg.blas as sblas
+
+    rng = np.random.default_rng(m)
+    C = np.asfortranarray(rng.standard_normal((m, dim))
+                          + 1j * rng.standard_normal((m, dim)))
+    X = np.asfortranarray(rng.standard_normal((dim, dim))
+                          + 1j * rng.standard_normal((dim, dim)))
+    phased = np.asfortranarray(C.conj())
+    # on one thread, as assembly calls them: two threads may split the
+    # sums of a zgemm differently in numpy's and scipy's OpenBLAS
+    with blas.single_threaded():
+        Y = X.copy(order="F")
+        blas.routine("zherk")("U", "C", dim, m, -1.0, C, m, 1.0, Y, dim)
+        assert np.array_equal(Y, sblas.zherk(-1.0, C, beta=1.0, c=X, trans=2))
+        Y = X.copy(order="F")
+        blas.routine("zgemm")("T", "N", dim, dim, m, 1.0, C, m, phased, m,
+                              1.0, Y, dim)
+        assert np.array_equal(Y, sblas.zgemm(1.0, C, phased, beta=1.0, c=X,
+                                             trans_a=1))
+
+
+@pytest.mark.parametrize("kd", [1, 5])
+def test_non_finite_bands_raise(source, kd):
+    ab = hermitian_band(6, kd, False)
+    ab[0, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral._band_eigvals(ab)
+    general, _ = general_band(6, kd, 1, True)
+    general[kd, 3] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral._band_singular_values(general)
+
+
+def test_nonzero_info_raises(source):
+    # "X" is no uplo: dbdsqr reports its first argument as illegal
+    unused = np.zeros(1)
+    with pytest.raises(RuntimeError, match="dbdsqr failed with info -1"):
+        blas.routine("dbdsqr")("X", 3, 0, 0, 0, np.ones(3), np.ones(3),
+                               unused, 1, unused, 1, unused, 1, np.empty(12))
+
+
+def test_routine_refuses_arrays_it_cannot_pass(source):
+    dstevd = blas.routine("dstevd")
+    args = ["N", 3, np.ones(3), np.ones(3), np.zeros(1), 1, np.empty(1), 1,
+            0, 1]
+    for bad in (np.ones(3, dtype=np.float32), np.ones((3, 2))[:, 0]):
+        with pytest.raises(TypeError, match="dstevd"):
+            dstevd(*args[:2], bad, *args[3:])
+    with pytest.raises(TypeError, match="10 arguments"):
+        dstevd(*args[:-1])

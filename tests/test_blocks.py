@@ -434,8 +434,8 @@ def test_ungauged_non_hermitian_band_takes_the_complex_reduction(monkeypatch):
     # e^{it}(1 + cos t)/2 + i e^{2it}/5 is symmetric about no centre, so no
     # gauge makes its coefficients real: one complex one-sided band
     called = []
-    bound = spectral._lapack
-    monkeypatch.setattr(spectral, "_lapack",
+    bound = spectral.routine
+    monkeypatch.setattr(spectral, "routine",
                         lambda name: called.append(name) or bound(name))
     trunc, sub, quad = circle_case(20.0)
     a = lambda t: (np.exp(1j * t[:, 0]) * (1.0 + np.cos(t[:, 0])) / 2

@@ -14,7 +14,8 @@ from scipy.stats import poisson
 from szegolab import acceptance, cli, hessian
 from szegolab.assembly import TruncationWarning
 from szegolab.asymptotics import szego_functional
-from szegolab.manifold import amplitude_from_dsl, circle, quadrature
+from szegolab.manifold import (amplitude_from_dsl, circle,
+                               default_periodic_nodes, quadrature)
 from szegolab.spectral import indicator_function
 
 
@@ -368,6 +369,28 @@ def test_entropy_of_diagonal_operator_skips_lapack(tmp_path, monkeypatch):
                      "entropy"]) == 0
     assert ((tmp_path / "a" / "entropy_verdicts.json").read_text()
             == (tmp_path / "b" / "entropy_verdicts.json").read_text())
+
+
+def test_short_quad_order_is_named_on_stderr(tmp_path, capsys):
+    # at order 64 power:2 reads 5.0004 at k = 100 and 5.7720 at k = 400
+    # against F = 4.9982; one line per k names the order the k needs
+    config = {"manifold": {"kind": "circle"}, "amplitude": "1 + 0.5*cos(t1)",
+              "k_sweep": [100.0, 400.0]}
+    cfg = write_config(tmp_path, {**config, "quad_order": 64})
+    cli.main(["--config", cfg, "--out", str(tmp_path / "short"), "szego",
+              "--phi", "power:2"])
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line, k in zip(lines, (100.0, 400.0)):
+        auto = default_periodic_nodes(k, quadrature(circle(), 8)
+                                      .max_radius())
+        assert auto > 64
+        assert (" 64 " in line and f"= {auto} " in line
+                and line.endswith(f"k = {k:g}"))
+    cfg = write_config(tmp_path, config, "auto.json")
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "auto"),
+                     "szego", "--phi", "power:2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_weyl_predicts_any_real_amplitude(tmp_path, capsys):

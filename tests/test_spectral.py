@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from szegolab import _blas as blas
 from szegolab import spectral
 from szegolab.assembly import BlockLayout, HermitianOperator, TruncationWarning
 from szegolab.fock import FockTruncation
@@ -210,23 +211,30 @@ def test_band_singular_values_keep_the_frobenius_norm(k):
     assert abs(math.fsum((sv * sv).tolist()) - frobenius2) <= 2e-15 * frobenius2
 
 
-@pytest.mark.parametrize("name", sorted(spectral._PROTOTYPES))
+@pytest.mark.parametrize("name", sorted(blas._PROTOTYPES))
 def test_lapack_capsules_match_their_prototypes(name):
     # scipy's C signature of each bound routine, read from its capsule,
     # against the ctypes prototype the binding declares
-    signature, pointer = spectral._capsule(name)
+    signature, pointer = blas._capsule(name)
     assert pointer
-    assert spectral._kinds(signature) == spectral._PROTOTYPES[name]
-    fn = spectral._lapack(name)
-    assert len(fn.argtypes) == len(spectral._PROTOTYPES[name].split())
+    assert blas._kinds(signature) == blas._PROTOTYPES[name]
+    kinds = blas._PROTOTYPES[name].split()
+    fn = blas.Routine(name, pointer, np.intc)._fn
+    # and one hidden length per character argument
+    assert len(fn.argtypes) == len(kinds) + kinds.count("c")
 
 
 def test_lapack_binding_refuses_another_signature(monkeypatch):
-    spectral._lapack.cache_clear()
-    monkeypatch.setitem(spectral._PROTOTYPES, "dbdsqr",
+    # with no mapped OpenBLAS the routine comes from scipy's capsule
+    monkeypatch.setattr(blas, "openblas_paths", lambda: [])
+    monkeypatch.setitem(blas._PROTOTYPES, "dbdsqr",
                         "c i i i i d d d i d i d i i i")
-    with pytest.raises(RuntimeError, match="dbdsqr"):
-        spectral._lapack("dbdsqr")
+    blas.routine.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="dbdsqr"):
+            blas.routine("dbdsqr")
+    finally:
+        blas.routine.cache_clear()
 
 
 def dsl_torus_operators(k):
@@ -248,8 +256,8 @@ def dsl_torus_operators(k):
 
 def test_dsl_torus_blocks_are_level_ordered_bands(monkeypatch):
     called = []
-    bound = spectral._lapack
-    monkeypatch.setattr(spectral, "_lapack",
+    bound = spectral.routine
+    monkeypatch.setattr(spectral, "routine",
                         lambda name: called.append(name) or bound(name))
     real, complex_ = dsl_torus_operators(12.0)
     eps = np.finfo(np.float64).eps
@@ -261,7 +269,8 @@ def test_dsl_torus_blocks_are_level_ordered_bands(monkeypatch):
     eigs = np.linalg.eigvalsh(real.matrix)[::-1]
     tol = real.dim * eps * eigs[0]
     assert np.abs(eigensolve(real).eigenvalues - eigs).max() <= tol
-    assert not called
+    assert called == ["dsbevd"]
+    called.clear()
     sv = np.linalg.svd(complex_.matrix, compute_uv=False)
     tol = complex_.dim * eps * sv[0]
     assert np.abs(singular_values(complex_) - sv).max() <= tol
