@@ -4,15 +4,18 @@ Each check assembles operators, computes the matching closed-form
 prediction, and returns a verdict dict {check_id, observed, predicted,
 tolerance, pass, detail}.  A Lab instance caches assembled operators and
 spectra so overlapping checks share work; `cli` uses the same verdicts,
-tolerances and memo.  The Szego-family checks (s log s, Weyl counts,
-Schatten sums, entropy) and the matching `cli` commands run their sweep
-through `szego_sweep`, one pass rule for both front ends, against a
-Szego functional F(phi) as prediction.
+tolerances and memo.  Each Szego-family statistic (Tr phi(S), Weyl
+counts, Schatten sums, entropy) is one `SzegoRow`: its scaled value per
+k, its CLI row fields and its pass rule.  Its checks here and its `cli`
+command run it by `run_row` on the `SzegoPoint` of each k, with the Szego
+factors of the quadrature's classification; each front end keeps its
+predictions and verdict format.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .assembly import (
     pair_trace_integral,
     trace_product,
 )
-from .asymptotics import s_factor, szego_scaling
+from .asymptotics import szego_factors
 from .fock import FockTruncation
 from .manifold import (
     amplitude_from_dsl,
@@ -39,7 +42,9 @@ from .manifold import (
 )
 from .spectral import eigensolve, entropy_function, schatten_sum, weyl_count
 
-__all__ = ["Lab", "run_all", "CHECKS", "verdict", "szego_sweep"]
+__all__ = ["Lab", "run_all", "CHECKS", "verdict", "szego_sweep", "SzegoPoint",
+           "SzegoRow", "szego_row", "weyl_row", "schatten_row", "entropy_row",
+           "run_row"]
 
 CIRCLE_SWEEP = (25.0, 50.0, 100.0, 200.0)
 # eigenvalue counts are integers, so the count error carries quantization
@@ -100,6 +105,103 @@ def szego_sweep(sweep, statistic, prediction, tolerance,
             for v, e, pred, ok in zip(values.T, errors.T, preds, passed)]
 
 
+class SzegoPoint(NamedTuple):
+    """What a Szego-family row reads at one k: T (`op`), eigs() its
+    eigenvalues, the factors s of S = s T and norm of Tr phi(S)
+    (`asymptotics.szego_factors`), and the provenance of a CLI row."""
+
+    k: float
+    op: HermitianOperator
+    eigs: Callable[[], np.ndarray]
+    s: float
+    norm: float
+    prov: dict = {}
+
+
+class SzegoRow(NamedTuple):
+    """One Szego-family statistic: fields(point) gives the CLI rows at one
+    k, one per (check_id, prediction, tolerance) of `checks`, with the
+    scaled value under `key`; `continuous` is `szego_sweep`'s decrease
+    gate."""
+
+    key: str
+    checks: list
+    fields: Callable[[SzegoPoint], list]
+    continuous: bool = True
+
+
+def szego_row(phi, pred: float) -> SzegoRow:
+    """The scaled trace norm * Tr phi(S) against F(phi)."""
+    def fields(at):
+        val = at.norm * spectral.trace_phi(
+            spectral.SpectralSummary(at.s * at.eigs()), phi)
+        return [{"scaled_trace": val, "phi": phi.name, **at.prov,
+                 "prediction": pred, "abs_error": abs(val - pred)}]
+
+    return SzegoRow("scaled_trace",
+                    [(f"szego:{phi.name}", pred, SZEGO_TOL * abs(pred))],
+                    fields, phi.continuous)
+
+
+def weyl_row(interval, pred: float) -> SzegoRow:
+    """Scaled count of the eigenvalues of S in [lo, hi] against the Weyl
+    law, with no decrease gate, as counts jitter (see WEYL_SWEEP).
+    `check_weyl_counts` adds on its sweep that the errors never grow;
+    `cli`'s `weyl` does not."""
+    lo, hi = interval
+
+    def fields(at):
+        count = weyl_count(spectral.SpectralSummary(at.s * at.eigs()),
+                           (lo, hi))
+        return [{"count": count, "scaled_count": at.norm * count,
+                 "prediction": pred, **at.prov}]
+
+    return SzegoRow("scaled_count",
+                    [(f"weyl:[{lo},{hi}]", pred, WEYL_TOL * abs(pred))],
+                    fields, continuous=False)
+
+
+def schatten_row(ps, preds) -> SzegoRow:
+    """Scaled Schatten sums of S against F(s^p) on |a|, one check per p."""
+    def fields(at):
+        # one SVD of T per k serves every p; S = s T scales each sum by s^p
+        return [{"p": p, "scaled_schatten": at.norm * at.s ** p * total,
+                 "prediction": pred, **at.prov}
+                for p, pred, total in zip(ps, preds,
+                                          schatten_sum(at.op, ps))]
+
+    return SzegoRow("scaled_schatten",
+                    [(f"schatten:p={p:g}", pred, SCHATTEN_TOL * pred)
+                     for p, pred in zip(ps, preds)], fields)
+
+
+def entropy_row(pred: float, density) -> SzegoRow:
+    """Entropy H of the density matrix with spectrum density(point),
+    shifted by log norm, against -F(s log s)."""
+    def fields(at):
+        H = spectral.entropy(spectral.SpectralSummary(density(at)))
+        shifted = H + math.log(at.norm)
+        return [{"entropy": H, "shifted": shifted, "prediction": pred,
+                 "gap": abs(shifted - pred), **at.prov}]
+
+    return SzegoRow("shifted", [("entropy", pred, ENTROPY_TOL)], fields)
+
+
+def run_row(row: SzegoRow, sweep, point) -> tuple[list[dict], list[dict]]:
+    """Run a row over a sweep by `szego_sweep`, with point(k) the
+    `SzegoPoint` at k, dropped once its fields are read.  Returns the CLI
+    rows, check by check, and the run of each check."""
+    per_k = []
+
+    def statistic(k):
+        per_k.append(row.fields(point(k)))
+        return [fields[row.key] for fields in per_k[-1]]
+
+    _, preds, tols = zip(*row.checks)
+    runs = szego_sweep(sweep, statistic, preds, tols, row.continuous)
+    return [fields[i] for i in range(len(runs)) for fields in per_k], runs
+
+
 def _poisson_lambdas(trunc: FockTruncation) -> np.ndarray:
     """Circle spectrum 2k k^n e^{-k} / n! for n = 0..M (radius 1), on the
     log-factorials the basis is normalized with."""
@@ -135,9 +237,16 @@ class Lab:
                               self.circle_quad(k))
         return self._get(("cop", k, amp_key), build)
 
-    def circle_eigs(self, k: float) -> np.ndarray:
-        return self._get(("ceig", k),
-                         lambda: eigensolve(self.circle_op(k)).eigenvalues)
+    def circle_eigs(self, k: float, amp_key: str = "one") -> np.ndarray:
+        return self._get(("ceig", k, amp_key), lambda: eigensolve(
+            self.circle_op(k, amp_key)).eigenvalues)
+
+    def circle_point(self, k: float, amp_key: str = "one") -> SzegoPoint:
+        """T on the unit circle at k, with the Szego factors of its
+        quadrature and the eigenvalues of the memo."""
+        return SzegoPoint(k, self.circle_op(k, amp_key),
+                          lambda: self.circle_eigs(k, amp_key),
+                          *szego_factors(k, self.circle_quad(k)))
 
     def sphere_op(self, k: float) -> HermitianOperator:
         def build():
@@ -207,11 +316,10 @@ def check_moment_asymptotics(lab: Lab):
     """4: scaled Tr(S^n) -> 2 pi / sqrt(n) with O(1/k) rate."""
     slopes = {}
     ok = True
+    points = [lab.circle_point(k) for k in CIRCLE_SWEEP]
     for n in (2, 3, 4):
-        vals = []
-        for k in CIRCLE_SWEEP:
-            mu = s_factor(k, 1, 1, 1) * lab.circle_eigs(k)
-            vals.append(szego_scaling(k, 1, 1) * float(np.sum(mu ** n)))
+        vals = [at.norm * float(np.sum((at.s * at.eigs()) ** n))
+                for at in points]
         target = 2.0 * math.pi / math.sqrt(n)
         fit = spectral.rate_regression(CIRCLE_SWEEP, vals, target)
         slopes[f"n={n}"] = fit.slope
@@ -220,18 +328,11 @@ def check_moment_asymptotics(lab: Lab):
                    ok, detail=slopes)
 
 
-def _circle_S(lab: Lab, k: float) -> spectral.SpectralSummary:
-    """Spectrum of S = s T on the unit circle with amplitude 1."""
-    return spectral.SpectralSummary(s_factor(k, 1, 1, 1) * lab.circle_eigs(k))
-
-
 def check_szego_entropy_function(lab: Lab):
     """5: scaled Tr(phi(S)) for phi = s log s converges to F(phi)."""
     phi = entropy_function()
     pred = asymptotics.szego_functional(None, phi, lab.circle_quad(25.0))
-    (run,) = szego_sweep(CIRCLE_SWEEP, lambda k: szego_scaling(k, 1, 1)
-                         * spectral.trace_phi(_circle_S(lab, k), phi),
-                         pred, SZEGO_TOL * abs(pred))
+    _, (run,) = run_row(szego_row(phi, pred), CIRCLE_SWEEP, lab.circle_point)
     return verdict("szego_slogs", run["errors"][-1] / abs(pred), 0.0,
                    SZEGO_TOL, run["pass"],
                    detail={"errors": run["errors"], "functional": pred})
@@ -241,9 +342,8 @@ def check_weyl_counts(lab: Lab):
     """6: scaled eigenvalue count in [0.2, 0.9] matches the Weyl law."""
     interval = (0.2, 0.9)
     pred = asymptotics.weyl_prediction(2.0 * math.pi, 1, interval)
-    (run,) = szego_sweep(WEYL_SWEEP, lambda k: szego_scaling(k, 1, 1)
-                         * weyl_count(_circle_S(lab, k), interval),
-                         pred, WEYL_TOL * pred, continuous=False)
+    _, (run,) = run_row(weyl_row(interval, pred), WEYL_SWEEP,
+                        lab.circle_point)
     errors = run["errors"]  # on this sweep they also never grow
     steady = all(b <= a for a, b in zip(errors, errors[1:]))
     return verdict("weyl_counts", errors[-1] / pred, 0.0, WEYL_TOL,
@@ -257,14 +357,8 @@ def check_schatten(lab: Lab):
     preds = [asymptotics.schatten_prediction(_amp_complex, p,
                                              lab.circle_quad(25.0))
              for p in ps]
-    # one SVD of T per operator serves every p; S = s T scales each sum
-    # by s^p
-    runs = szego_sweep(
-        CIRCLE_SWEEP,
-        lambda k: [szego_scaling(k, 1, 1) * s_factor(k, 1, 1, 1) ** p * total
-                   for p, total in zip(ps, schatten_sum(
-                       lab.circle_op(k, "complex"), ps))],
-        preds, [SCHATTEN_TOL * pred for pred in preds])
+    _, runs = run_row(schatten_row(ps, preds), CIRCLE_SWEEP,
+                      lambda k: lab.circle_point(k, "complex"))
     detail = {f"p={p:g}": {"final_rel": run["errors"][-1] / pred,
                            "prediction": pred}
               for p, pred, run in zip(ps, preds, runs)}
@@ -277,23 +371,19 @@ def check_entropy(lab: Lab):
     """8: density-matrix entropy limit with the Poisson cross-check."""
     pred = asymptotics.entropy_prediction(1.0 / (2.0 * math.pi),
                                           lab.circle_quad(25.0))
-    cross = []
-
-    def shifted_entropy(k):
-        rho = lab.circle_eigs(k) / (2.0 * k)  # (pi/k) * (1/2pi) * T spectrum
-        H = spectral.entropy(spectral.SpectralSummary(rho))
-        poisson = _poisson_lambdas(lab.circle_trunc(k)) / (2.0 * k)
-        cross.append(abs(H - spectral.entropy(
-            spectral.SpectralSummary(poisson))) <= 1e-8)
-        # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}
-        return H + math.log(szego_scaling(k, 1, 1))
-
-    (run,) = szego_sweep(CIRCLE_SWEEP, shifted_entropy, pred,
-                         ENTROPY_TOL)
+    # the density matrix of a = 1/(2 pi), (pi/k) T / (2 pi) on a = 1
+    rows, (run,) = run_row(
+        entropy_row(pred, lambda at: at.eigs() / (2.0 * at.k)),
+        CIRCLE_SWEEP, lab.circle_point)
+    poisson = [spectral.entropy(spectral.SpectralSummary(
+        _poisson_lambdas(lab.circle_trunc(k)) / (2.0 * k)))
+        for k in CIRCLE_SWEEP]
+    cross = all(abs(row["entropy"] - H) <= 1e-8
+                for row, H in zip(rows, poisson))
     return verdict("entropy_limit", run["errors"][-1], 0.0, ENTROPY_TOL,
-                   all(cross) and run["pass"],
+                   cross and run["pass"],
                    detail={"gaps": run["errors"], "prediction": pred,
-                           "poisson_cross_check": all(cross)})
+                           "poisson_cross_check": cross})
 
 
 def check_norm_scaling(lab: Lab):

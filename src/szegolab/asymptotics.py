@@ -1,7 +1,8 @@
 """Closed-form spectral predictions.
 
-The Szego factors (s of S = s T and the normalization of Tr phi(S)),
-the Szego functional F(phi) with the Mellin-log averaging operator
+The Szego factors (s of S = s T and the normalization of Tr phi(S);
+`szego_factors` reads both off a quadrature's classification), the
+Szego functional F(phi) with the Mellin-log averaging operator
 O_{-alpha} (a test function's closed form of it where there is one),
 the limiting eigenvalue density, the Weyl, Schatten and entropy limits
 as F of an indicator, of s^p and of s log s, and the general moment
@@ -29,6 +30,7 @@ from .spectral import (
 __all__ = [
     "s_factor",
     "szego_scaling",
+    "szego_factors",
     "mellin_log",
     "szego_functional",
     "limiting_density",
@@ -53,6 +55,16 @@ def s_factor(k: float, N: int, d: int, d_prime: int) -> float:
 def szego_scaling(k: float, d: int, dp: int) -> float:
     """Factor 2^{d'/2} (pi/k)^{d/2} applied to Tr phi(S) before the limit."""
     return 2.0 ** (0.5 * dp) * (math.pi / k) ** (0.5 * d)
+
+
+def szego_factors(k: float, quad: Quadrature) -> tuple[float, float]:
+    """(s_factor, szego_scaling) at k, with N, d and d' read from
+    `quad.classification`; Gamma neither isotropic nor coisotropic raises
+    ValueError."""
+    cls = quad.classification
+    dp = d_prime(cls)
+    return (s_factor(k, cls.ambient_dim, cls.dim, dp),
+            szego_scaling(k, cls.dim, dp))
 
 
 def _laguerre_ratios(n: int, a: float, x: np.ndarray) -> np.ndarray:

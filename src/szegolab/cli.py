@@ -2,9 +2,11 @@
 
 Subcommands assemble operators for a configured manifold/amplitude pair,
 sweep over k, and emit CSV or JSON tables plus machine-readable verdicts
-{check_id, observed, predicted, tolerance, pass}.  Config files are
-validated against a JSON schema before any computation; schema errors
-exit with status 2, failed checks with status 1.
+{check_id, observed, predicted, tolerance, pass}.  `szego`, `weyl`,
+`schatten` and `entropy` run the Szego-family rows of `acceptance` on
+one operator per k.  Config files are validated against a JSON schema
+(jsonschema is imported on the first config) before any computation;
+schema errors exit with status 2, failed checks with status 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import acceptance, asymptotics, dsl, hessian, spectral, states
@@ -98,12 +99,6 @@ CONFIG_SCHEMA = {
 }
 
 
-# Built once: `jsonschema.validate` would also check CONFIG_SCHEMA against
-# its meta-schema on every call, which the test suite does instead.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(
-    CONFIG_SCHEMA)
-
-
 class SchemaError(ValueError):
     pass
 
@@ -133,9 +128,12 @@ def load_config(args) -> dict:
     for key in ("max_degree", "quad_order"):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
-    # the error `jsonschema.validate` would raise
+    import jsonschema  # here: verify-all and hessian-check read no config
+    # the error `jsonschema.validate` would raise, without its check of
+    # CONFIG_SCHEMA against the meta-schema, which the test suite does
+    validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     error = jsonschema.exceptions.best_match(
-        _CONFIG_VALIDATOR.iter_errors(config))
+        validator(CONFIG_SCHEMA).iter_errors(config))
     if error is not None:
         raise SchemaError(f"config schema violation: {error.message}")
     lo, hi = config.get("interval", (0, 0))
@@ -258,14 +256,13 @@ class Experiment:
         trunc = FockTruncation(self.sub.ambient_dim, k, M)
         return assemble_T(trunc, self.sub, self.amplitude, quad), quad
 
-    def scaled(self, k: float):
-        """T at k, the factor s of S = s T, the Szego normalization and
-        the row provenance."""
-        op, _ = self.operator(k)
-        N, d, dp = self.sub.ambient_dim, self.sub.dim, self.dp(k)
-        return (op, asymptotics.s_factor(k, N, d, dp),
-                asymptotics.szego_scaling(k, d, dp),
-                self.provenance(k, op.trunc))
+    def scaled(self, k: float) -> acceptance.SzegoPoint:
+        """The point a Szego-family row reads at k: T, the Szego factors
+        of its quadrature's classification and the row provenance."""
+        op, quad = self.operator(k)
+        return acceptance.SzegoPoint(
+            k, op, lambda: spectral.eigensolve(op).eigenvalues,
+            *asymptotics.szego_factors(k, quad), self.provenance(k, op.trunc))
 
     def predict(self, prediction, *args) -> float:
         """An `asymptotics` prediction (amplitude, *args, quad) on the
@@ -369,93 +366,46 @@ def cmd_spectrum(exp: Experiment, args) -> int:
     return 0
 
 
-def _judged(exp: Experiment, args, name: str, rows_at, key: str, checks,
-            continuous: bool = True) -> int:
-    """Run a Szego-family statistic over the sweep by
-    `acceptance.szego_sweep`: rows_at(k, *exp.scaled(k)) gives one row per
-    (check_id, prediction, tolerance) of checks, with the value under key.
-    Writes the rows, check by check, and one verdict per check."""
-    ids, preds, tols = zip(*checks)
-    per_k = []
-
-    def statistic(k):
-        per_k.append(rows_at(k, *exp.scaled(k)))
-        return [row[key] for row in per_k[-1]]
-
-    runs = acceptance.szego_sweep(exp, statistic, preds, tols, continuous)
-    write_rows([rows[i] for i in range(len(ids)) for rows in per_k], args,
-               name)
+def _judged(exp: Experiment, args, row: acceptance.SzegoRow) -> int:
+    """Run a Szego-family row over the sweep (`acceptance.run_row`), one
+    operator per k, and write its rows, check by check, and one verdict
+    per check."""
+    rows, runs = acceptance.run_row(row, exp, exp.scaled)
+    write_rows(rows, args, args.command)
     verdicts = [verdict(check_id, run["values"][-1], pred, tol, run["pass"])
-                for check_id, pred, tol, run in zip(ids, preds, tols, runs)]
+                for (check_id, pred, tol), run in zip(row.checks, runs)]
     for out, run in zip(verdicts, runs):
         if run["rate_slope"] is not None:
             out["rate_slope"] = run["rate_slope"]
-    return write_verdicts(verdicts, args, name)
+    return write_verdicts(verdicts, args, args.command)
 
 
 def cmd_szego(exp: Experiment, args) -> int:
     phi = parse_test_function(
         args.phi or exp.config.get("test_function", "power:2"))
-    pred = exp.predict(asymptotics.szego_functional, phi)
-
-    def rows_at(k, T, s, norm, prov):
-        spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
-        val = norm * spectral.trace_phi(spec, phi)
-        return [{"scaled_trace": val, "phi": phi.name, **prov,
-                 "prediction": pred, "abs_error": abs(val - pred)}]
-
-    return _judged(exp, args, "szego", rows_at, "scaled_trace", [
-        (f"szego:{phi.name}", pred, acceptance.SZEGO_TOL * abs(pred))],
-        phi.continuous)
+    return _judged(exp, args, acceptance.szego_row(
+        phi, exp.predict(asymptotics.szego_functional, phi)))
 
 
 def cmd_weyl(exp: Experiment, args) -> int:
     lo, hi = exp.config.get("interval", [0.2, 0.9])
-    phi = spectral.indicator_function(lo, hi)
-    pred = exp.predict(asymptotics.szego_functional, phi)
-
-    def rows_at(k, T, s, norm, prov):
-        spec = spectral.SpectralSummary(s * spectral.eigensolve(T).eigenvalues)
-        count = spectral.weyl_count(spec, (lo, hi))
-        return [{"count": count, "scaled_count": norm * count,
-                 "prediction": pred, **prov}]
-
-    return _judged(exp, args, "weyl", rows_at, "scaled_count", [
-        (f"weyl:[{lo},{hi}]", pred, acceptance.WEYL_TOL * abs(pred))],
-        phi.continuous)
+    pred = exp.predict(asymptotics.szego_functional,
+                       spectral.indicator_function(lo, hi))
+    return _judged(exp, args, acceptance.weyl_row((lo, hi), pred))
 
 
 def cmd_schatten(exp: Experiment, args) -> int:
     ps = exp.config.get("schatten_p", [1.0, 2.0])
-    preds = [exp.predict(asymptotics.schatten_prediction, p) for p in ps]
-
-    def rows_at(k, T, s, norm, prov):
-        # one assembly and one SVD per k serve every p
-        return [{"p": p, "scaled_schatten": norm * s ** p * total,
-                 "prediction": pred, **prov}
-                for p, pred, total in zip(ps, preds,
-                                          spectral.schatten_sum(T, ps))]
-
-    return _judged(exp, args, "schatten", rows_at, "scaled_schatten", [
-        (f"schatten:p={p:g}", pred, acceptance.SCHATTEN_TOL * pred)
-        for p, pred in zip(ps, preds)])
+    return _judged(exp, args, acceptance.schatten_row(
+        ps, [exp.predict(asymptotics.schatten_prediction, p) for p in ps]))
 
 
 def cmd_entropy(exp: Experiment, args) -> int:
-    pred = exp.predict(asymptotics.entropy_prediction)
     N = exp.sub.ambient_dim
-
-    def rows_at(k, T, s, norm, prov):
-        # the density matrix is (pi/k)^N T
-        eigs = (math.pi / k) ** N * spectral.eigensolve(T).eigenvalues
-        H = spectral.entropy(spectral.SpectralSummary(eigs))
-        # shifted by the log of the Szego normalization 2^{d'/2} (pi/k)^{d/2}
-        shifted = H + math.log(norm)
-        return [{"entropy": H, "shifted": shifted, "prediction": pred,
-                 "gap": abs(shifted - pred), **prov}]
-
-    return _judged(exp, args, "entropy", rows_at, "shifted",
-                   [("entropy", pred, acceptance.ENTROPY_TOL)])
+    # the density matrix is (pi/k)^N T
+    return _judged(exp, args, acceptance.entropy_row(
+        exp.predict(asymptotics.entropy_prediction),
+        lambda at: (math.pi / at.k) ** N * at.eigs()))
 
 
 def cmd_density(exp: Experiment, args) -> int:

@@ -5,9 +5,11 @@ well under a minute.  Each test asserts the verdict of one check and prints
 the observed/predicted pair on failure.
 """
 
+import dataclasses
+
 import pytest
 
-from szegolab import acceptance
+from szegolab import acceptance, asymptotics
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +42,32 @@ def test_moment_asymptotics(lab):
     v = run(acceptance.check_moment_asymptotics, lab)
     for slope in v["detail"].values():
         assert abs(slope + 1.0) <= 0.25
+
+
+class _SurfaceLab(acceptance.Lab):
+    """A Lab whose circle quadratures classify as a Lagrangian surface,
+    d = d' = 2, with the nodes and weights of the unit circle."""
+
+    def circle_quad(self, k):
+        quad = super().circle_quad(k)
+        quad.__dict__["classification"] = dataclasses.replace(
+            quad.classification, tag="lagrangian", dim=2)
+        return quad
+
+
+@pytest.mark.parametrize("swap", ["classification", "d_prime"])
+def test_moment_asymptotics_reads_the_classification(monkeypatch, swap):
+    # the Szego factors come from the circle quadratures' classification,
+    # so d' = 2 there (with d = 2, or alone) moves the scaled moments off
+    # their limit and the fitted rates off -1
+    if swap == "classification":
+        lab = _SurfaceLab()
+    else:
+        lab = acceptance.Lab()
+        monkeypatch.setattr(asymptotics, "d_prime", lambda cls: 2)
+    v = acceptance.check_moment_asymptotics(lab)
+    assert v["pass"] is False
+    assert all(abs(slope + 1.0) > 0.25 for slope in v["detail"].values())
 
 
 def test_szego_entropy_function(lab):

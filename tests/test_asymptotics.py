@@ -16,6 +16,7 @@ from szegolab.asymptotics import (
     moment_prediction,
     s_factor,
     schatten_prediction,
+    szego_factors,
     szego_functional,
     szego_scaling,
     weyl_prediction,
@@ -198,6 +199,26 @@ def test_s_factor_values():
     for N, d, dp in ((1, 1, 1), (2, 3, 1), (2, 2, 2), (3, 4, 2)):
         assert (s_factor(7.0, N, d, dp) * szego_scaling(7.0, d, dp)
                 == pytest.approx((math.pi / 7.0) ** N, rel=1e-14))
+
+
+@pytest.mark.parametrize("sub, order, expected", [
+    (mfd.circle(1.0), 16, (1, 1, 1)),
+    (mfd.torus_product([1.0, 0.7]), 16, (2, 2, 2)),
+    (mfd.sphere3(1.0), [5, 9, 9], (2, 3, 1)),  # coisotropic, d != d'
+], ids=["circle", "torus", "sphere3"])
+def test_szego_factors_read_the_classification(sub, order, expected):
+    quad = mfd.quadrature(sub, order)
+    cls = quad.classification
+    N, d, dp = expected
+    assert (cls.ambient_dim, cls.dim, mfd.d_prime(cls)) == expected
+    for k in (3.0, 25.0, 400.0):
+        assert szego_factors(k, quad) == (s_factor(k, N, d, dp),
+                                          szego_scaling(k, d, dp))
+
+
+def test_szego_factors_refuse_a_symplectic_quadrature():
+    with pytest.raises(ValueError, match="isotropic or coisotropic"):
+        szego_factors(10.0, mfd.quadrature(mfd.parabola_patch(), 8))
 
 
 def test_szego_normalization_on_sphere3_where_d_differs_from_d_prime():

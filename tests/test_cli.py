@@ -434,10 +434,21 @@ def test_szego_builds_each_quadrature_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["schatten", "szego_entropy", "weyl",
                                      "entropy"])
-def test_schatten_agrees_with_acceptance_check(tmp_path, command):
+def test_szego_family_commands_agree_with_acceptance_checks(tmp_path,
+                                                           monkeypatch,
+                                                           command):
     # the acceptance sweep, truncation and quadrature order on both sides,
     # one pass rule, for each of the four Szego-family commands
     sweep, order = acceptance.CIRCLE_SWEEP, 1609
+    # both sides compute their statistic through the command's row
+    name = {"szego_entropy": "szego"}.get(command, command) + "_row"
+    builder, built = getattr(acceptance, name), []
+
+    def spy(*args):
+        built.append(builder(*args))
+        return built[-1]
+
+    monkeypatch.setattr(acceptance, name, spy)
     if command == "schatten":
         check = acceptance.check_schatten(acceptance.Lab())
         expected = [check["detail"][p] for p in ("p=1", "p=2")]
@@ -470,6 +481,8 @@ def test_schatten_agrees_with_acceptance_check(tmp_path, command):
     code = cli.main(["--config", cfg, "--out", str(out), "--quad-order",
                      str(order), *argv])
     verdicts = json.loads((out / f"{argv[0]}_verdicts.json").read_text())
+    assert len(built) == 2
+    assert [v["check_id"] for v in verdicts] == [c[0] for c in built[1].checks]
     assert [v["pass"] for v in verdicts] == [check["pass"]] * len(expected)
     assert code == (0 if check["pass"] else 1)
     for v, want in zip(verdicts, expected):
@@ -477,6 +490,21 @@ def test_schatten_agrees_with_acceptance_check(tmp_path, command):
                                                abs=0)
         rel = abs(v["observed"] - v["predicted"]) / abs(v["predicted"])
         assert rel == pytest.approx(want["final_rel"], rel=0, abs=1e-12)
+
+
+def test_verify_all_imports_neither_jsonschema_nor_scipy():
+    # verify-all reads no config, so the schema validator is not built,
+    # and its LAPACK and BLAS routines come from numpy's OpenBLAS
+    code = ("import contextlib, io, sys\n"
+            "from szegolab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify-all'])\n"
+            "print(code, sorted(m for m in sys.modules if m == 'jsonschema'\n"
+            "                   or m.startswith(('jsonschema.', 'scipy.'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.split(None, 1) == ["0", "[]\n"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
