@@ -53,8 +53,7 @@ library reports in its own configuration string (USE64BITINT).  That is
 numpy's own OpenBLAS, which `import numpy` has already loaded, so no
 scipy module is imported and scipy's second OpenBLAS, about 23 MB of
 resident memory with the `scipy.linalg` and `scipy.special` import stack,
-loads only for the trapezoid's incomplete gamma function
-(`spectral._ramp`) or the fallback: where no mapped library exports the
+loads only for the fallback: where no mapped library exports the
 routine (another BLAS, no `/proc`), it comes from the function capsules
 of scipy's `cython_lapack` or `cython_blas`, after their C signatures are
 checked against `_PROTOTYPES`.  Either pointer goes through one calling

@@ -4,9 +4,12 @@ Subcommands assemble operators for a configured manifold/amplitude pair,
 sweep over k, and emit CSV or JSON tables plus machine-readable verdicts
 {check_id, observed, predicted, tolerance, pass}.  `szego`, `weyl`,
 `schatten` and `entropy` run the Szego-family rows of `acceptance` on
-one operator per k.  Config files are validated against a JSON schema
-(jsonschema is imported on the first config) before any computation;
-schema errors exit with status 2, failed checks with status 1.
+one operator per k.  Config files are validated against `CONFIG_SCHEMA`
+before any computation, by `_schema_errors`: it interprets the JSON Schema
+keywords the schema uses, as jsonschema does, reports the message
+jsonschema's `best_match` would, and raises on any other keyword, so no
+config command imports jsonschema (the tests' reference).  Schema errors
+exit with status 2, failed checks with status 1.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import ctypes
 import io
 import json
 import math
+import operator
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +108,149 @@ class SchemaError(ValueError):
     pass
 
 
+# JSON Schema's types: a bool is not a number, and 2.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_KEYWORDS = {"type", "enum", "const", "required", "properties",
+             "additionalProperties", "items", "minItems", "maxItems",
+             "minimum", "exclusiveMinimum", "maximum", "oneOf", "allOf",
+             "if", "then"}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "exclusiveMinimum": (operator.le,
+                                "less than or equal to the minimum"),
+           "maximum": (operator.gt, "greater than the maximum")}
+
+
+class _Violation(NamedTuple):
+    path: tuple      # from the instance the schema was applied to
+    keyword: str
+    off_type: bool   # the value is not of the type of the keyword's schema
+    message: str
+    context: tuple   # the violations of each branch of a failed oneOf
+
+
+def _unimplemented(schema: dict) -> set:
+    """The keywords of `schema`, at any depth, that `_violations` does not
+    interpret as JSON Schema (draft 2020-12) does."""
+    if not isinstance(schema, dict):
+        return {f"schema {schema!r}"}
+    bad = set(schema) - _KEYWORDS
+    if schema.get("type", "object") not in [*_TYPES]:
+        bad.add("type")
+    # compared with ==, which is JSON equality between strings only
+    if not all(isinstance(v, str) for v in [*schema.get("enum", []),
+                                            schema.get("const", "")]):
+        bad |= {"enum", "const"} & set(schema)
+    if schema.get("additionalProperties", False) is not False:
+        bad.add("additionalProperties")
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", []),
+            *schema.get("allOf", []),
+            *(schema[k] for k in ("items", "if", "then") if k in schema)]
+    return bad.union(*map(_unimplemented, subs))
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Each violation of `schema` by `value`, in jsonschema's order: the
+    keywords of a schema as listed, depth first."""
+    def error(keyword, message, context=()):
+        off_type = "type" not in schema or not _TYPES[schema["type"]](value)
+        return _Violation(path, keyword, off_type, message, context)
+
+    for keyword, arg in schema.items():
+        if keyword == "type" and not _TYPES[arg](value):
+            yield error(keyword, f"{value!r} is not of type {arg!r}")
+        elif keyword == "enum" and value not in arg:
+            yield error(keyword, f"{value!r} is not one of {arg!r}")
+        elif keyword == "const" and value != arg:
+            yield error(keyword, f"{arg!r} was expected")
+        elif keyword == "required" and isinstance(value, dict):
+            yield from (error(keyword, f"{name!r} is a required property")
+                        for name in arg if name not in value)
+        elif keyword == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extra = sorted((name for name in value
+                            if name not in schema.get("properties", {})),
+                           key=str)
+            if extra:
+                yield error(keyword, "Additional properties are not allowed "
+                            f"({', '.join(map(repr, extra))} "
+                            f"{'was' if len(extra) == 1 else 'were'} "
+                            "unexpected)")
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _violations(item, arg, path + (i,))
+        elif keyword == "minItems" and isinstance(value, list) \
+                and len(value) < arg:
+            yield error(keyword, f"{value!r} " + ("should be non-empty"
+                                                  if arg == 1 else
+                                                  "is too short"))
+        elif keyword == "maxItems" and isinstance(value, list) \
+                and len(value) > arg:
+            yield error(keyword, f"{value!r} " + ("is expected to be empty"
+                                                  if arg == 0 else
+                                                  "is too long"))
+        elif keyword in _BOUNDS and _TYPES["number"](value) \
+                and _BOUNDS[keyword][0](value, arg):
+            yield error(keyword, f"{value!r} is {_BOUNDS[keyword][1]} of "
+                        f"{arg!r}")
+        elif keyword == "oneOf":
+            valid = [sub for sub in arg if not any(_violations(value, sub))]
+            if not valid:
+                branches = tuple(e for sub in arg
+                                 for e in _violations(value, sub))
+                yield error(keyword, f"{value!r} is not valid under any of "
+                            "the given schemas", branches)
+            elif len(valid) > 1:
+                yield error(keyword, f"{value!r} is valid under each of "
+                            + ", ".join(map(repr, valid[1:] + valid[:1])))
+        elif keyword == "allOf":
+            for sub in arg:
+                yield from _violations(value, sub, path)
+        elif (keyword == "if" and "then" in schema
+              and not any(_violations(value, arg))):
+            yield from _violations(value, schema["then"], path)
+
+
+def _relevance(error: _Violation) -> tuple:
+    """jsonschema's `relevance` key: shallow before deep, then the later
+    path, any keyword before oneOf, and a value not of the type its schema
+    names before one that is."""
+    return (-len(error.path), error.path, error.keyword != "oneOf",
+            error.off_type)
+
+
+def _schema_errors(value, schema: dict):
+    """The messages of the violations of `schema` by `value`, the one
+    jsonschema's `best_match` reports first.  `schema` may use only the
+    keywords `_violations` interprets; any other raises
+    NotImplementedError, so none can go unenforced."""
+    bad = _unimplemented(schema)
+    if bad:
+        raise NotImplementedError(f"schema keywords not interpreted: "
+                                  f"{sorted(bad)}")
+    for error in sorted(_violations(value, schema), key=_relevance,
+                        reverse=True):
+        # a failed oneOf reports its most relevant branch violation unless
+        # the two most relevant tie, as best_match does
+        while error.context:
+            first, *second = sorted(error.context, key=_relevance)[:2]
+            if second and _relevance(first) == _relevance(second[0]):
+                break
+            error = first
+        yield error.message
+
+
 def _reject_constant(name: str):
     """json.load hook for NaN, Infinity and -Infinity, which JSON Schema's
     number comparisons let through."""
@@ -128,14 +276,8 @@ def load_config(args) -> dict:
     for key in ("max_degree", "quad_order"):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
-    import jsonschema  # here: verify-all and hessian-check read no config
-    # the error `jsonschema.validate` would raise, without its check of
-    # CONFIG_SCHEMA against the meta-schema, which the test suite does
-    validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    error = jsonschema.exceptions.best_match(
-        validator(CONFIG_SCHEMA).iter_errors(config))
-    if error is not None:
-        raise SchemaError(f"config schema violation: {error.message}")
+    for message in _schema_errors(config, CONFIG_SCHEMA):
+        raise SchemaError(f"config schema violation: {message}")
     lo, hi = config.get("interval", (0, 0))
     if lo > hi:
         raise SchemaError(f"config interval {config['interval']} is reversed")

@@ -115,22 +115,53 @@ def entropy_function() -> TestFunction:
                         mellin=lambda t, alpha: t * np.log(t) - alpha * t)
 
 
+def _gamma_p(alpha: float, x) -> np.ndarray:
+    """The regularized lower incomplete gamma function P(alpha, x), for
+    alpha a positive multiple of 1/2 (d'/2) and x >= 0.
+
+    Below x = alpha + 1 it is the series x^alpha e^{-x} sum_n x^n /
+    Gamma(alpha + n + 1), of positive terms.  Above, the finite sums
+    P(m, x) = 1 - e^{-x} sum_{j<m} x^j / j! and P(m + 1/2, x) =
+    erf(sqrt x) - e^{-x} sum_{j<m} x^{j+1/2} / Gamma(j + 3/2), where the
+    series would need many terms and the sums cancel least."""
+    if alpha <= 0 or (2 * alpha) % 1:
+        raise ValueError(f"P(alpha, x) needs alpha in 1/2, 1, 3/2, ..., "
+                         f"not {alpha}")
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    low = x < alpha + 1
+    xs = x[low]
+    term = xs ** alpha * np.exp(-xs) / math.gamma(alpha + 1)
+    total, n = term, 0
+    while np.any(term > 2.0 ** -54 * total):
+        n += 1
+        term = term * xs / (alpha + n)
+        total = total + term
+    out[low] = total
+    xs = x[~low]
+    h = alpha % 1
+    base = (np.array([math.erf(v) for v in np.sqrt(xs)]) if h
+            else np.ones_like(xs))
+    term = xs ** h * np.exp(-xs) / math.gamma(h + 1)
+    for j in range(int(alpha)):
+        base = base - term
+        term = term * xs / (j + h + 1)
+    out[~low] = base
+    return out
+
+
 def _ramp(t, a: float, b: float, alpha: float):
     """O_{-alpha} of the ramp clip((s - a)/(b - a), 0, 1), a step at a when
     a = b.  With x_c = log+(t/c) the ramp at s = t e^{-x} is 1 for x < x_b
     and (t e^{-x} - a)/(b - a) on [x_b, x_a], which gives x_b^alpha /
     Gamma(1 + alpha) + [t (P(alpha, x_a) - P(alpha, x_b)) - a (x_a^alpha -
     x_b^alpha) / Gamma(1 + alpha)] / (b - a), P the regularized lower
-    incomplete gamma function."""
-    # imported here: scipy.special loads scipy's own OpenBLAS and adds
-    # about 0.2 s to importing this module
-    from scipy.special import gammainc
-
+    incomplete gamma function (`_gamma_p`)."""
     x_a, x_b = (np.maximum(np.log(t / c), 0.0) for c in (a, b))
     g = math.gamma(1.0 + alpha)
     if a == b:
         return x_b ** alpha / g
-    P_a, P_b = gammainc(alpha, x_a), gammainc(alpha, x_b)
+    P_a, P_b = _gamma_p(alpha, x_a), _gamma_p(alpha, x_b)
     return x_b ** alpha / g + (t * (P_a - P_b)
                                - a * (x_a ** alpha - x_b ** alpha) / g) / (b - a)
 

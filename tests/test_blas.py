@@ -284,8 +284,8 @@ def test_scopes_are_no_ops_without_a_library(counts, monkeypatch):
 
 def test_library_found_inside_a_scope_is_saved_and_restored(counts,
                                                             monkeypatch):
-    # scipy's library loads with scipy.linalg or scipy.special, which the
-    # trapezoid's closed form imports on first use, inside a scope
+    # scipy's library loads with scipy.linalg or scipy.special, which a
+    # caller may import inside a scope
     paths = blas.openblas_paths
     real = hide_libraries(monkeypatch)
     with blas.single_threaded():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from szegolab import acceptance, cli, hessian
+from szegolab import acceptance, cli, hessian, spectral
 from szegolab.assembly import TruncationWarning
 from szegolab.asymptotics import szego_functional
 from szegolab.manifold import (amplitude_from_dsl, circle,
@@ -98,6 +99,171 @@ def test_config_schema_is_valid():
     jsonschema = pytest.importorskip("jsonschema")
     validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
     validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+# a valid config of each manifold kind, and the optional fields a mutated
+# config may start from
+MANIFOLDS = {
+    "circle": {"kind": "circle", "radius": 1.0, "label": "c"},
+    "torus_product": {"kind": "torus_product", "radii": [1.0, 0.7]},
+    "parabola_patch": {"kind": "parabola_patch", "x1_range": [-1.0, 1.0],
+                       "y1_range": [-1, 1]},
+    "plane_patch": {"kind": "plane_patch", "ranges": [[-1, 1], [-1, 1]],
+                    "ambient_dim": 1},
+    "sphere3": {"kind": "sphere3"},
+    "custom": CUSTOM_CIRCLE,
+}
+OPTIONAL = {"amplitude": ["1 + cos(t1)", "0.5*sin(t1)"], "k_sweep": [10.0, 20],
+            "max_degree": 40, "quad_order": [96], "test_function": "power:2",
+            "interval": [0.2, 0.9], "schatten_p": [1.0, 2.0],
+            "density_grid": [0.5], "theta": "t1", "alpha": "t1"}
+# values a mutation puts in: of each JSON type, on and off each bound
+POOL = [None, True, False, 0, 1, -1, 2, 2.0, 0.5, 1.5, -0.5, 1e-300, 0.0, 3,
+        "x", "", "circle", "custom", [], [1], [1.0], [0], [2, 3], [True],
+        ["a"], ["a", "b"], ["a", "b", "c"], [[0, 1]], [1.5], {},
+        {"kind": "circle"}]
+NAMES = [*cli.CONFIG_SCHEMA["properties"], *cli.MANIFOLD_SCHEMA["properties"],
+         "seed", "foo"]
+
+
+def mutated(rng, manifold):
+    """A config of `manifold` with a random subset of the optional fields
+    and one to three random edits: a value replaced or deleted, a key or
+    a list entry added, or the manifold kind changed."""
+    config = json.loads(json.dumps({"manifold": manifold, **{
+        key: value for key, value in OPTIONAL.items() if rng.random() < 0.3}}))
+    for _ in range(rng.randint(1, 3)):
+        nodes = [((), config)]
+        for path, node in nodes:  # every node, breadth first
+            if isinstance(node, dict):
+                nodes += [(path + (key,), node[key]) for key in node]
+            elif isinstance(node, list):
+                nodes += [(path + (i,), item) for i, item in enumerate(node)]
+        path, node = rng.choice(nodes)
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        value = json.loads(json.dumps(rng.choice(POOL)))
+        op = rng.randrange(5)
+        if op == 0 and path:
+            parent[path[-1]] = value
+        elif op == 1 and path:
+            del parent[path[-1]]
+        elif op == 2 and isinstance(node, dict):
+            node[rng.choice(NAMES)] = value
+        elif op == 3 and isinstance(node, list):
+            node.append(value)
+        elif op == 4 and isinstance(config.get("manifold"), dict):
+            config["manifold"]["kind"] = rng.choice([*MANIFOLDS, "moebius"])
+    return config
+
+
+@pytest.mark.parametrize("kind", list(MANIFOLDS))
+def test_schema_interpreter_agrees_with_jsonschema(kind):
+    # jsonschema, in the test extra only, is the reference: 10,000 seeded
+    # mutations of a valid config of each kind are accepted or rejected
+    # alike, each distinct config once; every 20th is also checked
+    # through `_schema_errors`, whose first message is best_match's
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA)
+    rng = random.Random(list(MANIFOLDS).index(kind))
+    configs = {}
+    for _ in range(10_000):
+        config = mutated(rng, MANIFOLDS[kind])
+        configs.setdefault(json.dumps(config), config)
+    valid = [validator.is_valid(config) for config in configs.values()]
+    assert [not any(cli._violations(config, cli.CONFIG_SCHEMA))
+            for config in configs.values()] == valid
+    sample = list(configs.values())[::20]
+    best = [jsonschema.exceptions.best_match(validator.iter_errors(config))
+            for config in sample]
+    assert [next(cli._schema_errors(config, cli.CONFIG_SCHEMA), None)
+            for config in sample] == [e and e.message for e in best]
+    # both sides of the verdict are well sampled
+    assert 0.2 < sum(valid) / len(valid) < 0.8 and len(valid) > 5_000
+
+
+@pytest.mark.parametrize("config, message", [
+    ([], "[] is not of type 'object'"),
+    ({"manifold": {"kind": "circle"}, "max_degree": "3"},
+     "'3' is not of type 'integer'"),
+    # a bool is not a number, and 2.0 is an integer
+    ({"manifold": {"kind": "circle"}, "k_sweep": [True]},
+     "True is not of type 'number'"),
+    ({"manifold": {"kind": "circle"}, "max_degree": 2.0}, None),
+    ({"manifold": {"kind": "circle"}, "max_degree": 2.5},
+     "2.5 is not of type 'integer'"),
+    ({"manifold": {"kind": "moebius"}},
+     "'moebius' is not one of ['circle', 'torus_product', 'parabola_patch', "
+     "'plane_patch', 'sphere3', 'custom']"),
+    ({}, "'manifold' is a required property"),
+    ({"manifold": {"kind": "torus_product"}},
+     "'radii' is a required property"),
+    # extra names come sorted
+    ({"manifold": {"kind": "circle"}, "seed": 3, "foo": 1},
+     "Additional properties are not allowed ('foo', 'seed' were unexpected)"),
+    ({"manifold": {"kind": "circle"}, "k_sweep": [1, "a"]},
+     "'a' is not of type 'number'"),
+    ({"manifold": {"kind": "circle"}, "k_sweep": []},
+     "[] should be non-empty"),
+    ({"manifold": {"kind": "circle"}, "interval": [0.1, 0.2, 0.3]},
+     "[0.1, 0.2, 0.3] is too long"),
+    ({"manifold": {"kind": "circle"}, "max_degree": -1},
+     "-1 is less than the minimum of 0"),
+    ({"manifold": {"kind": "circle"}, "k_sweep": [0]},
+     "0 is less than or equal to the minimum of 0"),
+    ({"manifold": {"kind": "circle"}, "interval": [0.5, 1.5]},
+     "1.5 is greater than the maximum of 1"),
+    # oneOf reports the violations of the branch of the value's type, or
+    # itself where the branches tie
+    ({"manifold": {"kind": "circle"}, "amplitude": ["1"]},
+     "['1'] is too short"),
+    ({"manifold": {"kind": "circle"}, "quad_order": 0},
+     "0 is less than the minimum of 1"),
+    ({"manifold": {"kind": "circle"}, "quad_order": [2, 0]},
+     "0 is less than the minimum of 1"),
+    ({"manifold": {"kind": "circle"}, "amplitude": 3},
+     "3 is not valid under any of the given schemas"),
+    # of two violations at one depth, the later path is reported
+    ({"manifold": {"kind": "moebius"}, "k_sweep": [0]},
+     "'moebius' is not one of ['circle', 'torus_product', 'parabola_patch', "
+     "'plane_patch', 'sphere3', 'custom']"),
+])
+def test_schema_messages_are_best_match(config, message):
+    assert next(cli._schema_errors(config, cli.CONFIG_SCHEMA), None) == message
+    jsonschema = pytest.importorskip("jsonschema")
+    best = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(config))
+    assert (best and best.message) == message
+
+
+@pytest.mark.parametrize("value, schema", [
+    # keywords CONFIG_SCHEMA uses only where no value reaches them
+    ("y", {"const": "x"}),
+    ([1], {"maxItems": 0}),
+    (2, {"oneOf": [{"type": "integer"}, {"type": "number"}]}),
+])
+def test_schema_messages_of_other_keywords_are_best_match(value, schema):
+    jsonschema = pytest.importorskip("jsonschema")
+    best = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(value))
+    assert next(cli._schema_errors(value, schema)) == best.message
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^x$"},
+    # at any depth, reached by the value or not
+    {"properties": {"label": {"type": "string", "pattern": "^x$"}}},
+    {"allOf": [{"if": {"required": ["a"]}, "then": {"minLength": 1}}]},
+    {"additionalProperties": {"type": "string"}},
+    {"type": "null"},
+    {"type": ["array", "string"]},
+    {"properties": {"label": True}},
+    {"enum": [1, 2]},
+])
+def test_schema_keyword_not_interpreted_raises(schema):
+    with pytest.raises(NotImplementedError):
+        next(cli._schema_errors({}, schema), None)
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -393,6 +559,29 @@ def test_short_quad_order_is_named_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("k, default", [(100.0, 160), (400.0, 320)])
+def test_default_quad_order_resolves_the_circle_spectrum(k, default, capsys):
+    # the default order reads R = 1.0000000000000002 off the order-8 probe
+    # and so doubles: 160 nodes at k = 100 and 320 at k = 400; those match
+    # twice as many to 1e-12 of the top eigenvalue, where 80 and 160 miss
+    # by about 2e-4, so a fix of the rounding alone would cost accuracy
+    config = {"manifold": {"kind": "circle"}, "amplitude": "1 + 0.5*cos(t1)",
+              "k_sweep": [k]}
+
+    def spectrum(**order):
+        op, quad = cli.Experiment({**config, **order}).operator(k)
+        return np.sort(spectral.eigensolve(op).eigenvalues), quad.size
+
+    eigs, nodes = spectrum()
+    assert nodes == default
+    top = eigs[-1]
+    doubled, _ = spectrum(quad_order=2 * nodes)
+    assert np.abs(eigs - doubled).max() <= 1e-12 * top
+    halved, _ = spectrum(quad_order=nodes // 2)
+    assert np.abs(eigs - halved).max() > 1e-5 * top
+    assert "below default_periodic_nodes" in capsys.readouterr().err
+
+
 def test_weyl_predicts_any_real_amplitude(tmp_path, capsys):
     # the indicator's Szego functional gives the Weyl law for any real
     # amplitude, not only the unit one
@@ -505,6 +694,55 @@ def test_verify_all_imports_neither_jsonschema_nor_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True)
     assert out.stdout.split(None, 1) == ["0", "[]\n"]
+
+
+def test_config_commands_import_neither_jsonschema_nor_scipy(tmp_path):
+    # the config is checked by `cli._schema_errors`, and the commands'
+    # LAPACK and BLAS routines come from numpy's OpenBLAS
+    torus = {"kind": "custom", "dim": 2, "ambient_dim": 2,
+             "coords": ["cos(t1)", "sin(t1)", "0.7*cos(t2)", "0.7*sin(t2)"],
+             "periodic": [True, True], "domain": [[0.0, 2 * math.pi]] * 2}
+    # the sweep and amplitudes of the benchmark's DSL torus configs
+    sweep = [4.0, 8.0, 12.0]
+    real = write_config(tmp_path, {
+        "manifold": torus, "k_sweep": sweep,
+        "amplitude": "1 + 0.25*cos(t1 + 1) + 0.25*cos(t2 + 2)"})
+    complex_ = write_config(tmp_path, {
+        "manifold": torus, "k_sweep": sweep, "schatten_p": [1.0, 2.0],
+        "amplitude": ["1 + 0.5*cos(t1 + 3)", "0.5*sin(t2 + 4)"]},
+        "complex.json")
+    runs = [[real, "spectrum"], [real, "szego", "--phi", "power:2"],
+            [complex_, "schatten"]]
+    code = ("import sys, warnings\n"
+            "from szegolab import cli\n"
+            "warnings.simplefilter('ignore')\n"
+            "codes = [cli.main(['--config', config, '--out', "
+            f"{str(tmp_path)!r}, *argv]) for config, *argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m == 'jsonschema'\n"
+            "                    or m.startswith(('jsonschema.', 'scipy.'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_trapezoid_sweep_runs_without_scipy(tmp_path):
+    # the trapezoid's incomplete gamma function comes from math.erf and
+    # finite sums: CI's trapezoid sweep exits 0 with scipy unimportable
+    cfg = write_config(tmp_path, {"manifold": {"kind": "circle"},
+                                  "amplitude": "1 + 0.5*cos(t1)",
+                                  "k_sweep": [25, 50, 100, 200]})
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from szegolab import cli\n"
+            f"sys.exit(cli.main(['--config', {cfg!r}, '--out', "
+            f"{str(tmp_path)!r}, 'szego', '--phi', "
+            "'trapezoid:0.2,0.3,0.6,0.8']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   capture_output=True)
+    verdicts = json.loads((tmp_path / "szego_verdicts.json").read_text())
+    assert [v["pass"] for v in verdicts] == [True]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
